@@ -5,22 +5,74 @@
 //! the input to the indicator matrices of §III-B — with a standard
 //! blocking + similarity pipeline:
 //!
-//! 1. **Blocking**: candidate pairs are generated only within blocks that
-//!    share a cheap key (the normalized first token of the entity key),
-//!    avoiding the quadratic all-pairs comparison.
-//! 2. **Similarity**: exact key equality scores 1.0; otherwise a
-//!    Jaro–Winkler score over the rendered key values.
-//! 3. **1:1 greedy resolution**: pairs are accepted in descending score
-//!    order above a threshold, each row used at most once.
+//! 1. **Exact phase**: rows whose rendered keys are equal match with
+//!    score 1.0. A key that occurs `k_l` times on the left and `k_r`
+//!    times on the right yields the `min(k_l, k_r)` pairs that zip the
+//!    two occurrence lists in row order — exactly what a greedy 1:1
+//!    resolution keeps of the `k_l · k_r` equal-score candidates. Every
+//!    occurrence, paired or surplus, stays out of the fuzzy phase.
+//! 2. **Blocking**: the remaining rows are compared only within blocks
+//!    that share the lower-cased first character of the key, avoiding
+//!    the quadratic all-pairs comparison.
+//! 3. **Similarity**: a Jaro–Winkler score over the rendered key values;
+//!    pairs scoring at least the threshold become candidates.
+//! 4. **1:1 greedy resolution**: candidates are accepted in descending
+//!    score order (ties by left row, then right row), each row used at
+//!    most once.
 //!
 //! The output is deliberately *approximate* metadata (§V-B: "the results
 //! from an entity resolution approach... are most likely approximate"):
 //! the threshold trades recall for precision, and downstream consumers
 //! (federated learning in particular) must tolerate imperfect matches.
+//!
+//! # The similarity filter chain
+//!
+//! Step 3 never changes *which* pairs become candidates or their scores
+//! — it only avoids work for pairs that cannot reach the threshold. The
+//! plain definition (two string decodes, five allocations and an
+//! `O(len · window)` scan per pair) survives as the `#[cfg(test)]` oracle
+//! in `reference.rs`, and differential tests pin the two bit for bit.
+//! Per in-block pair, [`crate::jw`] runs:
+//!
+//! 1. **Decode once.** Each key is decoded to `char`s once per call and
+//!    carries a signature: 128 `u8` bins counting its characters by code
+//!    point mod 128.
+//! 2. **Count bound.** A Jaro match pairs two *equal* characters and
+//!    uses each position once, so the match count `m` satisfies
+//!    `m ≤ Σ_c min(cnt_a[c], cnt_b[c])`. Characters sharing a bin
+//!    (non-ASCII) only loosen this, since
+//!    `min(x₁ + x₂, y₁ + y₂) ≥ min(x₁, y₁) + min(x₂, y₂)`. The pair is
+//!    skipped when the score evaluated at that `m`, with zero
+//!    transpositions and the pair's real common prefix, falls short of
+//!    the threshold.
+//! 3. **Scan with early exit.** Survivors run the standard windowed scan
+//!    over reused taken-flags. After a miss at position `i`,
+//!    `m ≤ matches so far + chars of a still unscanned`, and the scan
+//!    stops as soon as that bound falls short.
+//! 4. **Score.** Transpositions are counted in place from the
+//!    taken-flags and the score is computed by the one float expression
+//!    the bounds use too.
+//!
+//! *Why each bound is ≥ the true score.* With `m` matches, `t`
+//! transpositions and lengths `l_a`, `l_b`, Jaro is
+//! `(m/l_a + m/l_b + (m − t)/m) / 3`. For `M ≥ m` the bound evaluates
+//! `(M/l_a + M/l_b + 1) / 3`: IEEE division and addition are monotone in
+//! each operand and `(m − t)/m ≤ 1` rounds to at most `1`, so the bound's
+//! Jaro is ≥ the true Jaro as floats, not just as reals. The Winkler
+//! step `j + p · 0.1 · (1 − j)` uses the same prefix `p` on both sides
+//! and is increasing in `j` over the reals; its roundings can perturb
+//! that by a few 1e-16, which a slack of 1e-12 on the comparison
+//! absorbs (a pair that close to the threshold is scored, not skipped).
+//!
+//! *Saturation caveat.* A count that wraps or saturates would make a bin
+//! too *small* and the bound unsound. A key of at most 255 chars cannot
+//! overflow a `u8` bin; longer keys get no signature and are bounded by
+//! `min(l_a, l_b)` instead.
 
-use crate::{IntegrationError, Result};
+use crate::jw::{similarity_at_least, KeyArena, Scratch, Verdict};
+use crate::{metrics, IntegrationError, Result};
 use amalur_relational::Table;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 /// A scored row correspondence `(left row, right row)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,167 +115,172 @@ pub fn match_rows(
     right_key: &str,
     config: &ErConfig,
 ) -> Result<Vec<RowMatch>> {
-    let lcol = left
-        .column_by_name(left_key)
-        .map_err(|_| IntegrationError::UnknownColumn(left_key.to_owned()))?;
-    let rcol = right
-        .column_by_name(right_key)
-        .map_err(|_| IntegrationError::UnknownColumn(right_key.to_owned()))?;
+    let lkeys = render_keys(left, left_key)?;
+    let rkeys = render_keys(right, right_key)?;
+    Ok(match_keys(&lkeys, &rkeys, config))
+}
 
-    let lkeys: Vec<String> = (0..left.num_rows())
-        .map(|i| lcol.get(i).to_string())
-        .collect();
-    let rkeys: Vec<String> = (0..right.num_rows())
-        .map(|i| rcol.get(i).to_string())
-        .collect();
+/// Renders column `key` of `table` row by row (NULL renders empty).
+pub(crate) fn render_keys(table: &Table, key: &str) -> Result<Vec<String>> {
+    let col = table
+        .column_by_name(key)
+        .map_err(|_| IntegrationError::UnknownColumn(key.to_owned()))?;
+    Ok((0..table.num_rows())
+        .map(|i| col.get(i).to_string())
+        .collect())
+}
 
-    let mut candidates: Vec<RowMatch> = Vec::new();
+/// [`match_rows`] over already rendered keys, one per row.
+pub(crate) fn match_keys(lkeys: &[String], rkeys: &[String], config: &ErConfig) -> Vec<RowMatch> {
+    // Rows out of play: first every occurrence of an exactly matched key,
+    // then also the rows the greedy resolution consumes.
+    let mut left_taken = vec![false; lkeys.len()];
+    let mut right_taken = vec![false; rkeys.len()];
+    let mut out = exact_matches(lkeys, rkeys, &mut left_taken, &mut right_taken);
 
-    // Exact phase: key equality on the rendered key (NULL renders empty
-    // and is skipped — NULL matches nothing). BTreeMap keeps iteration
-    // (and hence candidate emission) in a deterministic order.
-    let mut exact: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (j, k) in rkeys.iter().enumerate() {
-        if !k.is_empty() {
-            exact.entry(k.as_str()).or_default().push(j);
+    if !config.exact_only {
+        let mut candidates =
+            fuzzy_candidates(lkeys, rkeys, &left_taken, &right_taken, config.threshold);
+        // Greedy 1:1 resolution by descending score (deterministic ties).
+        // No candidate touches an exactly matched row, so the exact
+        // matches above are what the greedy pass would have kept of them.
+        candidates.sort_unstable_by(|x, y| {
+            y.score
+                .partial_cmp(&x.score)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| x.left.cmp(&y.left))
+                .then_with(|| x.right.cmp(&y.right))
+        });
+        for c in candidates {
+            if left_taken[c.left] || right_taken[c.right] {
+                continue;
+            }
+            left_taken[c.left] = true;
+            right_taken[c.right] = true;
+            out.push(c);
         }
     }
-    let mut left_exactly_matched = vec![false; lkeys.len()];
-    let mut right_exactly_matched = vec![false; rkeys.len()];
+    out.sort_unstable_by_key(|m| (m.left, m.right));
+    out
+}
+
+/// Row indices of the non-empty keys, ordered by key and, within one
+/// key, by row (NULL renders empty and matches nothing).
+fn rows_by_key(keys: &[String]) -> Vec<usize> {
+    let mut rows: Vec<usize> = (0..keys.len()).filter(|&i| !keys[i].is_empty()).collect();
+    rows.sort_by(|&x, &y| keys[x].cmp(&keys[y])); // stable: row order within a key
+    rows
+}
+
+/// The exact phase: a merge join over both sides' [`rows_by_key`]. Each
+/// shared key emits the zip of its two occurrence lists and flags all of
+/// its occurrences.
+fn exact_matches(
+    lkeys: &[String],
+    rkeys: &[String],
+    left_taken: &mut [bool],
+    right_taken: &mut [bool],
+) -> Vec<RowMatch> {
+    let lrows = rows_by_key(lkeys);
+    let rrows = rows_by_key(rkeys);
+    let mut out = Vec::new();
+    let (mut p, mut q) = (0, 0);
+    while p < lrows.len() && q < rrows.len() {
+        let key = &lkeys[lrows[p]];
+        match key.cmp(&rkeys[rrows[q]]) {
+            Ordering::Less => p += 1,
+            Ordering::Greater => q += 1,
+            Ordering::Equal => {
+                let lrun = lrows[p..].partition_point(|&i| lkeys[i] == *key);
+                let rrun = rrows[q..].partition_point(|&j| rkeys[j] == *key);
+                let (ls, rs) = (&lrows[p..p + lrun], &rrows[q..q + rrun]);
+                out.extend(ls.iter().zip(rs).map(|(&left, &right)| RowMatch {
+                    left,
+                    right,
+                    score: 1.0,
+                }));
+                ls.iter().for_each(|&i| left_taken[i] = true);
+                rs.iter().for_each(|&j| right_taken[j] = true);
+                p += lrun;
+                q += rrun;
+            }
+        }
+    }
+    out
+}
+
+/// The fuzzy phase: every pair of rows not matched exactly whose keys
+/// share a block and score at least `threshold`.
+fn fuzzy_candidates(
+    lkeys: &[String],
+    rkeys: &[String],
+    left_taken: &[bool],
+    right_taken: &[bool],
+    threshold: f64,
+) -> Vec<RowMatch> {
+    let block_of = |s: &str| s.chars().next().map(|c| c.to_ascii_lowercase());
+    // Right rows in (block, row) order, so a block is one contiguous run
+    // of decoded keys.
+    let mut blocked: Vec<(char, usize)> = rkeys
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| !right_taken[j])
+        .filter_map(|(j, k)| block_of(k).map(|b| (b, j)))
+        .collect();
+    blocked.sort_unstable();
+    let mut right = KeyArena::default();
+    for &(_, j) in &blocked {
+        right.push(&rkeys[j]);
+    }
+
+    let mut candidates = Vec::new();
+    let mut probe = KeyArena::default();
+    let mut scratch = Scratch::default();
+    let (mut block_pairs, mut pruned, mut scored) = (0usize, 0u64, 0u64);
     for (i, k) in lkeys.iter().enumerate() {
-        if k.is_empty() {
+        if left_taken[i] {
             continue;
         }
-        if let Some(js) = exact.get(k.as_str()) {
-            for &j in js {
-                candidates.push(RowMatch {
-                    left: i,
-                    right: j,
-                    score: 1.0,
-                });
-                left_exactly_matched[i] = true;
-                right_exactly_matched[j] = true;
-            }
+        let Some(b) = block_of(k) else { continue };
+        let start = blocked.partition_point(|&(c, _)| c < b);
+        let len = blocked[start..].partition_point(|&(c, _)| c == b);
+        if len == 0 {
+            continue;
         }
-    }
-
-    // Fuzzy phase with blocking: compare only rows whose normalized first
-    // character agrees, and only rows not already matched exactly.
-    if !config.exact_only {
-        let block_of =
-            |s: &str| -> Option<char> { s.chars().next().map(|c| c.to_ascii_lowercase()) };
-        let mut blocks: BTreeMap<char, Vec<usize>> = BTreeMap::new();
-        for (j, k) in rkeys.iter().enumerate() {
-            if right_exactly_matched[j] {
-                continue;
-            }
-            if let Some(b) = block_of(k) {
-                blocks.entry(b).or_default().push(j);
-            }
-        }
-        for (i, k) in lkeys.iter().enumerate() {
-            if left_exactly_matched[i] || k.is_empty() {
-                continue;
-            }
-            let Some(b) = block_of(k) else { continue };
-            let Some(js) = blocks.get(&b) else { continue };
-            for &j in js {
-                let s = jaro_winkler(k, &rkeys[j]);
-                if s >= config.threshold {
+        probe.clear();
+        probe.push(k);
+        let key = probe.get(0);
+        block_pairs += len;
+        for (p, &(_, j)) in (start..).zip(&blocked[start..start + len]) {
+            match similarity_at_least(key, right.get(p), threshold, &mut scratch) {
+                Verdict::Pruned => pruned += 1,
+                Verdict::Below => scored += 1,
+                Verdict::Reached(score) => {
+                    scored += 1;
                     candidates.push(RowMatch {
                         left: i,
                         right: j,
-                        score: s,
+                        score,
                     });
                 }
             }
         }
     }
-
-    // Greedy 1:1 resolution by descending score (deterministic ties).
-    candidates.sort_by(|x, y| {
-        y.score
-            .partial_cmp(&x.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| x.left.cmp(&y.left))
-            .then_with(|| x.right.cmp(&y.right))
-    });
-    let mut used_left = vec![false; left.num_rows()];
-    let mut used_right = vec![false; right.num_rows()];
-    let mut out = Vec::new();
-    for c in candidates {
-        if used_left[c.left] || used_right[c.right] {
-            continue;
-        }
-        used_left[c.left] = true;
-        used_right[c.right] = true;
-        out.push(c);
-    }
-    out.sort_by_key(|m| (m.left, m.right));
-    Ok(out)
-}
-
-/// Jaro similarity of two strings.
-fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_taken = vec![false; b.len()];
-    let mut matches = 0usize;
-    let mut a_matched: Vec<char> = Vec::new();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_taken[j] && b[j] == ca {
-                b_taken[j] = true;
-                matches += 1;
-                a_matched.push(ca);
-                break;
-            }
-        }
-    }
-    if matches == 0 {
-        return 0.0;
-    }
-    let b_matched: Vec<char> = b
-        .iter()
-        .zip(&b_taken)
-        .filter(|&(_, &t)| t)
-        .map(|(&c, _)| c)
-        .collect();
-    let transpositions = a_matched
-        .iter()
-        .zip(&b_matched)
-        .filter(|(x, y)| x != y)
-        .count()
-        / 2;
-    let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
-}
-
-/// Jaro–Winkler similarity: Jaro boosted by shared prefix (≤ 4 chars).
-fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
-    j + prefix as f64 * 0.1 * (1.0 - j)
+    metrics::ER_BLOCK_PAIRS.add(block_pairs as u64);
+    metrics::ER_BOUND_PRUNED.add(pruned);
+    metrics::ER_SCORED.add(scored);
+    metrics::ER_ACCEPTED.add(candidates.len() as u64);
+    candidates
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, jaro_winkler};
     use amalur_relational::{DataType, TableBuilder, Value};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn left() -> Table {
         TableBuilder::new("S1", &[("n", DataType::Utf8), ("a", DataType::Float64)])
@@ -412,5 +469,111 @@ mod tests {
         assert_eq!(jaro_winkler("", ""), 1.0);
         assert_eq!(jaro_winkler("a", ""), 0.0);
         assert_eq!(jaro_winkler("same", "same"), 1.0);
+    }
+
+    /// Compares bit for bit, which `f64`'s `==` does not.
+    fn bits(matches: &[RowMatch]) -> Vec<(usize, usize, u64)> {
+        matches
+            .iter()
+            .map(|m| (m.left, m.right, m.score.to_bits()))
+            .collect()
+    }
+
+    fn keyed(name: &str, dtype: DataType, keys: Vec<Value>) -> Table {
+        let mut b = TableBuilder::new(name, &[("k", dtype)]).unwrap();
+        for k in keys {
+            b = b.row(vec![k]).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn duplicated_exact_keys_zip_in_row_order() {
+        // 3 × 2 occurrences of "7" (an int column against a float column
+        // that renders 7.0 as "7"), surplus on the left; 1 × 3 of "9",
+        // surplus on the right; NULLs and loners in between.
+        let l = keyed(
+            "l",
+            DataType::Int64,
+            vec![
+                7.into(),
+                9.into(),
+                Value::Null,
+                7.into(),
+                3.into(),
+                7.into(),
+            ],
+        );
+        let r = keyed(
+            "r",
+            DataType::Float64,
+            vec![
+                9.0.into(),
+                7.0.into(),
+                9.0.into(),
+                Value::Null,
+                7.0.into(),
+                9.0.into(),
+                4.5.into(),
+            ],
+        );
+        let got = match_rows(&l, &r, "k", "k", &ErConfig::default()).unwrap();
+        let pairs: Vec<(usize, usize)> = got.iter().map(|m| (m.left, m.right)).collect();
+        assert_eq!(pairs, vec![(0, 1), (1, 0), (3, 4)]);
+        assert!(got.iter().all(|m| m.score == 1.0));
+        let expected = reference::match_rows(&l, &r, "k", "k", &ErConfig::default()).unwrap();
+        assert_eq!(bits(&got), bits(&expected));
+    }
+
+    /// A table keyed by person-like names drawn from a small pool, so
+    /// that keys repeat, collide across sides, differ by a typo, differ
+    /// only in the case of the blocking character, or are missing.
+    fn random_keys(rng: &mut StdRng, rows: usize) -> Vec<Value> {
+        const GIVEN: [&str; 8] = [
+            "jane", "janet", "john", "jon", "Johanna", "rosa", "rose", "émile",
+        ];
+        const FAMILY: [&str; 6] = ["smith", "smyth", "schmidt", "jones", "jonas", "ångström"];
+        (0..rows)
+            .map(|_| {
+                let mut key = format!(
+                    "{} {}",
+                    GIVEN[rng.gen_range(0..GIVEN.len())],
+                    FAMILY[rng.gen_range(0..FAMILY.len())]
+                );
+                match rng.gen_range(0..8) {
+                    0 => return Value::Null,
+                    1 => key.clear(), // renders like NULL
+                    2 => key = key.to_uppercase(),
+                    3 => {
+                        let at = rng.gen_range(1..key.chars().count());
+                        key = key
+                            .chars()
+                            .enumerate()
+                            .filter(|&(i, _)| i != at)
+                            .map(|(_, c)| c)
+                            .collect();
+                    }
+                    4 => key.push(char::from(b'a' + rng.gen_range(0..26u8))),
+                    _ => {}
+                }
+                Value::Str(key)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+        #[test]
+        fn match_rows_equals_reference(seed in 0u64..u64::MAX, threshold in 0.5f64..1.0) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let l = keyed("l", DataType::Utf8, random_keys(&mut rng, seed as usize % 60));
+            let r = keyed("r", DataType::Utf8, random_keys(&mut rng, (seed >> 8) as usize % 60));
+            for exact_only in [false, true] {
+                let config = ErConfig { threshold, exact_only };
+                let got = match_rows(&l, &r, "k", "k", &config).unwrap();
+                let expected = reference::match_rows(&l, &r, "k", "k", &config).unwrap();
+                prop_assert_eq!(bits(&got), bits(&expected));
+            }
+        }
     }
 }

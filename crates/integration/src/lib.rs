@@ -11,6 +11,8 @@
 //!   between source tables by name, type and value overlap.
 //! * [`er`] — entity resolution: discovering row matches between source
 //!   tables by key equality or string similarity with blocking.
+//! * [`metrics`] — `amalur-obs` work counters of the two matchers, mounted
+//!   by hosts with [`mount_metrics`].
 //! * [`metadata`] — the three matrices: mapping matrices `Mₖ`/`CMₖ`
 //!   (Definitions III.1–III.2), indicator matrices `Iₖ`/`CIₖ`
 //!   (Definition III.3) and redundancy matrices `Rₖ` (Definition III.4).
@@ -26,8 +28,12 @@
 
 pub mod er;
 mod error;
+mod jw;
 pub mod matching;
 pub mod metadata;
+pub mod metrics;
+#[cfg(test)]
+mod reference;
 pub mod scenario;
 pub mod star;
 pub mod tgd;
@@ -38,6 +44,7 @@ pub use matching::{match_schemas, ColumnMatch, MatchingConfig};
 pub use metadata::{
     DiMetadata, DupBlock, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
 };
+pub use metrics::mount_metrics;
 pub use scenario::{
     integrate_pair, integrate_union, materialize_relationally, IntegrationOptions,
     IntegrationResult, ScenarioKind,

@@ -14,7 +14,9 @@
 //! The combined score is a weighted sum; a greedy stable 1:1 assignment
 //! above a threshold yields the final correspondences.
 
+use crate::metrics;
 use amalur_relational::{DataType, Table};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// A scored correspondence between a column of the left table and a
@@ -64,7 +66,7 @@ fn normalize(name: &str) -> String {
 
 /// Name similarity in `[0, 1]`: 1.0 for exact, 0.9 for normalized-equal,
 /// otherwise a bigram Dice coefficient over the normalized names.
-fn name_similarity(a: &str, b: &str) -> f64 {
+pub(crate) fn name_similarity(a: &str, b: &str) -> f64 {
     if a == b {
         return 1.0;
     }
@@ -92,33 +94,61 @@ fn dice_bigrams(a: &str, b: &str) -> f64 {
 }
 
 /// `true` when two column types can correspond (numeric types unify).
-fn types_compatible(a: DataType, b: DataType) -> bool {
+pub(crate) fn types_compatible(a: DataType, b: DataType) -> bool {
     a == b || (a.is_numeric() && b.is_numeric())
 }
 
-/// Jaccard similarity of distinct rendered values (up to `sample` each).
-fn value_overlap(left: &Table, lcol: &str, right: &Table, rcol: &str, sample: usize) -> f64 {
-    let distinct = |t: &Table, col: &str| -> BTreeSet<String> {
-        // Callers validated the column name; an empty set (zero overlap)
-        // is the defensive answer for the unreachable miss.
-        let Ok(c) = t.column_by_name(col) else {
-            return BTreeSet::new();
-        };
-        let mut out = BTreeSet::new();
-        for i in 0..t.num_rows().min(sample) {
-            let v = c.get(i);
-            if !v.is_null() {
-                out.insert(v.to_string());
-            }
-        }
-        out
-    };
-    let a = distinct(left, lcol);
-    let b = distinct(right, rcol);
+/// A table with the value profile of each of its columns: the distinct
+/// rendered non-NULL values among the first `value_sample` rows, sorted.
+/// Built once per table, so a column costs one profile however many
+/// column pairs it is scored in.
+pub(crate) struct ProfiledTable<'a> {
+    table: &'a Table,
+    /// One profile per column, in schema order.
+    values: Vec<Vec<String>>,
+}
+
+impl<'a> ProfiledTable<'a> {
+    /// Profiles every column of `table` over its first
+    /// `config.value_sample` rows.
+    pub(crate) fn new(table: &'a Table, config: &MatchingConfig) -> Self {
+        let rows = table.num_rows().min(config.value_sample);
+        let values: Vec<Vec<String>> = (0..table.num_cols())
+            .map(|c| {
+                let col = table.column(c);
+                let mut distinct: Vec<String> = (0..rows)
+                    .map(|i| col.get(i))
+                    .filter(|v| !v.is_null())
+                    .map(|v| v.to_string())
+                    .collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                distinct
+            })
+            .collect();
+        metrics::SCHEMA_COLUMN_PROFILES.add(values.len() as u64);
+        Self { table, values }
+    }
+}
+
+/// Jaccard similarity of two sorted, duplicate-free value profiles
+/// (0.0 when either is empty).
+fn jaccard(a: &[String], b: &[String]) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let inter = a.intersection(&b).count();
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
     let union = a.len() + b.len() - inter;
     inter as f64 / union as f64
 }
@@ -130,14 +160,29 @@ fn value_overlap(left: &Table, lcol: &str, right: &Table, rcol: &str, sample: us
 /// assigned greedily by descending score (stable 1:1 matching) and
 /// returned if the score clears `config.threshold`.
 pub fn match_schemas(left: &Table, right: &Table, config: &MatchingConfig) -> Vec<ColumnMatch> {
+    match_profiled(
+        &ProfiledTable::new(left, config),
+        &ProfiledTable::new(right, config),
+        config,
+    )
+}
+
+/// [`match_schemas`] over tables profiled under the same `config`.
+pub(crate) fn match_profiled(
+    left: &ProfiledTable<'_>,
+    right: &ProfiledTable<'_>,
+    config: &MatchingConfig,
+) -> Vec<ColumnMatch> {
     let mut candidates: Vec<ColumnMatch> = Vec::new();
-    for lf in left.schema().fields() {
-        for rf in right.schema().fields() {
+    let mut pairs_scored = 0u64;
+    for (lf, lvalues) in left.table.schema().fields().iter().zip(&left.values) {
+        for (rf, rvalues) in right.table.schema().fields().iter().zip(&right.values) {
             if !types_compatible(lf.dtype, rf.dtype) {
                 continue;
             }
+            pairs_scored += 1;
             let name_s = name_similarity(&lf.name, &rf.name);
-            let value_s = value_overlap(left, &lf.name, right, &rf.name, config.value_sample);
+            let value_s = jaccard(lvalues, rvalues);
             let score = config.name_weight * name_s + config.value_weight * value_s;
             if score >= config.threshold {
                 candidates.push(ColumnMatch {
@@ -148,12 +193,13 @@ pub fn match_schemas(left: &Table, right: &Table, config: &MatchingConfig) -> Ve
             }
         }
     }
+    metrics::SCHEMA_PAIRS_SCORED.add(pairs_scored);
     // Greedy 1:1 assignment by descending score; ties broken by name for
     // determinism.
     candidates.sort_by(|x, y| {
         y.score
             .partial_cmp(&x.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
             .then_with(|| x.left.cmp(&y.left))
             .then_with(|| x.right.cmp(&y.right))
     });
@@ -174,7 +220,11 @@ pub fn match_schemas(left: &Table, right: &Table, config: &MatchingConfig) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use amalur_relational::{DataType, TableBuilder, Value};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn er_table() -> Table {
         TableBuilder::new(
@@ -331,5 +381,103 @@ mod tests {
     fn normalize_folds_case_and_punctuation() {
         assert_eq!(normalize("Resting_HR"), "restinghr");
         assert_eq!(normalize("date-diagnosed"), "datediagnosed");
+    }
+
+    /// A table of up to six columns of random type whose names come from
+    /// a pool of near-duplicates and whose values come from small
+    /// domains, so that names and value sets overlap across tables.
+    fn random_table(rng: &mut StdRng, name: &str) -> Table {
+        const NAMES: [&str; 10] = [
+            "age",
+            "Age",
+            "patient_age",
+            "name",
+            "full_name",
+            "hr",
+            "resting_hr",
+            "RestingHR",
+            "flag",
+            "x",
+        ];
+        let mut names = NAMES.to_vec();
+        let mut cols = Vec::new();
+        for _ in 0..rng.gen_range(1..7) {
+            let dtype = [
+                DataType::Int64,
+                DataType::Float64,
+                DataType::Utf8,
+                DataType::Bool,
+            ][rng.gen_range(0..4usize)];
+            cols.push((names.swap_remove(rng.gen_range(0..names.len())), dtype));
+        }
+        let mut b = TableBuilder::new(name, &cols).unwrap();
+        for _ in 0..rng.gen_range(0..40) {
+            let row = cols
+                .iter()
+                .map(|&(_, dtype)| {
+                    let v = rng.gen_range(0..12i64);
+                    match dtype {
+                        _ if v == 0 => Value::Null,
+                        DataType::Int64 => Value::Int(v),
+                        // Halves: some render like the ints, some do not.
+                        DataType::Float64 => Value::Float(v as f64 / 2.0),
+                        DataType::Utf8 => Value::Str(format!("v{}", v % 5)),
+                        DataType::Bool => Value::Bool(v % 2 == 0),
+                    }
+                })
+                .collect();
+            b = b.row(row).unwrap();
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+        #[test]
+        fn match_schemas_equals_reference(
+            seed in 0u64..u64::MAX,
+            name_weight in 0.0f64..1.0,
+            threshold in 0.0f64..0.8,
+            value_sample in 0usize..50,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (l, r) = (random_table(&mut rng, "l"), random_table(&mut rng, "r"));
+            let config = MatchingConfig {
+                name_weight,
+                value_weight: 1.0 - name_weight,
+                threshold,
+                value_sample,
+            };
+            let got = match_schemas(&l, &r, &config);
+            let expected = reference::match_schemas(&l, &r, &config);
+            prop_assert_eq!(got.len(), expected.len());
+            for (g, e) in got.iter().zip(&expected) {
+                prop_assert_eq!((&g.left, &g.right), (&e.left, &e.right));
+                prop_assert_eq!(g.score.to_bits(), e.score.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn profile_overlap_equals_per_pair_overlap() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..50 {
+            let (l, r) = (random_table(&mut rng, "l"), random_table(&mut rng, "r"));
+            let sample = rng.gen_range(0..50);
+            let config = MatchingConfig {
+                value_sample: sample,
+                ..MatchingConfig::default()
+            };
+            let (lp, rp) = (
+                ProfiledTable::new(&l, &config),
+                ProfiledTable::new(&r, &config),
+            );
+            for (lf, lvalues) in l.schema().fields().iter().zip(&lp.values) {
+                for (rf, rvalues) in r.schema().fields().iter().zip(&rp.values) {
+                    let expected = reference::value_overlap(&l, &lf.name, &r, &rf.name, sample);
+                    assert_eq!(jaccard(lvalues, rvalues).to_bits(), expected.to_bits());
+                }
+            }
+        }
     }
 }

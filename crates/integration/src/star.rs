@@ -18,8 +18,8 @@
 //! column wins, later duplicates are masked by redundancy matrices —
 //! the same base-table precedence as §III-C.
 
-use crate::er::match_rows;
-use crate::matching::match_schemas;
+use crate::er::{match_keys, render_keys};
+use crate::matching::{match_profiled, ProfiledTable};
 use crate::metadata::{
     DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
 };
@@ -61,9 +61,10 @@ pub fn integrate_star(
     }
 
     // --- ER per satellite: base row → satellite row -----------------------
+    let base_keys = render_keys(base, key)?;
     let mut sat_of_base: Vec<Vec<i64>> = Vec::with_capacity(satellites.len());
     for s in satellites {
-        let matches = match_rows(base, s, key, &opts.key.1, &opts.er)?;
+        let matches = match_keys(&base_keys, &render_keys(s, &opts.key.1)?, &opts.er);
         let mut map = vec![NO_MATCH; base.num_rows()];
         for m in &matches {
             map[m.left] = m.right as i64;
@@ -100,8 +101,10 @@ pub fn integrate_star(
     // (shared) vs new ones.
     let mut sat_shared: Vec<Vec<(String, String)>> = Vec::new(); // (sat col, target col)
     let mut sat_new: Vec<Vec<String>> = Vec::new();
+    let base_profile = ProfiledTable::new(base, &opts.matching);
     for s in satellites {
-        let matches = match_schemas(base, s, &opts.matching);
+        let sat_profile = ProfiledTable::new(s, &opts.matching);
+        let matches = match_profiled(&base_profile, &sat_profile, &opts.matching);
         let feats = feature_cols(s, &opts.key.1);
         let mut shared = Vec::new();
         let mut fresh = Vec::new();

@@ -6,50 +6,45 @@
 //! the narrowest column type over all rows (`Int64 → Float64 → Bool →
 //! Utf8`, with empty cells as NULL).
 
-use crate::{DataType, Field, RelationalError, Result, Schema, Table, Value};
+use crate::{Column, Field, RelationalError, Result, Schema, Table};
+use std::borrow::Cow;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::str::FromStr;
 
 /// Parses CSV text (first line = header) into a table named `name`.
 ///
 /// # Errors
 /// Returns [`RelationalError::Parse`] on malformed quoting or ragged rows.
 pub fn read_csv_str(name: &str, text: &str) -> Result<Table> {
-    let mut records = parse_records(text)?;
-    if records.is_empty() {
+    let records = parse_records(text)?;
+    let Some(&arity) = records.ends.first() else {
         return Err(RelationalError::Parse("empty CSV input".into()));
-    }
-    let header = records.remove(0);
-    let arity = header.len();
-    for (i, rec) in records.iter().enumerate() {
-        if rec.len() != arity {
+    };
+    let rows = records.ends.len() - 1;
+    for (i, w) in records.ends.windows(2).enumerate() {
+        if w[1] - w[0] != arity {
             return Err(RelationalError::Parse(format!(
                 "row {} has {} fields, header has {arity}",
                 i + 1,
-                rec.len()
+                w[1] - w[0]
             )));
         }
     }
-    let dtypes: Vec<DataType> = (0..arity)
-        .map(|c| infer_type(records.iter().map(|r| r[c].as_str())))
+    // Every record holds `arity` fields, so cell (row r, column c) is
+    // field `(r + 1) * arity + c` — the header is record 0.
+    let (header, cells) = records.fields.split_at(arity);
+    let columns: Vec<Column> = (0..arity)
+        .map(|c| parse_column(cells.iter().skip(c).step_by(arity).map(|f| f.as_ref())))
         .collect();
     let schema = Schema::new(
         header
             .iter()
-            .zip(&dtypes)
-            .map(|(n, &t)| Field::new(n.clone(), t))
+            .zip(&columns)
+            .map(|(n, col)| Field::new(n.as_ref(), col.dtype()))
             .collect(),
     )?;
-    let mut table = Table::empty(name, schema);
-    for rec in &records {
-        let row: Vec<Value> = rec
-            .iter()
-            .zip(&dtypes)
-            .map(|(cell, &t)| parse_cell(cell, t))
-            .collect::<Result<_>>()?;
-        table.push_row(row)?;
-    }
-    Ok(table)
+    Ok(Table::from_columns(name, schema, columns, rows))
 }
 
 /// Reads a CSV file into a table named after the file stem.
@@ -102,104 +97,147 @@ fn escape_row(cells: &[&str]) -> String {
         .join(",")
 }
 
-/// Splits CSV text into records of unquoted field strings.
-fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
-    let mut records = Vec::new();
-    let mut record = Vec::new();
-    let mut field = String::new();
-    let mut chars = text.chars().peekable();
-    let mut in_quotes = false;
-    let mut any = false;
-    while let Some(c) = chars.next() {
-        any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(c),
-            }
+/// The fields of a CSV text, record after record.
+struct Records<'a> {
+    /// A field borrows from the text whenever its content is one
+    /// contiguous piece of it — any unquoted field, and a quoted one
+    /// without an escaped quote.
+    fields: Vec<Cow<'a, str>>,
+    /// `ends[r]` is one past record `r`'s last field in `fields`.
+    ends: Vec<usize>,
+}
+
+/// A field under construction: a piece of the text for as long as what is
+/// appended continues it, its own buffer from the first gap on.
+struct FieldBuilder<'a> {
+    text: &'a str,
+    piece: std::ops::Range<usize>,
+    owned: Option<String>,
+}
+
+impl<'a> FieldBuilder<'a> {
+    /// Appends bytes `from..to` of the text.
+    fn push(&mut self, from: usize, to: usize) {
+        if let Some(buf) = &mut self.owned {
+            buf.push_str(&self.text[from..to]);
+        } else if self.piece.is_empty() {
+            self.piece = from..to;
+        } else if self.piece.end == from {
+            self.piece.end = to;
         } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => {
-                    record.push(std::mem::take(&mut field));
-                }
-                '\r' => {} // tolerate CRLF
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                _ => field.push(c),
+            let mut buf = self.text[self.piece.clone()].to_owned();
+            buf.push_str(&self.text[from..to]);
+            self.owned = Some(buf);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.piece.is_empty() && self.owned.is_none()
+    }
+
+    /// The finished field; the builder starts over.
+    fn take(&mut self) -> Cow<'a, str> {
+        let piece = std::mem::take(&mut self.piece);
+        match self.owned.take() {
+            Some(buf) => Cow::Owned(buf),
+            None => Cow::Borrowed(&self.text[piece]),
+        }
+    }
+}
+
+/// Splits CSV text into records of unquoted fields.
+///
+/// Works on bytes: the four characters with a meaning (`"`, `,`, CR, LF)
+/// are ASCII, which never occurs inside a multi-byte UTF-8 sequence, so
+/// every cut lands on a character boundary.
+fn parse_records(text: &str) -> Result<Records<'_>> {
+    let bytes = text.as_bytes();
+    let mut records = Records {
+        fields: Vec::new(),
+        ends: Vec::new(),
+    };
+    let mut field = FieldBuilder {
+        text,
+        piece: 0..0,
+        owned: None,
+    };
+    let mut in_quotes = false;
+    let mut pos = 0;
+    while pos < bytes.len() {
+        // The run of ordinary bytes up to the next one with a meaning.
+        let run = bytes[pos..]
+            .iter()
+            .position(|&b| b == b'"' || (!in_quotes && matches!(b, b',' | b'\r' | b'\n')))
+            .map_or(bytes.len(), |n| pos + n);
+        if run > pos {
+            field.push(pos, run);
+            pos = run;
+            continue;
+        }
+        match bytes[pos] {
+            b'"' if in_quotes && bytes.get(pos + 1) == Some(&b'"') => {
+                field.push(pos, pos + 1); // an escaped quote: keep one of the two
+                pos += 1;
+            }
+            b'"' => in_quotes = !in_quotes,
+            b',' => records.fields.push(field.take()),
+            b'\r' => {} // tolerate CRLF
+            _ => {
+                records.fields.push(field.take());
+                records.ends.push(records.fields.len());
             }
         }
+        pos += 1;
     }
     if in_quotes {
         return Err(RelationalError::Parse("unterminated quoted field".into()));
     }
-    if any && (!field.is_empty() || !record.is_empty()) {
-        record.push(field);
-        records.push(record);
+    // A last record without its newline.
+    let record_start = records.ends.last().copied().unwrap_or(0);
+    if !field.is_empty() || records.fields.len() > record_start {
+        records.fields.push(field.take());
+        records.ends.push(records.fields.len());
     }
     Ok(records)
 }
 
-/// Infers the narrowest type that admits every non-empty cell.
-fn infer_type<'a>(cells: impl Iterator<Item = &'a str>) -> DataType {
-    let mut could_int = true;
-    let mut could_float = true;
-    let mut could_bool = true;
-    let mut saw_value = false;
-    for cell in cells {
-        if cell.is_empty() {
-            continue;
+/// Builds a column of the narrowest type that admits every non-empty
+/// cell (`Int64 → Float64 → Bool → Utf8`); empty cells are NULL and an
+/// all-NULL column defaults to string.
+fn parse_column<'a>(cells: impl Iterator<Item = &'a str> + Clone) -> Column {
+    fn all<'a, T: FromStr>(cells: impl Iterator<Item = &'a str>) -> Option<Vec<Option<T>>> {
+        cells
+            .map(|c| {
+                if c.is_empty() {
+                    Some(None)
+                } else {
+                    c.parse().ok().map(Some)
+                }
+            })
+            .collect()
+    }
+    if cells.clone().any(|c| !c.is_empty()) {
+        if let Some(v) = all(cells.clone()) {
+            return Column::Int64(v);
         }
-        saw_value = true;
-        if could_int && cell.parse::<i64>().is_err() {
-            could_int = false;
+        if let Some(v) = all(cells.clone()) {
+            return Column::Float64(v);
         }
-        if could_float && cell.parse::<f64>().is_err() {
-            could_float = false;
-        }
-        if could_bool && !matches!(cell, "true" | "false") {
-            could_bool = false;
+        if let Some(v) = all(cells.clone()) {
+            return Column::Bool(v);
         }
     }
-    if !saw_value {
-        return DataType::Utf8; // all-NULL column defaults to string
-    }
-    if could_int {
-        DataType::Int64
-    } else if could_float {
-        DataType::Float64
-    } else if could_bool {
-        DataType::Bool
-    } else {
-        DataType::Utf8
-    }
-}
-
-fn parse_cell(cell: &str, dtype: DataType) -> Result<Value> {
-    if cell.is_empty() {
-        return Ok(Value::Null);
-    }
-    let bad = |what: &str| RelationalError::Parse(format!("cannot parse {cell:?} as {what}"));
-    Ok(match dtype {
-        DataType::Int64 => Value::Int(cell.parse().map_err(|_| bad("Int64"))?),
-        DataType::Float64 => Value::Float(cell.parse().map_err(|_| bad("Float64"))?),
-        DataType::Bool => Value::Bool(cell.parse().map_err(|_| bad("Bool"))?),
-        DataType::Utf8 => Value::Str(cell.to_owned()),
-    })
+    Column::Utf8(
+        cells
+            .map(|c| (!c.is_empty()).then(|| c.to_owned()))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DataType, Value};
 
     #[test]
     fn parse_simple_csv() {
@@ -303,5 +341,34 @@ mod tests {
     fn all_null_column_is_utf8() {
         let t = read_csv_str("t", "a,b\n1,\n2,\n").unwrap();
         assert_eq!(t.schema().field("b").unwrap().dtype, DataType::Utf8);
+    }
+
+    #[test]
+    fn only_fields_with_an_escaped_quote_are_copied() {
+        let text = "id,note,score\n1,\"said \"\"a,b\"\"\nthen left\",2.5\n2,\"x,y\",\r\n";
+        let records = parse_records(text).unwrap();
+        assert_eq!(records.ends, vec![3, 6, 9]);
+        let owned: Vec<bool> = records
+            .fields
+            .iter()
+            .map(|f| matches!(f, Cow::Owned(_)))
+            .collect();
+        // Only the note of row 1 holds `""`; the quoted "x,y" and every
+        // unquoted field, the CRLF-terminated empty one included, borrow.
+        assert_eq!(
+            owned,
+            [false, false, false, false, true, false, false, false, false]
+        );
+
+        let t = read_csv_str("t", text).unwrap();
+        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.value(0, "id").unwrap(), 1.into());
+        assert_eq!(
+            t.value(0, "note").unwrap(),
+            "said \"a,b\"\nthen left".into()
+        );
+        assert_eq!(t.value(0, "score").unwrap(), 2.5.into());
+        assert_eq!(t.value(1, "note").unwrap(), "x,y".into());
+        assert_eq!(t.value(1, "score").unwrap(), Value::Null);
     }
 }

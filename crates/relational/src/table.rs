@@ -29,6 +29,28 @@ impl Table {
         }
     }
 
+    /// Assembles a table from whole columns: one per field of `schema`,
+    /// of that field's type, `num_rows` long.
+    pub(crate) fn from_columns(
+        name: impl Into<String>,
+        schema: Schema,
+        columns: Vec<Column>,
+        num_rows: usize,
+    ) -> Self {
+        debug_assert_eq!(schema.arity(), columns.len());
+        debug_assert!(schema
+            .fields()
+            .iter()
+            .zip(&columns)
+            .all(|(f, c)| f.dtype == c.dtype() && c.len() == num_rows));
+        Self {
+            name: name.into(),
+            schema,
+            columns,
+            num_rows,
+        }
+    }
+
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
