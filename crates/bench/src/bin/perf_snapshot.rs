@@ -3,7 +3,9 @@
 //! Writes `BENCH_kernels.json` (in the current directory — run from the
 //! workspace root) with median ns/op for the kernels every experiment
 //! in the reproduction bottoms out in: dense matmul (packed kernel vs.
-//! a naive triple loop), Gram, the LMM rewrite across strategies, and
+//! a naive triple loop), Gram, the LMM rewrite across strategies (on
+//! the footnote-3 table and on one with shared, redundant columns), the
+//! factorized Gram beside the dense Gram of the same materialized table,
 //! one linear-regression GD epoch over the factorized footnote-3 table,
 //! plus the steady-state allocation count of the workspace-backed
 //! training loop. Also re-fits the cost model's `HardwareProfile`
@@ -16,7 +18,8 @@
 
 use amalur_bench::footnote3_table;
 use amalur_cost::{calibrate, CalibrationConfig, COST_PROFILE_FILE};
-use amalur_factorize::Strategy;
+use amalur_data::{generate_two_source, TwoSourceSpec};
+use amalur_factorize::{FactorizedTable, Strategy};
 use amalur_matrix::{kernel_blocking, kernel_threads, DenseMatrix, Workspace};
 use amalur_ml::{LinRegConfig, LinearRegression};
 use amalur_obs::MetricsRegistry;
@@ -103,11 +106,40 @@ fn main() {
             .expect("disjoint config satisfies rule (1)")
     });
     let fact_gram_ns = measure(3, || ft.gram());
+    let materialized = ft.materialize();
+    let mat_gram_ns = measure(3, || materialized.gram());
+    // The same shapes with a 4-column base sharing two columns with the
+    // dimension table: 40 000 redundant cells behind 4000 slots.
+    let (md, data) = generate_two_source(&TwoSourceSpec {
+        cols_s1: 4,
+        shared_cols: 2,
+        ..TwoSourceSpec::footnote3(20_000, true, false, 7)
+    })
+    .expect("valid spec");
+    let ft_red = FactorizedTable::new(md, data).expect("consistent metadata");
+    let x_red = DenseMatrix::filled(ft_red.target_shape().1, 1, 0.5);
+    let y_red = DenseMatrix::filled(ft_red.target_shape().0, 1, 0.5);
+    let lmm_red_ns = measure(7, || {
+        ft_red.lmm(&x_red, Strategy::Compressed).expect("shapes")
+    });
+    let lmm_t_red_ns = measure(7, || {
+        ft_red
+            .lmm_transpose(&y_red, Strategy::Compressed)
+            .expect("shapes")
+    });
     println!(
         "lmm {rows}×{cols}: compressed {:.2} ms, sparse {:.2} ms, morpheus {:.2} ms",
         lmm_compressed_ns / 1e6,
         lmm_sparse_ns / 1e6,
         lmm_morpheus_ns / 1e6,
+    );
+    println!(
+        "gram {rows}×{cols}: factorized {:.2} ms, materialized {:.2} ms; \
+         redundant table: lmm {:.2} ms, lmm_transpose {:.2} ms",
+        fact_gram_ns / 1e6,
+        mat_gram_ns / 1e6,
+        lmm_red_ns / 1e6,
+        lmm_t_red_ns / 1e6,
     );
 
     // --- linreg GD epoch over the factorized table -----------------------
@@ -169,7 +201,14 @@ fn main() {
     json_entry(&mut json, "lmm_compressed", lmm_compressed_ns);
     json_entry(&mut json, "lmm_sparse", lmm_sparse_ns);
     json_entry(&mut json, "lmm_morpheus", lmm_morpheus_ns);
+    json_entry(&mut json, "lmm_compressed_redundant", lmm_red_ns);
+    json_entry(
+        &mut json,
+        "lmm_transpose_compressed_redundant",
+        lmm_t_red_ns,
+    );
     json_entry(&mut json, "gram_factorized", fact_gram_ns);
+    json_entry(&mut json, "gram_materialized_same_table", mat_gram_ns);
     json_entry(&mut json, "linreg_gd_epoch_factorized", linreg_epoch_ns);
     json.push_str(&format!(
         "    \"matmul_512_speedup_vs_naive\": {speedup:.2}\n"

@@ -29,6 +29,11 @@ pub struct SourceFeatures {
     pub distinct_source_rows: usize,
     /// Cells of `Tₖ` masked as redundant by `Rₖ`.
     pub redundant_cells: usize,
+    /// Cells the factorized operators spend correcting them, per operand
+    /// column: one per corrected-row slot and zero column
+    /// (`RedundancyMatrix::slot_correction_cells`), at most
+    /// `redundant_cells`.
+    pub correction_cells: usize,
 }
 
 impl SourceFeatures {
@@ -76,6 +81,7 @@ impl CostFeatures {
                     matched_target_rows: matched,
                     distinct_source_rows: distinct.len(),
                     redundant_cells: s.redundancy.zero_count(),
+                    correction_cells: s.redundancy.slot_correction_cells(&s.indicator),
                 }
             })
             .collect();
@@ -151,7 +157,7 @@ impl CostFeatures {
                     s.cols,
                     s.matched_target_rows,
                     s.mapped_target_cols,
-                    s.redundant_cells,
+                    s.correction_cells,
                     x_cols,
                 )
                 .scaled(2.0),
@@ -265,21 +271,41 @@ mod tests {
 
     #[test]
     fn op_counts_agree_with_table_level_counters() {
+        use amalur_data::{generate_two_source, TwoSourceSpec};
         use amalur_matrix::DenseMatrix;
-        let md = pkfk();
+        let agree = |ft: &FactorizedTable| {
+            let f = CostFeatures::from_table(ft);
+            for n in [1usize, 3] {
+                assert_eq!(f.epoch_op_counts(n), ft.epoch_op_counts(n));
+                assert_eq!(
+                    f.materialized_epoch_op_counts(n),
+                    ft.materialized_epoch_op_counts(n)
+                );
+            }
+            assert_eq!(f.materialize_op_counts(), ft.materialize_op_counts());
+            assert!(f.epoch_op_counts(1).gemm_flops > 0.0);
+            assert!(f.materialize_op_counts().assembly_cells > 0.0);
+            f
+        };
         let data = vec![DenseMatrix::ones(6, 2), DenseMatrix::ones(2, 3)];
-        let ft = FactorizedTable::new(md, data).unwrap();
-        let f = CostFeatures::from_table(&ft);
-        for n in [1usize, 3] {
-            assert_eq!(f.epoch_op_counts(n), ft.epoch_op_counts(n));
-            assert_eq!(
-                f.materialized_epoch_op_counts(n),
-                ft.materialized_epoch_op_counts(n)
-            );
-        }
-        assert_eq!(f.materialize_op_counts(), ft.materialize_op_counts());
-        assert!(f.epoch_op_counts(1).gemm_flops > 0.0);
-        assert!(f.materialize_op_counts().assembly_cells > 0.0);
+        agree(&FactorizedTable::new(pkfk(), data).unwrap());
+
+        // Two shared columns under PK–FK fan-out: 200 target rows read 40
+        // dimension rows, and the correction is priced per slot — what
+        // the kernels execute — not per redundant target cell.
+        let (md, data) = generate_two_source(&TwoSourceSpec {
+            rows_s1: 200,
+            cols_s1: 3,
+            rows_s2: 40,
+            cols_s2: 6,
+            shared_cols: 2,
+            ..TwoSourceSpec::default()
+        })
+        .unwrap();
+        let f = agree(&FactorizedTable::new(md, data).unwrap());
+        assert_eq!(f.sources[1].redundant_cells, 200 * 2);
+        assert_eq!(f.sources[1].correction_cells, 40 * 2);
+        assert_eq!(f.epoch_op_counts(3).correction_cells, 2.0 * 80.0 * 3.0);
     }
 
     #[test]

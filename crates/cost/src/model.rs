@@ -195,6 +195,7 @@ mod tests {
                     matched_target_rows: target_rows,
                     distinct_source_rows: target_rows.min(rows_s1),
                     redundant_cells: 0,
+                    correction_cells: 0,
                 },
                 SourceFeatures {
                     name: "S2".into(),
@@ -204,6 +205,7 @@ mod tests {
                     matched_target_rows: matched2,
                     distinct_source_rows: distinct2,
                     redundant_cells: 0,
+                    correction_cells: 0,
                 },
             ],
         }
@@ -298,7 +300,10 @@ mod tests {
         let w = TrainingWorkload::default();
         let mut f = features(10_000, true);
         let base = a.factorized_cost(&f, &w);
+        // What factorization pays for is the slot-level correction the
+        // redundant cells cause, at most one cell each.
         f.sources[1].redundant_cells = 1_000_000;
+        f.sources[1].correction_cells = 1_000_000;
         assert!(a.factorized_cost(&f, &w) > base);
     }
 

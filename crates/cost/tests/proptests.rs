@@ -31,6 +31,7 @@ fn features(rows_s1: usize, redundant_cells: usize) -> CostFeatures {
                 matched_target_rows: rows_s1,
                 distinct_source_rows: rows_s1,
                 redundant_cells: 0,
+                correction_cells: 0,
             },
             SourceFeatures {
                 name: "S2".into(),
@@ -40,6 +41,8 @@ fn features(rows_s1: usize, redundant_cells: usize) -> CostFeatures {
                 matched_target_rows: rows_s1,
                 distinct_source_rows: rows_s2,
                 redundant_cells,
+                // Worst case: every redundant cell has a slot of its own.
+                correction_cells: redundant_cells,
             },
         ],
     }

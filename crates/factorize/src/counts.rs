@@ -12,8 +12,10 @@
 //!   (2 flops per cell-product);
 //! * **traffic cells** — every cell moved by a gather or scatter over the
 //!   compressed `CIₖ`/`CMₖ` vectors (the irregular-access part);
-//! * **correction cells** — redundant cells subtracted back out per the
-//!   `Rₖ` zero blocks;
+//! * **correction cells** — the slot-level redundancy correction: one
+//!   cell per corrected-row slot and zero column of its group
+//!   (`RedundancyMatrix::slot_correction_cells`), not one per redundant
+//!   target cell;
 //! * **assembly cells** — cells written to or read from sources while
 //!   materializing the target table;
 //! * **dispatch calls** — per-source kernel dispatches (scatter + GEMM +
@@ -32,7 +34,8 @@ pub struct OpCounts {
     pub gemm_flops: f64,
     /// Cells moved through gather/scatter over compressed metadata.
     pub traffic_cells: f64,
-    /// Redundant cells corrected via the `Rₖ` zero blocks.
+    /// Cells of the slot-level redundancy correction (`Σ_g slots_g·|Z_g|`
+    /// per operand column).
     pub correction_cells: f64,
     /// Cells written/read while assembling the materialized target.
     pub assembly_cells: f64,
@@ -82,21 +85,23 @@ impl OpCounts {
     /// LMM (`T·X` or, symmetrically, `Tᵀ·X`): scatter over the mapped
     /// target columns (resp. matched rows), one `Dₖ` GEMM, gather over
     /// the matched rows (resp. mapped columns), and the redundancy
-    /// correction. The single authority for this formula — both the
-    /// table-level and the `CostFeatures`-level derivations call it.
+    /// correction over `correction_cells` slot cells
+    /// (`RedundancyMatrix::slot_correction_cells`). The single authority
+    /// for this formula — both the table-level and the
+    /// `CostFeatures`-level derivations call it.
     pub fn lmm_source(
         rows: usize,
         cols: usize,
         matched_rows: usize,
         mapped_cols: usize,
-        redundant_cells: usize,
+        correction_cells: usize,
         x_cols: usize,
     ) -> OpCounts {
         let n = x_cols as f64;
         OpCounts {
             gemm_flops: 2.0 * rows as f64 * cols as f64 * n,
             traffic_cells: (mapped_cols + matched_rows) as f64 * n,
-            correction_cells: redundant_cells as f64 * n,
+            correction_cells: correction_cells as f64 * n,
             assembly_cells: 0.0,
             dispatch_calls: 1.0,
         }
@@ -129,8 +134,8 @@ impl FactorizedTable {
     /// has `x_cols` columns.
     ///
     /// Per source: scatter `X`'s mapped target-column rows into source
-    /// columns, one `Dₖ` GEMM, gather the matched target rows, and one
-    /// correction pass over the redundant cells.
+    /// columns, one `Dₖ` GEMM, one correction pass over the slots, and
+    /// the gather of the matched target rows.
     pub fn lmm_op_counts(&self, x_cols: usize) -> OpCounts {
         let mut c = OpCounts::zero();
         for s in &self.metadata().sources {
@@ -139,7 +144,7 @@ impl FactorizedTable {
                 s.mapping.source_cols(),
                 matched_rows(s.indicator.compressed()),
                 s.mapping.mapped_target_cols().len(),
-                s.redundancy.zero_count(),
+                s.redundancy.slot_correction_cells(&s.indicator),
                 x_cols,
             ));
         }

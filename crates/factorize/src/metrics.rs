@@ -18,6 +18,20 @@ pub(crate) static LMM_TRANSPOSE_CALLS: Counter = Counter::new();
 /// `lmm_colstable_into` invocations (the serving batching contract).
 pub(crate) static LMM_COLSTABLE_CALLS: Counter = Counter::new();
 
+/// Target rows moved through a source's stacked-row selection `eff` by
+/// the compressed operators: gathered by `T·X`, scattered by `Tᵀ·X` —
+/// `Σₖ` matched rows per call.
+pub(crate) static LMM_GATHER_ROWS: Counter = Counter::new();
+
+/// Redundancy-correction cells the compressed `T·X` / `Tᵀ·X` executed:
+/// `n · Σₖ Σ_g slots_g·|Z_g|` per call, never more than `n` times the
+/// table's redundant cells.
+pub(crate) static LMM_CORRECTION_CELLS: Counter = Counter::new();
+
+/// Target rows scattered from one source's stacked rows into another's
+/// by the cross terms of the factorized Gram matrix.
+pub(crate) static GRAM_SCATTER_ROWS: Counter = Counter::new();
+
 /// Operators executed with [`Strategy::Compressed`].
 pub(crate) static STRATEGY_COMPRESSED: Counter = Counter::new();
 
@@ -42,6 +56,9 @@ pub fn mount_metrics(reg: &MetricsRegistry) {
     reg.mount_counter("factorize.lmm.calls", &LMM_CALLS);
     reg.mount_counter("factorize.lmm_transpose.calls", &LMM_TRANSPOSE_CALLS);
     reg.mount_counter("factorize.lmm_colstable.calls", &LMM_COLSTABLE_CALLS);
+    reg.mount_counter("factorize.lmm.gather_rows", &LMM_GATHER_ROWS);
+    reg.mount_counter("factorize.lmm.correction_cells", &LMM_CORRECTION_CELLS);
+    reg.mount_counter("factorize.gram.scatter_rows", &GRAM_SCATTER_ROWS);
     reg.mount_counter("factorize.strategy.compressed", &STRATEGY_COMPRESSED);
     reg.mount_counter("factorize.strategy.sparse", &STRATEGY_SPARSE);
     reg.mount_counter("factorize.strategy.morpheus", &STRATEGY_MORPHEUS);

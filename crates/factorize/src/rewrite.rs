@@ -7,14 +7,44 @@
 //! * **LMM** `T·X    = Σₖ T̃ₖ X` — Equation (2) of the paper.
 //! * **transpose-LMM** `Tᵀ·X = Σₖ T̃ₖᵀ X`.
 //! * **RMM** `X·T    = (Tᵀ Xᵀ)ᵀ`.
-//! * **column sums** `1ᵀT = Σₖ 1ᵀT̃ₖ`, **row sums** `T·1`.
+//! * **Gram** `TᵀT`, **column sums** `1ᵀT`, **row sums** `T·1`.
 //!
-//! The compressed strategy computes `T̃ₖ X` as
-//! `gather_rows(Dₖ · scatter(X)) − correction` where the correction
-//! subtracts the redundant cells recorded in `Rₖ`'s zero blocks — no
-//! `r_T × c_T` intermediate is ever formed.
+//! # The compressed strategy works on source rows
+//!
+//! `Rₖ` masks a target row by one of a handful of column sets (its
+//! *group*, see `RedundancyMatrix`), so `T̃ₖ[i, ·]` depends only on the
+//! pair (group of `i`, `CIₖ[i]`). [`FactorizedTable::new`] enumerates
+//! the distinct pairs with a non-empty group — the **corrected-row
+//! slots** — and appends them to the `r_Sk` plain rows of `Dₖ`, giving a
+//! stacked matrix `Âₖ` and a plain selection `eff` (`Îₖ`) with
+//! `T̃ₖ = Îₖ Âₖ Mₖᵀ`. Rows of group 0 read their plain row and need no
+//! slot. `Âₖ` is never stored; each operator forms what it needs:
+//!
+//! * `T·X`: `local = Dₖ·(MₖᵀX)` for the plain rows, then each slot
+//!   `(g, r)` as `local[r] − Σ_{j∈Z_g} Dₖ[r, CMₖ[j]]·X[j,:]`, then one
+//!   gather of `local` through `eff`.
+//! * `Tᵀ·X`: one scatter of `X` through `eff`; each slot row is
+//!   subtracted from the output rows `j ∈ Z_g` (weighted by
+//!   `Dₖ[r, CMₖ[j]]`) and folded into plain row `r`; one `Dₖᵀ` GEMM.
+//! * `TᵀT = Σ_{k,l} Mₖ Âₖᵀ (ÎₖᵀÎₗ) Âₗ Mₗᵀ`: `ÎₖᵀÎₖ` is the diagonal of
+//!   per-row read counts; a cross term scatters one partner's rows into
+//!   the other's stacked rows (`r_T` row adds) and multiplies once.
+//!
+//! **Work bound.** The correction costs `Σ_g slots_g·|Z_g|·n`, and since
+//! every slot is read by at least one target row that owns `|Z_g|` zero
+//! cells, that is at most `zero_count·n` — what a per-target-row
+//! correction pays — on every input, and `r_Sk/r_T` of it under fan-out.
+//! Nothing is proportional to `r_T × (redundant columns)` any more, and
+//! there is no threshold or fallback between two paths.
+//!
+//! **Column stability.** The gather and the slot correction treat the
+//! columns of `X` independently, and a slot subtracts its `j ∈ Z_g`
+//! terms in ascending `j` whatever the width. The only width-sensitive
+//! step is the `Dₖ` GEMM, which [`FactorizedTable::lmm_colstable_into`]
+//! routes through `matmul_colstable_into`: column `j` of a batch is then
+//! bit-identical to that column served alone, by construction.
 
-use crate::table::FactorizedTable;
+use crate::table::{FactorizedTable, SourcePlan};
 use crate::{FactorizeError, Result};
 use amalur_matrix::{par_row_chunks, DenseMatrix, Workspace, NO_MATCH};
 
@@ -101,7 +131,7 @@ impl FactorizedTable {
         }
         crate::metrics::LMM_CALLS.inc();
         crate::metrics::record_strategy(Strategy::Compressed);
-        self.lmm_compressed_into(x, out, ws)
+        self.lmm_compressed_into(x, out, ws, false)
     }
 
     /// Compressed-strategy `T · X` with a **column-stable** summation
@@ -112,8 +142,8 @@ impl FactorizedTable {
     /// multiply return exactly the bytes each would have produced served
     /// individually.
     ///
-    /// The scatter, gather and redundancy-correction phases of the
-    /// compressed rewrite are already per-column independent; the only
+    /// The scatter, slot-correction and gather phases of the compressed
+    /// rewrite are per-column independent (module docs); the only
     /// width-sensitive step is the inner `Dₖ · (MₖᵀX)` product, which
     /// here goes through [`DenseMatrix::matmul_colstable_into`] instead
     /// of the width-adaptive kernel.
@@ -143,7 +173,7 @@ impl FactorizedTable {
         }
         crate::metrics::LMM_COLSTABLE_CALLS.inc();
         crate::metrics::record_strategy(Strategy::Compressed);
-        self.lmm_compressed_into_impl(x, out, ws, true)
+        self.lmm_compressed_into(x, out, ws, true)
     }
 
     /// Compressed-strategy `Tᵀ · X` written into the caller-owned `out`
@@ -223,132 +253,87 @@ impl FactorizedTable {
         Ok(self.lmm_transpose(&x.transpose(), strategy)?.transpose())
     }
 
-    /// Gram matrix `TᵀT`, streamed in row *blocks* so only
-    /// `O(c_T² + B·c_T)` extra memory is used (never the materialized
-    /// `T`). Both phases parallelize: the rows of each block are
-    /// reconstructed from the sources over disjoint row chunks, and the
-    /// rank-`B` update `G += blockᵀ·block` runs over disjoint chunks of
-    /// `G`'s rows.
+    /// Gram matrix `TᵀT` from source-level products (module docs):
+    /// `Σ_{k,l} Mₖ Âₖᵀ (ÎₖᵀÎₗ) Âₗ Mₗᵀ`. No term is proportional to
+    /// `r_T·c_T²`; the target rows are only walked once per source pair,
+    /// to scatter one partner's rows into the other's.
     pub fn gram(&self) -> DenseMatrix {
-        /// Target rows reconstructed per streamed block.
-        const BLOCK: usize = 128;
         let (rows, cols) = self.target_shape();
         let mut g = DenseMatrix::zeros(cols, cols);
-        let mut block = vec![0.0; BLOCK.min(rows.max(1)) * cols];
-        // Pre-extract per-source iteration state.
-        let per_source: Vec<_> = self
-            .metadata()
-            .sources
-            .iter()
-            .zip(self.source_data())
-            .map(|(s, d)| {
-                (
-                    s.indicator.compressed(),
-                    s.mapping.compressed(),
-                    s.redundancy.zero_cells_by_row(),
-                    d,
-                )
-            })
-            .collect();
-        for block_start in (0..rows).step_by(BLOCK) {
-            let bh = BLOCK.min(rows - block_start);
-            let block_buf = &mut block[..bh * cols];
-            // Phase 1: reconstruct target rows [block_start, block_start+bh).
-            let sources = &per_source;
-            par_row_chunks(block_buf, cols, bh.saturating_mul(cols) * 4, |r0, chunk| {
-                chunk.fill(0.0);
-                for (r, row_buf) in chunk.chunks_exact_mut(cols).enumerate() {
-                    let i = block_start + r0 + r;
-                    for (ci, cm, zeros, d) in sources {
-                        let src_row = ci[i];
-                        if src_row == NO_MATCH {
-                            continue;
-                        }
-                        let zero_cols: &[usize] = zeros
-                            .binary_search_by_key(&i, |(r, _)| *r)
-                            .map(|p| zeros[p].1.as_slice())
-                            .unwrap_or(&[]);
-                        let d_row = d.row(src_row as usize);
-                        for (t, &src_col) in cm.iter().enumerate() {
-                            if src_col == NO_MATCH || zero_cols.binary_search(&t).is_ok() {
-                                continue;
-                            }
-                            row_buf[t] += d_row[src_col as usize];
-                        }
+        let parts: Vec<(DenseMatrix, &SourcePlan)> =
+            self.sources().map(|(_, d, p)| (p.stacked(d), p)).collect();
+        let mut scattered_rows = 0;
+        for (k, (a, plan)) in parts.iter().enumerate() {
+            // Diagonal term Âₖᵀ·diag(c)·Âₖ, c = reads per stacked row.
+            let mut weighted = a.clone();
+            for (r, &c) in plan.counts.iter().enumerate() {
+                weighted.row_mut(r).iter_mut().for_each(|v| *v *= c);
+            }
+            // Shapes agree by construction; a zero block is the
+            // defensive fallback.
+            let diag = a
+                .transpose_matmul(&weighted)
+                .unwrap_or_else(|_| DenseMatrix::zeros(a.cols(), a.cols()));
+            for (p, &(tp, sp)) in plan.mapped.iter().enumerate() {
+                for &(tq, sq) in &plan.mapped[p..] {
+                    // One triangle feeds both cells: exactly symmetric.
+                    let v = diag.get(sp, sq);
+                    g.set(tp, tq, g.get(tp, tq) + v);
+                    if tp != tq {
+                        g.set(tq, tp, g.get(tq, tp) + v);
                     }
                 }
-            });
-            // Phase 2: rank-bh update of G's upper triangle.
-            let block_ref = &block[..bh * cols];
-            par_row_chunks(
-                g.as_mut_slice(),
-                cols.max(1),
-                bh.saturating_mul(cols).saturating_mul(cols) / 2,
-                |a0, chunk| {
-                    let cols_here = chunk.len() / cols.max(1);
-                    for row in block_ref.chunks_exact(cols) {
-                        for a in a0..a0 + cols_here {
-                            let va = row[a];
-                            if va == 0.0 {
-                                continue;
-                            }
-                            let g_row = &mut chunk[(a - a0) * cols + a..(a - a0 + 1) * cols];
-                            for (gv, &rb) in g_row.iter_mut().zip(&row[a..]) {
-                                *gv += va * rb;
-                            }
-                        }
+            }
+            for (b, other) in &parts[k + 1..] {
+                // Scatter the side that makes `r_T·c + R·c·c'` smaller.
+                let cost = |from: &DenseMatrix, into: &DenseMatrix| {
+                    rows * from.cols() + into.rows() * from.cols() * into.cols()
+                };
+                let ((from, fp), (into, ip)) = if cost(a, b) <= cost(b, a) {
+                    ((a, *plan), (b, *other))
+                } else {
+                    ((b, *other), (a, *plan))
+                };
+                // S = Î_intoᵀ Î_from Â_from, then Sᵀ·Â_into.
+                let mut s = DenseMatrix::zeros(into.rows(), from.cols());
+                for (&ef, &ei) in fp.eff.iter().zip(&ip.eff) {
+                    if ef == NO_MATCH || ei == NO_MATCH {
+                        continue;
                     }
-                },
-            );
-        }
-        // Mirror to the lower triangle.
-        for a in 0..cols {
-            for b in 0..a {
-                let v = g.get(b, a);
-                g.set(a, b, v);
+                    scattered_rows += 1;
+                    let dst = s.row_mut(ei as usize);
+                    for (dv, &sv) in dst.iter_mut().zip(from.row(ef as usize)) {
+                        *dv += sv;
+                    }
+                }
+                let cross = s
+                    .transpose_matmul(into)
+                    .unwrap_or_else(|_| DenseMatrix::zeros(from.cols(), into.cols()));
+                for &(tp, sp) in &fp.mapped {
+                    for &(tq, sq) in &ip.mapped {
+                        let v = cross.get(sp, sq);
+                        g.set(tp, tq, g.get(tp, tq) + v);
+                        g.set(tq, tp, g.get(tq, tp) + v);
+                    }
+                }
             }
         }
+        crate::metrics::GRAM_SCATTER_ROWS.add(scattered_rows);
         g
     }
 
-    /// Column sums `1ᵀT` without materialization.
+    /// Column sums `1ᵀT = Σₖ Mₖ Âₖᵀ c`, `c` the reads per stacked row.
     pub fn col_sums(&self) -> Vec<f64> {
         let (_, cols) = self.target_shape();
         let mut out = vec![0.0; cols];
-        for (s, d) in self.metadata().sources.iter().zip(self.source_data()) {
-            let cm = s.mapping.compressed();
-            let ci = s.indicator.compressed();
-            // Count how many times each source row contributes.
-            let mut row_counts = vec![0usize; d.rows()];
-            for &sr in ci {
-                if sr != NO_MATCH {
-                    row_counts[sr as usize] += 1;
-                }
-            }
-            for (t, &sc) in cm.iter().enumerate() {
-                if sc == NO_MATCH {
+        for (_, d, plan) in self.sources() {
+            let a = plan.stacked(d);
+            for (row, &c) in a.row_iter().zip(&plan.counts) {
+                if c == 0.0 {
                     continue;
                 }
-                let sc = sc as usize;
-                let mut total = 0.0;
-                for (r, &count) in row_counts.iter().enumerate() {
-                    if count > 0 {
-                        total += d.get(r, sc) * count as f64;
-                    }
-                }
-                out[t] += total;
-            }
-            // Subtract redundant cells.
-            for &(i, ref zero_cols) in s.redundancy.zero_cells_by_row() {
-                let sr = ci[i];
-                if sr == NO_MATCH {
-                    continue;
-                }
-                for &t in zero_cols {
-                    let sc = cm[t];
-                    if sc != NO_MATCH {
-                        out[t] -= d.get(sr as usize, sc as usize);
-                    }
+                for &(t, sc) in &plan.mapped {
+                    out[t] += c * row[sc];
                 }
             }
         }
@@ -375,7 +360,7 @@ impl FactorizedTable {
     fn lmm_compressed(&self, x: &DenseMatrix, rows: usize) -> Result<DenseMatrix> {
         let mut out = DenseMatrix::zeros(rows, x.cols());
         let mut ws = Workspace::new();
-        self.lmm_compressed_into(x, &mut out, &mut ws)?;
+        self.lmm_compressed_into(x, &mut out, &mut ws, false)?;
         Ok(out)
     }
 
@@ -384,84 +369,83 @@ impl FactorizedTable {
         x: &DenseMatrix,
         out: &mut DenseMatrix,
         ws: &mut Workspace,
-    ) -> Result<()> {
-        self.lmm_compressed_into_impl(x, out, ws, false)
-    }
-
-    fn lmm_compressed_into_impl(
-        &self,
-        x: &DenseMatrix,
-        out: &mut DenseMatrix,
-        ws: &mut Workspace,
         colstable: bool,
     ) -> Result<()> {
         let n = x.cols();
-        let rows = out.rows();
-        out.as_mut_slice().fill(0.0);
-        for (s, d) in self.metadata().sources.iter().zip(self.source_data()) {
+        let (mut gathered, mut corrected) = (0, 0);
+        if self.num_sources() == 0 {
+            out.as_mut_slice().fill(0.0);
+        }
+        for (k, (s, d, plan)) in self.sources().enumerate() {
             // Mₖᵀ X: scatter X's target-column rows into source-column rows.
             let mut xk = ws.take_matrix(s.mapping.source_cols(), n);
             x.scatter_rows_add_into(s.mapping.compressed(), &mut xk)?;
-            // Dₖ (Mₖᵀ X) — the only phase whose summation order depends
-            // on the operand width; `colstable` pins it per column.
-            let mut local = ws.take_matrix(d.rows(), n);
+            // Dₖ (Mₖᵀ X) into the plain rows of the stacked result — the
+            // only phase whose summation order depends on the operand
+            // width; `colstable` pins it per column.
+            let plain = d.rows();
+            let mut local = ws.take_matrix(plain + plan.slots.len(), n);
+            local.resize_rows(plain);
             if colstable {
                 d.matmul_colstable_into(&xk, &mut local, ws)?;
             } else {
                 d.matmul_into(&xk, &mut local)?;
             }
-            // Iₖ (...) with redundancy correction, accumulated into `out`
-            // in parallel over disjoint target-row chunks: each chunk
-            // gathers its rows of `local` and subtracts the redundant
-            // cells recorded for rows in its range.
-            let ci = s.indicator.compressed();
-            let cm = s.mapping.compressed();
-            let zeros = s.redundancy.zero_cells_by_row();
-            let local_ref = &local;
-            let work = rows.saturating_mul(n) * 2;
-            par_row_chunks(out.as_mut_slice(), n, work, |i0, chunk| {
-                let rows_here = chunk.len() / n;
-                // Gather: out[i,:] += local[ci[i],:].
-                for (i, &src_row) in ci[i0..i0 + rows_here].iter().enumerate() {
-                    if src_row == NO_MATCH {
-                        continue;
-                    }
-                    let src = local_ref.row(src_row as usize);
-                    let dst = &mut chunk[i * n..(i + 1) * n];
-                    for (dv, &sv) in dst.iter_mut().zip(src) {
-                        *dv += sv;
+            local.resize_rows(plain + plan.slots.len());
+            // Slot (g, r) = local[r] − Σ_{j ∈ Z_g} Dₖ[r, CMₖ[j]]·X[j,:].
+            let (plain_rows, slot_rows) = local.as_mut_slice().split_at_mut(plain * n);
+            for (slot, &(g, src)) in slot_rows.chunks_exact_mut(n.max(1)).zip(&plan.slots) {
+                slot.copy_from_slice(&plain_rows[src * n..(src + 1) * n]);
+                let d_row = d.row(src);
+                for &(j, sc) in plan.zero_of(g) {
+                    let coef = d_row[sc];
+                    for (v, &xv) in slot.iter_mut().zip(x.row(j)) {
+                        *v -= coef * xv;
                     }
                 }
-                // Correction: out[i,:] -= Σ_{j ∈ zeros(i)} Dₖ[ci[i],cm[j]]·X[j,:].
-                let z0 = zeros.partition_point(|&(r, _)| r < i0);
-                for &(i, ref zero_cols) in
-                    zeros[z0..].iter().take_while(|&&(r, _)| r < i0 + rows_here)
-                {
-                    let src_row = ci[i];
-                    if src_row == NO_MATCH {
+            }
+            // Îₖ (...): every target row reads one stacked row. The
+            // first source assigns, so `out` needs no zero fill.
+            let stacked = local.as_slice();
+            let eff = &plan.eff;
+            let work = out.rows().saturating_mul(n) * 2;
+            par_row_chunks(out.as_mut_slice(), n, work, |i0, chunk| {
+                let eff = &eff[i0..];
+                if n == 1 {
+                    for (o, &e) in chunk.iter_mut().zip(eff) {
+                        let v = if e == NO_MATCH {
+                            0.0
+                        } else {
+                            stacked[e as usize]
+                        };
+                        *o = if k == 0 { v } else { *o + v };
+                    }
+                    return;
+                }
+                for (dst, &e) in chunk.chunks_exact_mut(n.max(1)).zip(eff) {
+                    if e == NO_MATCH {
+                        if k == 0 {
+                            dst.fill(0.0);
+                        }
                         continue;
                     }
-                    let d_row = d.row(src_row as usize);
-                    let dst = &mut chunk[(i - i0) * n..(i - i0 + 1) * n];
-                    for &j in zero_cols {
-                        let sc = cm[j];
-                        if sc == NO_MATCH {
-                            continue;
-                        }
-                        let coef = d_row[sc as usize];
-                        if coef == 0.0 {
-                            continue;
-                        }
-                        let x_row = x.row(j);
-                        for (dv, &xv) in dst.iter_mut().zip(x_row) {
-                            *dv -= coef * xv;
+                    let src = &stacked[e as usize * n..(e as usize + 1) * n];
+                    if k == 0 {
+                        dst.copy_from_slice(src);
+                    } else {
+                        for (dv, &sv) in dst.iter_mut().zip(src) {
+                            *dv += sv;
                         }
                     }
                 }
             });
+            gathered += plan.matched_rows;
+            corrected += plan.correction_cells * n;
             ws.give_matrix(xk);
             ws.give_matrix(local);
         }
+        crate::metrics::LMM_GATHER_ROWS.add(gathered as u64);
+        crate::metrics::LMM_CORRECTION_CELLS.add(corrected as u64);
         Ok(())
     }
 
@@ -479,64 +463,45 @@ impl FactorizedTable {
         ws: &mut Workspace,
     ) -> Result<()> {
         let n = x.cols();
-        let cols = out.rows();
+        let (mut scattered, mut corrected) = (0, 0);
         out.as_mut_slice().fill(0.0);
-        for (s, d) in self.metadata().sources.iter().zip(self.source_data()) {
-            // Iₖᵀ X: scatter target rows into source rows.
-            let mut xk = ws.take_matrix(s.indicator.source_rows(), n);
-            x.scatter_rows_add_into(s.indicator.compressed(), &mut xk)?;
-            // Dₖᵀ (Iₖᵀ X)
+        for (_, d, plan) in self.sources() {
+            // Îₖᵀ X: scatter target rows into stacked rows.
+            let plain = d.rows();
+            let mut xk = ws.take_matrix(plain + plan.slots.len(), n);
+            x.scatter_rows_add_into(&plan.eff, &mut xk)?;
+            // A slot row is what its source row received through group
+            // g: it owes out[j,:] −= Dₖ[r, CMₖ[j]]·slot for j ∈ Z_g, and
+            // otherwise counts as the plain row, so it is folded into it.
+            let (plain_rows, slot_rows) = xk.as_mut_slice().split_at_mut(plain * n);
+            for (slot, &(g, src)) in slot_rows.chunks_exact(n.max(1)).zip(&plan.slots) {
+                let d_row = d.row(src);
+                for &(j, sc) in plan.zero_of(g) {
+                    let coef = d_row[sc];
+                    for (ov, &xv) in out.row_mut(j).iter_mut().zip(slot) {
+                        *ov -= coef * xv;
+                    }
+                }
+                for (pv, &xv) in plain_rows[src * n..(src + 1) * n].iter_mut().zip(slot) {
+                    *pv += xv;
+                }
+            }
+            xk.resize_rows(plain);
+            // Dₖᵀ (Iₖᵀ X), then Mₖ (...): out[t,:] += local[CMₖ[t],:].
             let mut local = ws.take_matrix(d.cols(), n);
             d.transpose_matmul_into(&xk, &mut local)?;
-            // Mₖ (...) plus correction, parallel over disjoint chunks of
-            // the output's target-column rows; every worker scans the
-            // redundancy list but only touches rows in its own range.
-            let ci = s.indicator.compressed();
-            let cm = s.mapping.compressed();
-            let zeros = s.redundancy.zero_cells_by_row();
-            let local_ref = &local;
-            let work = cols.saturating_mul(n) * 2;
-            par_row_chunks(out.as_mut_slice(), n, work, |t0, chunk| {
-                let rows_here = chunk.len() / n;
-                // Gather: out[t,:] += local[cm[t],:].
-                for (t, &src_col) in cm[t0..t0 + rows_here].iter().enumerate() {
-                    if src_col == NO_MATCH {
-                        continue;
-                    }
-                    let src = local_ref.row(src_col as usize);
-                    let dst = &mut chunk[t * n..(t + 1) * n];
-                    for (dv, &sv) in dst.iter_mut().zip(src) {
-                        *dv += sv;
-                    }
+            for &(t, sc) in &plan.mapped {
+                for (ov, &lv) in out.row_mut(t).iter_mut().zip(local.row(sc)) {
+                    *ov += lv;
                 }
-                // Correction: out[j,:] -= Dₖ[ci[i],cm[j]] · X[i,:].
-                for &(i, ref zero_cols) in zeros {
-                    let src_row = ci[i];
-                    if src_row == NO_MATCH {
-                        continue;
-                    }
-                    let d_row = d.row(src_row as usize);
-                    let x_row = x.row(i);
-                    let j0 = zero_cols.partition_point(|&j| j < t0);
-                    for &j in zero_cols[j0..].iter().take_while(|&&j| j < t0 + rows_here) {
-                        let sc = cm[j];
-                        if sc == NO_MATCH {
-                            continue;
-                        }
-                        let coef = d_row[sc as usize];
-                        if coef == 0.0 {
-                            continue;
-                        }
-                        let dst = &mut chunk[(j - t0) * n..(j - t0 + 1) * n];
-                        for (dv, &xv) in dst.iter_mut().zip(x_row) {
-                            *dv -= coef * xv;
-                        }
-                    }
-                }
-            });
+            }
+            scattered += plan.matched_rows;
+            corrected += plan.correction_cells * n;
             ws.give_matrix(xk);
             ws.give_matrix(local);
         }
+        crate::metrics::LMM_GATHER_ROWS.add(scattered as u64);
+        crate::metrics::LMM_CORRECTION_CELLS.add(corrected as u64);
         Ok(())
     }
 
@@ -624,6 +589,9 @@ mod tests {
     };
     use proptest::prelude::{prop_assert, proptest, ProptestConfig};
     use rand::SeedableRng;
+
+    /// Operand widths the batching and allocation tests sweep.
+    const WIDTHS: [usize; 5] = [1, 2, 5, 9, 16];
 
     fn x_for(cols: usize, n: usize, seed: u64) -> DenseMatrix {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -736,61 +704,89 @@ mod tests {
     }
 
     #[test]
+    fn lmm_into_overwrites_the_output_of_a_table_without_sources() {
+        // No source ever assigns, so the kernel must clear `out` itself.
+        let metadata = DiMetadata {
+            target_columns: vec!["a".into(), "b".into()],
+            target_rows: 3,
+            sources: Vec::new(),
+        };
+        let ft = FactorizedTable::new(metadata, Vec::new()).unwrap();
+        let mut out = DenseMatrix::filled(3, 2, 7.0);
+        ft.lmm_into(&x_for(2, 2, 1), &mut out, &mut Workspace::new())
+            .unwrap();
+        assert_eq!(out, DenseMatrix::zeros(3, 2));
+    }
+
+    #[test]
     fn lmm_colstable_columns_bit_identical_to_single_column_lmm() {
         // The serving-batch contract end to end: every column of a
         // batched factorized predict equals, bit for bit, the result of
-        // serving that column alone through `lmm_into`.
-        let ft = running_example();
-        let (rows, cols) = ft.target_shape();
-        let mut ws = Workspace::new();
-        for n in [1usize, 2, 5, 9] {
-            let x = x_for(cols, n, 31 + n as u64);
-            let mut batched = DenseMatrix::zeros(rows, n);
-            ft.lmm_colstable_into(&x, &mut batched, &mut ws).unwrap();
-            for j in 0..n {
-                let col = DenseMatrix::column_vector(&x.col(j));
-                let mut single = DenseMatrix::zeros(rows, 1);
-                ft.lmm_into(&col, &mut single, &mut ws).unwrap();
-                for i in 0..rows {
-                    assert!(
-                        batched.get(i, j).to_bits() == single.get(i, 0).to_bits(),
-                        "batch width {n}, cell ({i},{j}) differs"
-                    );
+        // serving that column alone through `lmm_into` — on the running
+        // example and on a table whose last source has four groups and
+        // slots read by many target rows.
+        for ft in [running_example(), multi_group_table(5)] {
+            let (rows, cols) = ft.target_shape();
+            let mut ws = Workspace::new();
+            for n in WIDTHS {
+                let x = x_for(cols, n, 31 + n as u64);
+                let mut batched = DenseMatrix::zeros(rows, n);
+                ft.lmm_colstable_into(&x, &mut batched, &mut ws).unwrap();
+                for j in 0..n {
+                    let col = DenseMatrix::column_vector(&x.col(j));
+                    let mut single = DenseMatrix::zeros(rows, 1);
+                    ft.lmm_into(&col, &mut single, &mut ws).unwrap();
+                    for i in 0..rows {
+                        assert!(
+                            batched.get(i, j).to_bits() == single.get(i, 0).to_bits(),
+                            "batch width {n}, cell ({i},{j}) differs"
+                        );
+                    }
                 }
+                // And it is still the correct product.
+                assert!(batched.approx_eq(&ft.lmm(&x, Strategy::Sparse).unwrap(), 1e-12));
             }
-            // And it is still the correct product.
-            assert!(batched.approx_eq(&ft.lmm(&x, Strategy::Compressed).unwrap(), 1e-12));
         }
     }
 
     #[test]
     fn repeated_lmm_colstable_is_allocation_free_once_warm() {
-        let ft = running_example();
-        let (rows, cols) = ft.target_shape();
-        let x = x_for(cols, 4, 29);
-        let mut ws = Workspace::new();
-        let mut out = DenseMatrix::zeros(rows, 4);
-        ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
-        let warm = ws.fresh_allocations();
-        for _ in 0..10 {
-            ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
+        for ft in [running_example(), multi_group_table(6)] {
+            let (rows, cols) = ft.target_shape();
+            let mut ws = Workspace::new();
+            for n in WIDTHS {
+                let x = x_for(cols, n, 29);
+                let mut out = DenseMatrix::zeros(rows, n);
+                ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
+                let warm = ws.fresh_allocations();
+                for _ in 0..10 {
+                    ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
+                }
+                assert_eq!(ws.fresh_allocations(), warm, "width {n}");
+            }
         }
-        assert_eq!(ws.fresh_allocations(), warm);
     }
 
     #[test]
     fn repeated_lmm_into_is_allocation_free_once_warm() {
-        let ft = running_example();
-        let (rows, cols) = ft.target_shape();
-        let x = x_for(cols, 2, 23);
-        let mut ws = Workspace::new();
-        let mut out = DenseMatrix::zeros(rows, 2);
-        ft.lmm_into(&x, &mut out, &mut ws).unwrap();
-        let warm = ws.fresh_allocations();
-        for _ in 0..10 {
-            ft.lmm_into(&x, &mut out, &mut ws).unwrap();
+        for ft in [running_example(), multi_group_table(7)] {
+            let (rows, cols) = ft.target_shape();
+            let mut ws = Workspace::new();
+            for n in WIDTHS {
+                let x = x_for(cols, n, 23);
+                let y = x_for(rows, n, 24);
+                let mut out = DenseMatrix::zeros(rows, n);
+                let mut out_t = DenseMatrix::zeros(cols, n);
+                ft.lmm_into(&x, &mut out, &mut ws).unwrap();
+                ft.lmm_transpose_into(&y, &mut out_t, &mut ws).unwrap();
+                let warm = ws.fresh_allocations();
+                for _ in 0..10 {
+                    ft.lmm_into(&x, &mut out, &mut ws).unwrap();
+                    ft.lmm_transpose_into(&y, &mut out_t, &mut ws).unwrap();
+                }
+                assert_eq!(ws.fresh_allocations(), warm, "width {n}");
+            }
         }
-        assert_eq!(ws.fresh_allocations(), warm);
     }
 
     #[test]
@@ -977,5 +973,158 @@ mod tests {
             ],
         };
         FactorizedTable::new(metadata, vec![d1, d2]).unwrap()
+    }
+    /// Three sources where the last overlaps *both* earlier ones on
+    /// different row sets: S1 maps target columns 0–3, S2 maps 2–5, S3
+    /// maps {0, 1, 4, 6, 7, 8}. S3's rows fall into four groups (∅,
+    /// {0,1}, {4}, {0,1,4}) depending on which earlier source covers
+    /// them, and its few source rows fan out, so one slot serves many
+    /// target rows. Matching is random with misses everywhere.
+    fn random_multi_group(rng: &mut rand::rngs::StdRng) -> FactorizedTable {
+        use rand::Rng;
+        let rt = rng.gen_range(1usize..48);
+        let maps: [&[i64]; 3] = [
+            &[0, 1, 2, 3, NO_MATCH, NO_MATCH, NO_MATCH, NO_MATCH, NO_MATCH],
+            &[NO_MATCH, NO_MATCH, 0, 1, 2, 3, NO_MATCH, NO_MATCH, NO_MATCH],
+            &[0, 1, NO_MATCH, NO_MATCH, 2, NO_MATCH, 3, 4, 5],
+        ];
+        let hit = [0.7, 0.6, 0.85];
+        let mut sources: Vec<SourceMetadata> = Vec::new();
+        let mut data = Vec::new();
+        for (k, cm) in maps.iter().enumerate() {
+            let src_rows = if k == 2 {
+                rng.gen_range(1usize..5)
+            } else {
+                rng.gen_range(1usize..12)
+            };
+            let src_cols = cm.iter().filter(|&&c| c != NO_MATCH).count();
+            let ci: Vec<i64> = (0..rt)
+                .map(|_| {
+                    if rng.gen_bool(hit[k]) {
+                        rng.gen_range(0..src_rows) as i64
+                    } else {
+                        NO_MATCH
+                    }
+                })
+                .collect();
+            let mapping = MappingMatrix::new(cm.to_vec(), src_cols).unwrap();
+            let indicator = IndicatorMatrix::new(ci, src_rows).unwrap();
+            let earlier: Vec<_> = sources.iter().map(|s| (&s.indicator, &s.mapping)).collect();
+            let redundancy =
+                RedundancyMatrix::against_earlier(&earlier, &indicator, &mapping).unwrap();
+            sources.push(SourceMetadata {
+                name: format!("S{}", k + 1),
+                mapped_columns: (0..src_cols).map(|c| format!("s{k}_{c}")).collect(),
+                mapping,
+                indicator,
+                redundancy,
+            });
+            data.push(DenseMatrix::random_uniform(
+                src_rows, src_cols, -2.0, 2.0, rng,
+            ));
+        }
+        let metadata = DiMetadata {
+            target_columns: (0..9).map(|i| format!("c{i}")).collect(),
+            target_rows: rt,
+            sources,
+        };
+        FactorizedTable::new(metadata, data).unwrap()
+    }
+
+    /// A fixed draw of [`random_multi_group`] that really has all four
+    /// groups in its last source and slots shared between target rows.
+    fn multi_group_table(seed: u64) -> FactorizedTable {
+        (seed..)
+            .map(|s| random_multi_group(&mut rand::rngs::StdRng::seed_from_u64(s)))
+            .find(|ft| {
+                let s3 = &ft.metadata().sources[2];
+                let slots = s3.redundancy.slots(&s3.indicator).len();
+                let corrected = (0..ft.target_shape().0)
+                    .filter(|&i| {
+                        s3.redundancy.group_of(i) != 0 && s3.indicator.compressed()[i] != NO_MATCH
+                    })
+                    .count();
+                s3.redundancy.group_count() == 4 && slots > 0 && corrected >= 2 * slots
+            })
+            .unwrap()
+    }
+
+    /// Every compressed operator against its two oracles — the literal
+    /// Equation (2) (`Strategy::Sparse`) and `materialize()` — within
+    /// the rounding model's tolerance.
+    fn assert_operators_match_oracles(ft: &FactorizedTable, n: usize, seed: u64) {
+        let (rows, cols) = ft.target_shape();
+        let tol = amalur_gen::equivalence_tolerance(rows, cols, 1);
+        let t = ft.materialize();
+        let x = x_for(cols, n, seed);
+        let got = ft.lmm(&x, Strategy::Compressed).unwrap();
+        assert!(got.approx_eq(&t.matmul(&x).unwrap(), tol));
+        assert!(got.approx_eq(&ft.lmm(&x, Strategy::Sparse).unwrap(), tol));
+        let y = x_for(rows, n, seed + 1);
+        let got_t = ft.lmm_transpose(&y, Strategy::Compressed).unwrap();
+        assert!(got_t.approx_eq(&t.transpose_matmul(&y).unwrap(), tol));
+        assert!(got_t.approx_eq(&ft.lmm_transpose(&y, Strategy::Sparse).unwrap(), tol));
+        let gram = ft.gram();
+        assert!(gram.approx_eq(&t.gram(), tol));
+        assert_eq!(gram, gram.transpose(), "gram must be exactly symmetric");
+        let close = |a: &[f64], b: &[f64]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(&a, &b)| amalur_matrix::approx_eq(a, b, tol))
+        };
+        let norms: Vec<f64> = t
+            .row_iter()
+            .map(|r| r.iter().map(|v| v * v).sum())
+            .collect();
+        assert!(close(&ft.row_norms_sq(), &norms));
+        assert!(close(&ft.col_sums(), &t.col_sums()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn prop_multi_group_operators_match_oracles(seed in 0u64..u64::MAX, n in 1usize..6) {
+            let ft = random_multi_group(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            assert_operators_match_oracles(&ft, n, seed);
+        }
+
+        /// Generated scenarios from all four topologies, with shared
+        /// columns, partial coverage and at least two non-base sources.
+        /// (The generator's shared windows are disjoint slices of the
+        /// base, so its sources have one non-empty group each; several
+        /// groups per source are `random_multi_group`'s job.)
+        #[test]
+        fn prop_generated_scenarios_match_oracles(
+            seed in 0u64..u64::MAX,
+            topology in 0usize..4,
+            extra in 0usize..2,
+            shared_cols in 1usize..3,
+            coverage in 0.4f64..0.95,
+            skew in 0.0f64..1.0,
+            n in 1usize..4,
+        ) {
+            use amalur_gen::{ScenarioSpec, Topology};
+            let spec = ScenarioSpec {
+                topology: match topology {
+                    0 => Topology::Star { satellites: 2 + extra },
+                    1 => Topology::Snowflake { arms: 2, depth: 1 + extra },
+                    2 => Topology::Chain { hops: 2 + extra },
+                    _ => Topology::ManyToMany,
+                },
+                base_rows: 24 + (seed % 40) as usize,
+                base_cols: 4 + extra,
+                dim_rows: 3 + (seed % 7) as usize,
+                dim_cols: 3 + extra,
+                skew,
+                shared_cols,
+                coverage,
+                seed,
+                ..ScenarioSpec::default()
+            };
+            let (metadata, data) = amalur_gen::generate(&spec).unwrap();
+            let ft = FactorizedTable::new(metadata, data).unwrap();
+            assert_operators_match_oracles(&ft, n, seed);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The factorized target table.
 
 use crate::{FactorizeError, Result};
-use amalur_integration::{DiMetadata, IntegrationResult};
+use amalur_integration::{DiMetadata, IntegrationResult, SourceMetadata};
 use amalur_matrix::{DenseMatrix, NO_MATCH};
 
 /// A target table kept in factorized form: one data matrix `Dₖ` per
@@ -14,6 +14,115 @@ use amalur_matrix::{DenseMatrix, NO_MATCH};
 pub struct FactorizedTable {
     metadata: DiMetadata,
     data: Vec<DenseMatrix>,
+    plans: Vec<SourcePlan>,
+}
+
+/// How one source executes, derived once in [`FactorizedTable::new`]
+/// from `CIₖ`, `CMₖ` and the group index of `Rₖ`.
+///
+/// The source's rows are *stacked*: rows `0..r_Sk` are the plain rows of
+/// `Dₖ`, then one row per corrected-row slot `(g, r)` — source row `r`
+/// with the mapped columns of `Z_g` zeroed. Every target row reads
+/// exactly one stacked row (`eff`), so `T = Σₖ Îₖ Âₖ Mₖᵀ` with `Îₖ` a
+/// plain selection and all redundancy folded into the slot rows of `Âₖ`.
+#[derive(Debug, Clone)]
+pub(crate) struct SourcePlan {
+    /// Stacked row that target row `i` reads, or `NO_MATCH`.
+    pub(crate) eff: Vec<i64>,
+    /// `(group, source row)` of each slot, sorted (see
+    /// `RedundancyMatrix::slots`); slot `s` is stacked row `r_Sk + s`.
+    pub(crate) slots: Vec<(usize, usize)>,
+    /// `(target col, source col)` of every mapped column, by target col.
+    pub(crate) mapped: Vec<(usize, usize)>,
+    /// Per group, its range in `zero_pairs`.
+    group_zero: Vec<(usize, usize)>,
+    /// `(target col, source col)` of each group's mapped zero columns,
+    /// by target col within a group.
+    zero_pairs: Vec<(usize, usize)>,
+    /// How many target rows read each stacked row.
+    pub(crate) counts: Vec<f64>,
+    /// Target rows this source feeds.
+    pub(crate) matched_rows: usize,
+    /// `Σ` over slots of their group's mapped zero columns — the
+    /// correction cells one LMM spends per operand column.
+    pub(crate) correction_cells: usize,
+}
+
+impl SourcePlan {
+    fn new(s: &SourceMetadata) -> Self {
+        let cm = s.mapping.compressed();
+        let plain = s.indicator.source_rows();
+        let slots = s.redundancy.slots(&s.indicator);
+        let mut eff = s.indicator.compressed().to_vec();
+        let mut counts = vec![0.0; plain + slots.len()];
+        let mut matched_rows = 0;
+        for (i, e) in eff.iter_mut().enumerate() {
+            if *e == NO_MATCH {
+                continue;
+            }
+            // `slots` holds every matched (group ≥ 1, row) pair; group 0
+            // reads the plain row.
+            let g = s.redundancy.group_of(i);
+            if let Ok(slot) = slots.binary_search(&(g, *e as usize)) {
+                *e = (plain + slot) as i64;
+            }
+            counts[*e as usize] += 1.0;
+            matched_rows += 1;
+        }
+        let mut group_zero = Vec::with_capacity(s.redundancy.group_count());
+        let mut zero_pairs = Vec::new();
+        for g in 0..s.redundancy.group_count() {
+            let start = zero_pairs.len();
+            zero_pairs.extend(
+                s.redundancy
+                    .group_cols(g)
+                    .iter()
+                    .filter(|&&j| cm[j] != NO_MATCH)
+                    .map(|&j| (j, cm[j] as usize)),
+            );
+            group_zero.push((start, zero_pairs.len()));
+        }
+        let correction_cells = slots
+            .iter()
+            .map(|&(g, _)| group_zero[g].1 - group_zero[g].0)
+            .sum();
+        let mapped = cm
+            .iter()
+            .enumerate()
+            .filter(|&(_, &sc)| sc != NO_MATCH)
+            .map(|(t, &sc)| (t, sc as usize))
+            .collect();
+        Self {
+            eff,
+            slots,
+            mapped,
+            group_zero,
+            zero_pairs,
+            counts,
+            matched_rows,
+            correction_cells,
+        }
+    }
+
+    /// `(target col, source col)` pairs a slot of `group` masks.
+    pub(crate) fn zero_of(&self, group: usize) -> &[(usize, usize)] {
+        let (start, end) = self.group_zero[group];
+        &self.zero_pairs[start..end]
+    }
+
+    /// The stacked matrix `Âₖ`: `d` followed by its masked slot rows.
+    pub(crate) fn stacked(&self, d: &DenseMatrix) -> DenseMatrix {
+        let mut a = d.clone();
+        a.resize_rows(d.rows() + self.slots.len());
+        for (slot, &(g, src)) in self.slots.iter().enumerate() {
+            let row = a.row_mut(d.rows() + slot);
+            row.copy_from_slice(d.row(src));
+            for &(_, sc) in self.zero_of(g) {
+                row[sc] = 0.0;
+            }
+        }
+        a
+    }
 }
 
 impl FactorizedTable {
@@ -49,7 +158,12 @@ impl FactorizedTable {
                 )));
             }
         }
-        Ok(Self { metadata, data })
+        let plans = metadata.sources.iter().map(SourcePlan::new).collect();
+        Ok(Self {
+            metadata,
+            data,
+            plans,
+        })
     }
 
     /// Builds a factorized table directly from an integration planner's
@@ -66,6 +180,18 @@ impl FactorizedTable {
     /// The source data matrices `Dₖ`.
     pub fn source_data(&self) -> &[DenseMatrix] {
         &self.data
+    }
+
+    /// Metadata, data and execution plan of every source, in order.
+    pub(crate) fn sources(
+        &self,
+    ) -> impl Iterator<Item = (&SourceMetadata, &DenseMatrix, &SourcePlan)> {
+        self.metadata
+            .sources
+            .iter()
+            .zip(&self.data)
+            .zip(&self.plans)
+            .map(|((s, d), p)| (s, d, p))
     }
 
     /// Number of sources.
@@ -98,37 +224,23 @@ impl FactorizedTable {
         Ok(gathered_cols.gather_rows(s.indicator.compressed())?)
     }
 
-    /// Materializes the target table `T = Σₖ (Tₖ ∘ Rₖ)` without building
-    /// any `r_T × c_T` intermediate other than the output itself.
+    /// Materializes the target table `T = Σₖ Îₖ Âₖ Mₖᵀ`: every target row
+    /// copies the mapped cells of the one stacked row it reads per
+    /// source (masked cells arrive as the zeros of a slot row). The only
+    /// `r_T × c_T` buffer is the output itself.
     pub fn materialize(&self) -> DenseMatrix {
         let (rows, cols) = self.target_shape();
         let mut out = DenseMatrix::zeros(rows, cols);
-        for (s, d) in self.metadata.sources.iter().zip(&self.data) {
-            let ci = s.indicator.compressed();
-            let cm = s.mapping.compressed();
-            // Per-row redundant column masks for this source.
-            let zero_rows = s.redundancy.zero_cells_by_row();
-            let mut zero_iter = zero_rows.iter().peekable();
-            for (i, &src_row) in ci.iter().enumerate() {
-                let zero_cols: &[usize] = match zero_iter.peek() {
-                    Some((r, cols)) if *r == i => {
-                        let cols = cols.as_slice();
-                        zero_iter.next();
-                        cols
-                    }
-                    _ => &[],
-                };
-                if src_row == NO_MATCH {
+        for (_, d, plan) in self.sources() {
+            let a = plan.stacked(d);
+            let out_rows = out.as_mut_slice().chunks_exact_mut(cols.max(1));
+            for (out_row, &e) in out_rows.zip(&plan.eff) {
+                if e == NO_MATCH {
                     continue;
                 }
-                let src_row = src_row as usize;
-                let d_row = d.row(src_row);
-                let out_row = out.row_mut(i);
-                for (t, &src_col) in cm.iter().enumerate() {
-                    if src_col == NO_MATCH || zero_cols.binary_search(&t).is_ok() {
-                        continue;
-                    }
-                    out_row[t] += d_row[src_col as usize];
+                let a_row = a.row(e as usize);
+                for &(t, sc) in &plan.mapped {
+                    out_row[t] += a_row[sc];
                 }
             }
         }
@@ -157,8 +269,11 @@ impl FactorizedTable {
                 continue;
             }
             let src_col = src_col as usize;
+            let masked: Vec<bool> = (0..s.redundancy.group_count())
+                .map(|g| s.redundancy.group_cols(g).binary_search(&col).is_ok())
+                .collect();
             for (i, &src_row) in s.indicator.compressed().iter().enumerate() {
-                if src_row == NO_MATCH || s.redundancy.get(i, col) == 0.0 {
+                if src_row == NO_MATCH || masked[s.redundancy.group_of(i)] {
                     continue;
                 }
                 out[i] += d.get(src_row as usize, src_col);
@@ -244,38 +359,22 @@ impl FactorizedTable {
     ///
     /// Because the redundancy masks give the masked contributions `T̃ₖ`
     /// disjoint supports, `T ∘ T = Σₖ T̃ₖ ∘ T̃ₖ` and the squared norms
-    /// decompose per source. Needed by K-Means (distance computation) and
-    /// GNMF (reconstruction loss).
+    /// decompose per source: one norm per stacked row of `Âₖ`, gathered
+    /// through `eff`. Needed by K-Means (distance computation) and GNMF
+    /// (reconstruction loss).
     pub fn row_norms_sq(&self) -> Vec<f64> {
         let (rows, _) = self.target_shape();
         let mut out = vec![0.0; rows];
-        for (s, d) in self.metadata.sources.iter().zip(&self.data) {
-            let ci = s.indicator.compressed();
-            let cm = s.mapping.compressed();
-            let zero_rows = s.redundancy.zero_cells_by_row();
-            let mut zero_iter = zero_rows.iter().peekable();
-            for (i, &src_row) in ci.iter().enumerate() {
-                let zero_cols: &[usize] = match zero_iter.peek() {
-                    Some((r, cols)) if *r == i => {
-                        let cols = cols.as_slice();
-                        zero_iter.next();
-                        cols
-                    }
-                    _ => &[],
-                };
-                if src_row == NO_MATCH {
-                    continue;
+        for (_, d, plan) in self.sources() {
+            let norms: Vec<f64> = plan
+                .stacked(d)
+                .row_iter()
+                .map(|row| plan.mapped.iter().map(|&(_, sc)| row[sc] * row[sc]).sum())
+                .collect();
+            for (o, &e) in out.iter_mut().zip(&plan.eff) {
+                if e != NO_MATCH {
+                    *o += norms[e as usize];
                 }
-                let d_row = d.row(src_row as usize);
-                let mut acc = 0.0;
-                for (t, &src_col) in cm.iter().enumerate() {
-                    if src_col == NO_MATCH || zero_cols.binary_search(&t).is_ok() {
-                        continue;
-                    }
-                    let v = d_row[src_col as usize];
-                    acc += v * v;
-                }
-                out[i] += acc;
             }
         }
         out

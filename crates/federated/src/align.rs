@@ -43,8 +43,8 @@ pub fn party_views(ft: &FactorizedTable) -> Result<Vec<PartyView>> {
             full
         } else {
             let mut m = full;
-            for &(row, ref cols) in s.redundancy.zero_cells_by_row() {
-                for &c in cols {
+            for row in 0..m.rows() {
+                for &c in s.redundancy.zero_cols(row) {
                     m.set(row, c, 0.0);
                 }
             }

@@ -186,46 +186,108 @@ pub struct DupBlock {
 /// `Rₖ[i, j] = 0` iff `(i, j)` lies in at least one [`DupBlock`]; all
 /// other entries are 1. The base table's matrix is all ones (no blocks).
 ///
-/// The per-row zero-column sets are precomputed at construction: the
-/// factorized rewrites consult them on every operator call, so they must
-/// be read-only lookups, not rebuilds.
+/// # Groups
+///
+/// A row's zero columns are the union of the column sets of the blocks
+/// that contain it, so a source with `B` overlapping earlier sources has
+/// at most `2^B` *distinct* zero-column sets however many rows it has.
+/// The index built at construction stores each distinct set once — a
+/// **group**; group 0 is always the empty set — plus one group id per
+/// target row: `O(r_T)` memory in one flat vector, no per-row
+/// allocation, and [`Self::zero_cols`] is two array reads.
+///
+/// # Slots
+///
+/// What a factorized operator must correct is not a target row but a
+/// *source* row seen through a group: every target row `i` with
+/// `CIₖ[i] = r` and group `g ≥ 1` reads the same masked row
+/// `Dₖ[r, ·]` with the columns of `Z_g` removed. The distinct `(g, r)`
+/// pairs are the **corrected-row slots** ([`Self::slots`]); the
+/// rewrites compute each slot once and let the target rows gather it.
+/// Rows of group 0 need no slot — they read the plain source row. One
+/// LMM therefore spends `Σ_g slots_g · |Z_g|` correction cells per
+/// operand column ([`Self::slot_correction_cells`]), and since every
+/// slot is referenced by at least one target row whose own `|Z_g|`
+/// cells are zeros, that is never more than [`Self::zero_count`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RedundancyMatrix {
     rows: usize,
     cols: usize,
     blocks: Vec<DupBlock>,
-    /// Deduplicated zero cells grouped by row, sorted by row.
-    zero_by_row: Vec<(usize, Vec<usize>)>,
-}
-
-/// Builds the sorted, deduplicated per-row zero-column index.
-fn index_zero_cells(blocks: &[DupBlock]) -> Vec<(usize, Vec<usize>)> {
-    let mut row_cols: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for b in blocks {
-        for &r in &b.rows {
-            row_cols.entry(r).or_default().extend_from_slice(&b.cols);
-        }
-    }
-    row_cols
-        .into_iter()
-        .map(|(r, mut cols)| {
-            cols.sort_unstable();
-            cols.dedup();
-            (r, cols)
-        })
-        .collect()
+    /// Zero-column sets of all groups, concatenated; group `g` owns
+    /// `group_cols[group_start[g]..group_start[g + 1]]`, sorted.
+    group_cols: Vec<usize>,
+    group_start: Vec<usize>,
+    /// Group of each target row; empty when there are no blocks (every
+    /// row is then in group 0).
+    row_group: Vec<u32>,
+    /// Zero cells, overlapping blocks counted once.
+    zero_count: usize,
 }
 
 impl RedundancyMatrix {
     /// The all-ones matrix — used for the base table, which is never
     /// redundant with respect to itself.
     pub fn all_ones(rows: usize, cols: usize) -> Self {
+        Self::indexed(rows, cols, Vec::new())
+    }
+
+    /// Builds the group index over validated blocks (sorted,
+    /// deduplicated, in range) by partition refinement: every block
+    /// splits each existing group into "rows also in this block" — whose
+    /// zero set gains the block's columns — and the rest. Allocations
+    /// are per *group*, never per row.
+    fn indexed(rows: usize, cols: usize, blocks: Vec<DupBlock>) -> Self {
+        let mut sets: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut row_group = vec![0u32; if blocks.is_empty() { 0 } else { rows }];
+        for b in &blocks {
+            // child[g]: the group of g's rows that also lie in `b`.
+            let mut child: Vec<Option<u32>> = vec![None; sets.len()];
+            for &r in &b.rows {
+                let g = row_group[r] as usize;
+                row_group[r] = *child[g].get_or_insert_with(|| {
+                    let mut merged = [sets[g].as_slice(), &b.cols].concat();
+                    merged.sort_unstable();
+                    merged.dedup();
+                    // Equal column sets share one group, whichever
+                    // blocks produced them.
+                    let id = sets.iter().position(|s| *s == merged).unwrap_or_else(|| {
+                        sets.push(merged);
+                        sets.len() - 1
+                    });
+                    id as u32
+                });
+            }
+        }
+        // Drop the groups refinement left without rows (group 0 stays).
+        let mut members = vec![0usize; sets.len()];
+        for &g in &row_group {
+            members[g as usize] += 1;
+        }
+        let mut renumber = vec![0u32; sets.len()];
+        let mut group_cols = Vec::new();
+        let mut group_start = vec![0];
+        let mut zero_count = 0;
+        for (g, set) in sets.iter().enumerate() {
+            if g > 0 && members[g] == 0 {
+                continue;
+            }
+            renumber[g] = (group_start.len() - 1) as u32;
+            group_cols.extend_from_slice(set);
+            group_start.push(group_cols.len());
+            zero_count += members[g] * set.len();
+        }
+        for g in &mut row_group {
+            *g = renumber[*g as usize];
+        }
         Self {
             rows,
             cols,
-            blocks: Vec::new(),
-            zero_by_row: Vec::new(),
+            blocks,
+            group_cols,
+            group_start,
+            row_group,
+            zero_count,
         }
     }
 
@@ -254,13 +316,7 @@ impl RedundancyMatrix {
                 )));
             }
         }
-        let zero_by_row = index_zero_cells(&blocks);
-        Ok(Self {
-            rows,
-            cols,
-            blocks,
-            zero_by_row,
-        })
+        Ok(Self::indexed(rows, cols, blocks))
     }
 
     /// Computes `Rₖ` for source `k` against all earlier sources
@@ -312,13 +368,7 @@ impl RedundancyMatrix {
                 });
             }
         }
-        let zero_by_row = index_zero_cells(&blocks);
-        Ok(Self {
-            rows,
-            cols,
-            blocks,
-            zero_by_row,
-        })
+        Ok(Self::indexed(rows, cols, blocks))
     }
 
     /// Matrix shape (`r_T × c_T`).
@@ -336,23 +386,69 @@ impl RedundancyMatrix {
         &self.blocks
     }
 
+    /// Number of groups (distinct zero-column sets, the empty group 0
+    /// included).
+    pub fn group_count(&self) -> usize {
+        self.group_start.len() - 1
+    }
+
+    /// Group of target row `row` (0 for rows without zeros or out of
+    /// range).
+    pub fn group_of(&self, row: usize) -> usize {
+        self.row_group.get(row).map_or(0, |&g| g as usize)
+    }
+
+    /// Sorted zero columns of group `group`.
+    pub fn group_cols(&self, group: usize) -> &[usize] {
+        &self.group_cols[self.group_start[group]..self.group_start[group + 1]]
+    }
+
+    /// Sorted zero columns of target row `row`, in O(1).
+    pub fn zero_cols(&self, row: usize) -> &[usize] {
+        self.group_cols(self.group_of(row))
+    }
+
     /// Value of `Rₖ[i, j]` (0.0 or 1.0).
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        match self.zero_by_row.binary_search_by_key(&i, |(r, _)| *r) {
-            Ok(pos) if self.zero_by_row[pos].1.binary_search(&j).is_ok() => 0.0,
-            _ => 1.0,
+        if self.zero_cols(i).binary_search(&j).is_ok() {
+            0.0
+        } else {
+            1.0
         }
     }
 
     /// Number of zero (redundant) cells, counting overlapping blocks once.
     pub fn zero_count(&self) -> usize {
-        self.zero_by_row.iter().map(|(_, cols)| cols.len()).sum()
+        self.zero_count
     }
 
-    /// Per-row deduplicated zero columns (sorted by row, columns sorted)
-    /// — the index the factorized redundancy corrections iterate.
-    pub fn zero_cells_by_row(&self) -> &[(usize, Vec<usize>)] {
-        &self.zero_by_row
+    /// The corrected-row slots of this source under `indicator` (its
+    /// `CIₖ`): the distinct `(group, source row)` pairs with
+    /// `group ≥ 1` that some matched target row reads, sorted — so the
+    /// slots of one group are contiguous and a pair's position is a
+    /// binary search away.
+    pub fn slots(&self, indicator: &IndicatorMatrix) -> Vec<(usize, usize)> {
+        let mut slots: Vec<(usize, usize)> = indicator
+            .compressed()
+            .iter()
+            .zip(&self.row_group)
+            .filter(|&(&src, &g)| src != NO_MATCH && g != 0)
+            .map(|(&src, &g)| (g as usize, src as usize))
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+    }
+
+    /// Redundancy-correction cells one factorized LMM (or transpose-LMM)
+    /// executes per operand column: `Σ_g slots_g · |Z_g|`. The single
+    /// authority the operation counts and the cost features price the
+    /// correction phase from; never more than [`Self::zero_count`].
+    pub fn slot_correction_cells(&self, indicator: &IndicatorMatrix) -> usize {
+        self.slots(indicator)
+            .iter()
+            .map(|&(g, _)| self.group_cols(g).len())
+            .sum()
     }
 
     /// Expands to the dense binary matrix of Definition III.4. Intended
@@ -360,9 +456,9 @@ impl RedundancyMatrix {
     /// large benchmark shapes.
     pub fn to_dense(&self) -> DenseMatrix {
         let mut out = DenseMatrix::ones(self.rows, self.cols);
-        for (r, cols) in self.zero_cells_by_row() {
-            for &c in cols {
-                out.set(*r, c, 0.0);
+        for r in 0..self.row_group.len() {
+            for &c in self.zero_cols(r) {
+                out.set(r, c, 0.0);
             }
         }
         out
@@ -581,8 +677,48 @@ mod tests {
         assert_eq!(r.zero_count(), 7);
         assert_eq!(r.get(1, 1), 0.0);
         assert_eq!(r.get(0, 2), 1.0);
-        let cells = r.zero_cells_by_row();
-        assert_eq!(cells[1], (1, vec![0, 1, 2]));
+        assert_eq!(r.zero_cols(1), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn groups_are_the_distinct_zero_column_sets() {
+        // Rows 0–3 in block A, rows 2–5 in block B, rows 4–5 also in a
+        // block with A's columns again: rows 4 and 5 end with A ∪ B like
+        // rows 2 and 3, through a different set of blocks.
+        let block = |rows: &[usize], cols: &[usize]| DupBlock {
+            rows: rows.to_vec(),
+            cols: cols.to_vec(),
+        };
+        let r = RedundancyMatrix::from_blocks(
+            7,
+            5,
+            vec![
+                block(&[0, 1, 2, 3], &[0, 1]),
+                block(&[2, 3, 4, 5], &[3]),
+                block(&[4, 5], &[1, 0]),
+            ],
+        )
+        .unwrap();
+        // ∅, {0,1}, {0,1,3}; the transient {3} of rows 4–5 is dropped.
+        assert_eq!(r.group_count(), 3);
+        assert_eq!(r.group_cols(0), &[] as &[usize]);
+        assert_eq!(r.zero_cols(0), &[0, 1]);
+        assert_eq!(r.zero_cols(3), &[0, 1, 3]);
+        assert_eq!(r.group_of(2), r.group_of(5));
+        assert_eq!(r.zero_cols(6), &[] as &[usize]);
+        assert_eq!(r.zero_cols(99), &[] as &[usize]);
+        assert_eq!(r.zero_count(), 2 * 2 + 4 * 3);
+        assert_eq!(r.to_dense().sum(), 35.0 - 16.0);
+
+        // Slots: distinct (group, source row) pairs over matched rows.
+        let ci = IndicatorMatrix::new(vec![0, 0, 1, 1, 1, NO_MATCH, 0], 2).unwrap();
+        let (g1, g2) = (r.group_of(0), r.group_of(2));
+        assert_eq!(r.slots(&ci), vec![(g1, 0), (g2, 1)]);
+        assert_eq!(r.slot_correction_cells(&ci), 2 + 3);
+        assert!(r.slot_correction_cells(&ci) <= r.zero_count());
+        let none = RedundancyMatrix::all_ones(7, 5);
+        assert_eq!(none.group_count(), 1);
+        assert!(none.slots(&ci).is_empty());
     }
 
     #[test]

@@ -5,36 +5,10 @@
 //! largest single request: a candidate list of 3000 × 3000 row matches
 //! (24 bytes each) cannot exist without a request of a hundred megabytes.
 
+mod recording;
+
 use amalur_integration::{match_rows, ErConfig};
 use amalur_relational::{DataType, Table, TableBuilder};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
-
-struct Recording;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is an atomic store.
-unsafe impl GlobalAlloc for Recording {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST_REQUEST.fetch_max(new_size, Ordering::Relaxed);
-        // SAFETY: the caller's obligations for `realloc` are passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Recording = Recording;
 
 const COPIES: usize = 3000;
 
@@ -49,9 +23,8 @@ fn repeated(name: &str, key: &str) -> Table {
 #[test]
 fn a_key_duplicated_3000_times_zips_without_a_quadratic_candidate_list() {
     let (l, r) = (repeated("l", "same key"), repeated("r", "same key"));
-    LARGEST_REQUEST.store(0, Ordering::Relaxed);
-    let matches = match_rows(&l, &r, "k", "k", &ErConfig::default()).unwrap();
-    let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
+    let (matches, _, largest) =
+        recording::record(|| match_rows(&l, &r, "k", "k", &ErConfig::default()).unwrap());
 
     assert_eq!(matches.len(), COPIES);
     for (i, m) in matches.iter().enumerate() {

@@ -166,6 +166,16 @@ impl DenseMatrix {
         self.data
     }
 
+    /// Changes the row count in place, keeping the leading rows: surplus
+    /// rows are dropped, new rows are zero. Shrinking keeps the buffer's
+    /// capacity, so shrinking and growing back never allocates — which
+    /// lets an `_into` kernel run a GEMM into the leading rows of a
+    /// taller workspace matrix.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
+    }
+
     /// Element at `(i, j)`; panics on out-of-bounds (use [`Self::try_get`]
     /// for a checked variant).
     #[inline]
