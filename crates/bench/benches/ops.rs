@@ -1,6 +1,6 @@
 //! Criterion micro-benchmark: the remaining factorized operators
 //! (transpose-LMM, Gram, column sums, materialization) and the
-//! compressed-vs-expanded metadata ablation of DESIGN.md §7.2.
+//! compressed-vs-expanded metadata ablation.
 
 use amalur_bench::footnote3_table;
 use amalur_factorize::Strategy;
@@ -35,8 +35,8 @@ fn bench_operators(c: &mut Criterion) {
     group.finish();
 }
 
-/// DESIGN.md §7.2: applying the indicator matrix as a compressed
-/// gather versus as an expanded CSR multiplication.
+/// Applying the indicator matrix as a compressed gather versus as an
+/// expanded CSR multiplication.
 fn bench_metadata_application(c: &mut Criterion) {
     let ft = footnote3_table(10_000, true, false, 13);
     let s2 = &ft.metadata().sources[1];

@@ -13,8 +13,9 @@
 //! * any request is rejected under nominal load (the admission queue is
 //!   sized to absorb the whole fleet, so a rejection means lost
 //!   capacity, not overload);
-//! * a batched prediction is not *bit-identical* to the same request
-//!   served alone (the column-stable GEMM contract);
+//! * a prediction — one or three columns wide, served alone or
+//!   coalesced — is not *bit-identical* to its columns' single-column
+//!   references (the column-stable GEMM contract);
 //! * p99 predict latency blows past a deliberately generous floor —
 //!   a smoke detector for pathological queueing, not a perf target.
 //!
@@ -94,6 +95,13 @@ fn feature_col(c_t: usize, tag: u64) -> DenseMatrix {
         .map(|i| ((i as f64) * 0.61 + tag as f64 * 0.937).cos())
         .collect();
     DenseMatrix::from_vec(c_t, 1, vals).expect("column vector")
+}
+
+/// A `c_t × tags.len()` request whose column `j` is `feature_col(tags[j])`.
+fn feature_cols(c_t: usize, tags: &[u64]) -> DenseMatrix {
+    tags[1..].iter().fold(feature_col(c_t, tags[0]), |m, &t| {
+        m.hstack(&feature_col(c_t, t)).expect("equal heights")
+    })
 }
 
 /// One synthetic client: a stream of blocking predicts with a periodic
@@ -192,47 +200,59 @@ fn percentile_divergences(client_sorted: &[u64], server: &HistogramSnapshot) -> 
     out
 }
 
-/// Re-submits a handful of concurrent predicts and checks every answer
+/// Submits one- and three-column probes together, so the dispatcher
+/// coalesces them, then the three-column probes again one at a time,
+/// each alone in its batch, and checks every column of every answer
 /// bit-for-bit against a locally computed single-column `lmm_into` —
-/// whatever the dispatcher coalesced, the bits must not move.
+/// whatever a request's width and company, the bits must not move.
 fn check_batched_equivalence(
     handle: &ServerHandle,
     table: &Arc<FactorizedTable>,
     dataset_name: &str,
 ) -> (bool, u64) {
     let (r_t, c_t) = table.target_shape();
-    let n = 12;
-    let tickets: Vec<_> = (0..n)
-        .map(|i| {
-            handle
-                .submit_predict(PredictRequest {
-                    dataset: dataset_name.to_owned(),
-                    version: None,
-                    features: feature_col(c_t, 777_000 + i),
-                })
-                .expect("admission under nominal load")
-        })
+    let submit = |tags: &Vec<u64>| {
+        handle
+            .submit_predict(PredictRequest {
+                dataset: dataset_name.to_owned(),
+                version: None,
+                features: feature_cols(c_t, tags),
+            })
+            .expect("admission under nominal load")
+    };
+    let wide: Vec<Vec<u64>> = (0..4)
+        .map(|i| (0..3).map(|j| 778_000 + 3 * i + j).collect())
         .collect();
+    let together: Vec<Vec<u64>> = (0..12)
+        .map(|i| vec![777_000 + i])
+        .chain(wide.iter().cloned())
+        .collect();
+    let tickets: Vec<_> = together.iter().map(submit).collect();
+    let mut replies: Vec<_> = together
+        .iter()
+        .zip(tickets)
+        .map(|(tags, t)| (tags, t.wait().expect("predict during equivalence check")))
+        .collect();
+    for tags in &wide {
+        let alone = submit(tags)
+            .wait()
+            .expect("solo predict during equivalence check");
+        replies.push((tags, alone));
+    }
+
     let mut ws = Workspace::new();
     let mut reference = DenseMatrix::zeros(r_t, 1);
     let mut coalesced = 0u64;
     let mut ok = true;
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let resp = ticket.wait().expect("predict during equivalence check");
-        if resp.batched_with > 1 {
-            coalesced += 1;
+    for (tags, resp) in &replies {
+        coalesced += u64::from(resp.batched_with > 1);
+        for (j, &tag) in tags.iter().enumerate() {
+            table
+                .lmm_into(&feature_col(c_t, tag), &mut reference, &mut ws)
+                .expect("reference LMM");
+            ok &= (0..r_t)
+                .all(|i| resp.predictions.get(i, j).to_bits() == reference.get(i, 0).to_bits());
         }
-        let x = feature_col(c_t, 777_000 + i as u64);
-        table
-            .lmm_into(&x, &mut reference, &mut ws)
-            .expect("reference LMM");
-        let same = resp
-            .predictions
-            .as_slice()
-            .iter()
-            .zip(reference.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        ok &= same;
     }
     (ok, coalesced)
 }

@@ -7,7 +7,7 @@
 //! faster on a GD-shaped workload (min over repetitions; near-ties are
 //! excluded from scoring as timing noise). The paper's ladder tops out
 //! at 5M rows; ours at 500k (same decision structure, laptop-scale
-//! memory) — see DESIGN.md §4.
+//! memory).
 //!
 //! Amalur's model runs with the machine's measured [`HardwareProfile`]:
 //! `COST_PROFILE.json` is loaded when present, otherwise a fresh
@@ -118,7 +118,7 @@ fn main() {
         }
     }
 
-    // Shape assertions (the reproduction criteria of DESIGN.md §3).
+    // Shape assertions: the reproduction criteria for this table.
     let target_yes: Vec<_> = results.iter().filter(|q| q.target_redundancy).collect();
     let target_no: Vec<_> = results.iter().filter(|q| !q.target_redundancy).collect();
     let avg = |qs: &[&QuadrantResult], f: fn(&QuadrantResult) -> f64| {

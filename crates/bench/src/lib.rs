@@ -1,9 +1,9 @@
 //! Shared harness pieces for the table/figure report binaries and the
 //! criterion micro-benchmarks.
 //!
-//! The experiment index (which binary regenerates which table/figure of
-//! the paper) lives in `DESIGN.md` §3; results are recorded in
-//! `EXPERIMENTS.md`.
+//! Each report binary under `src/bin/` names the table or figure of the
+//! paper it regenerates in its own header; the verify skill
+//! (`.claude/skills/verify/SKILL.md`) lists the commands.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

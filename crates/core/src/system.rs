@@ -6,7 +6,7 @@ use amalur_catalog::{DiEntry, MetadataCatalog, ModelEntry, SourceEntry};
 use amalur_cost::{
     AmalurCostModel, CostFeatures, CostModel, Decision, HardwareProfile, TrainingWorkload,
 };
-use amalur_factorize::FactorizedTable;
+use amalur_factorize::{FactorizedTable, LinOps};
 use amalur_federated::hfl::PartySamples;
 use amalur_federated::{
     party_views, train_vfl, CommStats, FaultPlan, FaultyTransport, HflConfig, PrivacyMode,
@@ -290,30 +290,10 @@ impl Amalur {
         plan: ExecutionPlan,
     ) -> Result<TrainedModel> {
         let (features, y) = handle.table.split_label(label_col)?;
+        let cfg = self.linreg_config(config);
         let (coefficients, final_loss) = match plan {
-            ExecutionPlan::Factorize => {
-                let mut model = LinearRegression::new(self.linreg_config(config));
-                model.fit(&features, &y)?;
-                (
-                    model
-                        .coefficients()
-                        .cloned()
-                        .ok_or(AmalurError::Ml(amalur_ml::MlError::NotFitted))?,
-                    model.loss_history().last().copied().unwrap_or(f64::NAN),
-                )
-            }
-            ExecutionPlan::Materialize => {
-                let t = features.materialize();
-                let mut model = LinearRegression::new(self.linreg_config(config));
-                model.fit(&t, &y)?;
-                (
-                    model
-                        .coefficients()
-                        .cloned()
-                        .ok_or(AmalurError::Ml(amalur_ml::MlError::NotFitted))?,
-                    model.loss_history().last().copied().unwrap_or(f64::NAN),
-                )
-            }
+            ExecutionPlan::Factorize => fit_linreg(cfg, &features, &y)?,
+            ExecutionPlan::Materialize => fit_linreg(cfg, &features.materialize(), &y)?,
             ExecutionPlan::Federated(mode) => {
                 let views = party_views(&features)?;
                 let xs: Vec<DenseMatrix> = views.iter().map(|v| v.features.clone()).collect();
@@ -381,35 +361,9 @@ impl Amalur {
             learning_rate: config.learning_rate,
             l2: config.l2,
         };
-        let mut model = LogisticRegression::new(cfg);
         let (coefficients, final_loss, accuracy) = match plan {
-            ExecutionPlan::Factorize => {
-                model.fit(&features, &y)?;
-                let pred = model.predict(&features)?;
-                let acc = amalur_ml::metrics::accuracy(&pred, y.as_slice());
-                (
-                    model
-                        .coefficients()
-                        .cloned()
-                        .ok_or(AmalurError::Ml(amalur_ml::MlError::NotFitted))?,
-                    model.loss_history().last().copied().unwrap_or(f64::NAN),
-                    acc,
-                )
-            }
-            _ => {
-                let t = features.materialize();
-                model.fit(&t, &y)?;
-                let pred = model.predict(&t)?;
-                let acc = amalur_ml::metrics::accuracy(&pred, y.as_slice());
-                (
-                    model
-                        .coefficients()
-                        .cloned()
-                        .ok_or(AmalurError::Ml(amalur_ml::MlError::NotFitted))?,
-                    model.loss_history().last().copied().unwrap_or(f64::NAN),
-                    acc,
-                )
-            }
+            ExecutionPlan::Factorize => fit_logreg(cfg, &features, &y)?,
+            _ => fit_logreg(cfg, &features.materialize(), &y)?,
         };
         let mut metrics = BTreeMap::new();
         metrics.insert("final_loss".to_owned(), final_loss);
@@ -582,6 +536,34 @@ impl Amalur {
         })?;
         Ok(name)
     }
+}
+
+/// Fits a linear regression on either operand of a plan (the factorized
+/// table or its materialization): coefficients and final loss.
+fn fit_linreg<L: LinOps>(cfg: LinRegConfig, x: &L, y: &DenseMatrix) -> Result<(DenseMatrix, f64)> {
+    let mut model = LinearRegression::new(cfg);
+    model.fit(x, y)?;
+    fit_summary(model.coefficients(), model.loss_history())
+}
+
+/// As [`fit_linreg`] for a logistic regression, plus training accuracy.
+fn fit_logreg<L: LinOps>(
+    cfg: LogRegConfig,
+    x: &L,
+    y: &DenseMatrix,
+) -> Result<(DenseMatrix, f64, f64)> {
+    let mut model = LogisticRegression::new(cfg);
+    model.fit(x, y)?;
+    let accuracy = amalur_ml::metrics::accuracy(&model.predict(x)?, y.as_slice());
+    let (coefficients, final_loss) = fit_summary(model.coefficients(), model.loss_history())?;
+    Ok((coefficients, final_loss, accuracy))
+}
+
+fn fit_summary(coefficients: Option<&DenseMatrix>, losses: &[f64]) -> Result<(DenseMatrix, f64)> {
+    let coefficients = coefficients
+        .cloned()
+        .ok_or(AmalurError::Ml(amalur_ml::MlError::NotFitted))?;
+    Ok((coefficients, losses.last().copied().unwrap_or(f64::NAN)))
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 //!    `BENCH_kernels.json`, so report binaries can
 //!    [`load_or_calibrate`] instead of re-measuring every run.
 
+use crate::CostFeatures;
 use amalur_data::{generate_two_source, TwoSourceSpec};
 use amalur_factorize::{FactorizedTable, OpCounts, Strategy};
 use amalur_matrix::DenseMatrix;
@@ -334,7 +335,10 @@ fn probe_table(
     let theta = DenseMatrix::filled(cols, n, 0.5);
     let resid = DenseMatrix::filled(rows, n, 0.25);
 
-    let fact_counts = ft.epoch_op_counts(n);
+    // Probes are priced by the struct the model prices with at decision
+    // time, so the fit and the decision share one op-count derivation.
+    let features = CostFeatures::from_table(ft);
+    let fact_counts = features.epoch_op_counts(n);
     // Operand shapes are fixed by construction above; the 1×1 zero
     // fallback keeps the timed closures infallible without panicking on
     // a violated invariant.
@@ -353,7 +357,7 @@ fn probe_table(
         },
     );
 
-    let assembly_counts = ft.materialize_op_counts();
+    let assembly_counts = features.materialize_op_counts();
     let assembly_ns = min_time_ns(
         config,
         &crate::metrics::ASSEMBLY_NS,
@@ -364,7 +368,7 @@ fn probe_table(
     );
 
     let t = ft.materialize();
-    let mat_counts = ft.materialized_epoch_op_counts(n);
+    let mat_counts = features.materialized_epoch_op_counts(n);
     let mat_ns = min_time_ns(
         config,
         &crate::metrics::MAT_EPOCH_NS,

@@ -87,8 +87,9 @@ impl OpCounts {
     /// the matched rows (resp. mapped columns), and the redundancy
     /// correction over `correction_cells` slot cells
     /// (`RedundancyMatrix::slot_correction_cells`). The single authority
-    /// for this formula — both the table-level and the
-    /// `CostFeatures`-level derivations call it.
+    /// for this formula: `CostFeatures` (what the cost model and its
+    /// calibration price with) and [`FactorizedTable::lmm_op_counts`]
+    /// (what pins the kernel's own counter) both call it.
     pub fn lmm_source(
         rows: usize,
         cols: usize,
@@ -131,7 +132,8 @@ impl OpCounts {
 
 impl FactorizedTable {
     /// Operation counts of one compressed-strategy `T·X` (LMM) where `X`
-    /// has `x_cols` columns.
+    /// has `x_cols` columns; `Tᵀ·X` costs the same (its scatter runs over
+    /// matched rows and its gather over mapped columns).
     ///
     /// Per source: scatter `X`'s mapped target-column rows into source
     /// columns, one `Dₖ` GEMM, one correction pass over the slots, and
@@ -149,47 +151,6 @@ impl FactorizedTable {
             ));
         }
         c
-    }
-
-    /// Operation counts of one compressed-strategy `Tᵀ·X` where `X` has
-    /// `x_cols` columns. Mirror image of [`Self::lmm_op_counts`]: the
-    /// scatter runs over matched rows and the gather over mapped columns,
-    /// so the totals coincide.
-    pub fn lmm_transpose_op_counts(&self, x_cols: usize) -> OpCounts {
-        self.lmm_op_counts(x_cols)
-    }
-
-    /// Operation counts of one GD-shaped epoch — one `T·X` plus one
-    /// `Tᵀ·X` — the workload `amalur-cost`'s oracle measures.
-    pub fn epoch_op_counts(&self, x_cols: usize) -> OpCounts {
-        self.lmm_op_counts(x_cols)
-            .plus(&self.lmm_transpose_op_counts(x_cols))
-    }
-
-    /// Operation counts of [`FactorizedTable::materialize`]: the target
-    /// cells written plus every source cell gathered into them
-    /// (redundant cells are skipped, not copied).
-    pub fn materialize_op_counts(&self) -> OpCounts {
-        let mut assembly = self.target_cells() as f64;
-        for s in &self.metadata().sources {
-            assembly += OpCounts::assembly_source_cells(
-                matched_rows(s.indicator.compressed()),
-                s.mapping.mapped_target_cols().len(),
-                s.redundancy.zero_count(),
-            );
-        }
-        OpCounts {
-            assembly_cells: assembly,
-            // One gather pass per source.
-            dispatch_calls: self.metadata().sources.len() as f64,
-            ..OpCounts::zero()
-        }
-    }
-
-    /// Operation counts of one GD-shaped epoch on the *materialized*
-    /// table: two plain GEMMs against `T`, no gather/scatter traffic.
-    pub fn materialized_epoch_op_counts(&self, x_cols: usize) -> OpCounts {
-        OpCounts::materialized_epoch(self.target_cells(), x_cols)
     }
 }
 
@@ -216,25 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn epoch_counts_double_the_single_op() {
-        let ft = running_example();
-        let single = ft.lmm_op_counts(1);
-        let epoch = ft.epoch_op_counts(1);
-        assert_eq!(epoch.gemm_flops, 2.0 * single.gemm_flops);
-        assert_eq!(epoch.traffic_cells, 2.0 * single.traffic_cells);
-        assert_eq!(epoch.correction_cells, 2.0 * single.correction_cells);
-        assert_eq!(epoch.dispatch_calls, 2.0 * single.dispatch_calls);
-    }
-
-    #[test]
     fn materialize_counts_cover_target_and_sources() {
-        let ft = running_example();
-        let c = ft.materialize_op_counts();
-        // 6×4 target + S1 gathered 4·3 + S2 gathered 3·3 − 2 redundant.
-        assert_eq!(c.assembly_cells, 24.0 + 12.0 + (9.0 - 2.0));
-        assert_eq!(c.gemm_flops, 0.0);
-        assert_eq!(c.dispatch_calls, 2.0);
-        let m = ft.materialized_epoch_op_counts(3);
+        // Running example: S1 gathers 4·3 cells, S2 3·3 − 2 redundant.
+        assert_eq!(OpCounts::assembly_source_cells(4, 3, 0), 12.0);
+        assert_eq!(OpCounts::assembly_source_cells(3, 3, 2), 7.0);
+        let m = OpCounts::materialized_epoch(24, 3);
         assert_eq!(m.gemm_flops, 4.0 * 24.0 * 3.0);
         assert_eq!(m.assembly_cells, 0.0);
         assert_eq!(m.dispatch_calls, 2.0);
@@ -243,8 +190,8 @@ mod tests {
     #[test]
     fn counts_scale_with_x_cols() {
         let ft = running_example();
-        let one = ft.epoch_op_counts(1);
-        let four = ft.epoch_op_counts(4);
+        let one = ft.lmm_op_counts(1);
+        let four = ft.lmm_op_counts(4);
         assert_eq!(four.gemm_flops, 4.0 * one.gemm_flops);
         assert_eq!(four.traffic_cells, 4.0 * one.traffic_cells);
         // Dispatch overhead is per call, not per operand column.

@@ -41,8 +41,13 @@
 //! columns of `X` independently, and a slot subtracts its `j ∈ Z_g`
 //! terms in ascending `j` whatever the width. The only width-sensitive
 //! step is the `Dₖ` GEMM, which [`FactorizedTable::lmm_colstable_into`]
-//! routes through `matmul_colstable_into`: column `j` of a batch is then
-//! bit-identical to that column served alone, by construction.
+//! routes through `matmul_colstable_into`: column `j` of the result then
+//! depends on column `j` of `X` alone, bit for bit. The serving layer
+//! sends every predict through that entry point, so a request of any
+//! width gets the same bytes alone or coalesced — one path, not two
+//! kernels pinned equal. `lmm_into` keeps the width-adaptive packed GEMM
+//! for training, whose wide products need it; the two are selected by
+//! caller, never by operand.
 
 use crate::table::{FactorizedTable, SourcePlan};
 use crate::{FactorizeError, Result};
@@ -74,6 +79,17 @@ impl std::fmt::Display for Strategy {
     }
 }
 
+fn check_shape(op: &'static str, expected: (usize, usize), found: (usize, usize)) -> Result<()> {
+    if expected == found {
+        return Ok(());
+    }
+    Err(FactorizeError::OperandMismatch {
+        op,
+        expected,
+        found,
+    })
+}
+
 impl FactorizedTable {
     /// Left matrix multiplication `T · X` where `X` is `c_T × n`.
     ///
@@ -81,24 +97,9 @@ impl FactorizedTable {
     /// Shape errors, or [`FactorizeError::UnsupportedByStrategy`] when the
     /// Morpheus rule is requested for overlapping sources.
     pub fn lmm(&self, x: &DenseMatrix, strategy: Strategy) -> Result<DenseMatrix> {
-        let (rows, cols) = self.target_shape();
-        if x.rows() != cols {
-            return Err(FactorizeError::OperandMismatch {
-                op: "lmm",
-                expected: (cols, x.cols()),
-                found: x.shape(),
-            });
-        }
-        crate::metrics::LMM_CALLS.inc();
-        crate::metrics::record_strategy(strategy);
-        match strategy {
-            Strategy::Compressed => self.lmm_compressed(x, rows),
-            Strategy::Sparse => self.lmm_sparse(x, rows),
-            Strategy::Morpheus => {
-                self.ensure_disjoint("lmm")?;
-                self.lmm_morpheus(x, rows)
-            }
-        }
+        let mut out = DenseMatrix::zeros(self.target_shape().0, x.cols());
+        self.lmm_core_into(x, &mut out, &mut Workspace::new(), strategy, false)?;
+        Ok(out)
     }
 
     /// Compressed-strategy `T · X` written into the caller-owned `out`
@@ -114,33 +115,15 @@ impl FactorizedTable {
         out: &mut DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<()> {
-        let (rows, cols) = self.target_shape();
-        if x.rows() != cols {
-            return Err(FactorizeError::OperandMismatch {
-                op: "lmm",
-                expected: (cols, x.cols()),
-                found: x.shape(),
-            });
-        }
-        if out.shape() != (rows, x.cols()) {
-            return Err(FactorizeError::OperandMismatch {
-                op: "lmm_into",
-                expected: (rows, x.cols()),
-                found: out.shape(),
-            });
-        }
-        crate::metrics::LMM_CALLS.inc();
-        crate::metrics::record_strategy(Strategy::Compressed);
-        self.lmm_compressed_into(x, out, ws, false)
+        self.lmm_core_into(x, out, ws, Strategy::Compressed, false)
     }
 
     /// Compressed-strategy `T · X` with a **column-stable** summation
-    /// order: column `j` of the result is bit-identical to
-    /// `lmm_into(col_j, …)` computed on its own, regardless of how many
-    /// other columns share the call. This is the batching contract of
-    /// the serving layer — predictions coalesced into one factorized
-    /// multiply return exactly the bytes each would have produced served
-    /// individually.
+    /// order: column `j` of the result is a function of column `j` of
+    /// `x` alone, bit for bit, regardless of how many other columns
+    /// share the call (and equals `lmm_into(col_j, …)`). This is the
+    /// batching contract of the serving layer, which sends every
+    /// predict — alone or coalesced — through this one entry point.
     ///
     /// The scatter, slot-correction and gather phases of the compressed
     /// rewrite are per-column independent (module docs); the only
@@ -156,24 +139,7 @@ impl FactorizedTable {
         out: &mut DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<()> {
-        let (rows, cols) = self.target_shape();
-        if x.rows() != cols {
-            return Err(FactorizeError::OperandMismatch {
-                op: "lmm_colstable",
-                expected: (cols, x.cols()),
-                found: x.shape(),
-            });
-        }
-        if out.shape() != (rows, x.cols()) {
-            return Err(FactorizeError::OperandMismatch {
-                op: "lmm_colstable_into",
-                expected: (rows, x.cols()),
-                found: out.shape(),
-            });
-        }
-        crate::metrics::LMM_COLSTABLE_CALLS.inc();
-        crate::metrics::record_strategy(Strategy::Compressed);
-        self.lmm_compressed_into(x, out, ws, true)
+        self.lmm_core_into(x, out, ws, Strategy::Compressed, true)
     }
 
     /// Compressed-strategy `Tᵀ · X` written into the caller-owned `out`
@@ -188,24 +154,7 @@ impl FactorizedTable {
         out: &mut DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<()> {
-        let (rows, cols) = self.target_shape();
-        if x.rows() != rows {
-            return Err(FactorizeError::OperandMismatch {
-                op: "lmm_transpose",
-                expected: (rows, x.cols()),
-                found: x.shape(),
-            });
-        }
-        if out.shape() != (cols, x.cols()) {
-            return Err(FactorizeError::OperandMismatch {
-                op: "lmm_transpose_into",
-                expected: (cols, x.cols()),
-                found: out.shape(),
-            });
-        }
-        crate::metrics::LMM_TRANSPOSE_CALLS.inc();
-        crate::metrics::record_strategy(Strategy::Compressed);
-        self.lmm_t_compressed_into(x, out, ws)
+        self.lmm_transpose_core_into(x, out, ws, Strategy::Compressed)
     }
 
     /// Transposed multiplication `Tᵀ · X` where `X` is `r_T × n`.
@@ -216,24 +165,9 @@ impl FactorizedTable {
     /// # Errors
     /// Shape errors, or strategy errors as in [`Self::lmm`].
     pub fn lmm_transpose(&self, x: &DenseMatrix, strategy: Strategy) -> Result<DenseMatrix> {
-        let (rows, cols) = self.target_shape();
-        if x.rows() != rows {
-            return Err(FactorizeError::OperandMismatch {
-                op: "lmm_transpose",
-                expected: (rows, x.cols()),
-                found: x.shape(),
-            });
-        }
-        crate::metrics::LMM_TRANSPOSE_CALLS.inc();
-        crate::metrics::record_strategy(strategy);
-        match strategy {
-            Strategy::Compressed => self.lmm_t_compressed(x, cols),
-            Strategy::Sparse => self.lmm_t_sparse(x, cols),
-            Strategy::Morpheus => {
-                self.ensure_disjoint("lmm_transpose")?;
-                self.lmm_t_morpheus(x, cols)
-            }
-        }
+        let mut out = DenseMatrix::zeros(self.target_shape().1, x.cols());
+        self.lmm_transpose_core_into(x, &mut out, &mut Workspace::new(), strategy)?;
+        Ok(out)
     }
 
     /// Right matrix multiplication `X · T` where `X` is `n × r_T`,
@@ -242,14 +176,7 @@ impl FactorizedTable {
     /// # Errors
     /// Shape errors, or strategy errors as in [`Self::lmm`].
     pub fn rmm(&self, x: &DenseMatrix, strategy: Strategy) -> Result<DenseMatrix> {
-        let (rows, _) = self.target_shape();
-        if x.cols() != rows {
-            return Err(FactorizeError::OperandMismatch {
-                op: "rmm",
-                expected: (x.rows(), rows),
-                found: x.shape(),
-            });
-        }
+        check_shape("rmm", (x.rows(), self.target_shape().0), x.shape())?;
         Ok(self.lmm_transpose(&x.transpose(), strategy)?.transpose())
     }
 
@@ -355,22 +282,41 @@ impl FactorizedTable {
         self.col_sums().iter().sum()
     }
 
-    // --- Compressed strategy ---------------------------------------------
+    // --- One validated core per operator (compressed strategy inline) ----
 
-    fn lmm_compressed(&self, x: &DenseMatrix, rows: usize) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(rows, x.cols());
-        let mut ws = Workspace::new();
-        self.lmm_compressed_into(x, &mut out, &mut ws, false)?;
-        Ok(out)
-    }
-
-    fn lmm_compressed_into(
+    /// The one place `T · X` is validated, counted and executed.
+    /// `colstable` (compressed strategy only) pins the `Dₖ` GEMM's
+    /// summation order per column and selects the `lmm_colstable` names.
+    fn lmm_core_into(
         &self,
         x: &DenseMatrix,
         out: &mut DenseMatrix,
         ws: &mut Workspace,
+        strategy: Strategy,
         colstable: bool,
     ) -> Result<()> {
+        let (rows, cols) = self.target_shape();
+        let (op, op_into, calls) = if colstable {
+            (
+                "lmm_colstable",
+                "lmm_colstable_into",
+                &crate::metrics::LMM_COLSTABLE_CALLS,
+            )
+        } else {
+            ("lmm", "lmm_into", &crate::metrics::LMM_CALLS)
+        };
+        check_shape(op, (cols, x.cols()), x.shape())?;
+        check_shape(op_into, (rows, x.cols()), out.shape())?;
+        calls.inc();
+        crate::metrics::record_strategy(strategy);
+        match strategy {
+            Strategy::Compressed => {}
+            Strategy::Sparse => return self.lmm_sparse(x, out),
+            Strategy::Morpheus => {
+                self.ensure_disjoint("lmm")?;
+                return self.lmm_morpheus(x, out);
+            }
+        }
         let n = x.cols();
         let (mut gathered, mut corrected) = (0, 0);
         if self.num_sources() == 0 {
@@ -449,19 +395,27 @@ impl FactorizedTable {
         Ok(())
     }
 
-    fn lmm_t_compressed(&self, x: &DenseMatrix, cols: usize) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(cols, x.cols());
-        let mut ws = Workspace::new();
-        self.lmm_t_compressed_into(x, &mut out, &mut ws)?;
-        Ok(out)
-    }
-
-    fn lmm_t_compressed_into(
+    /// The one place `Tᵀ · X` is validated, counted and executed.
+    fn lmm_transpose_core_into(
         &self,
         x: &DenseMatrix,
         out: &mut DenseMatrix,
         ws: &mut Workspace,
+        strategy: Strategy,
     ) -> Result<()> {
+        let (rows, cols) = self.target_shape();
+        check_shape("lmm_transpose", (rows, x.cols()), x.shape())?;
+        check_shape("lmm_transpose_into", (cols, x.cols()), out.shape())?;
+        crate::metrics::LMM_TRANSPOSE_CALLS.inc();
+        crate::metrics::record_strategy(strategy);
+        match strategy {
+            Strategy::Compressed => {}
+            Strategy::Sparse => return self.lmm_t_sparse(x, out),
+            Strategy::Morpheus => {
+                self.ensure_disjoint("lmm_transpose")?;
+                return self.lmm_t_morpheus(x, out);
+            }
+        }
         let n = x.cols();
         let (mut scattered, mut corrected) = (0, 0);
         out.as_mut_slice().fill(0.0);
@@ -516,22 +470,22 @@ impl FactorizedTable {
         Ok(tk.hadamard(&s.redundancy.to_dense())?)
     }
 
-    fn lmm_sparse(&self, x: &DenseMatrix, rows: usize) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(rows, x.cols());
+    fn lmm_sparse(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
+        out.as_mut_slice().fill(0.0);
         for k in 0..self.num_sources() {
             let masked = self.masked_intermediate(k)?;
             out.add_assign(&masked.matmul(x)?)?;
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn lmm_t_sparse(&self, x: &DenseMatrix, cols: usize) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(cols, x.cols());
+    fn lmm_t_sparse(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
+        out.as_mut_slice().fill(0.0);
         for k in 0..self.num_sources() {
             let masked = self.masked_intermediate(k)?;
             out.add_assign(&masked.transpose_matmul(x)?)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     // --- Morpheus strategy (Equation 1 baseline) ---------------------------
@@ -555,28 +509,28 @@ impl FactorizedTable {
         Ok(())
     }
 
-    fn lmm_morpheus(&self, x: &DenseMatrix, rows: usize) -> Result<DenseMatrix> {
+    fn lmm_morpheus(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
         // Iₖ(Dₖ · X[mapped cols of k, ]) — the partition X[1:c_S1,] etc. of
         // rule (1) generalized to explicit per-source column lists.
-        let mut out = DenseMatrix::zeros(rows, x.cols());
+        out.as_mut_slice().fill(0.0);
         for (s, d) in self.metadata().sources.iter().zip(self.source_data()) {
             let xk = x.scatter_rows_add(s.mapping.compressed(), s.mapping.source_cols())?;
             let local = d.matmul(&xk)?;
             let lifted = local.gather_rows(s.indicator.compressed())?;
             out.add_assign(&lifted)?;
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn lmm_t_morpheus(&self, x: &DenseMatrix, cols: usize) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(cols, x.cols());
+    fn lmm_t_morpheus(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
+        out.as_mut_slice().fill(0.0);
         for (s, d) in self.metadata().sources.iter().zip(self.source_data()) {
             let xk = x.scatter_rows_add(s.indicator.compressed(), s.indicator.source_rows())?;
             let local = d.transpose_matmul(&xk)?;
             let lifted = local.gather_rows(s.mapping.compressed())?;
             out.add_assign(&lifted)?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -841,6 +795,45 @@ mod tests {
         assert!(ft
             .rmm(&DenseMatrix::zeros(2, 5), Strategy::Compressed)
             .is_err());
+    }
+
+    #[test]
+    fn every_lmm_entry_point_names_itself_in_shape_errors() {
+        let ft = running_example();
+        let (rows, cols) = ft.target_shape();
+        let ws = &mut Workspace::new();
+        let (x, y) = (DenseMatrix::zeros(cols, 2), DenseMatrix::zeros(rows, 2));
+        // One row too many for either operator, and an output no call fits.
+        let bad_x = DenseMatrix::zeros(cols + 1, 2);
+        let bad_y = DenseMatrix::zeros(rows + 1, 2);
+        let out = &mut DenseMatrix::zeros(rows, 2);
+        let out_t = &mut DenseMatrix::zeros(cols, 2);
+        let bad_out = &mut DenseMatrix::zeros(rows + cols, 3);
+        let cases = [
+            ("lmm", ft.lmm(&bad_x, Strategy::Compressed).map(drop)),
+            ("lmm", ft.lmm(&bad_x, Strategy::Sparse).map(drop)),
+            ("lmm", ft.lmm_into(&bad_x, out, ws)),
+            ("lmm_into", ft.lmm_into(&x, bad_out, ws)),
+            ("lmm_colstable", ft.lmm_colstable_into(&bad_x, out, ws)),
+            ("lmm_colstable_into", ft.lmm_colstable_into(&x, bad_out, ws)),
+            (
+                "lmm_transpose",
+                ft.lmm_transpose(&bad_y, Strategy::Compressed).map(drop),
+            ),
+            ("lmm_transpose", ft.lmm_transpose_into(&bad_y, out_t, ws)),
+            ("lmm_transpose_into", ft.lmm_transpose_into(&y, bad_out, ws)),
+            ("rmm", ft.rmm(&bad_y, Strategy::Compressed).map(drop)),
+        ];
+        for (want, got) in cases {
+            match got {
+                Err(FactorizeError::OperandMismatch { op, .. }) => assert_eq!(op, want),
+                other => panic!("{want}: expected OperandMismatch, got {other:?}"),
+            }
+        }
+        // The same wrappers accept well-shaped operands.
+        ft.lmm_into(&x, out, ws).unwrap();
+        ft.lmm_colstable_into(&x, out, ws).unwrap();
+        ft.lmm_transpose_into(&y, out_t, ws).unwrap();
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //! 2. **Batching dispatcher**: holds an admitted predict open for
 //!    [`ServerConfig::batch_window`], coalescing same-(dataset, version)
 //!    predicts into one GEMM of at most
-//!    [`ServerConfig::max_batch_cols`] columns. Batching is possible
-//!    *only because* the factorized kernels expose a column-stable
-//!    variant (`FactorizedTable::lmm_colstable_into`): column `j` of a
-//!    batched multiply is bit-identical to serving that column alone,
-//!    so coalescing is purely a throughput decision — it can never
-//!    change a client's answer.
+//!    [`ServerConfig::max_batch_cols`] columns. Every predict — alone
+//!    or coalesced, one column or many — runs the same column-stable
+//!    kernel (`FactorizedTable::lmm_colstable_into`), in which column
+//!    `j` of the product depends on column `j` of the operand alone,
+//!    bit for bit. There is no second predict path for a request to
+//!    take, so coalescing is purely a throughput decision — it cannot
+//!    change a client's answer, whatever the request's width.
 //! 3. **Workers**: a fixed pool, each thread leasing its own shard of a
 //!    [`amalur_matrix::WorkspaceArena`]. After warm-up, steady-state
 //!    serving performs **zero fresh workspace allocations** (observable
@@ -33,6 +34,9 @@
 //!    caps its kernel parallelism with
 //!    [`amalur_matrix::set_thread_budget`] so `workers × kernel threads`
 //!    never exceeds the machine.
+//!
+//! Everything the server counts lives in its obs registry
+//! ([`ServerHandle::metrics`]); [`ServerHandle::stats`] is a view of it.
 //!
 //! [`Server::shutdown`] drains: admission stops (typed
 //! [`ServeError::ShuttingDown`]), every already-admitted request still

@@ -34,6 +34,8 @@ pub(crate) struct ServerMetrics {
     pub batch_width_cols: MetricHandle<Histogram>,
     /// Requests coalesced into each dispatched predict batch.
     pub batch_jobs: MetricHandle<Histogram>,
+    /// Predict requests that shared a batch with at least one other.
+    pub coalesced_predicts: MetricHandle<Counter>,
     /// Batch width as a percentage of `max_batch_cols` — how full the
     /// batching window was when it closed.
     pub window_occupancy_pct: MetricHandle<Histogram>,
@@ -66,6 +68,7 @@ impl ServerMetrics {
             train_queue_wait_us: registry.histogram("serve.train.queue_wait_us"),
             batch_width_cols: registry.histogram("serve.batch.width_cols"),
             batch_jobs: registry.histogram("serve.batch.jobs"),
+            coalesced_predicts: registry.counter("serve.batch.coalesced_predicts"),
             window_occupancy_pct: registry.histogram("serve.batch.window_occupancy_pct"),
             predict_requests: registry.counter("serve.requests.predict"),
             train_requests: registry.counter("serve.requests.train"),
@@ -122,6 +125,7 @@ mod tests {
             "serve.requests.predict",
             "serve.requests.train",
             "serve.requests.rejected",
+            "serve.batch.coalesced_predicts",
             "serve.worker.busy_us",
             "matrix.gemm.packed_dispatches",
             "factorize.lmm_colstable.calls",

@@ -24,7 +24,7 @@ use amalur_ml::{LinearRegression, MlError};
 use amalur_obs::{span, MetricsRegistry, MetricsSnapshot};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -61,44 +61,28 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters exposed by [`ServerHandle::stats`].
+/// Monotonic counters exposed by [`ServerHandle::stats`] — a view of
+/// the obs registry ([`ServerHandle::metrics`]), which is the only place
+/// the serving layer counts anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Requests admitted past the bounded queue.
+    /// Requests admitted past the bounded queue
+    /// (`serve.requests.predict` + `serve.requests.train`).
     pub accepted: u64,
-    /// Requests rejected with [`ServeError::Overloaded`].
+    /// Requests rejected with [`ServeError::Overloaded`]
+    /// (`serve.requests.rejected`).
     pub rejected: u64,
-    /// GEMM dispatches on the predict path (batched or solo).
+    /// GEMM dispatches on the predict path, one per batch of any size
+    /// (samples of `serve.batch.jobs`).
     pub predict_batches: u64,
-    /// Predict requests that shared a GEMM with at least one other.
+    /// Predict requests that shared a GEMM with at least one other
+    /// (`serve.batch.coalesced_predicts`).
     pub coalesced_predicts: u64,
-    /// Predict requests completed.
+    /// Predict requests completed (samples of
+    /// `serve.predict.latency_us`).
     pub predicts_done: u64,
-    /// Train requests completed.
+    /// Train requests completed (samples of `serve.train.latency_us`).
     pub trains_done: u64,
-}
-
-#[derive(Debug, Default)]
-struct Stats {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    predict_batches: AtomicU64,
-    coalesced_predicts: AtomicU64,
-    predicts_done: AtomicU64,
-    trains_done: AtomicU64,
-}
-
-impl Stats {
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            predict_batches: self.predict_batches.load(Ordering::Relaxed),
-            coalesced_predicts: self.coalesced_predicts.load(Ordering::Relaxed),
-            predicts_done: self.predicts_done.load(Ordering::Relaxed),
-            trains_done: self.trains_done.load(Ordering::Relaxed),
-        }
-    }
 }
 
 struct PredictJob {
@@ -143,7 +127,6 @@ struct Inner {
     queue_capacity: usize,
     accepting: AtomicBool,
     arena: Arc<WorkspaceArena>,
-    stats: Arc<Stats>,
     metrics: ServerMetrics,
 }
 
@@ -231,9 +214,17 @@ impl ServerHandle {
         self.submit_train(req)?.wait()
     }
 
-    /// Current counter values.
+    /// Current counter values, read from the metrics registry.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        let m = &self.inner.metrics;
+        StatsSnapshot {
+            accepted: m.predict_requests.get() + m.train_requests.get(),
+            rejected: m.rejected_requests.get(),
+            predict_batches: m.batch_jobs.count(),
+            coalesced_predicts: m.coalesced_predicts.get(),
+            predicts_done: m.predict_latency_us.count(),
+            trains_done: m.train_latency_us.count(),
+        }
     }
 
     /// A point-in-time snapshot of the server's metrics registry:
@@ -277,12 +268,8 @@ impl ServerHandle {
             return Err(ServeError::ShuttingDown);
         }
         match self.inner.queue_tx.try_send(job) {
-            Ok(()) => {
-                self.inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
+            Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => {
-                self.inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 self.inner.metrics.rejected_requests.inc();
                 Err(ServeError::Overloaded {
                     capacity: self.inner.queue_capacity,
@@ -329,28 +316,23 @@ impl Server {
         let (work_tx, work_rx) = channel::bounded::<Work>(workers);
 
         let arena = Arc::new(WorkspaceArena::new(workers));
-        let stats = Arc::new(Stats::default());
         let metrics = ServerMetrics::new();
 
         let mut worker_handles = Vec::with_capacity(workers);
         for idx in 0..workers {
             let rx = work_rx.clone();
             let arena = Arc::clone(&arena);
-            let stats = Arc::clone(&stats);
             let metrics = metrics.clone();
             worker_handles.push(
                 thread::Builder::new()
                     .name(format!("amalur-serve-worker-{idx}"))
-                    .spawn(move || {
-                        run_worker(idx, per_worker_threads, &rx, &arena, &stats, &metrics)
-                    })
+                    .spawn(move || run_worker(idx, per_worker_threads, &rx, &arena, &metrics))
                     .map_err(ServeError::Spawn)?,
             );
         }
         drop(work_rx);
 
         let dispatcher = {
-            let stats = Arc::clone(&stats);
             let metrics = metrics.clone();
             let window = config.batch_window;
             thread::Builder::new()
@@ -362,7 +344,6 @@ impl Server {
                         window,
                         max_batch_cols,
                         workers,
-                        &stats,
                         &metrics,
                     )
                 })
@@ -377,7 +358,6 @@ impl Server {
                     queue_capacity,
                     accepting: AtomicBool::new(true),
                     arena,
-                    stats,
                     metrics,
                 }),
             },
@@ -419,7 +399,6 @@ fn run_dispatcher(
     window: Duration,
     max_batch_cols: usize,
     workers: usize,
-    stats: &Stats,
     metrics: &ServerMetrics,
 ) {
     let mut deferred: VecDeque<Job> = VecDeque::new();
@@ -472,11 +451,8 @@ fn run_dispatcher(
                         }
                     }
                 }
-                stats.predict_batches.fetch_add(1, Ordering::Relaxed);
                 if batch.len() > 1 {
-                    stats
-                        .coalesced_predicts
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    metrics.coalesced_predicts.add(batch.len() as u64);
                 }
                 metrics.batch_width_cols.record(cols as u64);
                 metrics.batch_jobs.record(batch.len() as u64);
@@ -499,7 +475,6 @@ fn run_worker(
     kernel_threads: usize,
     work_rx: &Receiver<Work>,
     arena: &WorkspaceArena,
-    stats: &Stats,
     metrics: &ServerMetrics,
 ) {
     // The satellite guard: each worker caps its kernel parallelism so
@@ -512,10 +487,7 @@ fn run_worker(
         let exec_start = metrics.now_us();
         match work {
             Work::Shutdown => break,
-            // Counters bump BEFORE the replies go out, so a client that
-            // has its response in hand always observes them counted.
             Work::Train(job) => {
-                stats.trains_done.fetch_add(1, Ordering::Relaxed);
                 metrics
                     .train_queue_wait_us
                     .record(exec_start.saturating_sub(job.admitted_us));
@@ -524,9 +496,6 @@ fn run_worker(
                 execute_train(job, &mut ws, metrics);
             }
             Work::PredictBatch(jobs) => {
-                stats
-                    .predicts_done
-                    .fetch_add(jobs.len() as u64, Ordering::Relaxed);
                 for job in &jobs {
                     metrics
                         .queue_wait_us
@@ -561,110 +530,92 @@ fn execute_train(job: TrainJob, ws: &mut Workspace, metrics: &ServerMetrics) {
             })
         });
     // Latency records BEFORE the reply goes out, so a client holding
-    // its response always finds its request in the histogram.
+    // its response always finds its request in the histogram — and in
+    // `stats()`, whose done counts are this histogram's sample counts.
     metrics
         .train_latency_us
         .record(metrics.now_us().saturating_sub(job.admitted_us));
     let _ = job.reply.send(result);
 }
 
-/// Runs one (dataset, version) batch through a single column-stable
-/// GEMM and scatters the result columns back to their requesters.
+/// Runs one (dataset, version) batch — a lone request is a batch of one
+/// — through the single column-stable GEMM and hands each requester its
+/// own columns. Column `j` of that product depends on column `j` of the
+/// operand alone, so a request's bytes cannot depend on its companions.
 /// Scratch (the coalesced rhs/out) comes from the worker's arena shard,
 /// so steady-state batches allocate nothing fresh; only the response
 /// matrices handed to clients are freshly allocated.
 fn execute_predict_batch(jobs: Vec<PredictJob>, ws: &mut Workspace, metrics: &ServerMetrics) {
-    let batched_with = jobs.len();
-
-    if batched_with <= 1 {
-        // The dispatcher never sends an empty batch; an empty Vec simply
-        // has no requester to answer.
-        if let Some(job) = jobs.into_iter().next() {
-            let (r_t, _) = job.table.target_shape();
-            let k = job.features.cols();
-            let mut out = ws.take_matrix(r_t, k);
-            let result = job
-                .table
-                .lmm_into(&job.features, &mut out, ws)
-                .map(|()| PredictResponse {
-                    dataset: job.dataset.clone(),
-                    version: job.version,
-                    predictions: out.clone(),
-                    batched_with,
-                })
-                .map_err(ServeError::from);
-            ws.give_matrix(out);
-            metrics
-                .predict_latency_us
-                .record(metrics.now_us().saturating_sub(job.admitted_us));
-            let _ = job.reply.send(result);
-        }
-        return;
-    }
-
-    let table = &jobs[0].table;
-    let (r_t, c_t) = table.target_shape();
-
+    // The dispatcher never sends an empty batch; an empty Vec simply has
+    // no requester to answer.
+    let Some(first) = jobs.first() else { return };
+    let (r_t, c_t) = first.table.target_shape();
     let total_cols: usize = jobs.iter().map(|j| j.features.cols()).sum();
+
     let mut rhs = ws.take_matrix(c_t, total_cols);
-    {
-        // Column-concatenate the requests' feature matrices (row-major).
-        let dst = rhs.as_mut_slice();
-        let mut offset = 0;
-        for job in &jobs {
-            let k = job.features.cols();
-            let src = job.features.as_slice();
-            for i in 0..c_t {
-                dst[i * total_cols + offset..i * total_cols + offset + k]
-                    .copy_from_slice(&src[i * k..(i + 1) * k]);
-            }
-            offset += k;
-        }
+    let mut offset = 0;
+    for job in &jobs {
+        let k = job.features.cols();
+        copy_columns(
+            (job.features.as_slice(), k, 0),
+            (rhs.as_mut_slice(), total_cols, offset),
+            k,
+        );
+        offset += k;
     }
     let mut out = ws.take_matrix(r_t, total_cols);
-    let gemm = table
-        .lmm_colstable_into(&rhs, &mut out, ws)
-        .map_err(ServeError::from);
+    // Shapes were validated at admission, so a failure here is
+    // exceptional; every requester learns about it, typed.
+    let product = first.table.lmm_colstable_into(&rhs, &mut out, ws);
 
-    match gemm {
-        Err(e) => {
-            // Shapes were validated at admission, so this is exceptional;
-            // every requester learns about it.
-            let msg = format!("{e}");
-            for job in &jobs {
-                metrics
-                    .predict_latency_us
-                    .record(metrics.now_us().saturating_sub(job.admitted_us));
-                let _ = job.reply.send(Err(ServeError::BadRequest(msg.clone())));
-            }
-        }
-        Ok(()) => {
-            let src = out.as_slice();
-            let mut offset = 0;
-            for job in &jobs {
-                let k = job.features.cols();
+    let mut offset = 0;
+    for job in &jobs {
+        let k = job.features.cols();
+        let reply = match &product {
+            Ok(()) => {
                 let mut predictions = DenseMatrix::zeros(r_t, k);
-                {
-                    let dst = predictions.as_mut_slice();
-                    for i in 0..r_t {
-                        dst[i * k..(i + 1) * k].copy_from_slice(
-                            &src[i * total_cols + offset..i * total_cols + offset + k],
-                        );
-                    }
-                }
-                offset += k;
-                metrics
-                    .predict_latency_us
-                    .record(metrics.now_us().saturating_sub(job.admitted_us));
-                let _ = job.reply.send(Ok(PredictResponse {
+                copy_columns(
+                    (out.as_slice(), total_cols, offset),
+                    (predictions.as_mut_slice(), k, 0),
+                    k,
+                );
+                Ok(PredictResponse {
                     dataset: job.dataset.clone(),
                     version: job.version,
                     predictions,
-                    batched_with,
-                }));
+                    batched_with: jobs.len(),
+                })
             }
-        }
+            Err(e) => Err(ServeError::Factorize(e.clone())),
+        };
+        offset += k;
+        // Recorded BEFORE the reply goes out, as for trains.
+        metrics
+            .predict_latency_us
+            .record(metrics.now_us().saturating_sub(job.admitted_us));
+        let _ = job.reply.send(reply);
     }
     ws.give_matrix(rhs);
     ws.give_matrix(out);
+}
+
+/// Copies `k` columns between two row-major matrices of equal height,
+/// each given as `(cells, width, first column)`. When the `k` columns
+/// are the whole of both (a request that is its whole batch) this is one
+/// contiguous copy.
+fn copy_columns(
+    (src, src_width, src_at): (&[f64], usize, usize),
+    (dst, dst_width, dst_at): (&mut [f64], usize, usize),
+    k: usize,
+) {
+    if k == src_width && k == dst_width {
+        dst.copy_from_slice(src);
+        return;
+    }
+    for (d, s) in dst
+        .chunks_exact_mut(dst_width)
+        .zip(src.chunks_exact(src_width))
+    {
+        d[dst_at..dst_at + k].copy_from_slice(&s[src_at..src_at + k]);
+    }
 }

@@ -37,6 +37,74 @@ fn feature_col(c_t: usize, tag: u64) -> DenseMatrix {
     DenseMatrix::from_vec(c_t, 1, vals).unwrap()
 }
 
+/// A `c_t × tags.len()` request whose column `j` is `feature_col(tags[j])`.
+fn feature_cols(c_t: usize, tags: &[u64]) -> DenseMatrix {
+    tags[1..].iter().fold(feature_col(c_t, tags[0]), |m, &t| {
+        m.hstack(&feature_col(c_t, t)).unwrap()
+    })
+}
+
+fn bits(m: &DenseMatrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn multi_column_request_is_bit_identical_alone_and_coalesced() {
+    let registry = registry_with("ds", 7);
+    let table = registry.fetch("ds").unwrap().data;
+    let (r_t, c_t) = table.target_shape();
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServerConfig {
+            workers: 1,
+            max_batch_cols: 16,
+            batch_window: Duration::from_millis(50),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let handle = server.handle();
+    let tags = [3, 4, 5];
+    let request = |tags: &[u64]| PredictRequest {
+        dataset: "ds".into(),
+        version: None,
+        features: feature_cols(c_t, tags),
+    };
+
+    // Alone: nothing else is in flight while its window is open.
+    let alone = handle.predict(request(&tags)).unwrap();
+    assert_eq!(alone.batched_with, 1);
+    assert_eq!(alone.predictions.shape(), (r_t, 3));
+
+    // Coalesced behind a two-column companion, so its columns sit at an
+    // offset inside a five-column product.
+    let companion = handle.submit_predict(request(&[8, 9])).unwrap();
+    let ticket = handle.submit_predict(request(&tags)).unwrap();
+    companion.wait().unwrap();
+    let coalesced = ticket.wait().unwrap();
+    assert_eq!(coalesced.batched_with, 2);
+    let differing = bits(&coalesced.predictions)
+        .iter()
+        .zip(bits(&alone.predictions))
+        .filter(|(a, b)| **a != *b)
+        .count();
+    assert_eq!(differing, 0, "of {} cells", r_t * 3);
+
+    // And each column is what that column alone gets from `lmm_into`.
+    let mut ws = amalur_matrix::Workspace::new();
+    let mut single = DenseMatrix::zeros(r_t, 1);
+    for (j, &tag) in tags.iter().enumerate() {
+        table
+            .lmm_into(&feature_col(c_t, tag), &mut single, &mut ws)
+            .unwrap();
+        let served: Vec<u64> = (0..r_t)
+            .map(|i| alone.predictions.get(i, j).to_bits())
+            .collect();
+        assert_eq!(served, bits(&single), "column {j}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn batched_predictions_are_bit_identical_to_unbatched() {
     let registry = registry_with("ds", 7);
@@ -101,14 +169,7 @@ fn batched_predictions_are_bit_identical_to_unbatched() {
         assert_eq!(resp.predictions.shape(), expected.shape());
         // Bit-identical, not approximately equal: the column-stable GEMM
         // guarantees coalescing can never change an answer.
-        let got: Vec<u64> = resp
-            .predictions
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let want: Vec<u64> = expected.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want);
+        assert_eq!(bits(&resp.predictions), bits(expected));
     }
     let stats = handle.stats();
     assert!(
@@ -414,6 +475,19 @@ fn metrics_snapshot_agrees_with_stats_counters() {
         .unwrap();
     let stats = handle.stats();
     let snap = handle.metrics();
+
+    // `stats()` is a view of this registry: each field is one of its
+    // counters or one of its histograms' sample counts.
+    assert_eq!(stats.accepted, 10);
+    assert_eq!(
+        snap.counter("serve.requests.rejected"),
+        Some(stats.rejected)
+    );
+    assert_eq!(
+        snap.counter("serve.batch.coalesced_predicts"),
+        Some(stats.coalesced_predicts)
+    );
+    assert_eq!((stats.predicts_done, stats.trains_done), (9, 1));
 
     // Every completed predict shows up in the latency and queue-wait
     // histograms; every admitted request in its counter.
