@@ -12,7 +12,7 @@ use amalur_federated::{
     party_views, train_vfl, CommStats, FaultPlan, FaultyTransport, HflConfig, PrivacyMode,
     VflConfig,
 };
-use amalur_integration::{integrate_pair, IntegrationOptions, ScenarioKind};
+use amalur_integration::{integrate_pair, IntegrationOptions, IntegrationResult, ScenarioKind};
 use amalur_matrix::DenseMatrix;
 use amalur_ml::{LinRegConfig, LinearRegression, LogRegConfig, LogisticRegression};
 use amalur_relational::Table;
@@ -195,23 +195,8 @@ impl Amalur {
         kind: ScenarioKind,
         opts: &IntegrationOptions,
     ) -> Result<IntegrationHandle> {
-        let lt = self.silo(left)?.clone();
-        let rt = self.silo(right)?.clone();
-        let result = integrate_pair(&lt, &rt, kind, opts)?;
-        self.integration_counter += 1;
-        let id = format!("integration-{}", self.integration_counter);
-        self.catalog.register_integration(DiEntry::from_metadata(
-            id.clone(),
-            kind,
-            &result.metadata,
-            &result.tgds,
-        ))?;
-        let table = FactorizedTable::from_integration(result)?;
-        Ok(IntegrationHandle {
-            id,
-            table,
-            scenario: kind,
-        })
+        let result = integrate_pair(self.silo(left)?, self.silo(right)?, kind, opts)?;
+        self.record_integration(result)
     }
 
     /// Runs the n-ary star DI pipeline: one base silo aligned with many
@@ -227,13 +212,18 @@ impl Amalur {
         kind: amalur_integration::StarKind,
         opts: &IntegrationOptions,
     ) -> Result<IntegrationHandle> {
-        let base_table = self.silo(base)?.clone();
-        let sat_tables: Vec<Table> = satellites
+        let base_table = self.silo(base)?;
+        let sat_tables: Vec<&Table> = satellites
             .iter()
-            .map(|s| self.silo(s).cloned())
+            .map(|s| self.silo(s))
             .collect::<Result<_>>()?;
-        let sat_refs: Vec<&Table> = sat_tables.iter().collect();
-        let result = amalur_integration::integrate_star(&base_table, &sat_refs, kind, opts)?;
+        let result = amalur_integration::integrate_star(base_table, &sat_tables, kind, opts)?;
+        self.record_integration(result)
+    }
+
+    /// The tail every integration shares: take the next catalog id,
+    /// record the DI metadata under it, keep the data factorized.
+    fn record_integration(&mut self, result: IntegrationResult) -> Result<IntegrationHandle> {
         let scenario = result.kind;
         self.integration_counter += 1;
         let id = format!("integration-{}", self.integration_counter);

@@ -16,6 +16,9 @@ use rand::Rng;
 
 /// One party outage: the party is down for rounds `[from_round,
 /// until_round)` and recovers after.
+///
+/// Rounds are *logical* rounds, the unit each protocol's caller counts
+/// in: a FedAvg round, a VFL epoch (both exchanges of the epoch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashWindow {
     /// Crashed party index.

@@ -13,27 +13,27 @@
 //!
 //! # Fault tolerance
 //!
-//! All messages ride on a [`Transport`] (see [`crate::transport`]).
-//! Each round, per party, the orchestrator broadcasts the model and
-//! awaits a round-tagged, checksummed [`Envelope`], retrying with
-//! exponential backoff + deterministic jitter under a per-round virtual
-//! deadline ([`RetryPolicy`]). Corrupt envelopes (checksum failure) and
-//! stale envelopes (old round tag) are rejected and retried; duplicated
-//! deliveries are deduplicated but *accounted* per copy (see
-//! [`CommStats`]). The round aggregates as soon as the responders meet
-//! the [`QuorumPolicy`], reweighting FedAvg by the responding sample
-//! counts; a round below quorum leaves the model untouched, and after
-//! `patience` consecutive such rounds the run returns
-//! [`FederatedError::QuorumLost`] instead of hanging.
+//! All messages ride on a [`Transport`]. Each round, per party, the
+//! orchestrator runs one fault-aware exchange (see [`crate::transport`],
+//! which owns the retry / backoff / deadline loop and its accounting):
+//! the request is the model broadcast, serving it is the silo's local
+//! training, and the reply is a round-tagged, checksummed [`Envelope`]
+//! whose tag and checksum are the accept check. Corrupt and stale
+//! replies are rejected and retried; duplicated deliveries are
+//! deduplicated but *accounted* per copy (see [`CommStats`]). The round
+//! aggregates as soon as the responders meet the [`QuorumPolicy`],
+//! reweighting FedAvg by the responding sample counts; a round below
+//! quorum leaves the model untouched, and after `patience` consecutive
+//! such rounds the run returns [`FederatedError::QuorumLost`] instead
+//! of hanging.
 //!
 //! [`FedAvgOrchestrator`] exposes the round loop step-by-step so runs
 //! can be checkpointed ([`Checkpoint`]) and resumed bit-identically.
 
 use crate::checkpoint::Checkpoint;
 use crate::protocol::CommStats;
-use crate::transport::{
-    backoff_ms, CursorRng, Direction, Envelope, Fate, MessageMeta, ReliableTransport, Transport,
-};
+use crate::transport::{exchange, CursorRng, Envelope, ReliableTransport, Request, Transport};
+pub use crate::transport::{RetryPolicy, RoundEvent, RoundEventKind};
 use crate::{FederatedError, Result};
 use amalur_crypto::dp::LaplaceMechanism;
 use amalur_matrix::DenseMatrix;
@@ -48,39 +48,6 @@ pub struct PartySamples {
     pub x: DenseMatrix,
     /// Local labels (`rows × 1`).
     pub y: DenseMatrix,
-}
-
-/// Retry/timeout/backoff policy for one logical message exchange.
-///
-/// Time is virtual (milliseconds of simulated wall clock); no real
-/// sleeping happens.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Delivery attempts per party per round (first try included).
-    pub max_attempts: usize,
-    /// Per-round virtual deadline per party; replies landing after it
-    /// count as timeouts.
-    pub deadline_ms: u64,
-    /// Virtual time the orchestrator waits before declaring one
-    /// attempt lost.
-    pub attempt_timeout_ms: u64,
-    /// Base of the exponential backoff between attempts.
-    pub backoff_base_ms: u64,
-    /// Jitter fraction applied on top of the exponential backoff
-    /// (deterministic per message, seeded from the run seed).
-    pub backoff_jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            deadline_ms: 2_000,
-            attempt_timeout_ms: 200,
-            backoff_base_ms: 100,
-            backoff_jitter: 0.2,
-        }
-    }
 }
 
 /// When a round may proceed without everyone, and when to give up.
@@ -144,63 +111,6 @@ impl Default for HflConfig {
     }
 }
 
-/// One event on a round's virtual timeline (all times are virtual
-/// milliseconds within the party's round, never wall clock — seeded
-/// runs replay bit-identically, instrumentation included).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundEvent {
-    /// The round the event belongs to.
-    pub round: usize,
-    /// The party involved, or `None` for orchestrator-level events
-    /// (quorum outcomes).
-    pub party: Option<usize>,
-    /// Virtual milliseconds since the party's round started.
-    pub at_ms: u64,
-    /// What happened.
-    pub kind: RoundEventKind,
-}
-
-/// The kinds of [`RoundEvent`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RoundEventKind {
-    /// The party was inside a crash window; no attempts were made.
-    Crashed,
-    /// A retry attempt started (attempt index ≥ 1).
-    Retry {
-        /// The attempt number (first try is 0, so retries start at 1).
-        attempt: usize,
-    },
-    /// Exponential backoff (with deterministic jitter) before a retry.
-    Backoff {
-        /// Virtual milliseconds waited.
-        wait_ms: u64,
-    },
-    /// The per-round deadline passed (or the retry budget ran out)
-    /// without an accepted reply; the party is missing this round.
-    DeadlineExceeded,
-    /// The party's update was accepted.
-    Responded,
-    /// Every party responded and the round aggregated fully.
-    QuorumFull {
-        /// Parties whose updates were aggregated.
-        responded: usize,
-    },
-    /// Quorum met with partial participation; aggregation reweighted.
-    QuorumDegraded {
-        /// Parties whose updates were aggregated.
-        responded: usize,
-        /// Responders the quorum policy required.
-        needed: usize,
-    },
-    /// Below quorum: the round left the model untouched.
-    QuorumSkipped {
-        /// Parties that did respond.
-        responded: usize,
-        /// Responders the quorum policy required.
-        needed: usize,
-    },
-}
-
 /// The trained global model.
 #[derive(Debug, Clone)]
 pub struct HflResult {
@@ -233,14 +143,6 @@ impl HflResult {
         reg.histogram("federated.round.virtual_us")
             .merge_snapshot(&self.round_us);
     }
-}
-
-/// What one party did in one round.
-enum PartyRoundOutcome {
-    /// The party's update arrived in time.
-    Responded(DenseMatrix),
-    /// The party was crashed, timed out, or exhausted its retries.
-    Missing,
 }
 
 /// The fault-tolerant FedAvg round loop, exposed step-by-step so runs
@@ -399,11 +301,9 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
         let mut responders: Vec<(usize, DenseMatrix)> = Vec::with_capacity(n_parties);
         let mut round_elapsed_ms: u64 = 0;
         for k in 0..n_parties {
-            let (outcome, elapsed_ms) = self.run_party_round(k)?;
+            let (theta, elapsed_ms) = self.run_party_round(k)?;
             round_elapsed_ms = round_elapsed_ms.max(elapsed_ms);
-            if let PartyRoundOutcome::Responded(theta) = outcome {
-                responders.push((k, theta));
-            }
+            responders.extend(theta.map(|theta| (k, theta)));
         }
         {
             // Span over the virtual clock: deterministic for a given
@@ -476,192 +376,64 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
         }
     }
 
-    /// One party's full round: broadcast-with-retry, local training,
-    /// upload-with-retry, all under the virtual deadline.
-    fn run_party_round(&mut self, k: usize) -> Result<(PartyRoundOutcome, u64)> {
+    /// One party's full round as one fault-aware exchange: the request
+    /// is the model broadcast, serving it is the silo's local training,
+    /// the reply a sealed [`Envelope`]. Returns the accepted update (if
+    /// any) and the virtual milliseconds the party consumed.
+    fn run_party_round(&mut self, k: usize) -> Result<(Option<DenseMatrix>, u64)> {
         let round = self.round;
-        let retry = self.config.retry;
-        if !self.transport.available(k, round) {
-            self.comm.crash_outages += 1;
-            self.timeline.push(RoundEvent {
-                round,
-                party: Some(k),
-                at_ms: 0,
-                kind: RoundEventKind::Crashed,
-            });
-            return Ok((PartyRoundOutcome::Missing, 0));
-        }
-        let bytes = self.d * 8;
-        let rtt = self.transport.rtt_ms();
-        let mut elapsed: u64 = 0;
-        for attempt in 0..retry.max_attempts {
-            if attempt > 0 {
-                self.comm.retries += 1;
-                let wait_ms = backoff_ms(
-                    retry.backoff_base_ms,
-                    retry.backoff_jitter,
-                    self.config.seed,
-                    round,
-                    k,
-                    attempt,
-                );
-                self.timeline.push(RoundEvent {
-                    round,
-                    party: Some(k),
-                    at_ms: elapsed,
-                    kind: RoundEventKind::Retry { attempt },
-                });
-                self.timeline.push(RoundEvent {
-                    round,
-                    party: Some(k),
-                    at_ms: elapsed,
-                    kind: RoundEventKind::Backoff { wait_ms },
-                });
-                elapsed += wait_ms;
-            }
-            if elapsed > retry.deadline_ms {
-                break;
-            }
-
-            // --- downlink: broadcast the global model -------------------
-            let down_meta = MessageMeta {
-                round,
-                party: k,
-                direction: Direction::Down,
-                attempt,
-                bytes,
-            };
-            self.comm.record_attempt(Direction::Down, bytes);
-            match self.transport.fate(&down_meta) {
-                Fate::Dropped => {
-                    self.comm.drops += 1;
-                    elapsed += retry.attempt_timeout_ms;
-                    continue;
-                }
-                Fate::Corrupted { delay_ms } | Fate::Stale { delay_ms, .. } => {
-                    // The party discards the damaged/stale broadcast and
-                    // stays silent; the orchestrator times the attempt out.
-                    self.comm.corrupt_rejected += 1;
-                    if delay_ms > rtt {
-                        self.comm.stragglers += 1;
-                    }
-                    elapsed += delay_ms.max(retry.attempt_timeout_ms);
-                    continue;
-                }
-                Fate::Delivered { delay_ms, copies } => {
-                    self.comm
-                        .record_duplicates(Direction::Down, bytes, copies - 1);
-                    if delay_ms > rtt {
-                        self.comm.stragglers += 1;
-                    }
-                    elapsed += delay_ms;
-                }
-            }
-            if elapsed > retry.deadline_ms {
-                break;
-            }
-
-            // --- local training in the silo -----------------------------
-            let theta = self.local_update(k)?;
-
-            // --- uplink: round-tagged, checksummed envelope -------------
-            let p = &self.parties[k];
-            let mut env = Envelope::new(round, k, p.x.rows(), theta.as_slice().to_vec());
-            let up_meta = MessageMeta {
-                round,
-                party: k,
-                direction: Direction::Up,
-                attempt,
-                bytes,
-            };
-            self.comm.record_attempt(Direction::Up, bytes);
-            match self.transport.fate(&up_meta) {
-                Fate::Dropped => {
-                    self.comm.drops += 1;
-                    elapsed += retry.attempt_timeout_ms;
-                    continue;
-                }
-                Fate::Corrupted { delay_ms } => {
-                    env.corrupt_in_flight(self.config.seed ^ (round as u64) << 16 ^ attempt as u64);
-                    debug_assert!(!env.verify());
-                    self.comm.corrupt_rejected += 1;
-                    if delay_ms > rtt {
-                        self.comm.stragglers += 1;
-                    }
-                    elapsed += delay_ms.max(retry.attempt_timeout_ms);
-                    continue;
-                }
-                Fate::Stale {
-                    delay_ms,
-                    stale_round,
-                } => {
-                    env.round = stale_round;
-                    debug_assert!(env.round != round);
-                    self.comm.stale_rejected += 1;
-                    if delay_ms > rtt {
-                        self.comm.stragglers += 1;
-                    }
-                    elapsed += delay_ms.max(retry.attempt_timeout_ms);
-                    continue;
-                }
-                Fate::Delivered { delay_ms, copies } => {
-                    self.comm
-                        .record_duplicates(Direction::Up, bytes, copies - 1);
-                    if delay_ms > rtt {
-                        self.comm.stragglers += 1;
-                    }
-                    elapsed += delay_ms;
-                    if elapsed > retry.deadline_ms {
-                        // The straggler's update landed after the round
-                        // closed — too late to aggregate.
-                        break;
-                    }
-                    // Accept: tag and integrity both check out.
-                    if env.round == round && env.verify() {
-                        self.timeline.push(RoundEvent {
-                            round,
-                            party: Some(k),
-                            at_ms: elapsed,
-                            kind: RoundEventKind::Responded,
-                        });
-                        return Ok((
-                            PartyRoundOutcome::Responded(DenseMatrix::column_vector(&env.payload)),
-                            elapsed,
-                        ));
-                    }
-                    // Unreachable on honest transports; count and retry.
-                    self.comm.corrupt_rejected += 1;
-                }
-            }
-        }
-        self.comm.timeouts += 1;
-        self.timeline.push(RoundEvent {
-            round,
-            party: Some(k),
-            at_ms: elapsed,
-            kind: RoundEventKind::DeadlineExceeded,
-        });
-        // The party consumed virtual time up to its deadline (or its
-        // last attempt's completion, whichever came first).
-        Ok((PartyRoundOutcome::Missing, elapsed.min(retry.deadline_ms)))
-    }
-
-    /// The silo-side computation: `local_epochs` GD steps from the
-    /// current global model, optionally privatized before upload.
-    fn local_update(&mut self, k: usize) -> Result<DenseMatrix> {
+        let config = self.config;
         let p = &self.parties[k];
-        let mut theta = self.global.clone();
-        let n_local = p.x.rows().max(1) as f64;
-        for _ in 0..self.config.local_epochs {
-            let resid = p.x.matmul(&theta)?.sub(&p.y)?;
-            let grad = p.x.transpose_matmul(&resid)?;
-            theta.axpy_assign(-self.config.learning_rate / n_local, &grad)?;
-        }
-        if let Some(m) = &self.mechanism {
-            m.privatize(theta.as_mut_slice(), &mut self.rng);
-        }
-        Ok(theta)
+        let bytes = self.d * 8;
+        let (global, mechanism, rng) = (&self.global, self.mechanism.as_ref(), &mut self.rng);
+        let timeline = &mut self.timeline;
+        let (reply, elapsed_ms) = exchange(
+            &mut *self.transport,
+            &mut self.comm,
+            &config.retry,
+            config.seed,
+            Request {
+                round,
+                wire_round: round,
+                party: k,
+                bytes,
+            },
+            &mut || {
+                let theta = local_update(p, global, config, mechanism, rng)?;
+                let env = Envelope::new(round, k, p.x.rows(), theta.as_slice().to_vec());
+                Ok((env, bytes))
+            },
+            // Accept: tag and integrity both check out.
+            &|env: &Envelope| env.round == round && env.verify(),
+            &mut |event| timeline.push(event),
+        )?;
+        Ok((
+            reply.map(|env| DenseMatrix::column_vector(&env.payload)),
+            elapsed_ms,
+        ))
     }
+}
+
+/// The silo-side computation: `local_epochs` GD steps from the current
+/// global model, optionally privatized before upload.
+fn local_update(
+    p: &PartySamples,
+    global: &DenseMatrix,
+    config: &HflConfig,
+    mechanism: Option<&LaplaceMechanism>,
+    rng: &mut CursorRng,
+) -> Result<DenseMatrix> {
+    let mut theta = global.clone();
+    let n_local = p.x.rows().max(1) as f64;
+    for _ in 0..config.local_epochs {
+        let resid = p.x.matmul(&theta)?.sub(&p.y)?;
+        let grad = p.x.transpose_matmul(&resid)?;
+        theta.axpy_assign(-config.learning_rate / n_local, &grad)?;
+    }
+    if let Some(m) = mechanism {
+        m.privatize(theta.as_mut_slice(), rng);
+    }
+    Ok(theta)
 }
 
 /// Shared input validation; returns the feature dimension `d`.
@@ -671,11 +443,7 @@ fn validate(parties: &[PartySamples], config: &HflConfig) -> Result<usize> {
             "need parties, rounds and local epochs".into(),
         ));
     }
-    if config.retry.max_attempts == 0 {
-        return Err(FederatedError::InvalidConfig(
-            "retry policy needs at least one attempt".into(),
-        ));
-    }
+    config.retry.validate()?;
     if !(0.0..=1.0).contains(&config.quorum.min_fraction) {
         return Err(FederatedError::InvalidConfig(format!(
             "quorum fraction {} is not in [0, 1]",
@@ -1070,5 +838,41 @@ mod tests {
         );
         assert_eq!(whole.loss_history, stepped.loss_history);
         assert_eq!(whole.comm, stepped.comm);
+    }
+
+    /// Golden trajectory of `tests/fault_tolerance.rs`'s lossy grid (the
+    /// same three silos, 200 rounds); the constants come from the
+    /// hand-written FedAvg loop the shared exchange replaced. Any drift
+    /// in a seeded draw, an attempt's accounting, an event or a virtual
+    /// millisecond shows up here.
+    #[test]
+    fn golden_lossy_grid_trajectory() {
+        let (parties, _, _) = silos(3, 30, 1);
+        let config = HflConfig {
+            rounds: 200,
+            learning_rate: 0.3,
+            ..HflConfig::default()
+        };
+        let mut lossy = crate::FaultyTransport::new(crate::FaultPlan::grid(9, 0.2, 0.1)).unwrap();
+        let run = train_fedavg_with_transport(&parties, &config, &mut lossy).unwrap();
+        let golden = CommStats {
+            bytes_up: 17_760,
+            bytes_down: 22_224,
+            messages: 1_666,
+            retries: 329,
+            drops: 339,
+            timeouts: 26,
+            stragglers: 132,
+            rounds_degraded: 24,
+            rounds_skipped: 1,
+            ..CommStats::default()
+        };
+        assert_eq!(run.comm, golden);
+        assert_eq!(
+            run.loss_history.last().unwrap().to_bits(),
+            0x3ef0_7cca_c2ba_51b2
+        );
+        assert_eq!(run.timeline.len(), 1_458);
+        assert_eq!(run.round_us.sum(), 195_483_000);
     }
 }

@@ -29,7 +29,8 @@
 //! corrupt traffic, and silos crash. Three modules make the
 //! orchestrators survive that:
 //!
-//! * [`transport`] — the **transport contract**. Every message attempt
+//! * [`transport`] — the **transport contract** and the **one
+//!   fault-aware exchange** both protocols run. Every message attempt
 //!   is submitted to a [`Transport`], which assigns it a
 //!   [`transport::Fate`] (delivered with a delay and a copy count,
 //!   dropped, corrupted, or stale). The contract requires fates to be
@@ -39,7 +40,17 @@
 //!   reproducible from a seed and lets checkpoints skip transport
 //!   state entirely. Time is virtual: delays and timeouts are
 //!   milliseconds of simulated clock, so tests never sleep.
-//!   [`ReliableTransport`] is the zero-fault instance.
+//!   [`ReliableTransport`] is the zero-fault instance. The exchange —
+//!   crash-window check, retry with seeded backoff under the
+//!   [`RetryPolicy`] deadlines, per-attempt [`CommStats`] accounting,
+//!   party-level [`RoundEvent`]s — is written once there; [`hfl`] calls
+//!   it per party per round and [`vfl`] per party per phase. It takes
+//!   two round numbers: the *logical* round (FedAvg round, VFL epoch),
+//!   which crash windows, events and
+//!   [`FederatedError::QuorumLost`] speak, and the *wire* round that
+//!   keys fates and backoff jitter (the same number for FedAvg,
+//!   `2·epoch + phase` for VFL). A fault plan therefore means the same
+//!   thing whichever protocol runs under it.
 //! * [`faults`] — [`FaultyTransport`] executes a seeded [`FaultPlan`]
 //!   (drop/straggler/duplicate/corrupt/stale probabilities plus
 //!   per-party [`faults::CrashWindow`]s) under that contract.
@@ -56,7 +67,12 @@
 //! leaves the model unchanged, and after `patience` consecutive misses
 //! the run fails fast with [`FederatedError::QuorumLost`] rather than
 //! hang. All of this is accounted in [`CommStats`], which counts every
-//! wire attempt (retries and duplicates included).
+//! wire attempt (retries and duplicates included). `CommStats` is the
+//! one live, replayable accounting value — part of every [`Checkpoint`]
+//! and compared bit for bit; its wire counters are written only by its
+//! own `record_attempt` / `record_duplicates`, and
+//! [`CommStats::to_metrics`] is its export into a metrics registry, not
+//! a second counter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
