@@ -5,7 +5,7 @@
 //! unleashes a fleet of synthetic client threads issuing blocking
 //! predict requests (with an occasional retrain mixed in). Reports
 //! sustained throughput and p50/p95/p99 predict latency, plus how much
-//! work the batching dispatcher actually coalesced, into
+//! work the workers actually coalesced out of their backlog, into
 //! `BENCH_serving.json`.
 //!
 //! The `--quick` form is the CI gate; it fails (non-zero exit) when
@@ -200,8 +200,8 @@ fn percentile_divergences(client_sorted: &[u64], server: &HistogramSnapshot) -> 
     out
 }
 
-/// Submits one- and three-column probes together, so the dispatcher
-/// coalesces them, then the three-column probes again one at a time,
+/// Submits one- and three-column probes together, so the workers find
+/// them queued and coalesce them, then the three-column probes again one at a time,
 /// each alone in its batch, and checks every column of every answer
 /// bit-for-bit against a locally computed single-column `lmm_into` —
 /// whatever a request's width and company, the bits must not move.
@@ -285,7 +285,6 @@ fn main() {
             workers: args.workers,
             // Nominal load: every in-flight client fits in the queue.
             queue_capacity: (args.clients * 2).max(1024),
-            batch_window: Duration::from_micros(200),
             max_batch_cols: 32,
             ..ServerConfig::default()
         },

@@ -11,26 +11,32 @@
 //! [`amalur_catalog::DatasetRegistry`]`<FactorizedTable>` and are
 //! resolved to `Arc<FactorizedTable>` at admission, so publishing a new
 //! version never disturbs requests already in flight. Three stages sit
-//! between a client and a kernel:
+//! between a client and a kernel, with one hand-off between threads:
 //!
 //! 1. **Admission** ([`ServerHandle`]): resolution + shape validation,
-//!    then a `try_send` into a *bounded* queue. A full queue rejects
-//!    with [`ServeError::Overloaded`] immediately — load shedding is a
-//!    typed error, not a growing buffer.
-//! 2. **Batching dispatcher**: holds an admitted predict open for
-//!    [`ServerConfig::batch_window`], coalescing same-(dataset, version)
-//!    predicts into one GEMM of at most
-//!    [`ServerConfig::max_batch_cols`] columns. Every predict — alone
-//!    or coalesced, one column or many — runs the same column-stable
+//!    then a push onto the pending queue. With
+//!    [`ServerConfig::queue_capacity`] jobs already pending the request
+//!    is rejected with [`ServeError::Overloaded`] immediately — load
+//!    shedding is a typed error, not a growing buffer.
+//! 2. **Pending queue**: one arrival-ordered queue behind one lock. An
+//!    idle worker takes the oldest job and, if it is a predict, every
+//!    later pending predict of the same (dataset, version) in arrival
+//!    order, up to [`ServerConfig::max_batch_cols`] columns. Nothing is
+//!    held back to wait for companions: a request that finds a worker
+//!    idle runs at once, and batches form only out of the backlog that
+//!    builds while every worker is busy. Every predict — alone or
+//!    coalesced, one column or many — runs the same column-stable
 //!    kernel (`FactorizedTable::lmm_colstable_into`), in which column
 //!    `j` of the product depends on column `j` of the operand alone,
 //!    bit for bit. There is no second predict path for a request to
 //!    take, so coalescing is purely a throughput decision — it cannot
 //!    change a client's answer, whatever the request's width.
 //! 3. **Workers**: a fixed pool, each thread leasing its own shard of a
-//!    [`amalur_matrix::WorkspaceArena`]. After warm-up, steady-state
-//!    serving performs **zero fresh workspace allocations** (observable
-//!    via [`ServerHandle::fresh_workspace_allocations`]). Each worker
+//!    [`amalur_matrix::WorkspaceArena`] and sizing it for a full-width
+//!    batch on each dataset before serving it, so steady-state serving
+//!    performs **zero fresh workspace allocations** at any batch width
+//!    (observable via [`ServerHandle::fresh_workspace_allocations`]).
+//!    Each worker
 //!    caps its kernel parallelism with
 //!    [`amalur_matrix::set_thread_budget`] so `workers × kernel threads`
 //!    never exceeds the machine.
@@ -39,14 +45,17 @@
 //! ([`ServerHandle::metrics`]); [`ServerHandle::stats`] is a view of it.
 //!
 //! [`Server::shutdown`] drains: admission stops (typed
-//! [`ServeError::ShuttingDown`]), every already-admitted request still
-//! completes, and outstanding [`Ticket`]s all resolve.
+//! [`ServeError::ShuttingDown`], decided under the same lock as the
+//! push, so a request is either refused or ahead of the drain), every
+//! already-admitted request still completes, and outstanding
+//! [`Ticket`]s all resolve.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
 mod metrics;
+mod pending;
 mod request;
 mod server;
 

@@ -30,15 +30,15 @@ pub(crate) struct ServerMetrics {
     pub train_latency_us: MetricHandle<Histogram>,
     /// Admission-to-execution-start wait of each train request (µs).
     pub train_queue_wait_us: MetricHandle<Histogram>,
-    /// Total feature columns per dispatched predict batch.
+    /// Total feature columns per executed predict batch.
     pub batch_width_cols: MetricHandle<Histogram>,
-    /// Requests coalesced into each dispatched predict batch.
+    /// Requests coalesced into each executed predict batch.
     pub batch_jobs: MetricHandle<Histogram>,
     /// Predict requests that shared a batch with at least one other.
     pub coalesced_predicts: MetricHandle<Counter>,
-    /// Batch width as a percentage of `max_batch_cols` — how full the
-    /// batching window was when it closed.
-    pub window_occupancy_pct: MetricHandle<Histogram>,
+    /// Batch width as a percentage of `max_batch_cols` — how much of a
+    /// full batch the backlog behind the workers supplied.
+    pub fill_pct: MetricHandle<Histogram>,
     /// Predict requests admitted.
     pub predict_requests: MetricHandle<Counter>,
     /// Train requests admitted.
@@ -69,7 +69,7 @@ impl ServerMetrics {
             batch_width_cols: registry.histogram("serve.batch.width_cols"),
             batch_jobs: registry.histogram("serve.batch.jobs"),
             coalesced_predicts: registry.counter("serve.batch.coalesced_predicts"),
-            window_occupancy_pct: registry.histogram("serve.batch.window_occupancy_pct"),
+            fill_pct: registry.histogram("serve.batch.fill_pct"),
             predict_requests: registry.counter("serve.requests.predict"),
             train_requests: registry.counter("serve.requests.train"),
             rejected_requests: registry.counter("serve.requests.rejected"),
@@ -117,7 +117,7 @@ mod tests {
             "serve.train.latency_us",
             "serve.batch.width_cols",
             "serve.batch.jobs",
-            "serve.batch.window_occupancy_pct",
+            "serve.batch.fill_pct",
         ] {
             assert!(snap.histogram(name).is_some(), "{name} missing");
         }

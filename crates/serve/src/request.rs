@@ -63,7 +63,7 @@ pub struct TrainResponse {
 /// A claim on an in-flight request's eventual response.
 ///
 /// Returned by the non-blocking `submit_*` methods so clients can fan
-/// out several requests (which is what gives the dispatcher something
+/// out several requests (which is what gives busy workers something
 /// to batch) before waiting on any of them.
 pub struct Ticket<T> {
     pub(crate) rx: Receiver<Result<T>>,

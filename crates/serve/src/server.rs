@@ -1,47 +1,47 @@
-//! The serving engine: admission, batching dispatcher, worker pool.
+//! The serving engine: admission, one pending queue, worker pool.
 //!
 //! ```text
-//!  clients ──try_send──▶ bounded admission queue (Overloaded when full)
+//!  clients ──admit──▶ pending queue (`pending.rs`, behind one lock)
+//!                     arrival-ordered, at most `queue_capacity` jobs:
+//!                     Overloaded when full, ShuttingDown when draining
 //!                              │
-//!                        dispatcher thread
-//!                 (coalesces same-(dataset, version)
-//!                  predicts inside `batch_window`)
-//!                              │
-//!                  bounded work queue (1 slot/worker,
-//!                  backpressure onto the admission queue)
+//!                    an idle worker takes the oldest job and, with a
+//!                    predict, every later pending predict of the same
+//!                    (dataset, version) up to `max_batch_cols` columns
 //!                              │
 //!              N workers, each leasing its own arena shard,
 //!              kernel threads capped so N·threads ≤ cores
 //! ```
+//!
+//! One hand-off, client to worker, and no holding: batches are whatever
+//! backlog built up while every worker was busy. The policy lives in
+//! [`crate::pending`]; this file is the threads around it.
 
 use crate::error::{Result, ServeError};
 use crate::metrics::ServerMetrics;
+use crate::pending::{Batchable, Job, Pending, Work};
 use crate::request::{PredictRequest, PredictResponse, Ticket, TrainRequest, TrainResponse};
 use amalur_catalog::DatasetRegistry;
 use amalur_factorize::FactorizedTable;
 use amalur_matrix::{set_thread_budget, DenseMatrix, Workspace, WorkspaceArena};
 use amalur_ml::{LinearRegression, MlError};
 use amalur_obs::{span, MetricsRegistry, MetricsSnapshot};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use crossbeam::channel::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing kernels (clamped to ≥ 1).
     pub workers: usize,
-    /// Admission-queue capacity; a full queue rejects with
-    /// [`ServeError::Overloaded`] instead of queueing unboundedly.
+    /// Most jobs that may be pending (admitted, not yet taken by a
+    /// worker) at once; one more is rejected with
+    /// [`ServeError::Overloaded`] instead of queueing without bound.
     pub queue_capacity: usize,
-    /// How long the dispatcher holds an admitted predict open for
-    /// same-dataset companions before dispatching the batch.
-    pub batch_window: Duration,
     /// Maximum GEMM width (total feature columns) per batch; `1`
-    /// disables coalescing entirely.
+    /// disables coalescing entirely. Each worker's arena shard is sized
+    /// for this width up front, so batches of any width allocate nothing.
     pub max_batch_cols: usize,
     /// Total kernel-thread budget split evenly across workers so
     /// `workers × per-worker threads` never exceeds it; `None` uses the
@@ -54,7 +54,6 @@ impl Default for ServerConfig {
         Self {
             workers: 2,
             queue_capacity: 1024,
-            batch_window: Duration::from_micros(200),
             max_batch_cols: 32,
             total_threads: None,
         }
@@ -66,7 +65,7 @@ impl Default for ServerConfig {
 /// the serving layer counts anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Requests admitted past the bounded queue
+    /// Requests admitted into the pending queue
     /// (`serve.requests.predict` + `serve.requests.train`).
     pub accepted: u64,
     /// Requests rejected with [`ServeError::Overloaded`]
@@ -106,28 +105,60 @@ struct TrainJob {
     admitted_us: u64,
 }
 
-enum Job {
-    Predict(PredictJob),
-    Train(TrainJob),
-    /// Enqueued exactly once by [`Server::shutdown`]; FIFO order
-    /// guarantees every previously admitted job is dispatched first.
-    Shutdown,
+impl Batchable for PredictJob {
+    fn key(&self) -> (&str, u64) {
+        (&self.dataset, self.version)
+    }
+
+    fn cols(&self) -> usize {
+        self.features.cols()
+    }
 }
 
-enum Work {
-    /// One GEMM's worth of predict jobs for the same (dataset, version).
-    PredictBatch(Vec<PredictJob>),
-    Train(TrainJob),
-    Shutdown,
-}
+type Queue = Pending<PredictJob, TrainJob>;
 
 struct Inner {
     registry: Arc<DatasetRegistry<FactorizedTable>>,
-    queue_tx: Sender<Job>,
-    queue_capacity: usize,
-    accepting: AtomicBool,
-    arena: Arc<WorkspaceArena>,
+    pending: Mutex<Queue>,
+    /// Signalled once per admitted job, and to everyone on drain.
+    ready: Condvar,
+    arena: WorkspaceArena,
     metrics: ServerMetrics,
+}
+
+impl Inner {
+    /// The queue's methods cannot leave it half-updated, so a lock
+    /// poisoned by a panic elsewhere is still good to use.
+    fn pending(&self) -> MutexGuard<'_, Queue> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn admit(&self, job: Job<PredictJob, TrainJob>) -> Result<()> {
+        let admitted = self.pending().admit(job);
+        match &admitted {
+            Ok(()) => self.ready.notify_one(),
+            Err(ServeError::Overloaded { .. }) => self.metrics.rejected_requests.inc(),
+            Err(_) => {}
+        }
+        admitted
+    }
+
+    /// Blocks until there is work; `None` once the queue is drained.
+    fn next_work(&self, max_batch_cols: usize) -> Option<Work<PredictJob, TrainJob>> {
+        let mut pending = self.pending();
+        loop {
+            if let Some(work) = pending.take(max_batch_cols) {
+                return Some(work);
+            }
+            if pending.is_draining() {
+                return None;
+            }
+            pending = self
+                .ready
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// Cloneable client-side handle: admission control plus observability.
@@ -157,7 +188,7 @@ impl ServerHandle {
         }
         let (reply, rx) = channel::bounded(1);
         let dataset_counter = self.inner.metrics.dataset_predicts(&req.dataset);
-        self.admit(Job::Predict(PredictJob {
+        self.inner.admit(Job::Predict(PredictJob {
             dataset: req.dataset,
             version,
             table,
@@ -193,7 +224,7 @@ impl ServerHandle {
             )));
         }
         let (reply, rx) = channel::bounded(1);
-        self.admit(Job::Train(TrainJob {
+        self.inner.admit(Job::Train(TrainJob {
             dataset: req.dataset,
             version,
             table,
@@ -228,8 +259,8 @@ impl ServerHandle {
     }
 
     /// A point-in-time snapshot of the server's metrics registry:
-    /// predict/train latency, queue-wait, batch-width and
-    /// window-occupancy histograms, request counters (global and
+    /// predict/train latency, queue-wait, batch-width and batch-fill
+    /// histograms, request counters (global and
     /// per-dataset), worker busy time, plus the mounted kernel-layer
     /// dispatch counters and workspace high-water gauge.
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -262,108 +293,54 @@ impl ServerHandle {
         };
         Ok((v.version, v.data))
     }
-
-    fn admit(&self, job: Job) -> Result<()> {
-        if !self.inner.accepting.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        match self.inner.queue_tx.try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
-                self.inner.metrics.rejected_requests.inc();
-                Err(ServeError::Overloaded {
-                    capacity: self.inner.queue_capacity,
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
-        }
-    }
 }
 
-/// A running serving engine (dispatcher + worker pool). Dropping it
-/// without [`Server::shutdown`] detaches the threads; prefer an
-/// explicit shutdown so in-flight requests drain.
+/// A running serving engine (the worker pool). Dropping it drains like
+/// [`Server::shutdown`].
 pub struct Server {
     handle: ServerHandle,
-    dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Boots the dispatcher and worker threads against `registry`.
+    /// Boots the worker threads against `registry`.
     ///
     /// # Errors
     /// [`ServeError::Spawn`] when the OS refuses to start a thread; any
-    /// workers spawned before the failure observe their channel close
-    /// and exit.
+    /// workers spawned before the failure are drained and joined.
     pub fn start(
         registry: Arc<DatasetRegistry<FactorizedTable>>,
         config: ServerConfig,
     ) -> Result<Server> {
         let workers = config.workers.max(1);
-        let queue_capacity = config.queue_capacity.max(1);
         let max_batch_cols = config.max_batch_cols.max(1);
         let total_threads = config
             .total_threads
             .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()));
         let per_worker_threads = (total_threads / workers).max(1);
 
-        let (queue_tx, queue_rx) = channel::bounded::<Job>(queue_capacity);
-        // One slot per worker: when every worker is busy the dispatcher
-        // blocks here, admission backs up into the bounded queue, and
-        // overload becomes visible to clients instead of hiding in an
-        // unbounded buffer.
-        let (work_tx, work_rx) = channel::bounded::<Work>(workers);
-
-        let arena = Arc::new(WorkspaceArena::new(workers));
-        let metrics = ServerMetrics::new();
-
-        let mut worker_handles = Vec::with_capacity(workers);
-        for idx in 0..workers {
-            let rx = work_rx.clone();
-            let arena = Arc::clone(&arena);
-            let metrics = metrics.clone();
-            worker_handles.push(
-                thread::Builder::new()
-                    .name(format!("amalur-serve-worker-{idx}"))
-                    .spawn(move || run_worker(idx, per_worker_threads, &rx, &arena, &metrics))
-                    .map_err(ServeError::Spawn)?,
-            );
-        }
-        drop(work_rx);
-
-        let dispatcher = {
-            let metrics = metrics.clone();
-            let window = config.batch_window;
-            thread::Builder::new()
-                .name("amalur-serve-dispatcher".into())
-                .spawn(move || {
-                    run_dispatcher(
-                        &queue_rx,
-                        &work_tx,
-                        window,
-                        max_batch_cols,
-                        workers,
-                        &metrics,
-                    )
-                })
-                .map_err(ServeError::Spawn)?
-        };
-
-        Ok(Server {
+        let mut server = Server {
             handle: ServerHandle {
                 inner: Arc::new(Inner {
                     registry,
-                    queue_tx,
-                    queue_capacity,
-                    accepting: AtomicBool::new(true),
-                    arena,
-                    metrics,
+                    pending: Mutex::new(Pending::new(config.queue_capacity.max(1))),
+                    ready: Condvar::new(),
+                    arena: WorkspaceArena::new(workers),
+                    metrics: ServerMetrics::new(),
                 }),
             },
-            dispatcher: Some(dispatcher),
-            workers: worker_handles,
-        })
+            workers: Vec::with_capacity(workers),
+        };
+        for idx in 0..workers {
+            let inner = Arc::clone(&server.handle.inner);
+            server.workers.push(
+                thread::Builder::new()
+                    .name(format!("amalur-serve-worker-{idx}"))
+                    .spawn(move || run_worker(idx, per_worker_threads, max_batch_cols, &inner))
+                    .map_err(ServeError::Spawn)?,
+            );
+        }
+        Ok(server)
     }
 
     /// A cloneable client handle.
@@ -372,138 +349,81 @@ impl Server {
     }
 
     /// Graceful shutdown: stops admitting, drains every already-admitted
-    /// request to completion, then joins the dispatcher and workers.
-    /// Outstanding [`Ticket`]s all resolve before this returns.
-    pub fn shutdown(mut self) {
-        self.handle.inner.accepting.store(false, Ordering::Release);
-        // FIFO: every job admitted before this marker is dispatched
-        // ahead of it. The blocking send also waits out a full queue.
-        let _ = self.handle.inner.queue_tx.send(Job::Shutdown);
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
-        }
+    /// request to completion, then joins the workers. Outstanding
+    /// [`Ticket`]s all resolve before this returns.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let inner = &self.handle.inner;
+        inner.pending().begin_drain();
+        inner.ready.notify_all();
         for w in self.workers.drain(..) {
+            // A worker that panicked already answered `WorkerLost` by
+            // dropping its reply senders; there is nothing to add here.
             let _ = w.join();
         }
     }
 }
 
-/// Pulls admitted jobs, coalescing same-(dataset, version) predicts
-/// that arrive within `window` into one column-stable GEMM of at most
-/// `max_batch_cols` columns. Jobs that cannot join the open batch are
-/// deferred (order across *different* datasets may shift by at most one
-/// window; order within a dataset is preserved).
-fn run_dispatcher(
-    queue_rx: &Receiver<Job>,
-    work_tx: &Sender<Work>,
-    window: Duration,
-    max_batch_cols: usize,
-    workers: usize,
-    metrics: &ServerMetrics,
-) {
-    let mut deferred: VecDeque<Job> = VecDeque::new();
-    let mut draining = false;
-    loop {
-        let job = match deferred.pop_front() {
-            Some(j) => j,
-            None if draining => break,
-            None => match queue_rx.recv() {
-                Ok(j) => j,
-                Err(_) => break,
-            },
-        };
-        match job {
-            Job::Shutdown => {
-                // Deferred jobs (admitted before the marker) still drain;
-                // one more pass flushes them without opening windows.
-                draining = true;
-            }
-            Job::Train(t) => {
-                if work_tx.send(Work::Train(t)).is_err() {
-                    break;
-                }
-            }
-            Job::Predict(first) => {
-                let mut batch = vec![first];
-                let mut cols = batch[0].features.cols();
-                if !draining && max_batch_cols > 1 {
-                    let deadline = Instant::now() + window;
-                    while cols < max_batch_cols {
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            break;
-                        }
-                        match queue_rx.recv_timeout(remaining) {
-                            Ok(Job::Predict(p))
-                                if p.dataset == batch[0].dataset
-                                    && p.version == batch[0].version
-                                    && cols + p.features.cols() <= max_batch_cols =>
-                            {
-                                cols += p.features.cols();
-                                batch.push(p);
-                            }
-                            Ok(other) => deferred.push_back(other),
-                            Err(RecvTimeoutError::Timeout) => break,
-                            Err(RecvTimeoutError::Disconnected) => {
-                                draining = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if batch.len() > 1 {
-                    metrics.coalesced_predicts.add(batch.len() as u64);
-                }
-                metrics.batch_width_cols.record(cols as u64);
-                metrics.batch_jobs.record(batch.len() as u64);
-                metrics
-                    .window_occupancy_pct
-                    .record((cols * 100 / max_batch_cols) as u64);
-                if work_tx.send(Work::PredictBatch(batch)).is_err() {
-                    break;
-                }
-            }
-        }
-    }
-    for _ in 0..workers {
-        let _ = work_tx.send(Work::Shutdown);
-    }
-}
-
-fn run_worker(
-    idx: usize,
-    kernel_threads: usize,
-    work_rx: &Receiver<Work>,
-    arena: &WorkspaceArena,
-    metrics: &ServerMetrics,
-) {
+fn run_worker(idx: usize, kernel_threads: usize, max_batch_cols: usize, inner: &Inner) {
     // The satellite guard: each worker caps its kernel parallelism so
     // the pool as a whole never oversubscribes the machine.
     set_thread_budget(kernel_threads);
-    while let Ok(work) = work_rx.recv() {
+    let (arena, metrics) = (&inner.arena, &inner.metrics);
+    // Batch widths vary with timing, so before a worker serves a dataset
+    // it sizes its shard for a full-width batch on it, rather than on
+    // some later, wider batch: everything active now, and datasets
+    // registered later when their first batch arrives.
+    let mut warmed: Vec<String> = Vec::new();
+    let mut warm = |dataset: &str, table: &FactorizedTable, ws: &mut Workspace| {
+        if !warmed.iter().any(|d| d == dataset) {
+            execute_predict_batch(table, max_batch_cols, &[], ws, metrics);
+            warmed.push(dataset.to_owned());
+        }
+    };
+    for name in inner.registry.names() {
+        if let Ok(active) = inner.registry.fetch(&name) {
+            warm(&name, &active.data, &mut arena.lease(idx));
+        }
+    }
+    while let Some(work) = inner.next_work(max_batch_cols) {
         // Everything recorded below is a relaxed atomic add through a
         // pre-registered handle: no allocation, so instrumented workers
         // stay inside the steady-state zero-allocation contract.
         let exec_start = metrics.now_us();
+        let mut ws = arena.lease(idx);
         match work {
-            Work::Shutdown => break,
             Work::Train(job) => {
                 metrics
                     .train_queue_wait_us
                     .record(exec_start.saturating_sub(job.admitted_us));
                 let _exec = span(metrics.clock(), &metrics.worker_exec_us);
-                let mut ws = arena.lease(idx);
                 execute_train(job, &mut ws, metrics);
             }
             Work::PredictBatch(jobs) => {
+                // `take` never returns an empty batch.
+                let Some(first) = jobs.first() else { continue };
+                let cols: usize = jobs.iter().map(Batchable::cols).sum();
                 for job in &jobs {
                     metrics
                         .queue_wait_us
                         .record(exec_start.saturating_sub(job.admitted_us));
                 }
+                if jobs.len() > 1 {
+                    metrics.coalesced_predicts.add(jobs.len() as u64);
+                }
+                metrics.batch_width_cols.record(cols as u64);
+                metrics.batch_jobs.record(jobs.len() as u64);
+                metrics
+                    .fill_pct
+                    .record((cols * 100 / max_batch_cols) as u64);
                 let _exec = span(metrics.clock(), &metrics.worker_exec_us);
-                let mut ws = arena.lease(idx);
-                execute_predict_batch(jobs, &mut ws, metrics);
+                warm(&first.dataset, &first.table, &mut ws);
+                execute_predict_batch(&first.table, cols, &jobs, &mut ws, metrics);
             }
         }
         metrics
@@ -538,23 +458,29 @@ fn execute_train(job: TrainJob, ws: &mut Workspace, metrics: &ServerMetrics) {
     let _ = job.reply.send(result);
 }
 
-/// Runs one (dataset, version) batch — a lone request is a batch of one
-/// — through the single column-stable GEMM and hands each requester its
-/// own columns. Column `j` of that product depends on column `j` of the
-/// operand alone, so a request's bytes cannot depend on its companions.
-/// Scratch (the coalesced rhs/out) comes from the worker's arena shard,
-/// so steady-state batches allocate nothing fresh; only the response
-/// matrices handed to clients are freshly allocated.
-fn execute_predict_batch(jobs: Vec<PredictJob>, ws: &mut Workspace, metrics: &ServerMetrics) {
-    // The dispatcher never sends an empty batch; an empty Vec simply has
-    // no requester to answer.
-    let Some(first) = jobs.first() else { return };
-    let (r_t, c_t) = first.table.target_shape();
-    let total_cols: usize = jobs.iter().map(|j| j.features.cols()).sum();
-
+/// Runs one (dataset, version) batch of `total_cols` operand columns — a
+/// lone request is a batch of one — through the single column-stable
+/// GEMM and hands each requester its own columns. Column `j` of that
+/// product depends on column `j` of the operand alone, so a request's
+/// bytes cannot depend on its companions. Scratch (the coalesced
+/// rhs/out) comes from the worker's arena shard, so steady-state batches
+/// allocate nothing fresh; only the response matrices handed to clients
+/// are freshly allocated.
+///
+/// With no `jobs` the product runs on a zero operand and answers nobody:
+/// that is the warm-up, which leaves every buffer a `total_cols`-wide
+/// batch on `table` takes — here and inside the kernel — in the shard.
+fn execute_predict_batch(
+    table: &FactorizedTable,
+    total_cols: usize,
+    jobs: &[PredictJob],
+    ws: &mut Workspace,
+    metrics: &ServerMetrics,
+) {
+    let (r_t, c_t) = table.target_shape();
     let mut rhs = ws.take_matrix(c_t, total_cols);
     let mut offset = 0;
-    for job in &jobs {
+    for job in jobs {
         let k = job.features.cols();
         copy_columns(
             (job.features.as_slice(), k, 0),
@@ -566,10 +492,10 @@ fn execute_predict_batch(jobs: Vec<PredictJob>, ws: &mut Workspace, metrics: &Se
     let mut out = ws.take_matrix(r_t, total_cols);
     // Shapes were validated at admission, so a failure here is
     // exceptional; every requester learns about it, typed.
-    let product = first.table.lmm_colstable_into(&rhs, &mut out, ws);
+    let product = table.lmm_colstable_into(&rhs, &mut out, ws);
 
     let mut offset = 0;
-    for job in &jobs {
+    for job in jobs {
         let k = job.features.cols();
         let reply = match &product {
             Ok(()) => {

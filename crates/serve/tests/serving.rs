@@ -1,15 +1,21 @@
 //! End-to-end serving tests: batching equivalence (bit-identical),
 //! admission control, graceful shutdown, steady-state allocations, and
 //! mixed concurrent train/predict traffic.
+//!
+//! Batches form only out of the backlog behind busy workers, so the
+//! tests that need a particular batch build that backlog behind a
+//! one-worker server parked on a long train job ([`park_worker`]).
 
 use amalur_catalog::DatasetRegistry;
 use amalur_data::{generate_two_source, TwoSourceSpec};
 use amalur_factorize::FactorizedTable;
 use amalur_matrix::DenseMatrix;
 use amalur_ml::LinRegConfig;
-use amalur_serve::{PredictRequest, ServeError, Server, ServerConfig, TrainRequest};
+use amalur_serve::{
+    PredictRequest, ServeError, Server, ServerConfig, ServerHandle, Ticket, TrainRequest,
+    TrainResponse,
+};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fixture(seed: u64) -> FactorizedTable {
     let spec = TwoSourceSpec {
@@ -44,8 +50,56 @@ fn feature_cols(c_t: usize, tags: &[u64]) -> DenseMatrix {
     })
 }
 
+/// A predict on `dataset`'s latest version whose columns are `tags`.
+fn request(dataset: &str, c_t: usize, tags: &[u64]) -> PredictRequest {
+    PredictRequest {
+        dataset: dataset.into(),
+        version: None,
+        features: feature_cols(c_t, tags),
+    }
+}
+
 fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Keeps a worker busy with a long train on `dataset`, so that what is
+/// submitted next piles up in the pending queue behind it. The queue is
+/// arrival-ordered, so the train goes first whether or not a worker had
+/// already picked it up. Pair with [`assert_still_parked`] once the
+/// backlog is in.
+fn park_worker(handle: &ServerHandle, dataset: &str) -> Ticket<TrainResponse> {
+    let r_t = handle
+        .registry()
+        .fetch(dataset)
+        .unwrap()
+        .data
+        .target_shape()
+        .0;
+    handle
+        .submit_train(TrainRequest {
+            dataset: dataset.into(),
+            version: None,
+            labels: DenseMatrix::from_vec(r_t, 1, vec![1.0; r_t]).unwrap(),
+            config: LinRegConfig {
+                epochs: 10_000,
+                learning_rate: 1e-4,
+                ..LinRegConfig::default()
+            },
+        })
+        .unwrap()
+}
+
+/// The parking train (the server's `nth`) had not finished when the last
+/// job of the backlog was admitted, so a one-worker server has taken none
+/// of it yet: the interleaving the caller's exact batch assertions depend
+/// on did happen.
+fn assert_still_parked(handle: &ServerHandle, nth: u64) {
+    assert_eq!(
+        handle.stats().trains_done,
+        nth - 1,
+        "the parking train finished before the backlog was in"
+    );
 }
 
 #[test]
@@ -58,7 +112,6 @@ fn multi_column_request_is_bit_identical_alone_and_coalesced() {
         ServerConfig {
             workers: 1,
             max_batch_cols: 16,
-            batch_window: Duration::from_millis(50),
             ..ServerConfig::default()
         },
     )
@@ -71,16 +124,19 @@ fn multi_column_request_is_bit_identical_alone_and_coalesced() {
         features: feature_cols(c_t, tags),
     };
 
-    // Alone: nothing else is in flight while its window is open.
+    // Alone: nothing else is pending when the worker takes it.
     let alone = handle.predict(request(&tags)).unwrap();
     assert_eq!(alone.batched_with, 1);
     assert_eq!(alone.predictions.shape(), (r_t, 3));
 
     // Coalesced behind a two-column companion, so its columns sit at an
     // offset inside a five-column product.
+    let parked = park_worker(&handle, "ds");
     let companion = handle.submit_predict(request(&[8, 9])).unwrap();
     let ticket = handle.submit_predict(request(&tags)).unwrap();
-    companion.wait().unwrap();
+    assert_still_parked(&handle, 1);
+    parked.wait().unwrap();
+    assert_eq!(companion.wait().unwrap().batched_with, 2);
     let coalesced = ticket.wait().unwrap();
     assert_eq!(coalesced.batched_with, 2);
     let differing = bits(&coalesced.predictions)
@@ -138,19 +194,18 @@ fn batched_predictions_are_bit_identical_to_unbatched() {
         .collect();
     solo.shutdown();
 
-    // Batched: submit all tickets first so the dispatcher has companions
-    // to coalesce inside its (generous) window.
+    // Batched: the whole backlog behind a parked worker is one batch.
     let batched = Server::start(
         Arc::clone(&registry),
         ServerConfig {
             workers: 1,
             max_batch_cols: 16,
-            batch_window: Duration::from_millis(50),
             ..ServerConfig::default()
         },
     )
     .expect("server starts");
     let handle = batched.handle();
+    let parked = park_worker(&handle, "ds");
     let tickets: Vec<_> = (0..n_requests)
         .map(|i| {
             handle
@@ -162,22 +217,75 @@ fn batched_predictions_are_bit_identical_to_unbatched() {
                 .unwrap()
         })
         .collect();
-    let mut saw_coalesced = false;
+    assert_still_parked(&handle, 1);
+    parked.wait().unwrap();
     for (ticket, expected) in tickets.into_iter().zip(&solo_answers) {
         let resp = ticket.wait().unwrap();
-        saw_coalesced |= resp.batched_with > 1;
+        assert_eq!(resp.batched_with, n_requests as usize);
         assert_eq!(resp.predictions.shape(), expected.shape());
         // Bit-identical, not approximately equal: the column-stable GEMM
         // guarantees coalescing can never change an answer.
         assert_eq!(bits(&resp.predictions), bits(expected));
     }
     let stats = handle.stats();
-    assert!(
-        saw_coalesced && stats.coalesced_predicts >= 2,
-        "expected at least one coalesced batch, stats: {stats:?}"
-    );
-    assert!(stats.predict_batches < n_requests);
+    assert_eq!(stats.coalesced_predicts, n_requests);
+    assert_eq!(stats.predict_batches, 1);
     batched.shutdown();
+}
+
+#[test]
+fn mixed_backlog_runs_as_one_batch_per_dataset() {
+    let registry = registry_with("a", 7);
+    registry.register("b", fixture(9)).unwrap();
+    let c_t = registry.fetch("a").unwrap().data.target_shape().1;
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServerConfig {
+            workers: 1,
+            max_batch_cols: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let handle = server.handle();
+    let submit =
+        |dataset: &str, tags: &[u64]| handle.submit_predict(request(dataset, c_t, tags)).unwrap();
+
+    // a₁ b₁ a₂ b₂ a₃ behind a busy worker leave as {a₁,a₂,a₃} and {b₁,b₂}.
+    let parked = park_worker(&handle, "a");
+    let tickets = [
+        submit("a", &[1]),
+        submit("b", &[2]),
+        submit("a", &[3]),
+        submit("b", &[4]),
+        submit("a", &[5]),
+    ];
+    assert_still_parked(&handle, 1);
+    parked.wait().unwrap();
+    let batched_with: Vec<usize> = tickets
+        .into_iter()
+        .map(|t| t.wait().unwrap().batched_with)
+        .collect();
+    assert_eq!(batched_with, [3, 2, 3, 2, 3]);
+    assert_eq!(handle.stats().predict_batches, 2);
+
+    // A request wider than the room left starts the next batch, and the
+    // narrower one behind it does not overtake: 2 | 3 + 1, not 2 + 1 | 3.
+    let parked = park_worker(&handle, "a");
+    let tickets = [
+        submit("a", &[1, 2]),
+        submit("a", &[3, 4, 5]),
+        submit("a", &[6]),
+    ];
+    assert_still_parked(&handle, 2);
+    parked.wait().unwrap();
+    let batched_with: Vec<usize> = tickets
+        .into_iter()
+        .map(|t| t.wait().unwrap().batched_with)
+        .collect();
+    assert_eq!(batched_with, [1, 2, 2]);
+    assert_eq!(handle.stats().predict_batches, 4);
+    server.shutdown();
 }
 
 #[test]
@@ -229,7 +337,14 @@ fn full_queue_rejects_with_typed_overloaded() {
         }
     }
     assert!(overloaded, "bounded queue never reported Overloaded");
-    assert!(handle.stats().rejected >= 1);
+    assert_eq!(handle.stats().rejected, 1);
+    // The bound is exact: at most `queue_capacity` jobs are ever pending
+    // (the train may still be one of them), and nothing hides more.
+    assert!(
+        (1..=2).contains(&accepted.len()),
+        "{} predicts pending at capacity 2",
+        accepted.len()
+    );
     // Everything that was admitted still completes.
     train.wait().unwrap();
     for t in accepted {
@@ -246,7 +361,6 @@ fn shutdown_drains_admitted_requests_then_rejects_new_ones() {
         Arc::clone(&registry),
         ServerConfig {
             workers: 2,
-            batch_window: Duration::from_millis(5),
             ..ServerConfig::default()
         },
     )
@@ -278,50 +392,147 @@ fn shutdown_drains_admitted_requests_then_rejects_new_ones() {
     ));
 }
 
+/// `Ok(ticket)` ⇒ `wait()` is `Ok`: admission and the drain flag are
+/// decided under one lock, so a request is either refused or ahead of
+/// the drain — never admitted behind it, which used to leave its ticket
+/// waiting forever. A hang here is the failure; CI runs this under a
+/// timeout, and the watchdog below turns a hang into a panic.
+#[test]
+fn shutdown_racing_with_admission_resolves_every_ticket() {
+    let registry = registry_with("ds", 41);
+    let c_t = registry.fetch("ds").unwrap().data.target_shape().1;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let rounds = std::thread::spawn(move || {
+        let mut admitted = 0u64;
+        for round in 0..200u64 {
+            let server = Server::start(Arc::clone(&registry), ServerConfig::default())
+                .expect("server starts");
+            let clients: Vec<_> = (0..2u64)
+                .map(|c| {
+                    let handle = server.handle();
+                    std::thread::spawn(move || {
+                        // Submit without waiting, so that this thread
+                        // spends its time inside admission, contending
+                        // for the queue with the shutdown.
+                        let mut tickets = Vec::new();
+                        loop {
+                            match handle.submit_predict(request("ds", c_t, &[c])) {
+                                Ok(ticket) => tickets.push(ticket),
+                                Err(ServeError::Overloaded { .. }) => std::thread::yield_now(),
+                                Err(ServeError::ShuttingDown) => break,
+                                Err(e) => panic!("unexpected admission error: {e}"),
+                            }
+                        }
+                        let admitted = tickets.len() as u64;
+                        for ticket in tickets {
+                            ticket.wait().expect("an admitted ticket resolves Ok");
+                        }
+                        admitted
+                    })
+                })
+                .collect();
+            // Let the clients get going, a different distance each round.
+            while server.handle().stats().predicts_done < round % 7 {
+                std::thread::yield_now();
+            }
+            server.shutdown();
+            for c in clients {
+                admitted += c.join().expect("client thread");
+            }
+        }
+        let _ = done_tx.send(admitted);
+    });
+    let admitted = done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("a ticket admitted across shutdown never resolved");
+    rounds.join().unwrap();
+    assert!(admitted > 0);
+}
+
 #[test]
 fn steady_state_serving_is_workspace_allocation_free() {
     let registry = registry_with("ds", 17);
     let c_t = registry.fetch("ds").unwrap().data.target_shape().1;
+    let max_batch_cols = 4;
     let server = Server::start(
         Arc::clone(&registry),
         ServerConfig {
             workers: 1,
-            max_batch_cols: 4,
-            batch_window: Duration::from_micros(50),
+            max_batch_cols: max_batch_cols as usize,
             ..ServerConfig::default()
         },
     )
     .expect("server starts");
     let handle = server.handle();
-    let send_round = |round: u64| {
-        let tickets: Vec<_> = (0..4)
+    // `width` single-column requests submitted together (they coalesce
+    // or not as timing has it), then one request `width` columns wide.
+    let send_round = |round: u64, width: u64| {
+        let tickets: Vec<_> = (0..width)
             .map(|i| {
                 handle
-                    .submit_predict(PredictRequest {
-                        dataset: "ds".into(),
-                        version: None,
-                        features: feature_col(c_t, round * 10 + i),
-                    })
+                    .submit_predict(request("ds", c_t, &[round * 10 + i]))
                     .unwrap()
             })
             .collect();
         for t in tickets {
             t.wait().unwrap();
         }
+        let tags: Vec<u64> = (0..width).map(|i| round * 10 + i).collect();
+        let wide = handle.predict(request("ds", c_t, &tags)).unwrap();
+        assert_eq!(wide.predictions.cols(), width as usize);
     };
-    for round in 0..5 {
-        send_round(round); // warm the worker's arena shard
-    }
+    // The worker sized its shard for full-width batches on "ds" before
+    // it took its first job, so one narrow round is all the warm-up.
+    send_round(0, 1);
     let warm = handle.fresh_workspace_allocations();
     assert!(warm > 0, "warm-up must have populated the pool");
-    for round in 5..45 {
-        send_round(round);
+    for round in 1..41 {
+        send_round(round, 1 + round % max_batch_cols);
     }
     assert_eq!(
         handle.fresh_workspace_allocations(),
         warm,
         "steady-state serving allocated fresh workspace buffers"
     );
+    server.shutdown();
+}
+
+#[test]
+fn dataset_registered_after_start_is_warmed_on_first_touch() {
+    let registry = registry_with("ds", 17);
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServerConfig {
+            workers: 1,
+            max_batch_cols: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let handle = server.handle();
+    // A bigger table than the one the worker warmed up on at start.
+    let spec = TwoSourceSpec {
+        rows_s1: 300,
+        cols_s1: 4,
+        rows_s2: 60,
+        cols_s2: 9,
+        seed: 3,
+        ..TwoSourceSpec::default()
+    };
+    let (md, data) = generate_two_source(&spec).unwrap();
+    registry
+        .register("late", FactorizedTable::new(md, data).unwrap())
+        .unwrap();
+    let c_t = registry.fetch("late").unwrap().data.target_shape().1;
+
+    let before = handle.fresh_workspace_allocations();
+    handle.predict(request("late", c_t, &[1])).unwrap();
+    let warm = handle.fresh_workspace_allocations();
+    assert!(warm > before, "the bigger table needs bigger buffers");
+    for tags in [&[1, 2, 3, 4][..], &[5, 6], &[7, 8, 9], &[1]] {
+        handle.predict(request("late", c_t, tags)).unwrap();
+    }
+    assert_eq!(handle.fresh_workspace_allocations(), warm);
     server.shutdown();
 }
 
@@ -370,7 +581,6 @@ fn concurrent_train_and_predict_traffic_stays_deterministic() {
         Arc::clone(&registry),
         ServerConfig {
             workers: 2,
-            batch_window: Duration::from_micros(100),
             ..ServerConfig::default()
         },
     )
@@ -446,7 +656,6 @@ fn metrics_snapshot_agrees_with_stats_counters() {
         ServerConfig {
             workers: 1,
             max_batch_cols: 4,
-            batch_window: Duration::from_micros(50),
             ..ServerConfig::default()
         },
     )
@@ -503,13 +712,15 @@ fn metrics_snapshot_agrees_with_stats_counters() {
         stats.trains_done
     );
 
-    // Each dispatched batch records one width / jobs / occupancy sample.
-    let widths = snap.histogram("serve.batch.width_cols").unwrap();
-    assert_eq!(widths.count(), stats.predict_batches);
-    assert_eq!(
-        snap.histogram("serve.batch.jobs").unwrap().count(),
-        stats.predict_batches
-    );
+    // Each executed batch records one width / jobs / fill sample; these
+    // blocking predicts each ran alone, a quarter of a full batch.
+    assert_eq!(stats.predict_batches, 9);
+    for name in ["serve.batch.width_cols", "serve.batch.jobs"] {
+        let h = snap.histogram(name).unwrap();
+        assert_eq!((h.count(), h.sum()), (9, 9), "{name}");
+    }
+    let fill = snap.histogram("serve.batch.fill_pct").unwrap();
+    assert_eq!((fill.count(), fill.sum()), (9, 9 * 25));
 
     // The mounted kernel-layer statics are visible through the same
     // snapshot, and the serving path drove the column-stable kernel.
