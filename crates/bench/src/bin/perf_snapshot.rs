@@ -3,7 +3,9 @@
 //! Writes `BENCH_kernels.json` (in the current directory — run from the
 //! workspace root) with median ns/op for the kernels every experiment
 //! in the reproduction bottoms out in: dense matmul (packed kernel vs.
-//! a naive triple loop), Gram, the LMM rewrite across strategies (on
+//! a naive triple loop), Gram, a linear model's residual + gradient over
+//! a 20 000 × 32 silo as two products and as the fused one-pass kernel
+//! (same operands), the LMM rewrite across strategies (on
 //! the footnote-3 table and on one with shared, redundant columns), the
 //! factorized Gram beside the dense Gram of the same materialized table,
 //! one linear-regression GD epoch over the factorized footnote-3 table,
@@ -89,6 +91,39 @@ fn main() {
         "matmul {size}³: packed {:.2} ms ({gflops:.2} GFLOP/s), naive {:.2} ms — {speedup:.1}×",
         matmul_packed_ns / 1e6,
         matmul_naive_ns / 1e6,
+    );
+
+    // --- residual + gradient over one FedAvg-sized silo --------------------
+    // The same operands through the two vector fast paths (X read twice)
+    // and through the fused pass (X read once); outputs are bit-identical.
+    let silo = DenseMatrix::random_uniform(20_000, 32, -1.0, 1.0, &mut rng);
+    let silo_theta = DenseMatrix::random_uniform(32, 1, -1.0, 1.0, &mut rng);
+    let silo_y = DenseMatrix::random_uniform(20_000, 1, -1.0, 1.0, &mut rng);
+    let mut resid = DenseMatrix::zeros(20_000, 1);
+    let mut grad = DenseMatrix::zeros(32, 1);
+    let gradient_two_products_ns = measure(15, || {
+        silo.matmul_into(&silo_theta, &mut resid).expect("shapes");
+        resid.sub_assign(&silo_y).expect("shapes");
+        silo.transpose_matmul_into(&resid, &mut grad)
+            .expect("shapes");
+        resid.frobenius_norm_sq()
+    });
+    let gradient_pass_ns = measure(15, || {
+        let y = silo_y.as_slice();
+        let mut sq = 0.0;
+        let link = |l: usize, z: f64| {
+            let r = z - y[l];
+            sq += r * r;
+            r
+        };
+        silo.gradient_pass_into(&silo_theta, link, &mut resid, &mut grad)
+            .expect("shapes");
+        sq
+    });
+    println!(
+        "residual + gradient 20000×32: two products {:.2} ms, fused pass {:.2} ms",
+        gradient_two_products_ns / 1e6,
+        gradient_pass_ns / 1e6,
     );
 
     // --- factorized operators (footnote-3 workload) ----------------------
@@ -198,6 +233,12 @@ fn main() {
     json_entry(&mut json, "matmul_512_packed", matmul_packed_ns);
     json_entry(&mut json, "matmul_512_naive", matmul_naive_ns);
     json_entry(&mut json, "gram_512", gram_ns);
+    json_entry(
+        &mut json,
+        "gradient_two_products_20000x32",
+        gradient_two_products_ns,
+    );
+    json_entry(&mut json, "gradient_pass_20000x32", gradient_pass_ns);
     json_entry(&mut json, "lmm_compressed", lmm_compressed_ns);
     json_entry(&mut json, "lmm_sparse", lmm_sparse_ns);
     json_entry(&mut json, "lmm_morpheus", lmm_morpheus_ns);

@@ -29,6 +29,31 @@
 //!
 //! [`FedAvgOrchestrator`] exposes the round loop step-by-step so runs
 //! can be checkpointed ([`Checkpoint`]) and resumed bit-identically.
+//!
+//! # What a round reads
+//!
+//! A silo's matrix is far larger than cache, so a round costs what it
+//! streams. Each round makes **one pass per silo** at the round's global
+//! model `θ`, through [`DenseMatrix::gradient_pass_into`]: row by row it
+//! forms the residual `xᵀθ − y`, folds its square into the union loss
+//! and accumulates the silo's gradient `Xᵀ(Xθ − y)`. The loss is the
+//! round's history entry, known before any party is contacted — a
+//! non-finite one ends the run with a typed error instead of training
+//! on through a diverged model. The gradient is kept (one `d`-vector per
+//! party) because a silo's local training starts from `θ`: its first
+//! epoch is `θ − lr/n · gradient`, with no second look at the data.
+//! Further local epochs are one pass each, run only when a request
+//! actually reaches the silo, and the resulting update is kept for the
+//! rest of the party's exchange, so an attempt the wire forces to be
+//! repeated replays it instead of retraining. Differential-privacy noise
+//! is *not* part of what is kept: every served attempt draws fresh noise
+//! onto its own copy, exactly as if the silo had retrained, so the RNG
+//! cursor, every checkpoint and every [`CommStats`] field are those of a
+//! run that recomputes everything. With one local epoch a run of `R`
+//! rounds over `K` silos makes `R·K` passes whatever the fault plan
+//! does; the kernel's outputs are bit-identical to the separate products
+//! (`X·θ`, then `Xᵀ·r`), which survive as the test-only reference the
+//! differential tests compare whole runs against.
 
 use crate::checkpoint::Checkpoint;
 use crate::protocol::CommStats;
@@ -163,6 +188,11 @@ pub struct FedAvgOrchestrator<'a, T: Transport> {
     timeline: Vec<RoundEvent>,
     vclock: VirtualClock,
     round_us: Histogram,
+    // Per-round scratch, rewritten by every `step` (derived state, not
+    // in Checkpoint): party k's gradient at `global`, and the residual
+    // buffer every pass writes through.
+    grads: Vec<DenseMatrix>,
+    resid: DenseMatrix,
 }
 
 impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
@@ -198,6 +228,8 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
             timeline: Vec::new(),
             vclock: VirtualClock::new(),
             round_us: Histogram::new(),
+            grads: vec![DenseMatrix::zeros(d, 1); parties.len()],
+            resid: DenseMatrix::zeros(0, 1),
         })
     }
 
@@ -251,6 +283,8 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
             timeline: Vec::new(),
             vclock: VirtualClock::new(),
             round_us: Histogram::new(),
+            grads: vec![DenseMatrix::zeros(d, 1); parties.len()],
+            resid: DenseMatrix::zeros(0, 1),
         })
     }
 
@@ -279,21 +313,53 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
     /// Executes one communication round.
     ///
     /// # Errors
-    /// [`FederatedError::QuorumLost`] when quorum has been missed for
-    /// more consecutive rounds than the policy tolerates; compute
-    /// errors from the local training steps.
+    /// * [`FederatedError::QuorumLost`] when quorum has been missed for
+    ///   more consecutive rounds than the policy tolerates.
+    /// * [`FederatedError::Protocol`] when every configured round has
+    ///   already run, and [`FederatedError::Compute`] when the global
+    ///   loss is not finite (the model has diverged); both are raised
+    ///   before any party is contacted and leave the run — model, round
+    ///   counter, history, accounting — as it was.
+    /// * Compute errors from the local training steps.
     pub fn step(&mut self) -> Result<()> {
+        if self.is_done() {
+            return Err(FederatedError::Protocol(format!(
+                "step() on a finished run: all {} rounds have run",
+                self.config.rounds
+            )));
+        }
         let n_parties = self.parties.len();
         let needed = self.config.quorum.needed(n_parties);
 
-        // Global loss over the union before the round (for the history).
+        // The round's one pass per silo (see the module docs): the
+        // global loss over the union before the round, for the history,
+        // and every party's gradient at `global`, for its first epoch.
         let total_rows: usize = self.parties.iter().map(|p| p.x.rows()).sum();
         let mut loss = 0.0;
-        for p in self.parties {
-            let resid = p.x.matmul(&self.global)?.sub(&p.y)?;
-            loss += resid.frobenius_norm_sq();
+        for (p, grad) in self.parties.iter().zip(&mut self.grads) {
+            let y = p.y.as_slice();
+            let mut sq = 0.0;
+            self.resid.resize_rows(p.x.rows());
+            p.x.gradient_pass_into(
+                &self.global,
+                |l, z| {
+                    let r = z - y[l];
+                    sq += r * r;
+                    r
+                },
+                &mut self.resid,
+                grad,
+            )?;
+            loss += sq;
         }
-        self.loss_history.push(loss / (2.0 * total_rows as f64));
+        let loss = loss / (2.0 * total_rows as f64);
+        if !loss.is_finite() {
+            return Err(FederatedError::Compute(format!(
+                "global loss is not finite at round {}",
+                self.round
+            )));
+        }
+        self.loss_history.push(loss);
 
         // Collect updates from whoever responds in time. The round's
         // virtual duration is its slowest party (parties run in
@@ -380,12 +446,19 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
     /// is the model broadcast, serving it is the silo's local training,
     /// the reply a sealed [`Envelope`]. Returns the accepted update (if
     /// any) and the virtual milliseconds the party consumed.
+    ///
+    /// The silo trains once, on the first request that reaches it; a
+    /// later served attempt of the same exchange clones that update.
+    /// Each attempt privatizes its own clone, so the DP stream advances
+    /// per served attempt whether or not the training was replayed.
     fn run_party_round(&mut self, k: usize) -> Result<(Option<DenseMatrix>, u64)> {
         let round = self.round;
         let config = self.config;
         let p = &self.parties[k];
         let bytes = self.d * 8;
         let (global, mechanism, rng) = (&self.global, self.mechanism.as_ref(), &mut self.rng);
+        let (grad, resid) = (&mut self.grads[k], &mut self.resid);
+        let mut trained: Option<DenseMatrix> = None;
         let timeline = &mut self.timeline;
         let (reply, elapsed_ms) = exchange(
             &mut *self.transport,
@@ -399,8 +472,16 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
                 bytes,
             },
             &mut || {
-                let theta = local_update(p, global, config, mechanism, rng)?;
-                let env = Envelope::new(round, k, p.x.rows(), theta.as_slice().to_vec());
+                let mut theta = match &trained {
+                    Some(theta) => theta.clone(),
+                    None => trained
+                        .insert(local_update(p, global, config, grad, resid)?)
+                        .clone(),
+                };
+                if let Some(m) = mechanism {
+                    m.privatize(theta.as_mut_slice(), rng);
+                }
+                let env = Envelope::new(round, k, p.x.rows(), theta.into_vec());
                 Ok((env, bytes))
             },
             // Accept: tag and integrity both check out.
@@ -415,23 +496,30 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
 }
 
 /// The silo-side computation: `local_epochs` GD steps from the current
-/// global model, optionally privatized before upload.
+/// global model, before any privatization.
+///
+/// On entry `grad` is the silo's gradient at `global`, left there by the
+/// round's loss pass — so the first epoch, which starts at `global`,
+/// needs no pass over the data. Every further epoch is one fused pass at
+/// the moving `theta`, which reuses `grad` (nothing reads the gradient
+/// at `global` again this round) and `resid` as its outputs. Noise is
+/// the caller's business because it is per served attempt, while this
+/// result is shared by all attempts of the party's exchange.
 fn local_update(
     p: &PartySamples,
     global: &DenseMatrix,
     config: &HflConfig,
-    mechanism: Option<&LaplaceMechanism>,
-    rng: &mut CursorRng,
+    grad: &mut DenseMatrix,
+    resid: &mut DenseMatrix,
 ) -> Result<DenseMatrix> {
+    let step = -config.learning_rate / p.x.rows().max(1) as f64;
+    let y = p.y.as_slice();
     let mut theta = global.clone();
-    let n_local = p.x.rows().max(1) as f64;
-    for _ in 0..config.local_epochs {
-        let resid = p.x.matmul(&theta)?.sub(&p.y)?;
-        let grad = p.x.transpose_matmul(&resid)?;
-        theta.axpy_assign(-config.learning_rate / n_local, &grad)?;
-    }
-    if let Some(m) = mechanism {
-        m.privatize(theta.as_mut_slice(), rng);
+    theta.axpy_assign(step, grad)?;
+    for _ in 1..config.local_epochs {
+        resid.resize_rows(p.x.rows());
+        p.x.gradient_pass_into(&theta, |l, z| z - y[l], resid, grad)?;
+        theta.axpy_assign(step, grad)?;
     }
     Ok(theta)
 }
@@ -509,6 +597,9 @@ pub fn train_fedavg_with_transport<T: Transport>(
     }
     Ok(orchestrator.finish())
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -838,6 +929,206 @@ mod tests {
         );
         assert_eq!(whole.loss_history, stepped.loss_history);
         assert_eq!(whole.comm, stepped.comm);
+    }
+
+    /// `k` silos of unequal heights over `d` features, labels from a
+    /// fixed linear model plus noise.
+    fn silos_wide(k: usize, d: usize, seed: u64) -> Vec<PartySamples> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let truth: Vec<f64> = (0..d).map(|c| 1.0 - 0.1 * c as f64).collect();
+        (0..k)
+            .map(|i| {
+                let rows = 17 + 6 * i;
+                let x = DenseMatrix::random_uniform(rows, d, -1.0, 1.0, &mut rng);
+                let y: Vec<f64> = (0..rows)
+                    .map(|r| {
+                        (0..d).map(|c| x.get(r, c) * truth[c]).sum::<f64>()
+                            + rng.gen_range(-0.01..0.01)
+                    })
+                    .collect();
+                PartySamples {
+                    name: format!("silo{i}"),
+                    x,
+                    y: DenseMatrix::column_vector(&y),
+                }
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The one-pass round against the three-product reference round
+    /// (`reference.rs`), whole runs, bit for bit: feature widths on both
+    /// sides of `dot`'s 4-way body, one and several local epochs, DP off
+    /// and on, a clean wire, a lossy one (so served attempts outnumber
+    /// the updates they carry) and a crash window — each uninterrupted
+    /// and killed at a mid round, checkpointed through JSON and resumed.
+    #[test]
+    fn one_pass_round_equals_three_product_reference() {
+        use crate::faults::CrashWindow;
+        use crate::{FaultPlan, FaultyTransport};
+        const ROUNDS: usize = 12;
+        const KILLED_AT: usize = 5;
+        let plans = [
+            FaultPlan::reliable(21),
+            FaultPlan {
+                duplicate_prob: 0.15,
+                corrupt_prob: 0.1,
+                stale_prob: 0.1,
+                ..FaultPlan::grid(22, 0.2, 0.1)
+            },
+            FaultPlan {
+                crashes: vec![CrashWindow {
+                    party: 1,
+                    from_round: 3,
+                    until_round: 7,
+                }],
+                ..FaultPlan::grid(23, 0.1, 0.1)
+            },
+        ];
+        let mut most_served_attempts = 0;
+        for d in [3, 32, 33] {
+            let parties = silos_wide(3, d, d as u64);
+            for local_epochs in [1, 3] {
+                for dp in [None, Some((0.01, 1.0))] {
+                    for plan in &plans {
+                        let config = HflConfig {
+                            rounds: ROUNDS,
+                            local_epochs,
+                            learning_rate: 0.05,
+                            dp,
+                            quorum: QuorumPolicy {
+                                min_fraction: 0.5,
+                                patience: 5,
+                            },
+                            ..HflConfig::default()
+                        };
+                        let case = format!("d {d}, epochs {local_epochs}, dp {dp:?}, {plan:?}");
+                        let transport = || FaultyTransport::new(plan.clone()).unwrap();
+
+                        let mut t = transport();
+                        let mut orch = FedAvgOrchestrator::new(&parties, &config, &mut t).unwrap();
+                        while !orch.is_done() {
+                            orch.step_reference().unwrap();
+                        }
+                        // Privatizing draws once per coefficient, so under
+                        // DP the cursor counts the served attempts.
+                        let served_attempts = orch.checkpoint().rng_draws as usize / d;
+                        most_served_attempts = most_served_attempts.max(served_attempts);
+                        let want = orch.finish();
+
+                        let same_model = |got: &HflResult| {
+                            assert_eq!(bits(got.global.as_slice()), bits(want.global.as_slice()));
+                            assert_eq!(bits(&got.loss_history), bits(&want.loss_history));
+                            assert_eq!(got.comm, want.comm, "{case}");
+                        };
+
+                        let mut t = transport();
+                        let whole = train_fedavg_with_transport(&parties, &config, &mut t).unwrap();
+                        same_model(&whole);
+                        assert_eq!(whole.timeline, want.timeline, "{case}");
+                        assert_eq!(whole.round_us, want.round_us, "{case}");
+
+                        let mut t = transport();
+                        let mut orch = FedAvgOrchestrator::new(&parties, &config, &mut t).unwrap();
+                        while orch.round() < KILLED_AT {
+                            orch.step().unwrap();
+                        }
+                        let json = orch.checkpoint().to_json().unwrap();
+                        let head = orch.finish();
+                        let checkpoint = Checkpoint::from_json(&json).unwrap();
+                        let mut t = transport();
+                        let mut orch =
+                            FedAvgOrchestrator::resume(&parties, &config, &mut t, &checkpoint)
+                                .unwrap();
+                        while !orch.is_done() {
+                            orch.step().unwrap();
+                        }
+                        let tail = orch.finish();
+                        same_model(&tail);
+                        // Instrumentation restarts at a resume; the two
+                        // incarnations together cover the run.
+                        assert_eq!(
+                            [head.timeline, tail.timeline].concat(),
+                            want.timeline,
+                            "{case}"
+                        );
+                        let mut round_us = head.round_us;
+                        round_us.merge(&tail.round_us);
+                        assert_eq!(round_us, want.round_us, "{case}");
+                    }
+                }
+            }
+        }
+        // More served attempts than party-rounds: some exchange served a
+        // retry, which the one-pass round answers from its kept update.
+        assert!(most_served_attempts > ROUNDS * 3, "{most_served_attempts}");
+    }
+
+    #[test]
+    fn step_on_a_finished_run_is_refused_and_changes_nothing() {
+        let (parties, _, _) = silos(3, 20, 8);
+        let config = HflConfig {
+            rounds: 4,
+            dp: Some((0.01, 1.0)),
+            ..HflConfig::default()
+        };
+        let mut transport = ReliableTransport;
+        let mut orch = FedAvgOrchestrator::new(&parties, &config, &mut transport).unwrap();
+        while !orch.is_done() {
+            orch.step().unwrap();
+        }
+        let before = orch.checkpoint();
+        assert!(matches!(orch.step(), Err(FederatedError::Protocol(_))));
+        assert!(matches!(orch.step(), Err(FederatedError::Protocol(_))));
+        assert_eq!(orch.checkpoint(), before);
+        // The checkpoint of a finished run is still one `resume` takes.
+        let mut t2 = ReliableTransport;
+        let resumed = FedAvgOrchestrator::resume(&parties, &config, &mut t2, &before).unwrap();
+        assert!(resumed.is_done());
+        let result = orch.finish();
+        assert_eq!(result.loss_history.len(), config.rounds);
+        assert_eq!(result.timeline.len(), config.rounds * (parties.len() + 1));
+    }
+
+    #[test]
+    fn diverged_model_stops_the_run_with_a_typed_error() {
+        // A step size far beyond 2/L: the iterates grow geometrically and
+        // the squared loss overflows within a few dozen rounds.
+        let (parties, _, _) = silos(3, 20, 9);
+        let config = HflConfig {
+            rounds: 400,
+            learning_rate: 1e12,
+            ..HflConfig::default()
+        };
+        let mut transport = ReliableTransport;
+        let mut orch = FedAvgOrchestrator::new(&parties, &config, &mut transport).unwrap();
+        let error = loop {
+            let before = orch.checkpoint();
+            match orch.step() {
+                Ok(()) => assert!(!orch.is_done(), "the run never diverged"),
+                Err(e) => {
+                    // Refused before any party was contacted: nothing moved.
+                    assert_eq!(orch.checkpoint(), before);
+                    break e;
+                }
+            }
+        };
+        let round = orch.round();
+        assert!(round > 0 && round < 40, "diverged at round {round}");
+        assert_eq!(
+            error,
+            FederatedError::Compute(format!("global loss is not finite at round {round}"))
+        );
+        // Asking again gives the same answer; the history holds only the
+        // finite losses of the rounds that ran.
+        assert_eq!(orch.step(), Err(error));
+        let result = orch.finish();
+        assert_eq!(result.loss_history.len(), round);
+        assert!(result.loss_history.iter().all(|l| l.is_finite()));
+        assert!(train_fedavg(&parties, &config).is_err());
     }
 
     /// Golden trajectory of `tests/fault_tolerance.rs`'s lossy grid (the

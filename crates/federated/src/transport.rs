@@ -20,8 +20,9 @@
 //! rejects, timeouts, crash outages), emits the party-level
 //! [`RoundEvent`]s and reports the virtual milliseconds consumed. The
 //! caller supplies what is protocol-specific: a closure that serves one
-//! delivered request (FedAvg's local training, VFL's channel send/recv)
-//! and an accept check on a delivered reply (FedAvg's [`Envelope`] round
+//! delivered request (FedAvg's local update — trained on the first
+//! delivery, freshly noised on each — or VFL's channel send/recv) and
+//! an accept check on a delivered reply (FedAvg's [`Envelope`] round
 //! tag and checksum).
 //!
 //! The exchange takes **two round numbers**. The *logical* round is the
@@ -276,9 +277,12 @@ fn arrival(comm: &mut CommStats, rtt_ms: u64, delay_ms: u64) -> u64 {
 /// `serve` runs once per delivered request and returns the reply with
 /// its wire size; a request the wire drops or damages is never served,
 /// and a served reply the wire drops or damages is discarded before the
-/// retry — which keeps in-process party channels in lock-step. `accept`
-/// is the receiver's check on a delivered reply; `emit` receives the
-/// party-level [`RoundEvent`]s in execution order.
+/// retry — which keeps in-process party channels in lock-step. What a
+/// repeated `serve` of one exchange may reuse is the caller's decision
+/// and must not show: FedAvg trains on the first call and afterwards
+/// re-seals that update under fresh DP noise, VFL redoes its channel
+/// round trip. `accept` is the receiver's check on a delivered reply;
+/// `emit` receives the party-level [`RoundEvent`]s in execution order.
 ///
 /// # Errors
 /// Only what `serve` returns.
@@ -442,7 +446,8 @@ impl Envelope {
     /// Simulates in-flight damage: perturbs one payload value (chosen
     /// by `salt`) without fixing up the checksum, so [`Self::verify`]
     /// fails.
-    pub fn corrupt_in_flight(&mut self, salt: u64) {
+    #[cfg(test)]
+    fn corrupt_in_flight(&mut self, salt: u64) {
         if self.payload.is_empty() {
             // No payload bits to flip — damage the tag instead.
             self.checksum ^= 1;

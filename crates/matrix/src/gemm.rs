@@ -38,6 +38,23 @@
 //! the workspace contract. Small problems skip packing entirely and use
 //! the cache-blocked axpy/dot loops that also serve as the reference
 //! path.
+//!
+//! # The fused vector path
+//!
+//! A gradient step of a linear model is `r = link(X·θ)` followed by
+//! `g = Xᵀ·r`: two matrix–vector products that each stream all of `X`.
+//! Both have an `n == 1` fast path here — `matmul_into` takes one
+//! [`dot`] per row, `transpose_matmul_into` one [`axpy`] per row with a
+//! non-zero coefficient — and both walk the rows in ascending order.
+//! [`DenseMatrix::gradient_pass_into`] runs the two per-row bodies back
+//! to back while the row is in cache, so `X` is read once. It is the
+//! same `dot`, the same `axpy` and the same skip of a zero coefficient,
+//! applied to the same operands in the same order: `g[j]` receives
+//! `r[0]·X[0,j]`, then `r[1]·X[1,j]`, … exactly as in the two-product
+//! form, where every `r[l]` was merely computed earlier. The outputs
+//! are therefore bit-identical to `matmul_into → link →
+//! transpose_matmul_into` by construction (NaN and ±∞ cells included),
+//! not within a tolerance. Serial, like the two paths it fuses.
 
 use crate::par::{available_threads, par_row_chunks, PAR_WORK_THRESHOLD};
 use crate::workspace::check_out_shape;
@@ -265,6 +282,56 @@ impl DenseMatrix {
                 }
             }
         });
+        Ok(())
+    }
+
+    /// Residual and gradient of a linear model in **one pass** over
+    /// `self`: for each row `l` in ascending order,
+    /// `resid[l] = link(l, self[l,:]·theta)` and then
+    /// `grad += resid[l] · self[l,:]` (skipped when `resid[l] == 0.0`).
+    /// `link` turns a row's linear predictor into its residual — e.g.
+    /// `|l, z| z - y[l]` for least squares — and, being `FnMut`, may
+    /// fold a loss over the rows on the way.
+    ///
+    /// `resid` (`rows × 1`) and `grad` (`cols × 1`) are fully
+    /// overwritten and bit-identical to `matmul_into(theta)`, `link`
+    /// applied row by row, `transpose_matmul_into(resid)` — the two
+    /// vector fast paths this fuses (see the module docs) — while
+    /// reading `self` once instead of twice. Serial; never allocates.
+    ///
+    /// # Errors
+    /// Dimension mismatch of `theta` (`cols × 1`) or of either output.
+    pub fn gradient_pass_into(
+        &self,
+        theta: &DenseMatrix,
+        mut link: impl FnMut(usize, f64) -> f64,
+        resid: &mut DenseMatrix,
+        grad: &mut DenseMatrix,
+    ) -> Result<()> {
+        let (m, k) = self.shape();
+        if theta.shape() != (k, 1) {
+            return Err(MatrixError::DimensionMismatch {
+                op: "gradient_pass",
+                lhs: self.shape(),
+                rhs: theta.shape(),
+            });
+        }
+        check_out_shape("gradient_pass_into", resid, m, 1)?;
+        check_out_shape("gradient_pass_into", grad, k, 1)?;
+        crate::metrics::GRADIENT_PASS_CALLS.inc();
+        crate::metrics::GRADIENT_PASS_ROWS.add(m as u64);
+        let a_slice = self.as_slice();
+        let v = theta.as_slice();
+        let g = grad.as_mut_slice();
+        g.fill(0.0);
+        for (l, o) in resid.as_mut_slice().iter_mut().enumerate() {
+            let row = &a_slice[l * k..(l + 1) * k];
+            let r = link(l, dot(row, v));
+            *o = r;
+            if r != 0.0 {
+                axpy(r, row, g);
+            }
+        }
         Ok(())
     }
 
@@ -791,6 +858,33 @@ mod tests {
     }
 
     #[test]
+    fn gradient_pass_rejects_wrong_shapes() {
+        let x = DenseMatrix::zeros(5, 3);
+        let theta = DenseMatrix::zeros(3, 1);
+        let (mut resid, mut grad) = (DenseMatrix::zeros(5, 1), DenseMatrix::zeros(3, 1));
+        let id = |_: usize, z: f64| z;
+        assert!(x
+            .gradient_pass_into(&theta, id, &mut resid, &mut grad)
+            .is_ok());
+        let named = |e: MatrixError| match e {
+            MatrixError::DimensionMismatch { op, .. } => op.starts_with("gradient_pass"),
+            _ => false,
+        };
+        for bad_theta in [DenseMatrix::zeros(4, 1), DenseMatrix::zeros(3, 2)] {
+            let e = x.gradient_pass_into(&bad_theta, id, &mut resid, &mut grad);
+            assert!(named(e.unwrap_err()));
+        }
+        for mut bad_resid in [DenseMatrix::zeros(4, 1), DenseMatrix::zeros(5, 2)] {
+            let e = x.gradient_pass_into(&theta, id, &mut bad_resid, &mut grad);
+            assert!(named(e.unwrap_err()));
+        }
+        for mut bad_grad in [DenseMatrix::zeros(5, 1), DenseMatrix::zeros(1, 3)] {
+            let e = x.gradient_pass_into(&theta, id, &mut resid, &mut bad_grad);
+            assert!(named(e.unwrap_err()));
+        }
+    }
+
+    #[test]
     fn matmul_transpose_matches_explicit() {
         let mut rng = rand::thread_rng();
         let a = DenseMatrix::random_uniform(9, 14, -1.0, 1.0, &mut rng);
@@ -864,6 +958,57 @@ mod tests {
     }
 
     proptest! {
+        /// The fused pass against the two products it replaces, bit for
+        /// bit: shapes on both sides of `dot`'s 4-way body, rows whose
+        /// residual is exactly zero (the `axpy` skip — which decides
+        /// between 0 and NaN when the row holds an infinity), NaN / ±∞
+        /// cells, and dirty output buffers.
+        #[test]
+        fn prop_gradient_pass_is_bit_identical_to_two_products(
+            m in 0usize..40, k in 1usize..37,
+            poisoned_cells in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut x = DenseMatrix::random_uniform(m, k, -2.0, 2.0, &mut rng);
+            for _ in 0..poisoned_cells.min(m) {
+                let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                x.set(rng.gen_range(0..m), rng.gen_range(0..k), poison);
+            }
+            let theta = DenseMatrix::random_uniform(k, 1, -2.0, 2.0, &mut rng);
+            let y = DenseMatrix::random_uniform(m, 1, -2.0, 2.0, &mut rng);
+            let zeroed: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.25)).collect();
+            let link = |l: usize, z: f64| if zeroed[l] { 0.0 } else { z - y.as_slice()[l] };
+
+            let mut want_resid = DenseMatrix::zeros(m, 1);
+            x.matmul_into(&theta, &mut want_resid).unwrap();
+            for (l, r) in want_resid.as_mut_slice().iter_mut().enumerate() {
+                *r = link(l, *r);
+            }
+            let mut want_grad = DenseMatrix::zeros(k, 1);
+            x.transpose_matmul_into(&want_resid, &mut want_grad).unwrap();
+
+            let mut resid = DenseMatrix::filled(m, 1, f64::NAN);
+            let mut grad = DenseMatrix::filled(k, 1, 123.0);
+            let mut visited = Vec::new();
+            x.gradient_pass_into(
+                &theta,
+                |l, z| {
+                    visited.push(l);
+                    link(l, z)
+                },
+                &mut resid,
+                &mut grad,
+            )
+            .unwrap();
+            // Each row once, in ascending order (a folded loss relies on it).
+            prop_assert_eq!(visited, (0..m).collect::<Vec<_>>());
+            let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&resid), bits(&want_resid));
+            prop_assert_eq!(bits(&grad), bits(&want_grad));
+        }
+
         #[test]
         fn prop_matmul_matches_naive(
             m in 1usize..12, k in 1usize..12, n in 1usize..12,
