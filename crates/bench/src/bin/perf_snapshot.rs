@@ -3,7 +3,10 @@
 //! Writes `BENCH_kernels.json` (in the current directory — run from the
 //! workspace root) with median ns/op for the kernels every experiment
 //! in the reproduction bottoms out in: dense matmul (packed kernel vs.
-//! a naive triple loop), Gram, a linear model's residual + gradient over
+//! a naive triple loop), Gram, the table × model products of the training
+//! loops (`A·B` / `Aᵀ·B` on a 50 000 × 60 table against 4, 8 and 9
+//! columns — thin, widest thin, narrowest packed), a linear model's
+//! residual + gradient over
 //! a 20 000 × 32 silo as two products and as the fused one-pass kernel
 //! (same operands), the LMM rewrite across strategies (on
 //! the footnote-3 table and on one with shared, redundant columns), the
@@ -92,6 +95,34 @@ fn main() {
         matmul_packed_ns / 1e6,
         matmul_naive_ns / 1e6,
     );
+
+    // --- table × model: thin right operands on a 50 000 × 60 table --------
+    // What every training loop multiplies by: 4 columns (GNMF rank), 8
+    // (K-means; the widest thin product) and 9 (the narrowest packed one,
+    // so the selection constant is on record from both sides).
+    let table = DenseMatrix::random_uniform(50_000, 60, 0.0, 1.0, &mut rng);
+    let thin_ns: Vec<(usize, f64, f64)> = [4usize, 8, 9]
+        .into_iter()
+        .map(|n| {
+            let model = DenseMatrix::random_uniform(60, n, 0.0, 1.0, &mut rng);
+            let mut scores = DenseMatrix::zeros(50_000, n);
+            let ab = measure(15, || {
+                table.matmul_into(&model, &mut scores).expect("shapes")
+            });
+            let mut sums = DenseMatrix::zeros(60, n);
+            let atb = measure(15, || {
+                table
+                    .transpose_matmul_into(&scores, &mut sums)
+                    .expect("shapes")
+            });
+            println!(
+                "50000×60 table × {n} columns: A·B {:.2} ms, Aᵀ·B {:.2} ms",
+                ab / 1e6,
+                atb / 1e6
+            );
+            (n, ab, atb)
+        })
+        .collect();
 
     // --- residual + gradient over one FedAvg-sized silo --------------------
     // The same operands through the two vector fast paths (X read twice)
@@ -233,6 +264,10 @@ fn main() {
     json_entry(&mut json, "matmul_512_packed", matmul_packed_ns);
     json_entry(&mut json, "matmul_512_naive", matmul_naive_ns);
     json_entry(&mut json, "gram_512", gram_ns);
+    for (n, ab, atb) in thin_ns {
+        json_entry(&mut json, &format!("matmul_50000x60x{n}"), ab);
+        json_entry(&mut json, &format!("transpose_matmul_50000x60x{n}"), atb);
+    }
     json_entry(
         &mut json,
         "gradient_two_products_20000x32",

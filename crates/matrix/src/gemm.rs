@@ -7,8 +7,16 @@
 //!
 //! # Kernel architecture
 //!
-//! Large products run through a packed, register-blocked micro-kernel in
-//! the BLIS style:
+//! [`gemm_driver`] picks one of three kernels from the width `n` of the
+//! right operand and the FLOP count, nothing else:
+//!
+//! | right operand | kernel |
+//! |---|---|
+//! | `n ≤ NR` (one register panel) | **thin**: register tiles straight off the operands |
+//! | `n > NR`, ≥ [`PACK_FLOP_THRESHOLD`] flops | **packed**: BLIS-style, operands packed first |
+//! | `n > NR`, fewer flops | **axpy**: cache-blocked `i-k-j` loops, the reference path |
+//!
+//! ## The packed kernel
 //!
 //! * the innermost unit is an `MR × NR` register tile accumulated over a
 //!   `KC`-long panel (`acc[r][c] += a[r] · b[c]`, fully unrolled over
@@ -25,19 +33,56 @@
 //! (`rs = k, cs = 1`), `Aᵀ·B` (`rs = 1, cs = m`) and `A·Bᵀ`
 //! (`rs = 1, cs = k`) without ever materializing a transpose.
 //!
+//! ## The thin kernel
+//!
+//! Every training loop in this workspace multiplies the table by the
+//! *model* — one column for the GLMs, `k` centroids, rank `r` — so the
+//! right operand is a handful of columns wide while the left one is the
+//! whole table. Packing copies the tall operand so that `⌈n / NR⌉`
+//! column panels can reuse the copy; with `n ≤ NR` there is one panel,
+//! nothing is reused, and the copy (a strided write of every cell of
+//! `A`) is pure overhead. One panel is therefore the boundary: measured
+//! on a 50 000 × 60 table, thin is two to three times faster than
+//! packing at `n < 8` and no slower at `n = 8`; at `n = 16` it wins
+//! `A·B` and loses `Aᵀ·B`, at 24 it loses both.
+//!
+//! [`thin_gemm`] runs the register tiles on the operands where they lie:
+//! two logical rows of `A` — for `A·B` two buffer rows, each contiguous
+//! along the depth; for `Aᵀ·B` two adjacent columns, side by side in
+//! every buffer row — against `W` columns of the row-major `B`, with `W`
+//! covering `n` greedily by const-generic panels of 8, 4, 2, 1. Two rows
+//! is the measured shape: 16 accumulator lanes plus the `B` panel fill
+//! the 16 SSE registers of the default x86-64 target, four rows spill.
+//! Depth is walked in the same `KC` blocks, each tile's accumulators
+//! start from zero, sum `A[i, l]·B[l, j]` in ascending `l` and are added
+//! to `out` in block order — **the packed kernel's arithmetic, operation
+//! for operation** (packing only moves cells, and its zero padding lands
+//! in accumulator lanes that are never written back). A thin product is
+//! bit-identical to [`packed_gemm`] on the same operands, NaN and ±∞
+//! cells included; the differential tests below hold it to that. It
+//! allocates nothing and touches no thread-local.
+//!
+//! The thin kernel took over three things: products with `n < NR` above
+//! the FLOP threshold, which used to drop to the axpy loops; a private
+//! small-problem loop inside `transpose_matmul_into`, which is now its
+//! `n == 1` fast path and a call to the driver; and the packed kernel at
+//! `n = NR`, whose bits it keeps. `A·Bᵀ` never reaches it: there both
+//! operands are contiguous along the depth, so for `n ≤ NR`
+//! `matmul_transpose_into` takes one [`dot`] per output cell, which is
+//! already unpacked.
+//!
+//! ## Threads and scratch
+//!
 //! All four operators (`matmul`, `transpose_matmul`, `matmul_transpose`,
 //! `gram`) parallelize over disjoint output-row chunks via
 //! [`crate::par::par_row_chunks`]. Pack buffers are thread-local: on the
-//! serial path (everything below the parallel threshold — including the
-//! per-epoch products of the GD training loops) repeated calls reuse
-//! them and the steady-state hot path performs no heap allocation (see
-//! [`crate::Workspace`] for the scratch-buffer contract). Parallel
+//! serial path (everything below the parallel threshold) repeated calls
+//! reuse them and the steady-state hot path performs no heap allocation
+//! (see [`crate::Workspace`] for the scratch-buffer contract). Parallel
 //! workers are freshly spawned scoped threads, so each packs into its
 //! own buffers for the duration of the call (~1.2 MB per worker) —
 //! bounded, per-call scratch that is part of the spawn cost, outside
-//! the workspace contract. Small problems skip packing entirely and use
-//! the cache-blocked axpy/dot loops that also serve as the reference
-//! path.
+//! the workspace contract.
 //!
 //! # The fused vector path
 //!
@@ -128,8 +173,14 @@ impl DenseMatrix {
         let (m, k) = self.shape();
         let n = rhs.cols();
         check_out_shape("matmul_into", out, m, n)?;
-        // Matrix–vector fast path: one dot product per row.
+        // Matrix–vector fast path: one dot product per row — of which
+        // `row_iter` yields none for an `m × 0` matrix, whose product is
+        // `m` zeros all the same.
         if n == 1 {
+            if k == 0 {
+                out.as_mut_slice().fill(0.0);
+                return Ok(());
+            }
             let v = rhs.as_slice();
             for (o, row) in out.as_mut_slice().iter_mut().zip(self.row_iter()) {
                 *o = dot(row, v);
@@ -252,36 +303,15 @@ impl DenseMatrix {
             }
             return Ok(());
         }
-        let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-        if n >= NR && flops >= PACK_FLOP_THRESHOLD {
-            let a = Operand {
-                buf: a_slice,
-                layout: Layout { rs: 1, cs: m },
-            };
-            let b = Operand {
-                buf: rhs.as_slice(),
-                layout: Layout { rs: n, cs: 1 },
-            };
-            gemm_driver(a, b, o, m, k, n);
-            return Ok(());
-        }
-        // Small-problem path: row-panel accumulation over chunks of the
-        // output rows (parallel when worthwhile).
-        let b_slice = rhs.as_slice();
-        par_row_chunks(o, n, flops, |i0, chunk| {
-            chunk.fill(0.0);
-            let rows_here = chunk.len() / n;
-            for l in 0..k {
-                let arow = &a_slice[l * m + i0..l * m + i0 + rows_here];
-                let brow = &b_slice[l * n..(l + 1) * n];
-                for (i, &aval) in arow.iter().enumerate() {
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    axpy(aval, brow, &mut chunk[i * n..(i + 1) * n]);
-                }
-            }
-        });
+        let a = Operand {
+            buf: a_slice,
+            layout: Layout { rs: 1, cs: m },
+        };
+        let b = Operand {
+            buf: rhs.as_slice(),
+            layout: Layout { rs: n, cs: 1 },
+        };
+        gemm_driver(a, b, o, m, k, n);
         Ok(())
     }
 
@@ -363,7 +393,7 @@ impl DenseMatrix {
         let a_slice = self.as_slice();
         let b_slice = rhs.as_slice();
         let o = out.as_mut_slice();
-        if n >= NR && flops >= PACK_FLOP_THRESHOLD {
+        if n > NR && flops >= PACK_FLOP_THRESHOLD {
             let a = Operand {
                 buf: a_slice,
                 layout: Layout { rs: k, cs: 1 },
@@ -396,6 +426,10 @@ impl DenseMatrix {
                 lhs: self.shape(),
                 rhs: (v.len(), 1),
             });
+        }
+        if v.is_empty() {
+            // `row_iter` has no rows to offer; see `matmul_into`.
+            return Ok(vec![0.0; self.rows()]);
         }
         Ok(self.row_iter().map(|row| dot(row, v)).collect())
     }
@@ -461,9 +495,15 @@ struct Operand<'a> {
     layout: Layout,
 }
 
-/// Computes `out = A·B` (`out` fully overwritten), choosing between the
-/// packed micro-kernel and the blocked axpy loops, and splitting output
-/// rows across threads when the problem is large enough.
+/// One of the three kernels behind [`gemm_driver`]: `out += A·B` over
+/// `rows` output rows starting at logical row `row0`, `out` pre-zeroed.
+type Kernel = fn(Operand<'_>, Operand<'_>, &mut [f64], usize, usize, usize, usize);
+
+/// Computes `out = A·B` (`out` fully overwritten), choosing the kernel
+/// from `n` and the FLOP count alone — thin for `n ≤ NR`, else packed
+/// above [`PACK_FLOP_THRESHOLD`], else the blocked axpy loops (see the
+/// module docs) — and splitting output rows across threads when the
+/// problem is large enough.
 fn gemm_driver(a: Operand<'_>, b: Operand<'_>, out: &mut [f64], m: usize, k: usize, n: usize) {
     if n == 0 || m == 0 {
         return;
@@ -473,21 +513,96 @@ fn gemm_driver(a: Operand<'_>, b: Operand<'_>, out: &mut [f64], m: usize, k: usi
         return;
     }
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    let use_packed = n >= NR && flops >= PACK_FLOP_THRESHOLD;
-    if use_packed {
-        crate::metrics::GEMM_PACKED_DISPATCHES.inc();
+    let (kernel, dispatches): (Kernel, _) = if n <= NR {
+        (thin_gemm, &crate::metrics::GEMM_THIN_DISPATCHES)
+    } else if flops >= PACK_FLOP_THRESHOLD {
+        (packed_gemm, &crate::metrics::GEMM_PACKED_DISPATCHES)
     } else {
-        crate::metrics::GEMM_FALLBACK_DISPATCHES.inc();
-    }
+        (axpy_gemm, &crate::metrics::GEMM_FALLBACK_DISPATCHES)
+    };
+    dispatches.inc();
     par_row_chunks(out, n, flops, |row0, chunk| {
         chunk.fill(0.0);
-        let rows_here = chunk.len() / n;
-        if use_packed {
-            packed_gemm(a, b, chunk, row0, rows_here, k, n);
-        } else {
-            axpy_gemm(a, b, chunk, row0, rows_here, k, n);
-        }
+        kernel(a, b, chunk, row0, chunk.len() / n, k, n);
     });
+}
+
+/// Thin kernel (`n ≤ NR`, `B` row-major): register tiles straight off
+/// the operands, nothing packed (see the module docs). Two logical rows
+/// of `A` per tile — an odd last row is paired with itself and its
+/// second accumulator row dropped — against the `8 / 4 / 2 / 1`-wide
+/// panels that cover `n` greedily.
+fn thin_gemm(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    out: &mut [f64],
+    row0: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(
+        n <= NR && b.layout.rs == n && b.layout.cs == 1,
+        "thin kernel: B must be one row-major register panel"
+    );
+    let step = a.layout.cs;
+    for kb in (0..k).step_by(KC) {
+        let kmax = (kb + KC).min(k);
+        let b_block = &b.buf[kb * n..kmax * n];
+        for i in (0..rows).step_by(2) {
+            let tile_rows = 2.min(rows - i);
+            let x0 = &a.buf[a.layout.at(row0 + i, kb)..];
+            let x1 = &a.buf[a.layout.at(row0 + i + tile_rows - 1, kb)..];
+            let orows = &mut out[i * n..(i + tile_rows) * n];
+            let mut j0 = 0;
+            if n - j0 >= 8 {
+                thin_tile::<8>(x0, x1, step, b_block, n, j0, orows);
+                j0 += 8;
+            }
+            if n - j0 >= 4 {
+                thin_tile::<4>(x0, x1, step, b_block, n, j0, orows);
+                j0 += 4;
+            }
+            if n - j0 >= 2 {
+                thin_tile::<2>(x0, x1, step, b_block, n, j0, orows);
+                j0 += 2;
+            }
+            if n - j0 >= 1 {
+                thin_tile::<1>(x0, x1, step, b_block, n, j0, orows);
+            }
+        }
+    }
+}
+
+/// One `2 × W` register tile over one depth block: `acc[r][c] = Σ_l
+/// A[r, l]·B[l, j0 + c]` from zero in ascending `l`, then `out += acc`
+/// — [`micro_kernel`] and its write-back on unpacked operands. `x0` /
+/// `x1` start at the two rows' first element of the block, consecutive
+/// depth steps `step` apart; `b_block` bounds the depth.
+#[inline(always)]
+fn thin_tile<const W: usize>(
+    x0: &[f64],
+    x1: &[f64],
+    step: usize,
+    b_block: &[f64],
+    n: usize,
+    j0: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [[0.0f64; W]; 2];
+    let lhs = x0.iter().step_by(step).zip(x1.iter().step_by(step));
+    for ((&a0, &a1), brow) in lhs.zip(b_block.chunks_exact(n)) {
+        let bl = &brow[j0..j0 + W];
+        for c in 0..W {
+            acc[0][c] += a0 * bl[c];
+            acc[1][c] += a1 * bl[c];
+        }
+    }
+    for (orow, acc_row) in out.chunks_exact_mut(n).zip(&acc) {
+        for (o, &v) in orow[j0..j0 + W].iter_mut().zip(acc_row) {
+            *o += v;
+        }
+    }
 }
 
 /// Reference path for small problems: cache-blocked `i-k-j` loops,
@@ -948,6 +1063,118 @@ mod tests {
         let mut out = DenseMatrix::filled(3, 4, 5.0);
         e.matmul_into(&f, &mut out).unwrap();
         assert!(out.approx_eq(&DenseMatrix::zeros(3, 4), 1e-12));
+        // The same through the vector fast paths, which have no row to
+        // take a dot product with.
+        let mut out = DenseMatrix::filled(3, 1, 5.0);
+        e.matmul_into(&DenseMatrix::zeros(0, 1), &mut out).unwrap();
+        assert_eq!(out.as_slice(), &[0.0; 3]);
+        assert_eq!(e.matvec(&[]).unwrap(), vec![0.0; 3]);
+        let mut out = DenseMatrix::filled(4, 1, 5.0);
+        f.transpose_matmul_into(&DenseMatrix::zeros(0, 1), &mut out)
+            .unwrap();
+        assert_eq!(out.as_slice(), &[0.0; 4]);
+    }
+
+    /// The operand views the public entry points hand to the driver:
+    /// `A·B` with `a` stored `m × k`, or `Aᵀ·B` with `a` stored `k × m`.
+    fn driver_operands<'a>(
+        a: &'a DenseMatrix,
+        b: &'a DenseMatrix,
+        transposed: bool,
+    ) -> (Operand<'a>, Operand<'a>) {
+        let operand = |m: &'a DenseMatrix, rs, cs| Operand {
+            buf: m.as_slice(),
+            layout: Layout { rs, cs },
+        };
+        let (rs, cs) = if transposed {
+            (1, a.cols())
+        } else {
+            (a.cols(), 1)
+        };
+        (operand(a, rs, cs), operand(b, b.cols(), 1))
+    }
+
+    /// A logical `m × k` left operand (stored transposed on request) and
+    /// a `k × n` right operand, each with a few exact zeros and `poison`
+    /// NaN / ±∞ cells.
+    fn thin_case(
+        (m, k, n): (usize, usize, usize),
+        transposed: bool,
+        poison: usize,
+        rng: &mut rand::rngs::StdRng,
+    ) -> (DenseMatrix, DenseMatrix) {
+        use rand::Rng;
+        let (rows, cols) = if transposed { (k, m) } else { (m, k) };
+        let mut a = DenseMatrix::random_uniform(rows, cols, -2.0, 2.0, rng);
+        let mut b = DenseMatrix::random_uniform(k, n, -2.0, 2.0, rng);
+        for mat in [&mut a, &mut b] {
+            let cells = mat.as_mut_slice();
+            if cells.is_empty() {
+                continue;
+            }
+            for special in [0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for _ in 0..poison {
+                    cells[rng.gen_range(0..cells.len())] = special;
+                }
+            }
+        }
+        (a, b)
+    }
+
+    /// `out = A·B` through the driver on a dirty buffer.
+    fn drive(a: Operand<'_>, b: Operand<'_>, (m, k, n): (usize, usize, usize)) -> Vec<f64> {
+        let mut out = vec![f64::NAN; m * n];
+        gemm_driver(a, b, &mut out, m, k, n);
+        out
+    }
+
+    #[test]
+    fn thin_row_chunks_equal_serial() {
+        // 37 rows over two workers: chunks of 19 and 18, so the second
+        // chunk pairs rows differently from the serial run.
+        let mut rng = rand::thread_rng();
+        let (m, k) = (37, 300);
+        for transposed in [false, true] {
+            for n in [1, 3, 8] {
+                let (rows, cols) = if transposed { (k, m) } else { (m, k) };
+                let a = DenseMatrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
+                let b = DenseMatrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
+                let (oa, ob) = driver_operands(&a, &b, transposed);
+                let mut serial = vec![0.0; m * n];
+                thin_gemm(oa, ob, &mut serial, 0, m, k, n);
+                let mut chunked = vec![f64::NAN; m * n];
+                crate::par::par_row_chunks_with(&mut chunked, n, usize::MAX, 2, |row0, chunk| {
+                    chunk.fill(0.0);
+                    thin_gemm(oa, ob, chunk, row0, chunk.len() / n, k, n);
+                });
+                assert!(
+                    chunked
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .eq(serial.iter().map(|v| v.to_bits())),
+                    "transposed {transposed}, n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn thin_and_packed_match_naive_at_the_panel_boundary() {
+        // n = NR is the widest thin product, NR + 1 the narrowest packed
+        // one (the shape is above the FLOP threshold).
+        let mut rng = rand::thread_rng();
+        let a = DenseMatrix::random_uniform(70, 130, -1.0, 1.0, &mut rng);
+        let at = a.transpose();
+        for n in [NR, NR + 1] {
+            let b = DenseMatrix::random_uniform(130, n, -1.0, 1.0, &mut rng);
+            let want = matmul_naive(&a, &b);
+            let mut out = DenseMatrix::filled(70, n, 123.0);
+            a.matmul_into(&b, &mut out).unwrap();
+            assert!(out.approx_eq(&want, 1e-9), "A·B at n = {n}");
+            let mut out = DenseMatrix::filled(70, n, 123.0);
+            at.transpose_matmul_into(&b, &mut out).unwrap();
+            assert!(out.approx_eq(&want, 1e-9), "Aᵀ·B at n = {n}");
+        }
     }
 
     #[test]
@@ -958,6 +1185,77 @@ mod tests {
     }
 
     proptest! {
+        /// The thin kernel against the packed kernel on the same
+        /// operands, bit for bit, for every `n ≤ NR` in both layouts:
+        /// depths on both sides of `KC`, odd row counts, a dirty output,
+        /// exact zeros and NaN / ±∞ cells in either operand. A NaN must
+        /// be a NaN in both (its payload is the compiler's choice of
+        /// operand order); and both must agree with the naive triple
+        /// loop, whose non-finite cells do not depend on summation order.
+        #[test]
+        fn prop_thin_is_bit_identical_to_packed(
+            m in 0usize..70, k in 0usize..600,
+            poison in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for transposed in [false, true] {
+                for n in 1..=NR {
+                    let (a, b) = thin_case((m, k, n), transposed, poison, &mut rng);
+                    let (oa, ob) = driver_operands(&a, &b, transposed);
+                    let thin = drive(oa, ob, (m, k, n));
+                    let mut packed = vec![0.0; m * n];
+                    packed_gemm(oa, ob, &mut packed, 0, m, k, n);
+                    let logical = if transposed { a.transpose() } else { a.clone() };
+                    let naive = matmul_naive(&logical, &b);
+                    for ((t, p), w) in thin.iter().zip(&packed).zip(naive.as_slice()) {
+                        prop_assert!(
+                            t.to_bits() == p.to_bits() || (t.is_nan() && p.is_nan()),
+                            "transposed {}, n {}: thin {:?} vs packed {:?}", transposed, n, t, p
+                        );
+                        let agrees = if w.is_finite() {
+                            (t - w).abs() <= 1e-9
+                        } else if w.is_nan() {
+                            t.is_nan()
+                        } else {
+                            t == w
+                        };
+                        prop_assert!(
+                            agrees,
+                            "transposed {}, n {}: thin {:?} vs naive {:?}", transposed, n, t, w
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Column `j` of a thin product is the product with column `j`
+        /// alone: panels of any width run the same per-lane arithmetic.
+        #[test]
+        fn prop_thin_columns_do_not_see_each_other(
+            m in 0usize..40, k in 0usize..300,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for transposed in [false, true] {
+                for n in 2..=NR {
+                    let (a, b) = thin_case((m, k, n), transposed, 0, &mut rng);
+                    let (oa, ob) = driver_operands(&a, &b, transposed);
+                    let whole = drive(oa, ob, (m, k, n));
+                    for j in 0..n {
+                        let bj = DenseMatrix::column_vector(&b.col(j));
+                        let (oa, obj) = driver_operands(&a, &bj, transposed);
+                        let alone = drive(oa, obj, (m, k, 1));
+                        for (i, v) in alone.iter().enumerate() {
+                            prop_assert_eq!(whole[i * n + j].to_bits(), v.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+
         /// The fused pass against the two products it replaces, bit for
         /// bit: shapes on both sides of `dot`'s 4-way body, rows whose
         /// residual is exactly zero (the `axpy` skip — which decides

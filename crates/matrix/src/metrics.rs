@@ -9,6 +9,10 @@
 
 use amalur_obs::{Counter, Gauge, MetricsRegistry};
 
+/// GEMM calls routed to the thin kernel (right operand of at most one
+/// register panel, nothing packed).
+pub(crate) static GEMM_THIN_DISPATCHES: Counter = Counter::new();
+
 /// GEMM calls routed to the packed register-blocked micro-kernel.
 pub(crate) static GEMM_PACKED_DISPATCHES: Counter = Counter::new();
 
@@ -33,6 +37,7 @@ pub(crate) static WORKSPACE_HIGH_WATER_ELEMS: Gauge = Gauge::new();
 /// `matrix.gemm.*` / `matrix.gradient_pass.*` / `matrix.workspace.*`
 /// names.
 pub fn mount_metrics(reg: &MetricsRegistry) {
+    reg.mount_counter("matrix.gemm.thin_dispatches", &GEMM_THIN_DISPATCHES);
     reg.mount_counter("matrix.gemm.packed_dispatches", &GEMM_PACKED_DISPATCHES);
     reg.mount_counter("matrix.gemm.fallback_dispatches", &GEMM_FALLBACK_DISPATCHES);
     reg.mount_counter(
@@ -57,21 +62,28 @@ mod tests {
         let reg = MetricsRegistry::new();
         mount_metrics(&reg);
         let before = reg.snapshot();
-        let small = DenseMatrix::filled(4, 4, 1.0);
-        small.matmul(&small).expect("square matmul");
+        let thin = DenseMatrix::filled(4, 4, 1.0);
+        thin.matmul(&thin).expect("square matmul");
+        let small_wide = DenseMatrix::filled(4, 12, 1.0);
+        thin.matmul(&small_wide).expect("4×4 · 4×12");
         let big = DenseMatrix::filled(192, 192, 1.0);
         big.matmul(&big).expect("square matmul");
         let after = reg.snapshot();
-        let packed = after.counter("matrix.gemm.packed_dispatches").unwrap_or(0)
-            - before.counter("matrix.gemm.packed_dispatches").unwrap_or(0);
-        let fallback = after
-            .counter("matrix.gemm.fallback_dispatches")
-            .unwrap_or(0)
-            - before
-                .counter("matrix.gemm.fallback_dispatches")
-                .unwrap_or(0);
-        assert!(packed >= 1, "192³ routes to the packed kernel");
-        assert!(fallback >= 1, "4³ routes to the axpy fallback");
+        // Other tests multiply concurrently, hence `>=`.
+        let grew =
+            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0) >= 1;
+        assert!(
+            grew("matrix.gemm.thin_dispatches"),
+            "n = 4 ≤ NR routes to the thin kernel"
+        );
+        assert!(
+            grew("matrix.gemm.packed_dispatches"),
+            "192³ routes to the packed kernel"
+        );
+        assert!(
+            grew("matrix.gemm.fallback_dispatches"),
+            "n = 12 under the FLOP threshold routes to the axpy fallback"
+        );
     }
 
     #[test]

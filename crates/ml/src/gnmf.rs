@@ -10,7 +10,10 @@
 //!
 //! `WᵀT = (Tᵀ W)ᵀ` and `T Hᵀ` are one `t_mul` / `mul_right` each, so the
 //! whole algorithm runs factorized. The reconstruction loss uses
-//! `‖T‖²_F` from `row_norms_sq`, again avoiding materialization.
+//! `‖T‖²_F` from `row_norms_sq`, again avoiding materialization, and the
+//! `TᵀW` / `WᵀW` it computes for the updated `W` are the ones the next
+//! `H` update starts from: two passes over the table per iteration
+//! (plus one before the first), not three.
 
 use crate::{MlError, Result};
 use amalur_factorize::LinOps;
@@ -102,11 +105,20 @@ impl Gnmf {
         // Fallible body runs in a closure so the checked-out buffers are
         // returned to the pool on every exit path (workspace contract).
         let outcome = (|| -> Result<()> {
+            // `TᵀW` and `WᵀW` for the initial `W`. The loss at the end of
+            // an iteration needs both for the `W` it has just updated,
+            // and the next `H` update needs them for that same `W`: they
+            // are computed once per `W` and carried across the loop edge
+            // in `wt_t` / `wtw` — `iters + 1` passes of `t_mul` over the
+            // table, not `2·iters`. Carrying is the same operands through
+            // the same kernels as recomputing, so `W`, `H` and the loss
+            // history have the bits of the three-pass loop (kept in the
+            // tests below as the reference).
+            x.t_mul_into(&w, &mut dr, ws)?; // d × r
+            dr.transpose_into(&mut wt_t)?; // r × d
+            w.gram_into(&mut wtw)?; // r × r
             for _ in 0..self.config.iters {
                 // H update: H ∘ (WᵀT) / (WᵀW H)
-                x.t_mul_into(&w, &mut dr, ws)?; // d × r
-                dr.transpose_into(&mut wt_t)?; // r × d
-                w.gram_into(&mut wtw)?; // r × r
                 wtw.matmul_into(&h, &mut denom_h)?;
                 update_inplace(&mut h, &wt_t, &denom_h);
                 // W update: W ∘ (THᵀ) / (W (H Hᵀ))
@@ -115,7 +127,8 @@ impl Gnmf {
                 h.matmul_transpose_into(&h, &mut hht)?; // r × r
                 w.matmul_into(&hht, &mut denom_w)?;
                 update_inplace(&mut w, &t_ht, &denom_w);
-                // Loss: ‖T‖² − 2·tr(Hᵀ(WᵀT)) + tr((WᵀW)(HHᵀ))
+                // Loss: ‖T‖² − 2·tr(Hᵀ(WᵀT)) + tr((WᵀW)(HHᵀ)), with `hht`
+                // still that of the `H` it was computed from above.
                 x.t_mul_into(&w, &mut dr, ws)?;
                 dr.transpose_into(&mut wt_t)?;
                 let cross: f64 = wt_t
@@ -125,7 +138,6 @@ impl Gnmf {
                     .map(|(&a, &b)| a * b)
                     .sum();
                 w.gram_into(&mut wtw)?;
-                h.matmul_transpose_into(&h, &mut hht)?;
                 // Both factors are symmetric, so tr((WᵀW)(HHᵀ)) is their
                 // element-wise product summed.
                 let quad: f64 = wtw
@@ -204,6 +216,128 @@ mod tests {
         let w = DenseMatrix::random_uniform(n, 2, 0.0, 1.0, &mut rng);
         let h = DenseMatrix::random_uniform(2, d, 0.0, 1.0, &mut rng);
         w.matmul(&h).unwrap()
+    }
+
+    /// The update loop before `TᵀW` / `WᵀW` were carried from each loss
+    /// to the next `H` update, kept word for word: three `t_mul` /
+    /// `mul_right` passes and two grams of `W` per iteration.
+    fn fit_three_pass_reference<L: LinOps>(
+        config: &GnmfConfig,
+        x: &L,
+    ) -> (DenseMatrix, DenseMatrix, Vec<f64>) {
+        let ws = &mut Workspace::new();
+        let n = x.n_rows();
+        let d = x.n_cols();
+        let r = config.rank;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+        let mut w = DenseMatrix::random_uniform(n, r, 0.1, 1.0, &mut rng);
+        let mut h = DenseMatrix::random_uniform(r, d, 0.1, 1.0, &mut rng);
+        let t_norm_sq: f64 = x.row_norms_sq().iter().sum();
+        let mut dr = ws.take_matrix(d, r); // Tᵀ·W
+        let mut wt_t = ws.take_matrix(r, d); // (Tᵀ·W)ᵀ
+        let mut wtw = ws.take_matrix(r, r);
+        let mut denom_h = ws.take_matrix(r, d);
+        let mut h_t = ws.take_matrix(d, r);
+        let mut t_ht = ws.take_matrix(n, r);
+        let mut hht = ws.take_matrix(r, r);
+        let mut denom_w = ws.take_matrix(n, r);
+        let mut loss_history = Vec::new();
+        for _ in 0..config.iters {
+            // H update: H ∘ (WᵀT) / (WᵀW H)
+            x.t_mul_into(&w, &mut dr, ws).unwrap(); // d × r
+            dr.transpose_into(&mut wt_t).unwrap(); // r × d
+            w.gram_into(&mut wtw).unwrap(); // r × r
+            wtw.matmul_into(&h, &mut denom_h).unwrap();
+            update_inplace(&mut h, &wt_t, &denom_h);
+            // W update: W ∘ (THᵀ) / (W (H Hᵀ))
+            h.transpose_into(&mut h_t).unwrap();
+            x.mul_right_into(&h_t, &mut t_ht, ws).unwrap(); // n × r
+            h.matmul_transpose_into(&h, &mut hht).unwrap(); // r × r
+            w.matmul_into(&hht, &mut denom_w).unwrap();
+            update_inplace(&mut w, &t_ht, &denom_w);
+            // Loss: ‖T‖² − 2·tr(Hᵀ(WᵀT)) + tr((WᵀW)(HHᵀ))
+            x.t_mul_into(&w, &mut dr, ws).unwrap();
+            dr.transpose_into(&mut wt_t).unwrap();
+            let cross: f64 = wt_t
+                .as_slice()
+                .iter()
+                .zip(h.as_slice())
+                .map(|(&a, &b)| a * b)
+                .sum();
+            w.gram_into(&mut wtw).unwrap();
+            h.matmul_transpose_into(&h, &mut hht).unwrap();
+            let quad: f64 = wtw
+                .as_slice()
+                .iter()
+                .zip(hht.as_slice())
+                .map(|(&a, &b)| a * b)
+                .sum();
+            let loss = (t_norm_sq - 2.0 * cross + quad).max(0.0);
+            loss_history.push(loss);
+        }
+        (w, h, loss_history)
+    }
+
+    /// A non-negative star table with shared (redundant) columns, so the
+    /// factorized `t_mul` / `mul_right` take their corrected-slot paths.
+    fn non_negative_star(seed: u64) -> amalur_factorize::FactorizedTable {
+        let spec = amalur_data::TwoSourceSpec {
+            rows_s1: 90,
+            cols_s1: 4,
+            rows_s2: 18,
+            cols_s2: 7,
+            shared_cols: 2,
+            target_redundancy: true,
+            row_coverage: 1.0,
+            source_redundancy: false,
+            seed,
+        };
+        let (md, mut data) = amalur_data::generate_two_source(&spec).unwrap();
+        for d in &mut data {
+            d.map_inplace(f64::abs);
+        }
+        amalur_factorize::FactorizedTable::new(md, data).unwrap()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn assert_equals_three_pass_reference<L: LinOps>(x: &L, what: &str) {
+        for rank in [1, 4, 5] {
+            for iters in [1, 2, 8] {
+                let config = GnmfConfig {
+                    rank,
+                    iters,
+                    seed: 17,
+                };
+                let (w, h, losses) = fit_three_pass_reference(&config, x);
+                let mut model = Gnmf::new(config);
+                model.fit(x).unwrap();
+                let case = format!("{what}, rank {rank}, {iters} iterations");
+                assert_eq!(
+                    bits(model.w().unwrap().as_slice()),
+                    bits(w.as_slice()),
+                    "W: {case}"
+                );
+                assert_eq!(
+                    bits(model.h().unwrap().as_slice()),
+                    bits(h.as_slice()),
+                    "H: {case}"
+                );
+                assert_eq!(bits(model.loss_history()), bits(&losses), "loss: {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn carried_products_equal_three_pass_reference() {
+        let ft = non_negative_star(23);
+        assert_equals_three_pass_reference(&ft, "factorized");
+        assert_equals_three_pass_reference(&ft.materialize(), "dense");
+        // Tall enough that the rank-4 and rank-5 products cross the old
+        // packing threshold.
+        assert_equals_three_pass_reference(&low_rank(900, 12, 6), "tall dense");
     }
 
     #[test]

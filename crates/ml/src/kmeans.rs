@@ -325,4 +325,31 @@ mod tests {
         let km = KMeans::new(KMeansConfig::default());
         assert!(matches!(km.predict(&x).unwrap_err(), MlError::NotFitted));
     }
+
+    /// K-means multiplies by `k` columns; at `k = NR = 8` on a problem
+    /// above the packing threshold the parent of the thin-path change ran
+    /// `packed_gemm`, whose arithmetic the thin kernel repeats operation
+    /// for operation. Golden captured at that parent (`2e2db26`): same
+    /// seed, same bits.
+    #[test]
+    fn eight_clusters_keep_the_packed_kernels_bits() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        let x = DenseMatrix::random_uniform(600, 12, 0.0, 1.0, &mut rng);
+        let mut km = KMeans::new(KMeansConfig {
+            k: 8,
+            max_iters: 6,
+            seed: 11,
+            ..KMeansConfig::default()
+        });
+        km.fit(&x).unwrap();
+        let centroid_fold = km
+            .centroids()
+            .unwrap()
+            .as_slice()
+            .iter()
+            .fold(0u64, |h, v| h.rotate_left(7) ^ v.to_bits());
+        assert_eq!(km.iterations(), 6);
+        assert_eq!(km.inertia().to_bits(), 4_646_630_728_644_831_190);
+        assert_eq!(centroid_fold, 18_354_857_180_118_354_060);
+    }
 }

@@ -41,6 +41,21 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
+/// One row's term of the cross-entropy, `y·ln p + (1 − y)·ln(1 − p)` for
+/// a label `y ∈ {0, 1}` (validated by `fit`), with `p` clamped for
+/// numeric safety. Only the label's own logarithm is taken: the clamp
+/// keeps both finite and negative, so the other term is `−0.0` and
+/// adding it changes no bit.
+#[inline]
+fn log_likelihood(y: f64, p: f64) -> f64 {
+    let p = p.clamp(1e-12, 1.0 - 1e-12);
+    if y == 1.0 {
+        p.ln()
+    } else {
+        (1.0 - p).ln()
+    }
+}
+
 impl LogisticRegression {
     /// Creates an unfitted model.
     pub fn new(config: LogRegConfig) -> Self {
@@ -86,15 +101,11 @@ impl LogisticRegression {
         for epoch in 0..self.config.epochs {
             x.mul_right_into(&theta, &mut p, ws)?; // p = Xθ
             p.map_inplace(sigmoid); // p = σ(Xθ)
-                                    // Cross-entropy loss with clamping for numeric safety.
             let loss = -y
                 .as_slice()
                 .iter()
                 .zip(p.as_slice())
-                .map(|(&yi, &pi)| {
-                    let pi = pi.clamp(1e-12, 1.0 - 1e-12);
-                    yi * pi.ln() + (1.0 - yi) * (1.0 - pi).ln()
-                })
+                .map(|(&yi, &pi)| log_likelihood(yi, pi))
                 .sum::<f64>()
                 / n;
             if !loss.is_finite() {
@@ -234,6 +245,56 @@ mod tests {
         let (x, _) = separable(5, 6);
         let model = LogisticRegression::new(LogRegConfig::default());
         assert!(matches!(model.predict(&x).unwrap_err(), MlError::NotFitted));
+    }
+
+    /// The loss takes one logarithm per row; the textbook two-log
+    /// expression, kept here, gives the same bits for 0 / 1 labels.
+    #[test]
+    fn one_log_loss_equals_two_log_expression() {
+        let two_logs = |y: f64, p: f64| {
+            let p = p.clamp(1e-12, 1.0 - 1e-12);
+            y * p.ln() + (1.0 - y) * (1.0 - p).ln()
+        };
+        let extremes = [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0];
+        for y in [0.0, 1.0] {
+            for p in extremes {
+                assert_eq!(
+                    log_likelihood(y, p).to_bits(),
+                    two_logs(y, p).to_bits(),
+                    "y = {y}, p = {p}"
+                );
+            }
+            assert!(log_likelihood(y, f64::NAN).is_nan() && two_logs(y, f64::NAN).is_nan());
+        }
+        // A whole loss history: saturating probabilities on separable
+        // data under a large step, replayed from the fitted path's θ.
+        let (x, y) = separable(300, 7);
+        let config = LogRegConfig {
+            epochs: 40,
+            learning_rate: 8.0,
+            l2: 0.0,
+        };
+        let mut model = LogisticRegression::new(config.clone());
+        model.fit(&x, &y).unwrap();
+        let n = x.rows() as f64;
+        let mut theta = DenseMatrix::zeros(2, 1);
+        let mut want = Vec::new();
+        for _ in 0..config.epochs {
+            let mut p = x.matmul(&theta).unwrap();
+            p.map_inplace(sigmoid);
+            let sum: f64 = y
+                .as_slice()
+                .iter()
+                .zip(p.as_slice())
+                .map(|(&yi, &pi)| two_logs(yi, pi))
+                .sum();
+            want.push((-sum / n).to_bits());
+            p.sub_assign(&y).unwrap();
+            let grad = x.transpose_matmul(&p).unwrap();
+            theta.axpy_assign(-config.learning_rate / n, &grad).unwrap();
+        }
+        let got: Vec<u64> = model.loss_history().iter().map(|l| l.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
