@@ -5,7 +5,11 @@
 //! in the reproduction bottoms out in: dense matmul (packed kernel vs.
 //! a naive triple loop), Gram, the table × model products of the training
 //! loops (`A·B` / `Aᵀ·B` on a 50 000 × 60 table against 4, 8 and 9
-//! columns — thin, widest thin, narrowest packed), a linear model's
+//! columns — thin, widest thin, narrowest packed), one least-squares and
+//! one logistic GD epoch on that table as two products and as the fused
+//! block pass, one K-means update (`k = 8`) as the one-hot product and as
+//! class sums — these four pairs also as ratios to the `n = 9` product of
+//! the same run (`per_canary_matmul_50000x60x9`) — a linear model's
 //! residual + gradient over
 //! a 20 000 × 32 silo as two products and as the fused one-pass kernel
 //! (same operands), the LMM rewrite across strategies (on
@@ -63,6 +67,58 @@ fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
         }
     }
     out
+}
+
+/// `LinearRegression`'s link over one block: subtract the labels, then
+/// fold the squared residuals.
+fn least_squares_link(y: &[f64], sq: &mut f64, first: usize, block: &mut [f64]) {
+    for (r, &yl) in block.iter_mut().zip(&y[first..]) {
+        *r -= yl;
+    }
+    for &r in block.iter() {
+        *sq += r * r;
+    }
+}
+
+/// `LogisticRegression`'s link over one block: sigmoid, fold the
+/// log-likelihood of the clamped probabilities, subtract the labels.
+fn logistic_link(y: &[f64], log_lik: &mut f64, first: usize, block: &mut [f64]) {
+    let ys = &y[first..first + block.len()];
+    for z in block.iter_mut() {
+        *z = 1.0 / (1.0 + (-*z).exp());
+    }
+    for (&yl, &p) in ys.iter().zip(block.iter()) {
+        let p = p.clamp(1e-12, 1.0 - 1e-12);
+        *log_lik += if yl == 1.0 { p.ln() } else { (1.0 - p).ln() };
+    }
+    for (r, &yl) in block.iter_mut().zip(ys) {
+        *r -= yl;
+    }
+}
+
+/// One GD epoch over `table` as `(two products, fused pass)` ns: the
+/// link once over the whole vector between `matmul_into` and
+/// `transpose_matmul_into`, against `gradient_pass_blocks_into`.
+fn epoch_pair(
+    table: &DenseMatrix,
+    theta: &DenseMatrix,
+    link: &mut dyn FnMut(usize, &mut [f64]),
+) -> (f64, f64) {
+    let mut resid = DenseMatrix::zeros(table.rows(), 1);
+    let mut grad = DenseMatrix::zeros(table.cols(), 1);
+    let two_products = measure(15, || {
+        table.matmul_into(theta, &mut resid).expect("shapes");
+        link(0, resid.as_mut_slice());
+        table
+            .transpose_matmul_into(&resid, &mut grad)
+            .expect("shapes");
+    });
+    let fused = measure(15, || {
+        table
+            .gradient_pass_blocks_into(theta, &mut *link, &mut resid, &mut grad)
+            .expect("shapes");
+    });
+    (two_products, fused)
 }
 
 fn json_entry(out: &mut String, name: &str, ns: f64) {
@@ -123,6 +179,64 @@ fn main() {
             (n, ab, atb)
         })
         .collect();
+
+    // --- one GD epoch / one Lloyd update on the same table --------------------
+    // What the trainers run against what they replaced, on the same
+    // operands (outputs bit-identical): the two products with the link
+    // between them against the fused block pass, and the one-hot product
+    // against the class sums. Each is also reported as a ratio to the
+    // untouched n = 9 packed `A·B` timed above in this run — the box's
+    // noise gauge, so a loud hour shows in the ratio's denominator.
+    let canary_ns = thin_ns
+        .iter()
+        .find(|&&(n, _, _)| n == 9)
+        .map_or(f64::NAN, |&(_, ab, _)| ab);
+    let theta = DenseMatrix::random_uniform(60, 1, -0.1, 0.1, &mut rng);
+    let y_ls = DenseMatrix::random_uniform(50_000, 1, 0.0, 1.0, &mut rng);
+    let y_bin = y_ls.map(|v| f64::from(v > 0.5));
+    let (mut sq, mut log_lik) = (0.0, 0.0);
+    let least_squares = epoch_pair(&table, &theta, &mut |first, block| {
+        least_squares_link(y_ls.as_slice(), &mut sq, first, block)
+    });
+    let logistic = epoch_pair(&table, &theta, &mut |first, block| {
+        logistic_link(y_bin.as_slice(), &mut log_lik, first, block)
+    });
+    let mut training_cases: Vec<(String, f64)> = Vec::new();
+    for (name, (two_products, fused)) in [("least_squares", least_squares), ("logistic", logistic)]
+    {
+        let case = format!("gradient_epoch_50000x60_{name}");
+        training_cases.push((format!("{case}_two_products"), two_products));
+        training_cases.push((format!("{case}_fused"), fused));
+    }
+    let classes: Vec<usize> = (0..50_000).map(|l| (l * 7 + l / 3) % 8).collect();
+    let mut onehot = DenseMatrix::zeros(50_000, 8);
+    for (l, &c) in classes.iter().enumerate() {
+        onehot.set(l, c, 1.0);
+    }
+    let mut class_sums = DenseMatrix::zeros(60, 8);
+    let mut ws = Workspace::new();
+    let onehot_product_ns = measure(15, || {
+        table
+            .transpose_matmul_into(&onehot, &mut class_sums)
+            .expect("shapes")
+    });
+    let class_sums_ns = measure(15, || {
+        table
+            .class_sums_into(&classes, &mut class_sums, &mut ws)
+            .expect("shapes")
+    });
+    training_cases.push((
+        "class_sums_50000x60x8_onehot_product".into(),
+        onehot_product_ns,
+    ));
+    training_cases.push(("class_sums_50000x60x8".into(), class_sums_ns));
+    for (case, ns) in &training_cases {
+        println!(
+            "{case}: {:.2} ms ({:.3} of the n = 9 product)",
+            ns / 1e6,
+            ns / canary_ns
+        );
+    }
 
     // --- residual + gradient over one FedAvg-sized silo --------------------
     // The same operands through the two vector fast paths (X read twice)
@@ -268,6 +382,9 @@ fn main() {
         json_entry(&mut json, &format!("matmul_50000x60x{n}"), ab);
         json_entry(&mut json, &format!("transpose_matmul_50000x60x{n}"), atb);
     }
+    for (case, ns) in &training_cases {
+        json_entry(&mut json, case, *ns);
+    }
     json_entry(
         &mut json,
         "gradient_two_products_20000x32",
@@ -290,6 +407,15 @@ fn main() {
         "    \"matmul_512_speedup_vs_naive\": {speedup:.2}\n"
     ));
     json.push_str("  },\n");
+    // The epoch and Lloyd cases over the n = 9 packed product of the
+    // same run.
+    json.push_str("  \"per_canary_matmul_50000x60x9\": {\n");
+    let ratios: Vec<String> = training_cases
+        .iter()
+        .map(|(case, ns)| format!("    \"{case}\": {:.4}", ns / canary_ns))
+        .collect();
+    json.push_str(&ratios.join(",\n"));
+    json.push_str("\n  },\n");
     json.push_str(&format!(
         "  \"cost_profile\": {{ \"flop_cost\": {:.6}, \"traffic_cost\": {:.6}, \"correction_cost\": {:.6}, \"assembly_cost\": {:.6}, \"dispatch_cost\": {:.1}, \"rms_rel_err\": {:.4} }},\n",
         hp.flop_cost, hp.traffic_cost, hp.correction_cost, hp.assembly_cost, hp.dispatch_cost, report.rms_rel_err

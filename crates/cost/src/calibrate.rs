@@ -8,10 +8,12 @@
 //!
 //! 1. **Probe** — run a small ladder of micro-benchmarks against real
 //!    [`FactorizedTable`]s from the footnote-3 generator family: the
-//!    compressed factorized epoch (packed GEMM + gather/scatter +
-//!    redundancy correction), the dense epoch on the materialized table,
-//!    and target-table assembly. Each probe is timed like the oracle:
-//!    one warm-up run, then the minimum over several repetitions.
+//!    compressed factorized epoch (GEMM + gather/scatter + redundancy
+//!    correction), the dense epoch on the materialized table — each the
+//!    epoch a trainer runs, through the oracle's `GdEpoch`, so at
+//!    `x_cols = 1` the dense one is a single fused pass — and
+//!    target-table assembly. Each probe is timed like the oracle: one
+//!    warm-up run, then the minimum over several repetitions.
 //! 2. **Fit** — least-squares the measured nanoseconds against the
 //!    probes' [`OpCounts`] (relative error weighting, non-negative
 //!    coefficients) to obtain a [`HardwareProfile`].
@@ -19,9 +21,10 @@
 //!    `BENCH_kernels.json`, so report binaries can
 //!    [`load_or_calibrate`] instead of re-measuring every run.
 
+use crate::oracle::GdEpoch;
 use crate::CostFeatures;
 use amalur_data::{generate_two_source, TwoSourceSpec};
-use amalur_factorize::{FactorizedTable, OpCounts, Strategy};
+use amalur_factorize::{FactorizedTable, OpCounts};
 use amalur_matrix::DenseMatrix;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -332,28 +335,21 @@ fn probe_table(
 ) -> Vec<Probe> {
     let (rows, cols) = ft.target_shape();
     let n = config.x_cols;
-    let theta = DenseMatrix::filled(cols, n, 0.5);
-    let resid = DenseMatrix::filled(rows, n, 0.25);
+    // The epoch the trainers run, on both backends (see `GdEpoch`).
+    let mut epoch = GdEpoch::new(rows, cols, n);
 
     // Probes are priced by the struct the model prices with at decision
     // time, so the fit and the decision share one op-count derivation.
     let features = CostFeatures::from_table(ft);
     let fact_counts = features.epoch_op_counts(n);
-    // Operand shapes are fixed by construction above; the 1×1 zero
-    // fallback keeps the timed closures infallible without panicking on
-    // a violated invariant.
+    // Operand shapes are fixed by construction above; a violated
+    // invariant times an error path instead of panicking.
     let fact_ns = min_time_ns(
         config,
         &crate::metrics::FACT_EPOCH_NS,
         fact_counts.total_units(),
         || {
-            let pred = ft
-                .lmm(&theta, Strategy::Compressed)
-                .unwrap_or_else(|_| DenseMatrix::zeros(1, 1));
-            let grad = ft
-                .lmm_transpose(&resid, Strategy::Compressed)
-                .unwrap_or_else(|_| DenseMatrix::zeros(1, 1));
-            black_box(pred.get(0, 0) + grad.get(0, 0));
+            black_box(epoch.run(ft).ok());
         },
     );
 
@@ -374,13 +370,7 @@ fn probe_table(
         &crate::metrics::MAT_EPOCH_NS,
         mat_counts.total_units(),
         || {
-            let pred = t
-                .matmul(&theta)
-                .unwrap_or_else(|_| DenseMatrix::zeros(1, 1));
-            let grad = t
-                .transpose_matmul(&resid)
-                .unwrap_or_else(|_| DenseMatrix::zeros(1, 1));
-            black_box(pred.get(0, 0) + grad.get(0, 0));
+            black_box(epoch.run(&t).ok());
         },
     );
 

@@ -2,15 +2,77 @@
 //!
 //! The Table III experiment scores cost models against what is *actually*
 //! faster. This module runs both strategies on a real
-//! [`FactorizedTable`] — a gradient-descent-shaped workload of
-//! `T·θ` / `Tᵀ·r` pairs — and times them. The materialized timing
-//! includes materialization itself (the paper's Fig. 2 pipeline joins
-//! first, then trains).
+//! [`FactorizedTable`] — gradient-descent epochs, each the table work
+//! `LinearRegression` does per epoch ([`GdEpoch`]) — and times them. The
+//! materialized timing includes materialization itself (the paper's
+//! Fig. 2 pipeline joins first, then trains).
 
 use crate::{Decision, TrainingWorkload};
-use amalur_factorize::{FactorizedTable, Strategy};
-use amalur_matrix::DenseMatrix;
+use amalur_factorize::{FactorizedTable, LinOps, Result};
+use amalur_matrix::{DenseMatrix, Workspace};
 use std::time::{Duration, Instant};
+
+/// The table work of one least-squares gradient-descent epoch, run the
+/// way the trainers run it, on buffers kept across epochs: with one
+/// model column, [`LinOps::gradient_pass_into`] with the least-squares
+/// link (one pass over a dense table; `lmm_into` then
+/// `lmm_transpose_into` on a factorized one); wider, the two `_into`
+/// products with the residual between them. Shared by the oracle and
+/// the calibration probes, so both time the epoch a trainer runs.
+pub(crate) struct GdEpoch {
+    theta: DenseMatrix,
+    y: DenseMatrix,
+    resid: DenseMatrix,
+    grad: DenseMatrix,
+    ws: Workspace,
+}
+
+impl GdEpoch {
+    /// Buffers for a `rows × cols` table and `x_cols` model columns.
+    pub(crate) fn new(rows: usize, cols: usize, x_cols: usize) -> Self {
+        Self {
+            theta: DenseMatrix::filled(cols, x_cols, 0.5),
+            y: DenseMatrix::filled(rows, x_cols, 0.25),
+            resid: DenseMatrix::zeros(rows, x_cols),
+            grad: DenseMatrix::zeros(cols, x_cols),
+            ws: Workspace::new(),
+        }
+    }
+
+    /// One epoch over `x` (whose shape `new` was given); returns the sum
+    /// of squared residuals, which keeps the work observable.
+    ///
+    /// # Errors
+    /// Shape mismatch between `x` and the buffers.
+    pub(crate) fn run<L: LinOps>(&mut self, x: &L) -> Result<f64> {
+        let Self {
+            theta,
+            y,
+            resid,
+            grad,
+            ws,
+        } = self;
+        let mut sq = 0.0;
+        if theta.cols() == 1 {
+            let y = y.as_slice();
+            let mut link = |first: usize, block: &mut [f64]| {
+                for (r, &yl) in block.iter_mut().zip(&y[first..]) {
+                    *r -= yl;
+                }
+                for &r in block.iter() {
+                    sq += r * r;
+                }
+            };
+            x.gradient_pass_into(theta, &mut link, resid, grad, ws)?;
+        } else {
+            x.mul_right_into(theta, resid, ws)?;
+            resid.sub_assign(y)?;
+            sq = resid.frobenius_norm_sq();
+            x.t_mul_into(resid, grad, ws)?;
+        }
+        Ok(sq)
+    }
+}
 
 /// Timings of the two strategies on one configuration.
 #[derive(Debug, Clone, Copy)]
@@ -69,34 +131,27 @@ impl Measurement {
 /// warm-up run (a single wall-clock sample flips the "ground truth" near
 /// the crossover on a noisy machine).
 ///
-/// Each epoch performs one `T·θ` (predictions) and one `Tᵀ·r`
-/// (gradient), the dominant operations of linear/logistic regression
-/// training; `θ` and `r` have `workload.x_cols` columns.
+/// Each epoch is one [`GdEpoch`] — `T·θ`, the residual, `Tᵀ·r`, the
+/// dominant operations of linear/logistic regression training, fused
+/// into one pass where the trainer fuses them; `θ` and `r` have
+/// `workload.x_cols` columns.
 pub fn measure_strategies_with_reps(
     ft: &FactorizedTable,
     workload: &TrainingWorkload,
     reps: usize,
 ) -> Measurement {
     let (rows, cols) = ft.target_shape();
-    let theta = DenseMatrix::filled(cols, workload.x_cols, 0.5);
-    let resid = DenseMatrix::filled(rows, workload.x_cols, 0.25);
+    let mut epoch = GdEpoch::new(rows, cols, workload.x_cols);
     let reps = reps.max(1);
     let mut sink = 0.0;
 
-    // Operand shapes are fixed by construction above; the 1×1 zero
-    // fallback keeps the timed loops infallible without panicking on a
-    // violated invariant.
+    // Operand shapes are fixed by construction above; a violated
+    // invariant turns the sink into NaN instead of panicking mid-run.
     // --- factorized ------------------------------------------------------
-    let run_factorized = |sink: &mut f64| {
+    let mut run_factorized = |sink: &mut f64| {
         let start = Instant::now();
         for _ in 0..workload.epochs {
-            let pred = ft
-                .lmm(&theta, Strategy::Compressed)
-                .unwrap_or_else(|_| DenseMatrix::zeros(1, 1));
-            let grad = ft
-                .lmm_transpose(&resid, Strategy::Compressed)
-                .unwrap_or_else(|_| DenseMatrix::zeros(1, 1));
-            *sink += pred.get(0, 0) + grad.get(0, 0);
+            *sink += epoch.run(ft).unwrap_or(f64::NAN);
         }
         start.elapsed()
     };
@@ -107,17 +162,11 @@ pub fn measure_strategies_with_reps(
     }
 
     // --- materialized (join + train) --------------------------------------
-    let run_materialized = |sink: &mut f64| {
+    let mut run_materialized = |sink: &mut f64| {
         let start = Instant::now();
         let t = ft.materialize();
         for _ in 0..workload.epochs {
-            let pred = t
-                .matmul(&theta)
-                .unwrap_or_else(|_| DenseMatrix::zeros(1, 1));
-            let grad = t
-                .transpose_matmul(&resid)
-                .unwrap_or_else(|_| DenseMatrix::zeros(1, 1));
-            *sink += pred.get(0, 0) + grad.get(0, 0);
+            *sink += epoch.run(&t).unwrap_or(f64::NAN);
         }
         start.elapsed()
     };

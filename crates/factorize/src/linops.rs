@@ -5,9 +5,32 @@
 //! (a [`DenseMatrix`]) or a [`FactorizedTable`] — which is how the paper
 //! can claim factorization "does not affect model training accuracy"
 //! while changing the execution strategy underneath.
+//!
+//! Two operators are composites with a default written in terms of the
+//! others, so a backend runs exactly those operations unless it has a
+//! faster way to the same bits:
+//!
+//! * [`LinOps::gradient_pass_into`] — a GD epoch's `link(T·θ)` then
+//!   `Tᵀ·r`. Default: `mul_right_into`, the link once over the whole
+//!   vector, `t_mul_into`. `DenseMatrix` overrides it with one pass over
+//!   the table in blocks of 8 rows (`gradient_pass_blocks_into`),
+//!   bit-identical to the default; `FactorizedTable` keeps the default
+//!   (`lmm_into` then `lmm_transpose_into`). The link takes a block
+//!   (`FnMut(usize, &mut [f64])`) on every backend, because GLM links
+//!   that call `exp` / `ln` are fastest as split loops over a block —
+//!   a per-row link on the default path cost `train_factorized` 6–14 %.
+//! * [`LinOps::class_sums_into`] — a Lloyd update's `Tᵀ·A` for the
+//!   one-hot assignment matrix `A`. Default: `A` built in workspace
+//!   scratch, then `t_mul_into`. `DenseMatrix` overrides it with one pass
+//!   adding each row into its class's sum, bit-identical on finite
+//!   tables (a non-finite cell stays in its own class's sum instead of
+//!   spreading NaN through `∞·0`).
+//!
+//! Both take `&mut dyn` / slice arguments, so the trait stays usable as
+//! a trait object.
 
 use crate::table::FactorizedTable;
-use crate::{Result, Strategy};
+use crate::{FactorizeError, Result, Strategy};
 use amalur_matrix::{DenseMatrix, Workspace};
 
 /// A design matrix that supports the operators ML training needs.
@@ -51,6 +74,74 @@ pub trait LinOps {
     /// # Errors
     /// Shape mismatch of `x` or `out`.
     fn t_mul_into(&self, x: &DenseMatrix, out: &mut DenseMatrix, ws: &mut Workspace) -> Result<()>;
+
+    /// One gradient-descent epoch's table work: `resid = link(T·θ)`, then
+    /// `grad = Tᵀ·resid`, with `θ` `n_cols × 1` and both outputs fully
+    /// overwritten. `link(first_row, block)` turns the linear predictors
+    /// of rows `first_row..first_row + block.len()` into residuals in
+    /// place; it sees every row exactly once, in ascending order, so a
+    /// loss it folds continues one left fold across calls.
+    ///
+    /// The default runs [`Self::mul_right_into`], the link once over the
+    /// whole vector, then [`Self::t_mul_into`]. `DenseMatrix` overrides it
+    /// with one pass over the table in blocks of rows (bit-identical to
+    /// the default); `FactorizedTable` keeps the default.
+    ///
+    /// # Errors
+    /// Shape mismatch of `theta`, `resid` or `grad`.
+    fn gradient_pass_into(
+        &self,
+        theta: &DenseMatrix,
+        link: &mut dyn FnMut(usize, &mut [f64]),
+        resid: &mut DenseMatrix,
+        grad: &mut DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        if theta.cols() != 1 {
+            return Err(FactorizeError::OperandMismatch {
+                op: "gradient_pass_into",
+                expected: (self.n_cols(), 1),
+                found: theta.shape(),
+            });
+        }
+        self.mul_right_into(theta, resid, ws)?;
+        link(0, resid.as_mut_slice());
+        self.t_mul_into(resid, grad, ws)
+    }
+
+    /// Per-class column sums `Tᵀ·A` (`n_cols × k`, `k = out.cols()`,
+    /// fully overwritten) for the `n_rows × k` one-hot matrix `A` of
+    /// `class` — a Lloyd update's centroid numerators.
+    ///
+    /// The default builds `A` in scratch from `ws` and runs
+    /// [`Self::t_mul_into`]. `DenseMatrix` overrides it with one pass that
+    /// adds each row into its class's sum, bit-identical on finite tables
+    /// (see `DenseMatrix::class_sums_into` for the non-finite case).
+    ///
+    /// # Errors
+    /// `class.len() != n_rows`, a class `≥ k`, or `out` not `n_cols × k`.
+    fn class_sums_into(
+        &self,
+        class: &[usize],
+        out: &mut DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        let k = out.cols();
+        if class.len() != self.n_rows() || class.iter().any(|&c| c >= k) {
+            return Err(FactorizeError::OperandMismatch {
+                op: "class_sums_into",
+                expected: (self.n_rows(), k),
+                found: (class.len(), class.iter().max().map_or(0, |&c| c + 1)),
+            });
+        }
+        let mut onehot = ws.take_matrix(class.len(), k);
+        for (i, &c) in class.iter().enumerate() {
+            onehot.set(i, c, 1.0);
+        }
+        let outcome = self.t_mul_into(&onehot, out, ws);
+        ws.give_matrix(onehot);
+        outcome
+    }
 
     /// Gram matrix `TᵀT` (`n_cols × n_cols`) — the normal-equations
     /// operator for closed-form solvers.
@@ -99,6 +190,26 @@ impl LinOps for DenseMatrix {
         Ok(self.transpose_matmul_into(x, out)?)
     }
 
+    fn gradient_pass_into(
+        &self,
+        theta: &DenseMatrix,
+        link: &mut dyn FnMut(usize, &mut [f64]),
+        resid: &mut DenseMatrix,
+        grad: &mut DenseMatrix,
+        _ws: &mut Workspace,
+    ) -> Result<()> {
+        Ok(self.gradient_pass_blocks_into(theta, link, resid, grad)?)
+    }
+
+    fn class_sums_into(
+        &self,
+        class: &[usize],
+        out: &mut DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        Ok(DenseMatrix::class_sums_into(self, class, out, ws)?)
+    }
+
     fn gram_matrix(&self) -> DenseMatrix {
         self.gram()
     }
@@ -108,8 +219,9 @@ impl LinOps for DenseMatrix {
     }
 
     fn row_norms_sq(&self) -> Vec<f64> {
-        self.row_iter()
-            .map(|r| r.iter().map(|v| v * v).sum())
+        // By index: `row_iter` yields no rows when there are no columns.
+        (0..self.rows())
+            .map(|i| self.row(i).iter().map(|v| v * v).sum())
             .collect()
     }
 }
@@ -190,6 +302,26 @@ impl<L: LinOps> LinOps for std::sync::Arc<L> {
         (**self).t_mul_into(x, out, ws)
     }
 
+    fn gradient_pass_into(
+        &self,
+        theta: &DenseMatrix,
+        link: &mut dyn FnMut(usize, &mut [f64]),
+        resid: &mut DenseMatrix,
+        grad: &mut DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        (**self).gradient_pass_into(theta, link, resid, grad, ws)
+    }
+
+    fn class_sums_into(
+        &self,
+        class: &[usize],
+        out: &mut DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        (**self).class_sums_into(class, out, ws)
+    }
+
     fn gram_matrix(&self) -> DenseMatrix {
         (**self).gram_matrix()
     }
@@ -263,5 +395,86 @@ mod tests {
         let t = figure2d_target();
         let obj: &dyn LinOps = &t;
         assert_eq!(obj.n_rows(), 6);
+    }
+
+    /// The fused epoch and the class sums: the dense overrides and the
+    /// factorized defaults agree, through trait objects, and reject the
+    /// same bad operands.
+    #[test]
+    fn fused_operators_agree_across_backends() {
+        let ft = running_example();
+        let t = figure2d_target();
+        let theta = DenseMatrix::from_rows(&[vec![0.1], vec![0.2], vec![-0.3], vec![0.4]]).unwrap();
+        let y = [1.0, -2.0, 0.5, 3.0, 0.0, 1.5];
+        let class = [0, 2, 1, 0, 2, 2];
+        let mut ws = Workspace::new();
+        let mut run = |x: &dyn LinOps| {
+            let (mut resid, mut grad) = (DenseMatrix::zeros(6, 1), DenseMatrix::zeros(4, 1));
+            let mut sq = 0.0;
+            let mut link = |first: usize, block: &mut [f64]| {
+                for (r, &yl) in block.iter_mut().zip(&y[first..]) {
+                    *r -= yl;
+                    sq += *r * *r;
+                }
+            };
+            x.gradient_pass_into(&theta, &mut link, &mut resid, &mut grad, &mut ws)
+                .unwrap();
+            let mut sums = DenseMatrix::filled(4, 3, f64::NAN);
+            x.class_sums_into(&class, &mut sums, &mut ws).unwrap();
+            (resid, grad, sq, sums)
+        };
+        let (dense, fact) = (run(&t), run(&ft));
+        assert!(dense.0.approx_eq(&fact.0, 1e-9));
+        assert!(dense.1.approx_eq(&fact.1, 1e-9));
+        assert!((dense.2 - fact.2).abs() < 1e-9);
+        assert!(dense.3.approx_eq(&fact.3, 1e-9));
+        let pred = t.mul_right(&theta).unwrap();
+        let resid: Vec<f64> = pred
+            .as_slice()
+            .iter()
+            .zip(&y)
+            .map(|(p, yl)| p - yl)
+            .collect();
+        assert_eq!(dense.0.as_slice(), &resid[..]);
+        assert_eq!(dense.3.get(2, 2), 58.0); // Sam's heart rate alone
+
+        for x in [&t as &dyn LinOps, &ft] {
+            let (mut resid, mut grad) = (DenseMatrix::zeros(6, 1), DenseMatrix::zeros(4, 1));
+            let wide = DenseMatrix::zeros(4, 2);
+            assert!(x
+                .gradient_pass_into(&wide, &mut |_, _| {}, &mut resid, &mut grad, &mut ws)
+                .is_err());
+            let mut sums = DenseMatrix::zeros(4, 3);
+            assert!(x.class_sums_into(&class[..5], &mut sums, &mut ws).is_err());
+            assert!(x
+                .class_sums_into(&[0, 1, 2, 3, 0, 0], &mut sums, &mut ws)
+                .is_err());
+        }
+    }
+
+    /// One norm per row when there are no columns to take it over: a
+    /// dense `m × 0` table, a factorized table with no features, and a
+    /// key-only satellite beside a base with three.
+    #[test]
+    fn row_norms_have_one_entry_per_row_without_columns() {
+        assert_eq!(DenseMatrix::zeros(5, 0).row_norms_sq(), vec![0.0; 5]);
+        for cols_s1 in [0, 3] {
+            let spec = amalur_data::TwoSourceSpec {
+                rows_s1: 40,
+                cols_s1,
+                rows_s2: 8,
+                cols_s2: 0,
+                shared_cols: 0,
+                target_redundancy: true,
+                row_coverage: 1.0,
+                source_redundancy: false,
+                seed: 9,
+            };
+            let (md, data) = amalur_data::generate_two_source(&spec).unwrap();
+            let ft = FactorizedTable::new(md, data).unwrap();
+            let want = ft.materialize().row_norms_sq();
+            assert_eq!(want.len(), 40);
+            assert_eq!(LinOps::row_norms_sq(&ft), want, "{cols_s1} base columns");
+        }
     }
 }

@@ -366,10 +366,14 @@ impl FactorizedTable {
         let (rows, _) = self.target_shape();
         let mut out = vec![0.0; rows];
         for (_, d, plan) in self.sources() {
-            let norms: Vec<f64> = plan
-                .stacked(d)
-                .row_iter()
-                .map(|row| plan.mapped.iter().map(|&(_, sc)| row[sc] * row[sc]).sum())
+            // By index: `row_iter` yields no rows for a key-only
+            // (zero-column) source, whose stacked rows still have norm 0.
+            let a = plan.stacked(d);
+            let norms: Vec<f64> = (0..a.rows())
+                .map(|r| {
+                    let row = a.row(r);
+                    plan.mapped.iter().map(|&(_, sc)| row[sc] * row[sc]).sum()
+                })
                 .collect();
             for (o, &e) in out.iter_mut().zip(&plan.eff) {
                 if e != NO_MATCH {

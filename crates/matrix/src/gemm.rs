@@ -91,15 +91,66 @@
 //! Both have an `n == 1` fast path here — `matmul_into` takes one
 //! [`dot`] per row, `transpose_matmul_into` one [`axpy`] per row with a
 //! non-zero coefficient — and both walk the rows in ascending order.
-//! [`DenseMatrix::gradient_pass_into`] runs the two per-row bodies back
-//! to back while the row is in cache, so `X` is read once. It is the
-//! same `dot`, the same `axpy` and the same skip of a zero coefficient,
-//! applied to the same operands in the same order: `g[j]` receives
-//! `r[0]·X[0,j]`, then `r[1]·X[1,j]`, … exactly as in the two-product
-//! form, where every `r[l]` was merely computed earlier. The outputs
-//! are therefore bit-identical to `matmul_into → link →
+//! One private body, `fused_pass::<B>`, runs them back to back while the
+//! rows are in cache, so `X` is read once: for each block of `B` rows,
+//! ascending, the `B` `dot`s into `resid`, then `link(first_row, &mut
+//! resid[block])`, which turns the block's linear predictors into
+//! residuals in place, then the `B` `axpy`s, skipping a zero residual.
+//! It is the same `dot`, the same `axpy` and the same skip, applied to
+//! the same operands in the same order: `g[j]` receives `r[0]·X[0,j]`,
+//! then `r[1]·X[1,j]`, … exactly as in the two-product form, where
+//! every `r[l]` was merely computed earlier — and a link that folds a
+//! loss over its block continues one left fold across the pass. The
+//! outputs are therefore bit-identical to `matmul_into → link →
 //! transpose_matmul_into` by construction (NaN and ±∞ cells included),
-//! not within a tolerance. Serial, like the two paths it fuses.
+//! not within a tolerance, for every `B`. Serial, like the two paths it
+//! fuses.
+//!
+//! `B` is a constant of the entry point, chosen by how the caller's link
+//! is best written, not a knob (numbers from ISSUE 21's prototype, best
+//! of 40):
+//!
+//! * [`DenseMatrix::gradient_pass_into`] is `B = 1` with a per-row link
+//!   `FnMut(usize, f64) -> f64` — FedAvg's affine link. A FedAvg round
+//!   is fastest per row: every `B ≥ 4`, and a "woven" variant with the
+//!   `axpy` of row `l` beside the `dot` of row `l + B`, read 5–9 % worse
+//!   on `fedavg_faulty` end to end (466 → 554, 464 → 525, 439 → 534 ms),
+//!   while `B = 1` matched the old per-row loop (302–315 against
+//!   312–317 µs per 20 000 × 32 silo). The body walks exact blocks
+//!   (`chunks_exact_mut`) so that at `B = 1` the inner loops vanish; a
+//!   first `chunks_mut` walk read up to 1.5× the old loop's time at
+//!   50 000 × 60 in a scratch harness.
+//! * [`DenseMatrix::gradient_pass_blocks_into`] is `B = 8` with a block
+//!   link `FnMut(usize, &mut [f64])` — the GLM epochs behind `LinOps`.
+//!   A link that calls `exp` / `ln` between a row's `dot` and its `axpy`
+//!   serializes the pass: the logistic link alone costs 531–539 µs per
+//!   50 000 rows called per row against 395–407 µs as split loops over
+//!   a block (least squares: 107 against 41). With split loops over 8
+//!   rows (4, 8, 16, 32, 64 and 256 swept), an epoch at 50 000 × 60
+//!   read 1535–1857 → 1224–1389 µs for least squares and 1858–2187 →
+//!   1523–1793 µs for logistic, two products → fused; a per-row link
+//!   *lost* for logistic (2029–3528 µs).
+//!
+//! # Class sums
+//!
+//! A Lloyd update needs `Tᵀ·A` for the one-hot assignment matrix `A`: an
+//! 8-wide product of which seven multiply-adds in eight are by zero.
+//! [`DenseMatrix::class_sums_into`] adds each row into its class's
+//! accumulator instead — one pass, a contiguous `d`-wide add per row.
+//! It keeps the product's bits by summing in the order of the kernel
+//! the product would run, asked of the driver's own selection
+//! (`GemmPath::of`): where the product runs thin or packed, `KC`-row
+//! partials start from zero and are added to the total in block order;
+//! where it runs the `n == 1` axpy path (`k = 1`) or `axpy_gemm`, one
+//! running sum. The dropped terms are `x·0 = ±0`, and adding `±0` to an
+//! accumulator that started at `+0` changes nothing — such an
+//! accumulator can never hold `−0`, since `+0 + −0 = +0` and `x + −x =
+//! +0`. That holds for finite `x` only: a ±∞ or NaN cell makes `x·0` a
+//! NaN, so the product spreads it to all `k` sums of its column, while
+//! the class sums keep it in its own class — the one documented
+//! difference. On the 50 000 × 60 table at `k = 8` the update reads
+//! 6.45 → 1.48 ms (`BENCH_kernels.json`, median of 15), a K-means
+//! iteration 12.1–12.7 → 7.4–7.6 ms (traced `ml.kmeans_iter_ms`).
 
 use crate::par::{available_threads, par_row_chunks, PAR_WORK_THRESHOLD};
 use crate::workspace::check_out_shape;
@@ -120,6 +171,11 @@ const NC: usize = 512;
 /// Minimum FLOP count (2·m·n·k) before the packed path is considered;
 /// below this the plain blocked loops win because packing is O(m·k + k·n).
 const PACK_FLOP_THRESHOLD: usize = 65_536;
+
+/// Rows per link call of [`DenseMatrix::gradient_pass_blocks_into`]:
+/// GLM links call `exp` / `ln`, which run fastest in short split loops
+/// (module docs, "The fused vector path").
+const LINK_BLOCK: usize = 8;
 
 /// Element `(i, j)` of a logical operand lives at `buf[i·rs + j·cs]`.
 #[derive(Debug, Clone, Copy)]
@@ -328,6 +384,9 @@ impl DenseMatrix {
     /// applied row by row, `transpose_matmul_into(resid)` — the two
     /// vector fast paths this fuses (see the module docs) — while
     /// reading `self` once instead of twice. Serial; never allocates.
+    /// The per-row instance of the fused pass, for cheap (affine) links;
+    /// see [`Self::gradient_pass_blocks_into`] for links that call
+    /// `exp` / `ln`.
     ///
     /// # Errors
     /// Dimension mismatch of `theta` (`cols × 1`) or of either output.
@@ -335,6 +394,43 @@ impl DenseMatrix {
         &self,
         theta: &DenseMatrix,
         mut link: impl FnMut(usize, f64) -> f64,
+        resid: &mut DenseMatrix,
+        grad: &mut DenseMatrix,
+    ) -> Result<()> {
+        self.fused_pass::<1>(theta, |l, r| r[0] = link(l, r[0]), resid, grad)
+    }
+
+    /// [`Self::gradient_pass_into`] with a link that takes a **block**
+    /// of rows: for each block of 8 rows in ascending order, the rows'
+    /// linear predictors are written to `resid`,
+    /// `link(first_row, block)` turns them into residuals in place, and
+    /// their `axpy`s follow. The link sees every row exactly once, in
+    /// ascending blocks (the last one may be shorter), so a loss it folds
+    /// over the block continues one left fold across the pass.
+    ///
+    /// Same outputs, bit for bit, as `matmul_into(theta)` → `link` →
+    /// `transpose_matmul_into(resid)`. Serial; never allocates.
+    ///
+    /// # Errors
+    /// Dimension mismatch of `theta` (`cols × 1`) or of either output.
+    pub fn gradient_pass_blocks_into(
+        &self,
+        theta: &DenseMatrix,
+        link: impl FnMut(usize, &mut [f64]),
+        resid: &mut DenseMatrix,
+        grad: &mut DenseMatrix,
+    ) -> Result<()> {
+        self.fused_pass::<LINK_BLOCK>(theta, link, resid, grad)
+    }
+
+    /// The one fused-pass body behind both entries (module docs, "The
+    /// fused vector path"): per block of `B` rows, ascending, the `B`
+    /// `dot`s into `resid`, `link(first_row, &mut resid[block])`, then
+    /// the `B` `axpy`s, skipping a zero residual.
+    fn fused_pass<const B: usize>(
+        &self,
+        theta: &DenseMatrix,
+        mut link: impl FnMut(usize, &mut [f64]),
         resid: &mut DenseMatrix,
         grad: &mut DenseMatrix,
     ) -> Result<()> {
@@ -354,14 +450,96 @@ impl DenseMatrix {
         let v = theta.as_slice();
         let g = grad.as_mut_slice();
         g.fill(0.0);
-        for (l, o) in resid.as_mut_slice().iter_mut().enumerate() {
-            let row = &a_slice[l * k..(l + 1) * k];
-            let r = link(l, dot(row, v));
-            *o = r;
-            if r != 0.0 {
-                axpy(r, row, g);
+        // Exact blocks, so each instance's inner loops have a constant
+        // trip count, then the short last block.
+        let mut blocks = resid.as_mut_slice().chunks_exact_mut(B);
+        for (b, block) in blocks.by_ref().enumerate() {
+            fused_block(a_slice, k, v, b * B, block, &mut link, g);
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            fused_block(a_slice, k, v, m - tail.len(), tail, &mut link, g);
+        }
+        Ok(())
+    }
+
+    /// Per-class column sums: `out[j, c] = Σ_{l : class[l] = c} self[l, j]`
+    /// (`cols × k` with `k = out.cols()`, fully overwritten) — the
+    /// product `selfᵀ·A` with `A` the `rows × k` one-hot matrix of
+    /// `class`, computed by adding each row into its class's accumulator
+    /// instead of multiplying it by `k − 1` zeros.
+    ///
+    /// On finite cells the result is bit-identical to
+    /// `transpose_matmul_into(A)`: it sums in the order of the kernel that
+    /// product would run (module docs, "Class sums"). **Degradation:** a
+    /// ±∞ or NaN cell reaches only its own class's sum, where the product
+    /// spreads NaN to all `k` classes through `∞·0` and `NaN·0`. Serial;
+    /// two `k × cols` scratch buffers come from `ws` and go back before
+    /// the call returns.
+    ///
+    /// # Errors
+    /// `class.len() != rows`, `out` not `cols × k`, or a class `≥ k`.
+    pub fn class_sums_into(
+        &self,
+        class: &[usize],
+        out: &mut DenseMatrix,
+        ws: &mut crate::Workspace,
+    ) -> Result<()> {
+        let (m, d) = self.shape();
+        let k = out.cols();
+        if class.len() != m {
+            return Err(MatrixError::DimensionMismatch {
+                op: "class_sums",
+                lhs: self.shape(),
+                rhs: (class.len(), 1),
+            });
+        }
+        check_out_shape("class_sums_into", out, d, k)?;
+        if let Some((l, &c)) = class.iter().enumerate().find(|&(_, &c)| c >= k) {
+            return Err(MatrixError::IndexOutOfBounds {
+                index: (l, c),
+                shape: (m, k),
+            });
+        }
+        crate::metrics::CLASS_SUMS_CALLS.inc();
+        crate::metrics::CLASS_SUMS_ROWS.add(m as u64);
+        let a_slice = self.as_slice();
+        // `add_rows` folds rows into class-major accumulators
+        // (`acc[c·d + j]`), so a row lands in one contiguous run.
+        let add_rows = |rows: std::ops::Range<usize>, acc: &mut [f64]| {
+            for l in rows {
+                let c = class[l];
+                let row = &a_slice[l * d..(l + 1) * d];
+                for (s, &v) in acc[c * d..(c + 1) * d].iter_mut().zip(row) {
+                    *s += v;
+                }
+            }
+        };
+        let mut total = ws.take(k * d);
+        let flops = 2usize.saturating_mul(d).saturating_mul(k).saturating_mul(m);
+        if k > 1 && GemmPath::of(k, flops) != GemmPath::Axpy {
+            // Thin or packed: `KC`-row partials from zero, added in
+            // block order.
+            let mut part = ws.take(k * d);
+            for kb in (0..m).step_by(KC) {
+                part.fill(0.0);
+                add_rows(kb..(kb + KC).min(m), &mut part);
+                for (t, &p) in total.iter_mut().zip(&part) {
+                    *t += p;
+                }
+            }
+            ws.give(part);
+        } else {
+            // The `n == 1` axpy path or `axpy_gemm`: one running sum.
+            add_rows(0..m, &mut total);
+        }
+        let o = out.as_mut_slice();
+        for (c, sums) in total.chunks_exact(d.max(1)).enumerate() {
+            for (j, &s) in sums.iter().enumerate() {
+                o[j * k + c] = s;
             }
         }
+        ws.give(total);
         Ok(())
     }
 
@@ -499,6 +677,28 @@ struct Operand<'a> {
 /// `rows` output rows starting at logical row `row0`, `out` pre-zeroed.
 type Kernel = fn(Operand<'_>, Operand<'_>, &mut [f64], usize, usize, usize, usize);
 
+/// The kernel [`gemm_driver`] runs, chosen from `n` and the FLOP count
+/// alone. [`DenseMatrix::class_sums_into`] asks the same question to sum
+/// in the order of the product it replaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GemmPath {
+    Thin,
+    Packed,
+    Axpy,
+}
+
+impl GemmPath {
+    fn of(n: usize, flops: usize) -> Self {
+        if n <= NR {
+            GemmPath::Thin
+        } else if flops >= PACK_FLOP_THRESHOLD {
+            GemmPath::Packed
+        } else {
+            GemmPath::Axpy
+        }
+    }
+}
+
 /// Computes `out = A·B` (`out` fully overwritten), choosing the kernel
 /// from `n` and the FLOP count alone — thin for `n ≤ NR`, else packed
 /// above [`PACK_FLOP_THRESHOLD`], else the blocked axpy loops (see the
@@ -513,12 +713,10 @@ fn gemm_driver(a: Operand<'_>, b: Operand<'_>, out: &mut [f64], m: usize, k: usi
         return;
     }
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    let (kernel, dispatches): (Kernel, _) = if n <= NR {
-        (thin_gemm, &crate::metrics::GEMM_THIN_DISPATCHES)
-    } else if flops >= PACK_FLOP_THRESHOLD {
-        (packed_gemm, &crate::metrics::GEMM_PACKED_DISPATCHES)
-    } else {
-        (axpy_gemm, &crate::metrics::GEMM_FALLBACK_DISPATCHES)
+    let (kernel, dispatches): (Kernel, _) = match GemmPath::of(n, flops) {
+        GemmPath::Thin => (thin_gemm, &crate::metrics::GEMM_THIN_DISPATCHES),
+        GemmPath::Packed => (packed_gemm, &crate::metrics::GEMM_PACKED_DISPATCHES),
+        GemmPath::Axpy => (axpy_gemm, &crate::metrics::GEMM_FALLBACK_DISPATCHES),
     };
     dispatches.inc();
     par_row_chunks(out, n, flops, |row0, chunk| {
@@ -737,6 +935,31 @@ fn micro_kernel(pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
             for (c, slot) in acc_row.iter_mut().enumerate() {
                 *slot += ar * bk[c];
             }
+        }
+    }
+}
+
+/// One block of the fused pass over rows `first..first + block.len()` of
+/// the row-major `a` (`k` columns): the `dot`s into `block`, the link,
+/// the `axpy`s into `g`.
+#[inline(always)]
+fn fused_block(
+    a: &[f64],
+    k: usize,
+    v: &[f64],
+    first: usize,
+    block: &mut [f64],
+    link: &mut impl FnMut(usize, &mut [f64]),
+    g: &mut [f64],
+) {
+    let row = |l: usize| &a[l * k..(l + 1) * k];
+    for (l, o) in (first..).zip(block.iter_mut()) {
+        *o = dot(row(l), v);
+    }
+    link(first, block);
+    for (l, &r) in (first..).zip(block.iter()) {
+        if r != 0.0 {
+            axpy(r, row(l), g);
         }
     }
 }
@@ -985,16 +1208,23 @@ mod tests {
             MatrixError::DimensionMismatch { op, .. } => op.starts_with("gradient_pass"),
             _ => false,
         };
+        let keep = |_: usize, _: &mut [f64]| {};
         for bad_theta in [DenseMatrix::zeros(4, 1), DenseMatrix::zeros(3, 2)] {
             let e = x.gradient_pass_into(&bad_theta, id, &mut resid, &mut grad);
+            assert!(named(e.unwrap_err()));
+            let e = x.gradient_pass_blocks_into(&bad_theta, keep, &mut resid, &mut grad);
             assert!(named(e.unwrap_err()));
         }
         for mut bad_resid in [DenseMatrix::zeros(4, 1), DenseMatrix::zeros(5, 2)] {
             let e = x.gradient_pass_into(&theta, id, &mut bad_resid, &mut grad);
             assert!(named(e.unwrap_err()));
+            let e = x.gradient_pass_blocks_into(&theta, keep, &mut bad_resid, &mut grad);
+            assert!(named(e.unwrap_err()));
         }
         for mut bad_grad in [DenseMatrix::zeros(5, 1), DenseMatrix::zeros(1, 3)] {
             let e = x.gradient_pass_into(&theta, id, &mut resid, &mut bad_grad);
+            assert!(named(e.unwrap_err()));
+            let e = x.gradient_pass_blocks_into(&theta, keep, &mut resid, &mut bad_grad);
             assert!(named(e.unwrap_err()));
         }
     }
@@ -1177,6 +1407,128 @@ mod tests {
         }
     }
 
+    /// `(class_sums_into, transpose_matmul_into(one-hot))` of `x`, each
+    /// into a dirty `cols × k` output.
+    fn class_sums_and_product(x: &DenseMatrix, class: &[usize], k: usize) -> (Vec<f64>, Vec<f64>) {
+        let (m, d) = x.shape();
+        let mut onehot = DenseMatrix::zeros(m, k);
+        for (l, &c) in class.iter().enumerate() {
+            onehot.set(l, c, 1.0);
+        }
+        let mut product = DenseMatrix::filled(d, k, f64::NAN);
+        x.transpose_matmul_into(&onehot, &mut product).unwrap();
+        let mut sums = DenseMatrix::filled(d, k, 123.0);
+        x.class_sums_into(class, &mut sums, &mut crate::Workspace::new())
+            .unwrap();
+        (sums.into_vec(), product.into_vec())
+    }
+
+    fn random_classes(m: usize, k: usize, rng: &mut rand::rngs::StdRng) -> Vec<usize> {
+        use rand::Rng;
+        (0..m).map(|_| rng.gen_range(0..k)).collect()
+    }
+
+    /// Shapes that put the one-hot product on each of its four paths,
+    /// so the property above cannot miss one by chance.
+    const CLASS_SUM_PATHS: [(usize, usize, usize); 5] = [
+        (300, 7, 1),  // `n == 1`: the axpy fast path
+        (600, 12, 5), // thin, rows across 2·KC
+        (600, 12, 9), // packed: 2·12·9·600 flops ≥ PACK_FLOP_THRESHOLD
+        (600, 4, 12), // `axpy_gemm`: n > NR under the threshold
+        (257, 3, 8),  // thin at n = NR, one row past KC
+    ];
+
+    #[test]
+    fn class_sums_equal_the_product_on_each_of_its_paths() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC1A5);
+        let mut seen = Vec::new();
+        for (m, d, k) in CLASS_SUM_PATHS {
+            let flops = 2 * m * d * k;
+            seen.push((k == 1, GemmPath::of(k, flops)));
+            let x = DenseMatrix::random_uniform(m, d, -2.0, 2.0, &mut rng);
+            let class = random_classes(m, k, &mut rng);
+            let (got, want) = class_sums_and_product(&x, &class, k);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{m} × {d}, k = {k}");
+        }
+        for path in [GemmPath::Thin, GemmPath::Packed, GemmPath::Axpy] {
+            assert!(seen.contains(&(false, path)), "{path:?} not exercised");
+        }
+        assert!(seen.iter().any(|&(vector, _)| vector));
+    }
+
+    /// The documented degradation: a non-finite cell reaches only its
+    /// own class's sum — every other cell keeps the bits of the table
+    /// without it — where the one-hot product turns the cell's whole
+    /// column into NaN through `∞·0` / `NaN·0`.
+    #[test]
+    fn class_sums_confine_a_non_finite_cell_to_its_class() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xBAD);
+        for (m, d, k) in CLASS_SUM_PATHS {
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut x = DenseMatrix::random_uniform(m, d, -2.0, 2.0, &mut rng);
+                let class = random_classes(m, k, &mut rng);
+                let (clean, _) = class_sums_and_product(&x, &class, k);
+                let (l, j) = (m / 2, d / 2);
+                x.set(l, j, poison);
+                let (sums, product) = class_sums_and_product(&x, &class, k);
+                for (cell, ((s, p), c)) in sums.iter().zip(&product).zip(&clean).enumerate() {
+                    let (row, col) = (cell / k, cell % k);
+                    if row != j {
+                        assert_eq!(s.to_bits(), p.to_bits());
+                        assert_eq!(s.to_bits(), c.to_bits());
+                    } else if col == class[l] {
+                        for v in [s, p] {
+                            assert!(v.is_nan() == poison.is_nan() && (v.is_nan() || *v == poison));
+                        }
+                    } else {
+                        assert_eq!(s.to_bits(), c.to_bits(), "other classes stay finite");
+                        assert!(p.is_nan(), "the product spreads NaN across the column");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_sums_reject_bad_shapes() {
+        let x = DenseMatrix::filled(4, 3, 1.0);
+        let mut ws = crate::Workspace::new();
+        let mut out = DenseMatrix::zeros(3, 2);
+        assert!(x.class_sums_into(&[0, 1, 1, 0], &mut out, &mut ws).is_ok());
+        assert_eq!(out.as_slice(), &[2.0, 2.0, 2.0, 2.0, 2.0, 2.0]);
+        assert!(matches!(
+            x.class_sums_into(&[0, 1, 1], &mut out, &mut ws),
+            Err(MatrixError::DimensionMismatch {
+                op: "class_sums",
+                ..
+            })
+        ));
+        assert!(matches!(
+            x.class_sums_into(&[0, 1, 2, 0], &mut out, &mut ws),
+            Err(MatrixError::IndexOutOfBounds {
+                index: (2, 2),
+                shape: (4, 2)
+            })
+        ));
+        let mut wrong = DenseMatrix::zeros(2, 2);
+        assert!(x
+            .class_sums_into(&[0, 1, 1, 0], &mut wrong, &mut ws)
+            .is_err());
+        // No columns, or no rows: one zero sum per (column, class).
+        let mut none = DenseMatrix::zeros(0, 2);
+        DenseMatrix::zeros(4, 0)
+            .class_sums_into(&[0, 1, 1, 0], &mut none, &mut ws)
+            .unwrap();
+        let mut zeros = DenseMatrix::filled(3, 2, 9.0);
+        DenseMatrix::zeros(0, 3)
+            .class_sums_into(&[], &mut zeros, &mut ws)
+            .unwrap();
+        assert_eq!(zeros.as_slice(), &[0.0; 6]);
+    }
+
     #[test]
     fn dot_handles_remainders() {
         assert_eq!(dot(&[1.0; 7], &[2.0; 7]), 14.0);
@@ -1256,23 +1608,29 @@ mod tests {
             }
         }
 
-        /// The fused pass against the two products it replaces, bit for
-        /// bit: shapes on both sides of `dot`'s 4-way body, rows whose
-        /// residual is exactly zero (the `axpy` skip — which decides
-        /// between 0 and NaN when the row holds an infinity), NaN / ±∞
-        /// cells, and dirty output buffers.
+        /// Both instances of the fused pass (`B = 1` per row, `B = 8`
+        /// per block) against the two products they replace, bit for
+        /// bit: row counts that are not multiples of `B`, widths on both
+        /// sides of `dot`'s 4-way body (0 included), rows whose residual
+        /// is exactly zero (the `axpy` skip — which decides between 0
+        /// and NaN when the row holds an infinity), NaN / ±∞ cells, a
+        /// NaN-filled `resid` and a dirty `grad`. The link must see
+        /// every row exactly once, in ascending blocks of `B` (a folded
+        /// loss relies on it).
         #[test]
         fn prop_gradient_pass_is_bit_identical_to_two_products(
-            m in 0usize..40, k in 1usize..37,
+            m in 0usize..70, k in 0usize..37,
             poisoned_cells in 0usize..4,
             seed in 0u64..u64::MAX,
         ) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut x = DenseMatrix::random_uniform(m, k, -2.0, 2.0, &mut rng);
-            for _ in 0..poisoned_cells.min(m) {
-                let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
-                x.set(rng.gen_range(0..m), rng.gen_range(0..k), poison);
+            if k > 0 {
+                for _ in 0..poisoned_cells.min(m) {
+                    let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                    x.set(rng.gen_range(0..m), rng.gen_range(0..k), poison);
+                }
             }
             let theta = DenseMatrix::random_uniform(k, 1, -2.0, 2.0, &mut rng);
             let y = DenseMatrix::random_uniform(m, 1, -2.0, 2.0, &mut rng);
@@ -1286,7 +1644,9 @@ mod tests {
             }
             let mut want_grad = DenseMatrix::zeros(k, 1);
             x.transpose_matmul_into(&want_resid, &mut want_grad).unwrap();
+            let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
+            // B = 1: one link call per row.
             let mut resid = DenseMatrix::filled(m, 1, f64::NAN);
             let mut grad = DenseMatrix::filled(k, 1, 123.0);
             let mut visited = Vec::new();
@@ -1300,11 +1660,63 @@ mod tests {
                 &mut grad,
             )
             .unwrap();
-            // Each row once, in ascending order (a folded loss relies on it).
             prop_assert_eq!(visited, (0..m).collect::<Vec<_>>());
-            let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&resid), bits(&want_resid));
             prop_assert_eq!(bits(&grad), bits(&want_grad));
+
+            // B = LINK_BLOCK: one link call per block.
+            let mut resid = DenseMatrix::filled(m, 1, f64::NAN);
+            let mut grad = DenseMatrix::filled(k, 1, 123.0);
+            let mut blocks = Vec::new();
+            x.gradient_pass_blocks_into(
+                &theta,
+                |first, block: &mut [f64]| {
+                    blocks.push((first, block.len()));
+                    for (i, r) in block.iter_mut().enumerate() {
+                        *r = link(first + i, *r);
+                    }
+                },
+                &mut resid,
+                &mut grad,
+            )
+            .unwrap();
+            let want_blocks: Vec<_> = (0..m)
+                .step_by(LINK_BLOCK)
+                .map(|first| (first, LINK_BLOCK.min(m - first)))
+                .collect();
+            prop_assert_eq!(blocks, want_blocks);
+            prop_assert_eq!(bits(&resid), bits(&want_resid));
+            prop_assert_eq!(bits(&grad), bits(&want_grad));
+        }
+
+        /// Class sums against the one-hot product they replace, bit for
+        /// bit on finite cells (exact and signed zeros included): every
+        /// `k` from 1 to 12, so each of the product's paths — the `n == 1`
+        /// axpy loop, thin, packed and `axpy_gemm` — is on the other side,
+        /// with row counts across `KC` and `2·KC` and shapes on both sides
+        /// of `PACK_FLOP_THRESHOLD`, into a dirty output.
+        #[test]
+        fn prop_class_sums_are_bit_identical_to_one_hot_product(
+            m in 0usize..600, d in 0usize..13,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut x = DenseMatrix::random_uniform(m, d, -2.0, 2.0, &mut rng);
+            for v in x.as_mut_slice() {
+                match rng.gen_range(0..8) {
+                    0 => *v = 0.0,
+                    1 => *v = -0.0,
+                    _ => {}
+                }
+            }
+            for k in 1..=12usize {
+                let class: Vec<usize> = (0..m).map(|_| rng.gen_range(0..k)).collect();
+                let (got, want) = class_sums_and_product(&x, &class, k);
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert!(g.to_bits() == w.to_bits(), "k {}: {:?} vs {:?}", k, g, w);
+                }
+            }
         }
 
         #[test]

@@ -22,20 +22,28 @@ pub(crate) static GEMM_FALLBACK_DISPATCHES: Counter = Counter::new();
 /// Column-stable GEMM calls (the serving batching contract path).
 pub(crate) static GEMM_COLSTABLE_DISPATCHES: Counter = Counter::new();
 
-/// [`crate::DenseMatrix::gradient_pass_into`] calls: one per pass over
-/// a matrix's data.
+/// Fused gradient passes ([`crate::DenseMatrix::gradient_pass_into`]
+/// and [`crate::DenseMatrix::gradient_pass_blocks_into`]): one per pass
+/// over a matrix's data.
 pub(crate) static GRADIENT_PASS_CALLS: Counter = Counter::new();
 
 /// Rows those passes streamed.
 pub(crate) static GRADIENT_PASS_ROWS: Counter = Counter::new();
+
+/// [`crate::DenseMatrix::class_sums_into`] calls: one per pass over a
+/// matrix's data.
+pub(crate) static CLASS_SUMS_CALLS: Counter = Counter::new();
+
+/// Rows those passes streamed.
+pub(crate) static CLASS_SUMS_ROWS: Counter = Counter::new();
 
 /// Largest number of `f64` elements any single [`crate::Workspace`]
 /// had checked out at once, process-wide.
 pub(crate) static WORKSPACE_HIGH_WATER_ELEMS: Gauge = Gauge::new();
 
 /// Mounts the kernel-layer metrics into `reg` under the
-/// `matrix.gemm.*` / `matrix.gradient_pass.*` / `matrix.workspace.*`
-/// names.
+/// `matrix.gemm.*` / `matrix.gradient_pass.*` / `matrix.class_sums.*` /
+/// `matrix.workspace.*` names.
 pub fn mount_metrics(reg: &MetricsRegistry) {
     reg.mount_counter("matrix.gemm.thin_dispatches", &GEMM_THIN_DISPATCHES);
     reg.mount_counter("matrix.gemm.packed_dispatches", &GEMM_PACKED_DISPATCHES);
@@ -46,6 +54,8 @@ pub fn mount_metrics(reg: &MetricsRegistry) {
     );
     reg.mount_counter("matrix.gradient_pass.calls", &GRADIENT_PASS_CALLS);
     reg.mount_counter("matrix.gradient_pass.rows", &GRADIENT_PASS_ROWS);
+    reg.mount_counter("matrix.class_sums.calls", &CLASS_SUMS_CALLS);
+    reg.mount_counter("matrix.class_sums.rows", &CLASS_SUMS_ROWS);
     reg.mount_gauge(
         "matrix.workspace.high_water_elems",
         &WORKSPACE_HIGH_WATER_ELEMS,

@@ -5,6 +5,14 @@
 //! where the cross term is a single `mul_right` against the centroid
 //! matrix and the row norms come from `row_norms_sq` — both factorized
 //! operators, so clustering never materializes the target table.
+//!
+//! The centroid update takes the per-class column sums from
+//! [`LinOps::class_sums_into`]: on a factorized table that is `Tᵀ·A`
+//! with the one-hot assignment matrix `A`, on a dense one a single pass
+//! that adds each row into its cluster's sum instead of multiplying it
+//! by `k − 1` zeros — the same bits on finite tables. No one-hot matrix
+//! is built per iteration; the seeding product (`Tᵀ` against the `k`
+//! chosen rows) runs once per fit.
 
 use crate::{MlError, Result};
 use amalur_factorize::LinOps;
@@ -93,17 +101,12 @@ impl KMeans {
         let mut indices: Vec<usize> = (0..n).collect();
         indices.shuffle(&mut rng);
         let chosen = &indices[..k];
-        // Reusable buffers: the one-hot/assignment matrix (n×k), the
-        // d×k product of t_mul, its k×d transpose, the n×k cross terms
-        // and the double-buffered centroids.
-        let mut onehot = ws.take_matrix(n, k);
+        // Reusable buffers: the d×k class sums, their k×d transpose, the
+        // n×k cross terms and the double-buffered centroids.
         let mut dk = ws.take_matrix(d, k);
         let mut cross = ws.take_matrix(n, k);
         let mut centroids_t = ws.take_matrix(d, k);
         let mut new_centroids = ws.take_matrix(k, d);
-        for (c, &row) in chosen.iter().enumerate() {
-            onehot.set(row, c, 1.0);
-        }
         let mut centroids = DenseMatrix::zeros(k, d);
         let row_norms = x.row_norms_sq();
         let mut assignments = vec![0usize; n];
@@ -112,7 +115,13 @@ impl KMeans {
         // Fallible body runs in a closure so the checked-out buffers are
         // returned to the pool on every exit path (workspace contract).
         let outcome = (|| -> Result<()> {
-            x.t_mul_into(&onehot, &mut dk, ws)?;
+            let mut onehot = ws.take_matrix(n, k);
+            for (c, &row) in chosen.iter().enumerate() {
+                onehot.set(row, c, 1.0);
+            }
+            let seeded = x.t_mul_into(&onehot, &mut dk, ws);
+            ws.give_matrix(onehot);
+            seeded?;
             dk.transpose_into(&mut centroids)?;
             for iter in 0..self.config.max_iters {
                 // Cross terms: T · centroidsᵀ  (n × k).
@@ -138,14 +147,12 @@ impl KMeans {
                 }
                 self.inertia = inertia;
                 self.iterations = iter + 1;
-                // Update: μ_c = Σ_{i∈c} T_i / |c| via Tᵀ·A with A one-hot.
-                onehot.as_mut_slice().fill(0.0);
+                // Update: μ_c = Σ_{i∈c} T_i / |c| from the class sums.
                 counts.iter_mut().for_each(|c| *c = 0);
-                for (i, &c) in assignments.iter().enumerate() {
-                    onehot.set(i, c, 1.0);
+                for &c in &assignments {
                     counts[c] += 1;
                 }
-                x.t_mul_into(&onehot, &mut dk, ws)?; // d × k column sums
+                x.class_sums_into(&assignments, &mut dk, ws)?; // d × k
                 new_centroids
                     .as_mut_slice()
                     .copy_from_slice(centroids.as_slice());
@@ -172,7 +179,6 @@ impl KMeans {
             }
             Ok(())
         })();
-        ws.give_matrix(onehot);
         ws.give_matrix(dk);
         ws.give_matrix(cross);
         ws.give_matrix(centroids_t);
@@ -317,6 +323,59 @@ mod tests {
         });
         km.fit(&x).unwrap();
         assert!(km.inertia() < 1e-9);
+    }
+
+    /// A table without feature columns, and a key-only satellite (a
+    /// source with none) beside a base that has some: `row_norms_sq`
+    /// collected one norm per row of `row_iter`, which yields no rows
+    /// without columns, and the fit indexed past the end.
+    #[test]
+    fn zero_column_sources_cluster() {
+        let key_only_satellite = |cols_s1| {
+            let spec = amalur_data::TwoSourceSpec {
+                rows_s1: 40,
+                cols_s1,
+                rows_s2: 8,
+                cols_s2: 0,
+                shared_cols: 0,
+                target_redundancy: true,
+                row_coverage: 1.0,
+                source_redundancy: false,
+                seed: 9,
+            };
+            let (md, data) = amalur_data::generate_two_source(&spec).unwrap();
+            amalur_factorize::FactorizedTable::new(md, data).unwrap()
+        };
+        // No columns at all: every distance is 0, every row joins
+        // cluster 0 at inertia 0.
+        for k in [1, 3] {
+            let config = KMeansConfig {
+                k,
+                ..KMeansConfig::default()
+            };
+            let mut km = KMeans::new(config.clone());
+            assert_eq!(km.fit(&DenseMatrix::zeros(5, 0)).unwrap(), vec![0; 5]);
+            assert_eq!(km.inertia(), 0.0);
+            let mut km = KMeans::new(config);
+            assert_eq!(km.fit(&key_only_satellite(0)).unwrap(), vec![0; 40]);
+            assert_eq!(km.inertia(), 0.0);
+        }
+        // A key-only satellite beside three base columns clusters as
+        // the materialized table does.
+        let ft = key_only_satellite(3);
+        let config = KMeansConfig {
+            k: 3,
+            max_iters: 10,
+            tolerance: 0.0,
+            seed: 2,
+        };
+        let mut factorized = KMeans::new(config.clone());
+        let mut dense = KMeans::new(config);
+        assert_eq!(
+            factorized.fit(&ft).unwrap(),
+            dense.fit(&ft.materialize()).unwrap()
+        );
+        assert!((factorized.inertia() - dense.inertia()).abs() <= 1e-9 * dense.inertia());
     }
 
     #[test]

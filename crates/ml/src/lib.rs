@@ -22,6 +22,8 @@ mod kmeans;
 mod linreg;
 mod logreg;
 pub mod metrics;
+#[cfg(test)]
+mod reference;
 
 pub use error::{MlError, Result};
 pub use gnmf::{Gnmf, GnmfConfig};

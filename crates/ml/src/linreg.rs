@@ -30,10 +30,11 @@ impl Default for LinRegConfig {
 
 /// Ordinary least squares / ridge regression.
 ///
-/// Trained either iteratively (`fit`) — every epoch costs one
-/// `mul_right` (predictions) and one `t_mul` (gradient), both of which
-/// are factorized when the data is a `FactorizedTable` — or in closed
-/// form (`fit_normal_equations`) via the factorized Gram matrix.
+/// Trained either iteratively (`fit`) — every epoch is one
+/// `LinOps::gradient_pass_into`: one pass over a dense table, or a
+/// factorized `mul_right` (predictions) and `t_mul` (gradient) when the
+/// data is a `FactorizedTable` — or in closed form
+/// (`fit_normal_equations`) via the factorized Gram matrix.
 #[derive(Debug, Clone)]
 pub struct LinearRegression {
     config: LinRegConfig,
@@ -80,6 +81,7 @@ impl LinearRegression {
     ) -> Result<()> {
         validate_labels(x, y)?;
         let n = x.n_rows() as f64;
+        let labels = y.as_slice();
         let mut theta = DenseMatrix::zeros(x.n_cols(), 1);
         let mut resid = ws.take_matrix(x.n_rows(), 1);
         let mut grad = ws.take_matrix(x.n_cols(), 1);
@@ -87,15 +89,26 @@ impl LinearRegression {
         let mut prev_loss = f64::INFINITY;
         let mut outcome = Ok(());
         for epoch in 0..self.config.epochs {
-            x.mul_right_into(&theta, &mut resid, ws)?; // resid = Xθ
-            resid.sub_assign(y)?; // resid = Xθ − y
-            let loss = resid.frobenius_norm_sq() / (2.0 * n);
+            // One pass: resid = Xθ − y with Σ resid² folded on the way,
+            // then grad = Xᵀ·resid. The squares continue one left fold
+            // across blocks, so the loss has the bits of summing the
+            // whole residual vector.
+            let mut sq = 0.0;
+            let mut link = |first: usize, block: &mut [f64]| {
+                for (r, &yl) in block.iter_mut().zip(&labels[first..]) {
+                    *r -= yl;
+                }
+                for &r in block.iter() {
+                    sq += r * r;
+                }
+            };
+            x.gradient_pass_into(&theta, &mut link, &mut resid, &mut grad, ws)?;
+            let loss = sq / (2.0 * n);
             if !loss.is_finite() {
                 outcome = Err(MlError::Diverged { epoch });
                 break;
             }
             self.loss_history.push(loss);
-            x.t_mul_into(&resid, &mut grad, ws)?;
             if self.config.l2 > 0.0 {
                 grad.axpy_assign(self.config.l2, &theta)?;
             }

@@ -37,7 +37,7 @@ pub struct LogisticRegression {
 }
 
 #[inline]
-fn sigmoid(z: f64) -> f64 {
+pub(crate) fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
@@ -47,7 +47,7 @@ fn sigmoid(z: f64) -> f64 {
 /// keeps both finite and negative, so the other term is `−0.0` and
 /// adding it changes no bit.
 #[inline]
-fn log_likelihood(y: f64, p: f64) -> f64 {
+pub(crate) fn log_likelihood(y: f64, p: f64) -> f64 {
     let p = p.clamp(1e-12, 1.0 - 1e-12);
     if y == 1.0 {
         p.ln()
@@ -93,28 +93,38 @@ impl LogisticRegression {
             ));
         }
         let n = x.n_rows() as f64;
+        let labels = y.as_slice();
         let mut theta = DenseMatrix::zeros(x.n_cols(), 1);
         let mut p = ws.take_matrix(x.n_rows(), 1);
         let mut grad = ws.take_matrix(x.n_cols(), 1);
         self.loss_history.clear();
         let mut outcome = Ok(());
         for epoch in 0..self.config.epochs {
-            x.mul_right_into(&theta, &mut p, ws)?; // p = Xθ
-            p.map_inplace(sigmoid); // p = σ(Xθ)
-            let loss = -y
-                .as_slice()
-                .iter()
-                .zip(p.as_slice())
-                .map(|(&yi, &pi)| log_likelihood(yi, pi))
-                .sum::<f64>()
-                / n;
+            // One pass: p = σ(Xθ), the log-likelihood folded over it,
+            // p − y as the residual, then grad = Xᵀ·(p − y). Split loops
+            // per block keep `exp` / `ln` out of one serial chain, and the
+            // fold continues across blocks, so the loss has the bits of
+            // summing the whole vector.
+            let mut log_lik = 0.0;
+            let mut link = |first: usize, block: &mut [f64]| {
+                let ys = &labels[first..first + block.len()];
+                for z in block.iter_mut() {
+                    *z = sigmoid(*z);
+                }
+                for (&yl, &pl) in ys.iter().zip(block.iter()) {
+                    log_lik += log_likelihood(yl, pl);
+                }
+                for (r, &yl) in block.iter_mut().zip(ys) {
+                    *r -= yl;
+                }
+            };
+            x.gradient_pass_into(&theta, &mut link, &mut p, &mut grad, ws)?;
+            let loss = -log_lik / n;
             if !loss.is_finite() {
                 outcome = Err(MlError::Diverged { epoch });
                 break;
             }
             self.loss_history.push(loss);
-            p.sub_assign(y)?; // p = σ(Xθ) − y, the residual
-            x.t_mul_into(&p, &mut grad, ws)?;
             if self.config.l2 > 0.0 {
                 grad.axpy_assign(self.config.l2, &theta)?;
             }
