@@ -8,8 +8,11 @@
 //! columns — thin, widest thin, narrowest packed), one least-squares and
 //! one logistic GD epoch on that table as two products and as the fused
 //! block pass, one K-means update (`k = 8`) as the one-hot product and as
-//! class sums — these four pairs also as ratios to the `n = 9` product of
-//! the same run (`per_canary_matmul_50000x60x9`) — a linear model's
+//! class sums, the predict path's column-stable LMM on the serving shape
+//! (20 000 × 43, at 1, 16 and 32 columns) and the column-stable panel
+//! kernel on the 50 000 × 60 table at 16 columns — all of these also as
+//! ratios to the `n = 9` product of the same run
+//! (`per_canary_matmul_50000x60x9`) — a linear model's
 //! residual + gradient over
 //! a 20 000 × 32 silo as two products and as the fused one-pass kernel
 //! (same operands), the LMM rewrite across strategies (on
@@ -201,12 +204,12 @@ fn main() {
     let logistic = epoch_pair(&table, &theta, &mut |first, block| {
         logistic_link(y_bin.as_slice(), &mut log_lik, first, block)
     });
-    let mut training_cases: Vec<(String, f64)> = Vec::new();
+    let mut canary_cases: Vec<(String, f64)> = Vec::new();
     for (name, (two_products, fused)) in [("least_squares", least_squares), ("logistic", logistic)]
     {
         let case = format!("gradient_epoch_50000x60_{name}");
-        training_cases.push((format!("{case}_two_products"), two_products));
-        training_cases.push((format!("{case}_fused"), fused));
+        canary_cases.push((format!("{case}_two_products"), two_products));
+        canary_cases.push((format!("{case}_fused"), fused));
     }
     let classes: Vec<usize> = (0..50_000).map(|l| (l * 7 + l / 3) % 8).collect();
     let mut onehot = DenseMatrix::zeros(50_000, 8);
@@ -225,12 +228,47 @@ fn main() {
             .class_sums_into(&classes, &mut class_sums, &mut ws)
             .expect("shapes")
     });
-    training_cases.push((
+    canary_cases.push((
         "class_sums_50000x60x8_onehot_product".into(),
         onehot_product_ns,
     ));
-    training_cases.push(("class_sums_50000x60x8".into(), class_sums_ns));
-    for (case, ns) in &training_cases {
+    canary_cases.push(("class_sums_50000x60x8".into(), class_sums_ns));
+
+    // --- the predict path: column-stable products ---------------------------
+    // What a coalesced serving batch runs: the factorized LMM on the
+    // benchmark's serve shape (20 000 × 3 base, 4 000 × 40 lookup under
+    // fan-out) at one column, a 16-request burst and a full 32-column
+    // batch, and the bare panel kernel on the training table.
+    let (md, data) = generate_two_source(&TwoSourceSpec {
+        rows_s1: 20_000,
+        cols_s1: 3,
+        rows_s2: 4_000,
+        cols_s2: 40,
+        seed: 7,
+        ..TwoSourceSpec::default()
+    })
+    .expect("valid spec");
+    let serve_table = FactorizedTable::new(md, data).expect("consistent metadata");
+    let (serve_rows, serve_cols) = serve_table.target_shape();
+    for n in [1usize, 16, 32] {
+        let x = DenseMatrix::random_uniform(serve_cols, n, -1.0, 1.0, &mut rng);
+        let mut out = DenseMatrix::zeros(serve_rows, n);
+        let ns = measure(31, || {
+            serve_table
+                .lmm_colstable_into(&x, &mut out, &mut ws)
+                .expect("shapes")
+        });
+        canary_cases.push((format!("lmm_colstable_{serve_rows}x{serve_cols}_x{n}"), ns));
+    }
+    let model = DenseMatrix::random_uniform(60, 16, 0.0, 1.0, &mut rng);
+    let mut scores = DenseMatrix::zeros(50_000, 16);
+    let colstable_ns = measure(15, || {
+        table
+            .matmul_colstable_into(&model, &mut scores)
+            .expect("shapes")
+    });
+    canary_cases.push(("matmul_colstable_50000x60x16".into(), colstable_ns));
+    for (case, ns) in &canary_cases {
         println!(
             "{case}: {:.2} ms ({:.3} of the n = 9 product)",
             ns / 1e6,
@@ -382,7 +420,7 @@ fn main() {
         json_entry(&mut json, &format!("matmul_50000x60x{n}"), ab);
         json_entry(&mut json, &format!("transpose_matmul_50000x60x{n}"), atb);
     }
-    for (case, ns) in &training_cases {
+    for (case, ns) in &canary_cases {
         json_entry(&mut json, case, *ns);
     }
     json_entry(
@@ -407,10 +445,10 @@ fn main() {
         "    \"matmul_512_speedup_vs_naive\": {speedup:.2}\n"
     ));
     json.push_str("  },\n");
-    // The epoch and Lloyd cases over the n = 9 packed product of the
-    // same run.
+    // The epoch, Lloyd and predict-path cases over the n = 9 packed
+    // product of the same run.
     json.push_str("  \"per_canary_matmul_50000x60x9\": {\n");
-    let ratios: Vec<String> = training_cases
+    let ratios: Vec<String> = canary_cases
         .iter()
         .map(|(case, ns)| format!("    \"{case}\": {:.4}", ns / canary_ns))
         .collect();

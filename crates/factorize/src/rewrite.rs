@@ -22,7 +22,7 @@
 //!
 //! * `T·X`: `local = Dₖ·(MₖᵀX)` for the plain rows, then each slot
 //!   `(g, r)` as `local[r] − Σ_{j∈Z_g} Dₖ[r, CMₖ[j]]·X[j,:]`, then one
-//!   gather of `local` through `eff`.
+//!   gather of `local` through `eff` (see "The base source in place").
 //! * `Tᵀ·X`: one scatter of `X` through `eff`; each slot row is
 //!   subtracted from the output rows `j ∈ Z_g` (weighted by
 //!   `Dₖ[r, CMₖ[j]]`) and folded into plain row `r`; one `Dₖᵀ` GEMM.
@@ -36,6 +36,20 @@
 //! correction pays — on every input, and `r_Sk/r_T` of it under fan-out.
 //! Nothing is proportional to `r_T × (redundant columns)` any more, and
 //! there is no threshold or fallback between two paths.
+//!
+//! # The base source in place
+//!
+//! The first source's gather *assigns* `out` — `out[i] = local[eff[i]]`,
+//! a zero row for `NO_MATCH` — and later sources add to it. When that
+//! source's `Îₖ` is the identity (recorded once in `SourcePlan::new`:
+//! `eff[i] = i` for every target row, `Dₖ` exactly `r_T` rows, no slots
+//! — the base table of a star), the gather is a plain copy of the
+//! `r_T × n` product, so `T·X` multiplies `Dₖ·(MₖᵀX)` straight into
+//! `out` instead: no `local` buffer, no copy, the same bits. Both
+//! `lmm_into` and `lmm_colstable_into` take it. Any other first source —
+//! a `NO_MATCH` row, a fan-out read, an unread source row, a slot — and
+//! every later source keep the gather; `factorize.lmm.gather_rows`
+//! counts every matched row either way.
 //!
 //! **Column stability.** The gather and the slot correction treat the
 //! columns of `X` independently, and a slot subtracts its `j ∈ Z_g`
@@ -129,7 +143,8 @@ impl FactorizedTable {
     /// rewrite are per-column independent (module docs); the only
     /// width-sensitive step is the inner `Dₖ · (MₖᵀX)` product, which
     /// here goes through [`DenseMatrix::matmul_colstable_into`] instead
-    /// of the width-adaptive kernel.
+    /// of the width-adaptive kernel (into `out` itself for a base source
+    /// whose `Îₖ` is the identity — module docs).
     ///
     /// # Errors
     /// Shape errors as in [`Self::lmm`].
@@ -318,25 +333,38 @@ impl FactorizedTable {
             }
         }
         let n = x.cols();
+        // Dₖ (Mₖᵀ X) — the only phase whose summation order depends on
+        // the operand width; `colstable` pins it per column.
+        let product = |d: &DenseMatrix, xk: &DenseMatrix, dst: &mut DenseMatrix| {
+            if colstable {
+                d.matmul_colstable_into(xk, dst)
+            } else {
+                d.matmul_into(xk, dst)
+            }
+        };
         let (mut gathered, mut corrected) = (0, 0);
         if self.num_sources() == 0 {
             out.as_mut_slice().fill(0.0);
         }
         for (k, (s, d, plan)) in self.sources().enumerate() {
+            gathered += plan.matched_rows;
+            corrected += plan.correction_cells * n;
             // Mₖᵀ X: scatter X's target-column rows into source-column rows.
             let mut xk = ws.take_matrix(s.mapping.source_cols(), n);
             x.scatter_rows_add_into(s.mapping.compressed(), &mut xk)?;
-            // Dₖ (Mₖᵀ X) into the plain rows of the stacked result — the
-            // only phase whose summation order depends on the operand
-            // width; `colstable` pins it per column.
+            if k == 0 && plan.identity {
+                // The first source assigns, and its `Îₖ` is the identity:
+                // the product goes straight into `out`, the exact copy
+                // the gather would have made.
+                product(d, &xk, out)?;
+                ws.give_matrix(xk);
+                continue;
+            }
+            // Into the plain rows of the stacked result.
             let plain = d.rows();
             let mut local = ws.take_matrix(plain + plan.slots.len(), n);
             local.resize_rows(plain);
-            if colstable {
-                d.matmul_colstable_into(&xk, &mut local, ws)?;
-            } else {
-                d.matmul_into(&xk, &mut local)?;
-            }
+            product(d, &xk, &mut local)?;
             local.resize_rows(plain + plan.slots.len());
             // Slot (g, r) = local[r] − Σ_{j ∈ Z_g} Dₖ[r, CMₖ[j]]·X[j,:].
             let (plain_rows, slot_rows) = local.as_mut_slice().split_at_mut(plain * n);
@@ -385,8 +413,6 @@ impl FactorizedTable {
                     }
                 }
             });
-            gathered += plan.matched_rows;
-            corrected += plan.correction_cells * n;
             ws.give_matrix(xk);
             ws.give_matrix(local);
         }
@@ -677,9 +703,14 @@ mod tests {
         // The serving-batch contract end to end: every column of a
         // batched factorized predict equals, bit for bit, the result of
         // serving that column alone through `lmm_into` — on the running
-        // example and on a table whose last source has four groups and
-        // slots read by many target rows.
-        for ft in [running_example(), multi_group_table(5)] {
+        // example, on a table whose last source has four groups and
+        // slots read by many target rows, and on a star whose base is
+        // multiplied in place.
+        for ft in [
+            running_example(),
+            multi_group_table(5),
+            star_with_base(Base::Identity),
+        ] {
             let (rows, cols) = ft.target_shape();
             let mut ws = Workspace::new();
             for n in WIDTHS {
@@ -703,9 +734,135 @@ mod tests {
         }
     }
 
+    /// How [`star_with_base`] bends the base away from the identity.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Base {
+        Identity,
+        NoMatchRow,
+        OneSlot,
+        FanOutRead,
+        UnreadRow,
+    }
+
+    /// An 11-row star: a 3-column base (bent as `bend` says) and a
+    /// 4-column lookup read under fan-out, no shared column.
+    fn star_with_base(bend: Base) -> FactorizedTable {
+        use amalur_integration::DupBlock;
+        let rt = 11;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA5E);
+        let base_rows = match bend {
+            Base::FanOutRead => rt - 1,
+            Base::UnreadRow => rt + 1,
+            _ => rt,
+        };
+        let mut ci0: Vec<i64> = (0..rt as i64).collect();
+        match bend {
+            Base::NoMatchRow => ci0[5] = NO_MATCH,
+            Base::FanOutRead => ci0[rt - 1] = 0,
+            _ => {}
+        }
+        let indicator0 = IndicatorMatrix::new(ci0, base_rows).unwrap();
+        let mapping0 =
+            MappingMatrix::new(vec![0, 1, 2, NO_MATCH, NO_MATCH, NO_MATCH, NO_MATCH], 3).unwrap();
+        let redundancy0 = if bend == Base::OneSlot {
+            let block = DupBlock {
+                rows: vec![4],
+                cols: vec![1],
+            };
+            RedundancyMatrix::from_blocks(rt, 7, vec![block]).unwrap()
+        } else {
+            RedundancyMatrix::all_ones(rt, 7)
+        };
+        let indicator1 =
+            IndicatorMatrix::new((0..rt).map(|i| (i % 4) as i64).collect(), 4).unwrap();
+        let mapping1 =
+            MappingMatrix::new(vec![NO_MATCH, NO_MATCH, NO_MATCH, 0, 1, 2, 3], 4).unwrap();
+        let redundancy1 =
+            RedundancyMatrix::against_earlier(&[(&indicator0, &mapping0)], &indicator1, &mapping1)
+                .unwrap();
+        let metadata = DiMetadata {
+            target_columns: (0..7).map(|i| format!("c{i}")).collect(),
+            target_rows: rt,
+            sources: vec![
+                SourceMetadata {
+                    name: "base".into(),
+                    mapped_columns: (0..3).map(|i| format!("b{i}")).collect(),
+                    mapping: mapping0,
+                    indicator: indicator0,
+                    redundancy: redundancy0,
+                },
+                SourceMetadata {
+                    name: "lookup".into(),
+                    mapped_columns: (0..4).map(|i| format!("l{i}")).collect(),
+                    mapping: mapping1,
+                    indicator: indicator1,
+                    redundancy: redundancy1,
+                },
+            ],
+        };
+        let data = vec![
+            DenseMatrix::random_uniform(base_rows, 3, -2.0, 2.0, &mut rng),
+            DenseMatrix::random_uniform(4, 4, -2.0, 2.0, &mut rng),
+        ];
+        FactorizedTable::new(metadata, data).unwrap()
+    }
+
+    /// The base's product goes into `out` in place only when its `Îₖ` is
+    /// the identity; a `NO_MATCH` row, one slot, a fan-out read (fewer
+    /// source rows than target rows) or an unread source row each keep
+    /// the gather. Every case, both entry points, is `materialize()·X`.
+    #[test]
+    fn colstable_and_lmm_into_take_the_base_in_place_only_on_an_identity() {
+        for bend in [
+            Base::Identity,
+            Base::NoMatchRow,
+            Base::OneSlot,
+            Base::FanOutRead,
+            Base::UnreadRow,
+        ] {
+            let ft = star_with_base(bend);
+            let (_, _, base) = ft.sources().next().unwrap();
+            assert_eq!(base.identity, bend == Base::Identity, "{bend:?}");
+            assert_eq!(base.slots.len(), usize::from(bend == Base::OneSlot));
+            let (rows, cols) = ft.target_shape();
+            let tol = amalur_gen::equivalence_tolerance(rows, cols, 1);
+            let t = ft.materialize();
+            let mut ws = Workspace::new();
+            for n in [1, 3, 9] {
+                let x = x_for(cols, n, 50 + n as u64);
+                let want = t.matmul(&x).unwrap();
+                let mut out = DenseMatrix::filled(rows, n, f64::NAN);
+                ft.lmm_into(&x, &mut out, &mut ws).unwrap();
+                assert!(out.approx_eq(&want, tol), "lmm_into, {bend:?}, n {n}");
+                let mut out = DenseMatrix::filled(rows, n, f64::NAN);
+                ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
+                assert!(out.approx_eq(&want, tol), "colstable, {bend:?}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn lmm_colstable_answers_a_zero_column_operand() {
+        for ft in [running_example(), star_with_base(Base::Identity)] {
+            let (rows, cols) = ft.target_shape();
+            let mut out = DenseMatrix::zeros(rows, 0);
+            ft.lmm_colstable_into(
+                &DenseMatrix::zeros(cols, 0),
+                &mut out,
+                &mut Workspace::new(),
+            )
+            .unwrap();
+            assert_eq!(out.shape(), (rows, 0));
+        }
+    }
+
     #[test]
     fn repeated_lmm_colstable_is_allocation_free_once_warm() {
-        for ft in [running_example(), multi_group_table(6)] {
+        for ft in [
+            running_example(),
+            multi_group_table(6),
+            star_with_base(Base::Identity),
+        ] {
             let (rows, cols) = ft.target_shape();
             let mut ws = Workspace::new();
             for n in WIDTHS {

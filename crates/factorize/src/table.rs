@@ -46,6 +46,11 @@ pub(crate) struct SourcePlan {
     /// `Σ` over slots of their group's mapped zero columns — the
     /// correction cells one LMM spends per operand column.
     pub(crate) correction_cells: usize,
+    /// `Îₖ` is the identity: target row `i` reads plain row `i` for every
+    /// `i`, `Dₖ` has exactly `r_T` rows and there are no slots — the base
+    /// table of a star. `Dₖ·(MₖᵀX)` is then this source's term of `T·X`
+    /// row for row, with nothing to gather.
+    pub(crate) identity: bool,
 }
 
 impl SourcePlan {
@@ -92,6 +97,9 @@ impl SourcePlan {
             .filter(|&(_, &sc)| sc != NO_MATCH)
             .map(|(t, &sc)| (t, sc as usize))
             .collect();
+        let identity = slots.is_empty()
+            && plain == eff.len()
+            && eff.iter().enumerate().all(|(i, &e)| e == i as i64);
         Self {
             eff,
             slots,
@@ -101,6 +109,7 @@ impl SourcePlan {
             counts,
             matched_rows,
             correction_cells,
+            identity,
         }
     }
 

@@ -47,9 +47,17 @@ fn counters_report_source_level_work() {
             let y = DenseMatrix::filled(rows, n as usize, 0.25);
             let mut out = DenseMatrix::zeros(rows, n as usize);
             let mut out_t = DenseMatrix::zeros(cols, n as usize);
+            // The base's identity rows are multiplied in place rather
+            // than gathered, and still counted.
             let mut lmm = || ft.lmm_into(&x, &mut out, &mut ws).unwrap();
             assert_eq!(delta("lmm.gather_rows", &mut lmm), 2000);
             assert_eq!(delta("lmm.correction_cells", &mut lmm), slot_cells * n);
+            let mut colstable = || ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
+            assert_eq!(delta("lmm.gather_rows", &mut colstable), 2000);
+            assert_eq!(
+                delta("lmm.correction_cells", &mut colstable),
+                slot_cells * n
+            );
             let mut lmm_t = || ft.lmm_transpose_into(&y, &mut out_t, &mut ws).unwrap();
             assert_eq!(delta("lmm.gather_rows", &mut lmm_t), 2000);
             assert_eq!(delta("lmm.correction_cells", &mut lmm_t), slot_cells * n);
@@ -61,6 +69,20 @@ fn counters_report_source_level_work() {
     let x = DenseMatrix::filled(shared.target_shape().1, 2, 0.5);
     let mut sparse = || drop(shared.lmm(&x, Strategy::Sparse).unwrap());
     assert_eq!(delta("lmm.gather_rows", &mut sparse), 0);
+
+    // Inner-join shape (1:1, capped by the 200-row dimension): the base
+    // has 800 source rows no target row reads, so it is gathered — and
+    // each source counts its 200 matched rows.
+    let (md, data) = generate_two_source(&TwoSourceSpec::footnote3(1000, false, false, 3)).unwrap();
+    let inner = FactorizedTable::new(md, data).unwrap();
+    assert_eq!(inner.target_shape().0, 200);
+    let (rows, cols) = inner.target_shape();
+    let x = DenseMatrix::filled(cols, 3, 0.5);
+    let mut out = DenseMatrix::zeros(rows, 3);
+    let mut lmm = || inner.lmm_into(&x, &mut out, &mut ws).unwrap();
+    assert_eq!(delta("lmm.gather_rows", &mut lmm), 400);
+    let mut colstable = || inner.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
+    assert_eq!(delta("lmm.gather_rows", &mut colstable), 400);
 
     // On generated scenarios the correction never exceeds what a
     // per-target-cell correction would pay, and equals the cost model's

@@ -71,6 +71,34 @@
 //! `matmul_transpose_into` takes one [`dot`] per output cell, which is
 //! already unpacked.
 //!
+//! ## Column-stable panels
+//!
+//! Serving coalesces requests into the columns of one right operand and
+//! promises every requester the bytes it would get alone, so
+//! [`DenseMatrix::matmul_colstable_into`] must compute column `j` exactly
+//! as the `n == 1` path computes it: one [`dot`] of row `i` of `A` with
+//! column `j` of `B`. `dot` fixes the order of its operations per cell —
+//! four lane sums, lane `l mod 4` over the whole chunks of four in
+//! ascending `l`, then a tail sum over the last `k mod 4` terms, each
+//! starting from `+0` and adding `A[i, l]·B[l, j]`, then
+//! `s0 + s1 + s2 + s3 + tail` from the left — but that order says nothing
+//! about which *cells* run side by side. The panel kernel runs one output
+//! row `W` columns at a time (`W` covering `n` greedily by const-generic
+//! panels of 8, 4, 2, 1, as in the thin kernel) with `4 × W` lane
+//! accumulators and `W` tails: step `l` multiplies `A[i, l]` by the `W`
+//! adjacent cells of row `l` of the row-major `B`, where they lie, and
+//! adds each product into its own column's lane. The SIMD runs across
+//! columns instead of along the depth, so every cell sees `dot`'s
+//! operations in `dot`'s order and no operation combines two columns:
+//! the result is the per-cell `dot` bit for bit at every width (the
+//! differential test below holds it to the old per-cell loop), and the
+//! width-1 product is the `dot` fast path itself. No transposed copy of
+//! `B`, no scratch, no packing. One caveat, shared with the thin kernel:
+//! where two NaNs of different payload meet (a NaN input beside an
+//! `∞ − ∞` or `0·∞` in the same cell), which payload survives is the
+//! compiler's choice of operand order, so such a cell is a NaN either
+//! way but not always the same NaN.
+//!
 //! ## Threads and scratch
 //!
 //! All four operators (`matmul`, `transpose_matmul`, `matmul_transpose`,
@@ -263,20 +291,19 @@ impl DenseMatrix {
     /// this: predictions coalesced column-wise into one GEMM are
     /// bit-identical to the same predictions served one at a time.
     ///
-    /// The price is a transposed scratch copy of `rhs` (checked out of
-    /// `ws` and returned before the call comes back) and forgoing the
-    /// packed micro-kernel; row chunks still parallelize. Use the plain
+    /// It is column-stable by construction: every output cell is `dot`'s
+    /// own sequence of operations, with the SIMD running across the
+    /// columns of a register panel rather than along the depth, so no
+    /// cell's arithmetic can see another column (module docs,
+    /// "Column-stable panels", which also gives the one NaN-payload
+    /// caveat). Width 1 is the `dot` fast path itself.
+    /// No scratch, no packing; row chunks parallelize. Use the plain
     /// [`DenseMatrix::matmul_into`] when cross-batch bit-stability is
     /// not required.
     ///
     /// # Errors
     /// Dimension mismatch of the operands or of `out`.
-    pub fn matmul_colstable_into(
-        &self,
-        rhs: &DenseMatrix,
-        out: &mut DenseMatrix,
-        ws: &mut crate::Workspace,
-    ) -> Result<()> {
+    pub fn matmul_colstable_into(&self, rhs: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
         if self.cols() != rhs.rows() {
             return Err(MatrixError::DimensionMismatch {
                 op: "matmul_colstable",
@@ -289,32 +316,39 @@ impl DenseMatrix {
         check_out_shape("matmul_colstable_into", out, m, n)?;
         crate::metrics::GEMM_COLSTABLE_DISPATCHES.inc();
         if n == 1 {
-            // Already the dot fast path — no scratch needed.
             return self.matmul_into(rhs, out);
         }
-        // Gather each rhs column contiguously: rhs_t[j·k + l] = rhs[l, j].
-        // With n == 1 the operand `v` handed to `dot` *is* rhs's single
-        // column; this scratch reproduces that operand exactly for every
-        // column of a wider batch.
-        let mut rhs_t = ws.take(n * k);
-        let b = rhs.as_slice();
-        for (l, brow) in b.chunks_exact(n).enumerate() {
-            for (j, &v) in brow.iter().enumerate() {
-                rhs_t[j * k + l] = v;
-            }
+        if n == 0 {
+            return Ok(());
         }
-        let a_slice = self.as_slice();
+        if k == 0 {
+            // `dot` of two empty slices: `0 + 0 + 0 + 0 + 0`.
+            out.as_mut_slice().fill(0.0);
+            return Ok(());
+        }
+        let (a, b) = (self.as_slice(), rhs.as_slice());
         let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-        let rhs_t_ref = &rhs_t;
         par_row_chunks(out.as_mut_slice(), n, flops, |i0, chunk| {
-            for (r, orow) in chunk.chunks_exact_mut(n).enumerate() {
-                let arow = &a_slice[(i0 + r) * k..(i0 + r + 1) * k];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = dot(arow, &rhs_t_ref[j * k..(j + 1) * k]);
+            let rows = a[i0 * k..].chunks_exact(k);
+            for (arow, orow) in rows.zip(chunk.chunks_exact_mut(n)) {
+                let mut j0 = 0;
+                while n - j0 >= 8 {
+                    colstable_panel::<8>(arow, b, n, j0, orow);
+                    j0 += 8;
+                }
+                if n - j0 >= 4 {
+                    colstable_panel::<4>(arow, b, n, j0, orow);
+                    j0 += 4;
+                }
+                if n - j0 >= 2 {
+                    colstable_panel::<2>(arow, b, n, j0, orow);
+                    j0 += 2;
+                }
+                if n - j0 >= 1 {
+                    colstable_panel::<1>(arow, b, n, j0, orow);
                 }
             }
         });
-        ws.give(rhs_t);
         Ok(())
     }
 
@@ -803,6 +837,38 @@ fn thin_tile<const W: usize>(
     }
 }
 
+/// Columns `j0..j0 + W` of one output row of the column-stable product,
+/// each cell by [`dot`]'s operations in [`dot`]'s order (module docs,
+/// "Column-stable panels"): lane `l mod 4` over the whole chunks of four,
+/// then the tail, then `s0 + s1 + s2 + s3 + tail`. `arow` is the row of
+/// `A`; `b` is the row-major `B` (`n` columns), read where it lies.
+#[inline(always)]
+fn colstable_panel<const W: usize>(arow: &[f64], b: &[f64], n: usize, j0: usize, out: &mut [f64]) {
+    let mut lanes = [[0.0f64; W]; 4];
+    let mut tail = [0.0f64; W];
+    let a4 = arow.chunks_exact(4);
+    let a_rest = a4.remainder();
+    let b4 = b.chunks_exact(4 * n);
+    let b_rest = b4.remainder();
+    for (a, brows) in a4.zip(b4) {
+        for (lane, (acc, &al)) in lanes.iter_mut().zip(a).enumerate() {
+            let bl = &brows[lane * n + j0..lane * n + j0 + W];
+            for c in 0..W {
+                acc[c] += al * bl[c];
+            }
+        }
+    }
+    for (&al, brow) in a_rest.iter().zip(b_rest.chunks_exact(n)) {
+        let bl = &brow[j0..j0 + W];
+        for c in 0..W {
+            tail[c] += al * bl[c];
+        }
+    }
+    for (c, o) in out[j0..j0 + W].iter_mut().enumerate() {
+        *o = lanes[0][c] + lanes[1][c] + lanes[2][c] + lanes[3][c] + tail[c];
+    }
+}
+
 /// Reference path for small problems: cache-blocked `i-k-j` loops,
 /// accumulating `B` rows into `C` rows (no packing).
 fn axpy_gemm(
@@ -1112,20 +1178,29 @@ mod tests {
     #[test]
     fn matmul_colstable_matches_naive() {
         let mut rng = rand::thread_rng();
-        let mut ws = crate::Workspace::new();
         for (m, k, n) in [(9, 7, 5), (40, 33, 12), (1, 4, 3), (6, 1, 2)] {
             let a = DenseMatrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
             let b = DenseMatrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
             let mut out = DenseMatrix::filled(m, n, 77.0); // dirty buffer
-            a.matmul_colstable_into(&b, &mut out, &mut ws).unwrap();
+            a.matmul_colstable_into(&b, &mut out).unwrap();
             assert!(out.approx_eq(&matmul_naive(&a, &b), 1e-10));
         }
         let a = DenseMatrix::zeros(3, 2);
         let b = DenseMatrix::zeros(4, 2);
         let mut out = DenseMatrix::zeros(3, 2);
-        assert!(a.matmul_colstable_into(&b, &mut out, &mut ws).is_err());
+        assert!(a.matmul_colstable_into(&b, &mut out).is_err());
         let b = DenseMatrix::zeros(2, 5);
-        assert!(a.matmul_colstable_into(&b, &mut out, &mut ws).is_err());
+        assert!(a.matmul_colstable_into(&b, &mut out).is_err());
+        // Degenerate shapes: an empty product, and depth 0 into a dirty
+        // buffer, which must come back zeroed.
+        let mut empty = DenseMatrix::zeros(3, 0);
+        a.matmul_colstable_into(&DenseMatrix::zeros(2, 0), &mut empty)
+            .unwrap();
+        let mut zeroed = DenseMatrix::filled(3, 4, 5.0);
+        DenseMatrix::zeros(3, 0)
+            .matmul_colstable_into(&DenseMatrix::zeros(0, 4), &mut zeroed)
+            .unwrap();
+        assert_eq!(zeroed.as_slice(), &[0.0; 12]);
     }
 
     #[test]
@@ -1135,12 +1210,11 @@ mod tests {
         // at any batch width (including widths that would normally take
         // the packed kernel).
         let mut rng = rand::thread_rng();
-        let mut ws = crate::Workspace::new();
         let a = DenseMatrix::random_uniform(70, 50, -1.0, 1.0, &mut rng);
-        for n in [2usize, 8, 17] {
+        for n in [2usize, 8, 17, 32] {
             let b = DenseMatrix::random_uniform(50, n, -1.0, 1.0, &mut rng);
             let mut batched = DenseMatrix::zeros(70, n);
-            a.matmul_colstable_into(&b, &mut batched, &mut ws).unwrap();
+            a.matmul_colstable_into(&b, &mut batched).unwrap();
             for j in 0..n {
                 let col = DenseMatrix::column_vector(&b.col(j));
                 let single = a.matmul(&col).unwrap();
@@ -1152,13 +1226,42 @@ mod tests {
                 }
             }
         }
-        // Steady state: repeated calls reuse the pooled scratch.
-        let warm = ws.fresh_allocations();
-        let b = DenseMatrix::random_uniform(50, 8, -1.0, 1.0, &mut rng);
-        let mut out = DenseMatrix::zeros(70, 8);
-        a.matmul_colstable_into(&b, &mut out, &mut ws).unwrap();
-        assert_eq!(ws.fresh_allocations(), warm);
     }
+
+    /// The column-stable product as it was computed before the register
+    /// panels, kept as their oracle: each `rhs` column copied out
+    /// contiguously, then one [`dot`] per output cell.
+    fn colstable_per_cell(a: &DenseMatrix, b: &DenseMatrix) -> Vec<f64> {
+        let (m, k) = a.shape();
+        let n = b.cols();
+        let mut rhs_t = vec![0.0; n * k];
+        for (l, brow) in b.as_slice().chunks_exact(n.max(1)).enumerate() {
+            for (j, &v) in brow.iter().enumerate() {
+                rhs_t[j * k + l] = v;
+            }
+        }
+        let mut out = vec![0.0; m * n];
+        for (i, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            let arow = &a.as_slice()[i * k..(i + 1) * k];
+            for (j, o) in orow.iter_mut().enumerate() {
+                *o = dot(arow, &rhs_t[j * k..(j + 1) * k]);
+            }
+        }
+        out
+    }
+
+    /// Cells a column-stable property test plants among the random ones:
+    /// every class of value whose arithmetic is easy to get subtly wrong.
+    const COLSTABLE_SPECIALS: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 8.0,
+        -f64::MIN_POSITIVE / 3.0,
+        5e-324,
+    ];
 
     #[test]
     fn transpose_matmul_matches_explicit() {
@@ -1603,6 +1706,46 @@ mod tests {
                         for (i, v) in alone.iter().enumerate() {
                             prop_assert_eq!(whole[i * n + j].to_bits(), v.to_bits());
                         }
+                    }
+                }
+            }
+        }
+
+        /// The register panels against the per-cell loop they replaced,
+        /// bit for bit: every width from 1 to 33 (so every mix of 8-, 4-,
+        /// 2- and 1-wide panels), every depth from 0 to 13 plus one on
+        /// either side of larger multiples of 4, row counts that are a
+        /// multiple of nothing, into a dirty output, with exact and
+        /// signed zeros, subnormals, NaN and ±∞ planted in both operands.
+        /// A NaN must be a NaN in both — its payload is the compiler's
+        /// choice of operand order, as for the thin kernel.
+        #[test]
+        fn prop_colstable_panels_are_bit_identical_to_per_cell_dots(
+            m in 0usize..23, deep in 14usize..80,
+            planted in 0usize..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for k in (0..14).chain([deep]) {
+                for n in 1..=33usize {
+                    let mut a = DenseMatrix::random_uniform(m, k, -2.0, 2.0, &mut rng);
+                    let mut b = DenseMatrix::random_uniform(k, n, -2.0, 2.0, &mut rng);
+                    for cells in [a.as_mut_slice(), b.as_mut_slice()] {
+                        for _ in 0..planted.min(cells.len()) {
+                            let at = rng.gen_range(0..cells.len());
+                            cells[at] = COLSTABLE_SPECIALS[rng.gen_range(0..COLSTABLE_SPECIALS.len())];
+                        }
+                    }
+                    let mut out = DenseMatrix::filled(m, n, 123.0);
+                    a.matmul_colstable_into(&b, &mut out).unwrap();
+                    let want = colstable_per_cell(&a, &b);
+                    for (cell, (g, w)) in out.as_slice().iter().zip(&want).enumerate() {
+                        prop_assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "{} × {} · {} × {}, cell {}: panel {:?} vs per-cell {:?}",
+                            m, k, k, n, cell, g, w
+                        );
                     }
                 }
             }

@@ -13,10 +13,13 @@ use std::path::Path;
 use std::str::FromStr;
 
 /// Parses CSV text (first line = header) into a table named `name`.
+/// One leading byte-order mark (U+FEFF), as spreadsheet exports write,
+/// is not part of the first column's name; anywhere else it is data.
 ///
 /// # Errors
 /// Returns [`RelationalError::Parse`] on malformed quoting or ragged rows.
 pub fn read_csv_str(name: &str, text: &str) -> Result<Table> {
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
     let records = parse_records(text)?;
     let Some(&arity) = records.ends.first() else {
         return Err(RelationalError::Parse("empty CSV input".into()));
@@ -290,6 +293,19 @@ mod tests {
         let t = read_csv_str("t", "a,b\r\n1,2\r\n").unwrap();
         assert_eq!(t.num_rows(), 1);
         assert_eq!(t.value(0, "b").unwrap(), 2.into());
+    }
+
+    #[test]
+    fn leading_byte_order_mark_is_not_part_of_the_header() {
+        let t = read_csv_str("t", "\u{feff}id,v\n1,2\n").unwrap();
+        assert_eq!(t.schema().names(), ["id", "v"]);
+        assert_eq!(t.value(0, "id").unwrap(), 1.into());
+        // Only one mark, and only at the very start of the input, is
+        // stripped: a second one, or one in a later field, is data.
+        let t = read_csv_str("t", "\u{feff}\u{feff}id,v\nx,\u{feff}y\n").unwrap();
+        assert_eq!(t.schema().names(), ["\u{feff}id", "v"]);
+        assert_eq!(t.value(0, "v").unwrap(), "\u{feff}y".into());
+        assert!(read_csv_str("t", "\u{feff}").is_err());
     }
 
     #[test]

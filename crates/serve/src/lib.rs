@@ -36,6 +36,8 @@
 //!    batch on each dataset before serving it, so steady-state serving
 //!    performs **zero fresh workspace allocations** at any batch width
 //!    (observable via [`ServerHandle::fresh_workspace_allocations`]).
+//!    The requesters' replies are cut out of the batch product in one
+//!    blocked pass over it, not one strided walk per requester.
 //!    Each worker
 //!    caps its kernel parallelism with
 //!    [`amalur_matrix::set_thread_budget`] so `workers × kernel threads`

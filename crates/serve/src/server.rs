@@ -458,6 +458,10 @@ fn execute_train(job: TrainJob, ws: &mut Workspace, metrics: &ServerMetrics) {
     let _ = job.reply.send(result);
 }
 
+/// Rows of the batch product per step of the reply pass: a 32-wide block
+/// is 16 KB, so it stays in L1 while every requester takes its columns.
+const REPLY_BLOCK_ROWS: usize = 64;
+
 /// Runs one (dataset, version) batch of `total_cols` operand columns — a
 /// lone request is a batch of one — through the single column-stable
 /// GEMM and hands each requester its own columns. Column `j` of that
@@ -465,7 +469,15 @@ fn execute_train(job: TrainJob, ws: &mut Workspace, metrics: &ServerMetrics) {
 /// bytes cannot depend on its companions. Scratch (the coalesced
 /// rhs/out) comes from the worker's arena shard, so steady-state batches
 /// allocate nothing fresh; only the response matrices handed to clients
-/// are freshly allocated.
+/// are freshly allocated, without a zero fill.
+///
+/// The replies are cut from the row-major product in **one blocked
+/// pass**: for each block of [`REPLY_BLOCK_ROWS`] rows, every requester
+/// in turn appends its columns of those rows to its own buffer, so the
+/// product is streamed once, not once per requester, and each block is
+/// read while it is in L1. A request that is its whole batch takes the
+/// product in one contiguous copy. Every reply is built before the
+/// first goes out.
 ///
 /// With no `jobs` the product runs on a zero operand and answers nobody:
 /// that is the warm-up, which leaves every buffer a `total_cols`-wide
@@ -482,39 +494,36 @@ fn execute_predict_batch(
     let mut offset = 0;
     for job in jobs {
         let k = job.features.cols();
-        copy_columns(
-            (job.features.as_slice(), k, 0),
-            (rhs.as_mut_slice(), total_cols, offset),
-            k,
-        );
+        for (dst, src) in rhs
+            .as_mut_slice()
+            .chunks_exact_mut(total_cols)
+            .zip(job.features.as_slice().chunks_exact(k))
+        {
+            dst[offset..offset + k].copy_from_slice(src);
+        }
         offset += k;
     }
     let mut out = ws.take_matrix(r_t, total_cols);
     // Shapes were validated at admission, so a failure here is
     // exceptional; every requester learns about it, typed.
-    let product = table.lmm_colstable_into(&rhs, &mut out, ws);
-
-    let mut offset = 0;
+    let mut replies = table
+        .lmm_colstable_into(&rhs, &mut out, ws)
+        .map(|()| cut_replies(out.as_slice(), total_cols, jobs).into_iter());
     for job in jobs {
-        let k = job.features.cols();
-        let reply = match &product {
-            Ok(()) => {
-                let mut predictions = DenseMatrix::zeros(r_t, k);
-                copy_columns(
-                    (out.as_slice(), total_cols, offset),
-                    (predictions.as_mut_slice(), k, 0),
-                    k,
-                );
-                Ok(PredictResponse {
-                    dataset: job.dataset.clone(),
-                    version: job.version,
-                    predictions,
-                    batched_with: jobs.len(),
-                })
+        let reply = match &mut replies {
+            Ok(cells) => {
+                let cells = cells.next().unwrap_or_default();
+                DenseMatrix::from_vec(r_t, job.features.cols(), cells)
+                    .map(|predictions| PredictResponse {
+                        dataset: job.dataset.clone(),
+                        version: job.version,
+                        predictions,
+                        batched_with: jobs.len(),
+                    })
+                    .map_err(|e| ServeError::Factorize(e.into()))
             }
             Err(e) => Err(ServeError::Factorize(e.clone())),
         };
-        offset += k;
         // Recorded BEFORE the reply goes out, as for trains.
         metrics
             .predict_latency_us
@@ -525,23 +534,34 @@ fn execute_predict_batch(
     ws.give_matrix(out);
 }
 
-/// Copies `k` columns between two row-major matrices of equal height,
-/// each given as `(cells, width, first column)`. When the `k` columns
-/// are the whole of both (a request that is its whole batch) this is one
-/// contiguous copy.
-fn copy_columns(
-    (src, src_width, src_at): (&[f64], usize, usize),
-    (dst, dst_width, dst_at): (&mut [f64], usize, usize),
-    k: usize,
-) {
-    if k == src_width && k == dst_width {
-        dst.copy_from_slice(src);
-        return;
+/// The blocked reply pass of [`execute_predict_batch`]: each job's
+/// columns of the row-major batch product `out` (`total_cols` wide, in
+/// job order), as the row-major cells of its reply.
+fn cut_replies(out: &[f64], total_cols: usize, jobs: &[PredictJob]) -> Vec<Vec<f64>> {
+    match jobs {
+        [] => return Vec::new(),
+        [_] => return vec![out.to_vec()],
+        _ => {}
     }
-    for (d, s) in dst
-        .chunks_exact_mut(dst_width)
-        .zip(src.chunks_exact(src_width))
-    {
-        d[dst_at..dst_at + k].copy_from_slice(&s[src_at..src_at + k]);
+    let rows = out.len() / total_cols;
+    let mut replies: Vec<Vec<f64>> = jobs
+        .iter()
+        .map(|job| Vec::with_capacity(rows * job.features.cols()))
+        .collect();
+    for block in out.chunks(REPLY_BLOCK_ROWS * total_cols) {
+        let mut offset = 0;
+        for (job, reply) in jobs.iter().zip(&mut replies) {
+            let k = job.features.cols();
+            let block_rows = block.chunks_exact(total_cols);
+            if k == 1 {
+                reply.extend(block_rows.map(|row| row[offset]));
+            } else {
+                for row in block_rows {
+                    reply.extend_from_slice(&row[offset..offset + k]);
+                }
+            }
+            offset += k;
+        }
     }
+    replies
 }

@@ -233,6 +233,62 @@ fn batched_predictions_are_bit_identical_to_unbatched() {
     batched.shutdown();
 }
 
+/// The reply pass cuts replies out of the batch product in blocks of 64
+/// rows; a 203-row table ends on a partial block, and 1-, 3-, 2- and
+/// 1-column requests put every reply at a different offset and width.
+#[test]
+fn mixed_width_batch_replies_are_bit_identical_to_solo_requests() {
+    let spec = TwoSourceSpec {
+        rows_s1: 203,
+        cols_s1: 3,
+        rows_s2: 41,
+        cols_s2: 6,
+        seed: 5,
+        ..TwoSourceSpec::default()
+    };
+    let (md, data) = generate_two_source(&spec).unwrap();
+    let registry = Arc::new(DatasetRegistry::new());
+    registry
+        .register("ds", FactorizedTable::new(md, data).unwrap())
+        .unwrap();
+    let (r_t, c_t) = registry.fetch("ds").unwrap().data.target_shape();
+    assert_eq!(r_t % 64, 11, "the last reply block must be partial");
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServerConfig {
+            workers: 1,
+            max_batch_cols: 8,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let handle = server.handle();
+    let requests: [&[u64]; 4] = [&[11], &[12, 13, 14], &[15, 16], &[17]];
+
+    let alone: Vec<DenseMatrix> = requests
+        .iter()
+        .map(|tags| {
+            let resp = handle.predict(request("ds", c_t, tags)).unwrap();
+            assert_eq!(resp.batched_with, 1);
+            resp.predictions
+        })
+        .collect();
+    let parked = park_worker(&handle, "ds");
+    let tickets: Vec<_> = requests
+        .iter()
+        .map(|tags| handle.submit_predict(request("ds", c_t, tags)).unwrap())
+        .collect();
+    assert_still_parked(&handle, 1);
+    parked.wait().unwrap();
+    for ((ticket, solo), tags) in tickets.into_iter().zip(&alone).zip(requests) {
+        let resp = ticket.wait().unwrap();
+        assert_eq!(resp.batched_with, 4);
+        assert_eq!(resp.predictions.shape(), (r_t, tags.len()));
+        assert_eq!(bits(&resp.predictions), bits(solo), "request {tags:?}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn mixed_backlog_runs_as_one_batch_per_dataset() {
     let registry = registry_with("a", 7);
