@@ -10,7 +10,11 @@
 //! block pass, one K-means update (`k = 8`) as the one-hot product and as
 //! class sums, the predict path's column-stable LMM on the serving shape
 //! (20 000 × 43, at 1, 16 and 32 columns) and the column-stable panel
-//! kernel on the 50 000 × 60 table at 16 columns — all of these also as
+//! kernel on the 50 000 × 60 table at 16 columns, the narrow-source
+//! products (`A·v` and `Aᵀ·r` on 50 000 × 2, 4 and 8, the gram of
+//! 50 000 × 4 and its products with 4 and 8 columns, and `Tᵀ·r` on the
+//! benchmark's 50 000 × 60 train star) —
+//! all of these also as
 //! ratios to the `n = 9` product of the same run
 //! (`per_canary_matmul_50000x60x9`) — a linear model's
 //! residual + gradient over
@@ -233,6 +237,67 @@ fn main() {
         onehot_product_ns,
     ));
     canary_cases.push(("class_sums_50000x60x8".into(), class_sums_ns));
+
+    // --- narrow sources: vector products and grams at depth ≤ NR ----------
+    // The tall, narrow tables the factorized rewrites run on — a star's
+    // base, GNMF's `W` — where a product's short side fits the register
+    // file: `A·v`, `Aᵀ·r` and a gram on 50 000 rows, and the benchmark's
+    // train star's `Tᵀ·r`, whose 50 000 × 4 base is an identity source.
+    for k in [2usize, 4, 8] {
+        let narrow = DenseMatrix::random_uniform(50_000, k, -1.0, 1.0, &mut rng);
+        let v = DenseMatrix::random_uniform(k, 1, -1.0, 1.0, &mut rng);
+        let r = DenseMatrix::random_uniform(50_000, 1, -1.0, 1.0, &mut rng);
+        let (mut av, mut atr) = (DenseMatrix::zeros(50_000, 1), DenseMatrix::zeros(k, 1));
+        let matvec_ns = measure(51, || narrow.matmul_into(&v, &mut av).expect("shapes"));
+        let transpose_ns = measure(51, || {
+            narrow.transpose_matmul_into(&r, &mut atr).expect("shapes")
+        });
+        canary_cases.push((format!("matvec_50000x{k}"), matvec_ns));
+        canary_cases.push((format!("transpose_matvec_50000x{k}"), transpose_ns));
+        if k == 4 {
+            let mut gram = DenseMatrix::zeros(k, k);
+            let gram_ns = measure(51, || narrow.gram_into(&mut gram).expect("shapes"));
+            canary_cases.push((format!("gram_50000x{k}"), gram_ns));
+            for n in [4usize, 8] {
+                let model = DenseMatrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
+                let mut scores = DenseMatrix::zeros(50_000, n);
+                let ns = measure(51, || {
+                    narrow.matmul_into(&model, &mut scores).expect("shapes")
+                });
+                canary_cases.push((format!("matmul_50000x{k}x{n}"), ns));
+            }
+        }
+    }
+    let (md, mut sources) = amalur_gen::generate(&amalur_gen::ScenarioSpec {
+        topology: amalur_gen::Topology::Star { satellites: 2 },
+        base_rows: 50_000,
+        base_cols: 4,
+        dim_rows: 500,
+        dim_cols: 30,
+        skew: 0.5,
+        shared_cols: 2,
+        sparse_mask: 0,
+        density: 1.0,
+        coverage: 1.0,
+        seed: 1,
+    })
+    .expect("valid spec");
+    for d in &mut sources {
+        d.map_inplace(f64::abs);
+    }
+    let train_star = FactorizedTable::new(md, sources).expect("consistent metadata");
+    let (star_rows, star_cols) = train_star.target_shape();
+    let r = DenseMatrix::random_uniform(star_rows, 1, -1.0, 1.0, &mut rng);
+    let mut star_grad = DenseMatrix::zeros(star_cols, 1);
+    let star_t_ns = measure(51, || {
+        train_star
+            .lmm_transpose_into(&r, &mut star_grad, &mut ws)
+            .expect("shapes")
+    });
+    canary_cases.push((
+        format!("lmm_transpose_train_star_{star_rows}x{star_cols}_x1"),
+        star_t_ns,
+    ));
 
     // --- the predict path: column-stable products ---------------------------
     // What a coalesced serving batch runs: the factorized LMM on the

@@ -6,9 +6,8 @@
 //! can claim factorization "does not affect model training accuracy"
 //! while changing the execution strategy underneath.
 //!
-//! Two operators are composites with a default written in terms of the
-//! others, so a backend runs exactly those operations unless it has a
-//! faster way to the same bits:
+//! Two operators are composites, each kept to the bits of the products
+//! it stands for:
 //!
 //! * [`LinOps::gradient_pass_into`] — a GD epoch's `link(T·θ)` then
 //!   `Tᵀ·r`. Default: `mul_right_into`, the link once over the whole
@@ -20,11 +19,14 @@
 //!   that call `exp` / `ln` are fastest as split loops over a block —
 //!   a per-row link on the default path cost `train_factorized` 6–14 %.
 //! * [`LinOps::class_sums_into`] — a Lloyd update's `Tᵀ·A` for the
-//!   one-hot assignment matrix `A`. Default: `A` built in workspace
-//!   scratch, then `t_mul_into`. `DenseMatrix` overrides it with one pass
-//!   adding each row into its class's sum, bit-identical on finite
-//!   tables (a non-finite cell stays in its own class's sum instead of
-//!   spreading NaN through `∞·0`).
+//!   one-hot assignment matrix `A`, which no backend builds.
+//!   `DenseMatrix` adds each row into its class's sum in one pass;
+//!   `FactorizedTable` scatters one `1.0` per target row into its
+//!   sources' stacked rows and runs the `Tᵀ·X` rewrite's corrections and
+//!   `Dₖᵀ` products, an identity base through the dense class sums. Both
+//!   are bit-identical to `t_mul_into(A)` on finite tables (a non-finite
+//!   cell of a dense table or an identity base stays in its own class's
+//!   sum instead of spreading NaN through `∞·0`).
 //!
 //! Both take `&mut dyn` / slice arguments, so the trait stays usable as
 //! a trait object.
@@ -111,12 +113,10 @@ pub trait LinOps {
 
     /// Per-class column sums `Tᵀ·A` (`n_cols × k`, `k = out.cols()`,
     /// fully overwritten) for the `n_rows × k` one-hot matrix `A` of
-    /// `class` — a Lloyd update's centroid numerators.
-    ///
-    /// The default builds `A` in scratch from `ws` and runs
-    /// [`Self::t_mul_into`]. `DenseMatrix` overrides it with one pass that
-    /// adds each row into its class's sum, bit-identical on finite tables
-    /// (see `DenseMatrix::class_sums_into` for the non-finite case).
+    /// `class` — a Lloyd update's centroid numerators — without building
+    /// `A`; bit-identical to [`Self::t_mul_into`] of `A` on finite tables
+    /// (see `DenseMatrix::class_sums_into` and
+    /// `FactorizedTable::class_sums_into` for the non-finite case).
     ///
     /// # Errors
     /// `class.len() != n_rows`, a class `≥ k`, or `out` not `n_cols × k`.
@@ -125,23 +125,7 @@ pub trait LinOps {
         class: &[usize],
         out: &mut DenseMatrix,
         ws: &mut Workspace,
-    ) -> Result<()> {
-        let k = out.cols();
-        if class.len() != self.n_rows() || class.iter().any(|&c| c >= k) {
-            return Err(FactorizeError::OperandMismatch {
-                op: "class_sums_into",
-                expected: (self.n_rows(), k),
-                found: (class.len(), class.iter().max().map_or(0, |&c| c + 1)),
-            });
-        }
-        let mut onehot = ws.take_matrix(class.len(), k);
-        for (i, &c) in class.iter().enumerate() {
-            onehot.set(i, c, 1.0);
-        }
-        let outcome = self.t_mul_into(&onehot, out, ws);
-        ws.give_matrix(onehot);
-        outcome
-    }
+    ) -> Result<()>;
 
     /// Gram matrix `TᵀT` (`n_cols × n_cols`) — the normal-equations
     /// operator for closed-form solvers.
@@ -254,6 +238,15 @@ impl LinOps for FactorizedTable {
 
     fn t_mul_into(&self, x: &DenseMatrix, out: &mut DenseMatrix, ws: &mut Workspace) -> Result<()> {
         self.lmm_transpose_into(x, out, ws)
+    }
+
+    fn class_sums_into(
+        &self,
+        class: &[usize],
+        out: &mut DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        FactorizedTable::class_sums_into(self, class, out, ws)
     }
 
     fn gram_matrix(&self) -> DenseMatrix {
@@ -397,9 +390,9 @@ mod tests {
         assert_eq!(obj.n_rows(), 6);
     }
 
-    /// The fused epoch and the class sums: the dense overrides and the
-    /// factorized defaults agree, through trait objects, and reject the
-    /// same bad operands.
+    /// The fused epoch and the class sums: the dense and factorized
+    /// implementations agree, through trait objects, and reject the same
+    /// bad operands.
     #[test]
     fn fused_operators_agree_across_backends() {
         let ft = running_example();
@@ -449,6 +442,8 @@ mod tests {
             assert!(x
                 .class_sums_into(&[0, 1, 2, 3, 0, 0], &mut sums, &mut ws)
                 .is_err());
+            let mut short = DenseMatrix::zeros(3, 3);
+            assert!(x.class_sums_into(&class, &mut short, &mut ws).is_err());
         }
     }
 

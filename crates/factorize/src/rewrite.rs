@@ -25,7 +25,10 @@
 //!   gather of `local` through `eff` (see "The base source in place").
 //! * `Tᵀ·X`: one scatter of `X` through `eff`; each slot row is
 //!   subtracted from the output rows `j ∈ Z_g` (weighted by
-//!   `Dₖ[r, CMₖ[j]]`) and folded into plain row `r`; one `Dₖᵀ` GEMM.
+//!   `Dₖ[r, CMₖ[j]]`) and folded into plain row `r`; one `Dₖᵀ` GEMM
+//!   (no scatter at all for an identity source — see "The base source
+//!   in place"). The class sums `Tᵀ·A` of a one-hot `A` take the same
+//!   path with the scatter of `A` written as one `1.0` per target row.
 //! * `TᵀT = Σ_{k,l} Mₖ Âₖᵀ (ÎₖᵀÎₗ) Âₗ Mₗᵀ`: `ÎₖᵀÎₖ` is the diagonal of
 //!   per-row read counts; a cross term scatters one partner's rows into
 //!   the other's stacked rows (`r_T` row adds) and multiplies once.
@@ -50,6 +53,23 @@
 //! a `NO_MATCH` row, a fan-out read, an unread source row, a slot — and
 //! every later source keep the gather; `factorize.lmm.gather_rows`
 //! counts every matched row either way.
+//!
+//! `Tᵀ·X` has the mirror image. Its scatter `Îₖᵀ X` sums, into zeroed
+//! stacked rows, the target rows that read each one; through an
+//! identity `Îₖ` every stacked row receives exactly one, so the scatter
+//! is a copy of `X` in which `0 + x` has turned each `−0` into `+0` and
+//! changed nothing else. No sum of the `Dₖᵀ` product can tell those
+//! apart: every accumulator there starts at `+0` and can never hold
+//! `−0` (`+0 + −0 = +0`, `x + −x = +0`), so adding a product of `±0`
+//! leaves it as it is either way, and a non-finite `Dₖ` cell makes the
+//! same NaN of both; the zero skip of the `n == 1` path tests `== 0.0`,
+//! which both zeros pass. So an identity source — of any position,
+//! since the transposed side only ever adds into a zeroed `out` —
+//! multiplies `Dₖᵀ·X` straight from `X`: no `r_T × n` buffer, no fill,
+//! no copy, the same bits. The class sums go one step further: there
+//! an identity source's whole term is `DenseMatrix::class_sums_into` of
+//! its `Dₖ`, which never forms the one-hot matrix (and carries that
+//! function's documented non-finite degradation).
 //!
 //! **Column stability.** The gather and the slot correction treat the
 //! columns of `X` independently, and a slot subtracts its `j ∈ Z_g`
@@ -442,42 +462,124 @@ impl FactorizedTable {
                 return self.lmm_t_morpheus(x, out);
             }
         }
-        let n = x.cols();
+        self.transpose_sources_into(
+            x.cols(),
+            out,
+            ws,
+            |plan, xk| Ok(x.scatter_rows_add_into(&plan.eff, xk)?),
+            |d, local, _| Ok(d.transpose_matmul_into(x, local)?),
+        )
+    }
+
+    /// Per-class column sums `Tᵀ·A` (`c_T × k`, `k = out.cols()`, fully
+    /// overwritten) for the `r_T × k` one-hot matrix `A` of `class` — a
+    /// Lloyd update's centroid numerators — without building `A`: each
+    /// source scatters a `1.0` into cell `(eff[i], class[i])` of its
+    /// stacked rows, which is all that scattering row `i` of `A` adds,
+    /// then runs the slot corrections and the `Dₖᵀ` product of
+    /// [`Self::lmm_transpose_into`] (module docs, "The base source in
+    /// place"). Bit-identical to `lmm_transpose_into(A)` on finite tables.
+    /// An identity source hands its whole term to
+    /// [`DenseMatrix::class_sums_into`], so a ±∞ or NaN cell of such a
+    /// source reaches only its own class's sum, where the product spreads
+    /// NaN across the row of `out` — that function's documented
+    /// degradation.
+    ///
+    /// # Errors
+    /// `class.len() != r_T`, a class `≥ k`, or `out` not `c_T × k`.
+    pub fn class_sums_into(
+        &self,
+        class: &[usize],
+        out: &mut DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        let (rows, cols) = self.target_shape();
+        let k = out.cols();
+        if class.len() != rows || class.iter().any(|&c| c >= k) {
+            return Err(FactorizeError::OperandMismatch {
+                op: "class_sums_into",
+                expected: (rows, k),
+                found: (class.len(), class.iter().max().map_or(0, |&c| c + 1)),
+            });
+        }
+        check_shape("class_sums_into", (cols, k), out.shape())?;
+        self.transpose_sources_into(
+            k,
+            out,
+            ws,
+            |plan, xk| {
+                let cells = xk.as_mut_slice();
+                cells.fill(0.0);
+                for (&e, &c) in plan.eff.iter().zip(class) {
+                    if e != NO_MATCH {
+                        cells[e as usize * k + c] += 1.0;
+                    }
+                }
+                Ok(())
+            },
+            |d, local, ws| Ok(d.class_sums_into(class, local, ws)?),
+        )
+    }
+
+    /// The compressed `Tᵀ·X` body that [`Self::lmm_transpose_into`] and
+    /// [`Self::class_sums_into`] share, for an `n`-column operand: per
+    /// source, `scatter(plan, xk)` writes `Îₖᵀ X` into the `r_Sk + slots`
+    /// stacked rows of `xk`, the slot rows are folded into their plain
+    /// rows and owe their masked cells back to `out`, and `Dₖᵀ` multiplies
+    /// the plain rows; an identity source skips all of that and
+    /// `in_place(Dₖ, local, ws)` computes `Dₖᵀ X` from the operand where
+    /// it lies. Then `Mₖ` adds the source's term into `out`.
+    fn transpose_sources_into(
+        &self,
+        n: usize,
+        out: &mut DenseMatrix,
+        ws: &mut Workspace,
+        mut scatter: impl FnMut(&SourcePlan, &mut DenseMatrix) -> Result<()>,
+        mut in_place: impl FnMut(&DenseMatrix, &mut DenseMatrix, &mut Workspace) -> Result<()>,
+    ) -> Result<()> {
         let (mut scattered, mut corrected) = (0, 0);
         out.as_mut_slice().fill(0.0);
         for (_, d, plan) in self.sources() {
-            // Îₖᵀ X: scatter target rows into stacked rows.
-            let plain = d.rows();
-            let mut xk = ws.take_matrix(plain + plan.slots.len(), n);
-            x.scatter_rows_add_into(&plan.eff, &mut xk)?;
-            // A slot row is what its source row received through group
-            // g: it owes out[j,:] −= Dₖ[r, CMₖ[j]]·slot for j ∈ Z_g, and
-            // otherwise counts as the plain row, so it is folded into it.
-            let (plain_rows, slot_rows) = xk.as_mut_slice().split_at_mut(plain * n);
-            for (slot, &(g, src)) in slot_rows.chunks_exact(n.max(1)).zip(&plan.slots) {
-                let d_row = d.row(src);
-                for &(j, sc) in plan.zero_of(g) {
-                    let coef = d_row[sc];
-                    for (ov, &xv) in out.row_mut(j).iter_mut().zip(slot) {
-                        *ov -= coef * xv;
+            scattered += plan.matched_rows;
+            corrected += plan.correction_cells * n;
+            let mut local = ws.take_matrix(d.cols(), n);
+            if plan.identity {
+                // `Îₖᵀ X` is `X` with `−0` turned into `+0`, which no sum
+                // of the product can tell apart (module docs).
+                in_place(d, &mut local, ws)?;
+            } else {
+                // Îₖᵀ X: scatter target rows into stacked rows.
+                let plain = d.rows();
+                let mut xk = ws.take_matrix(plain + plan.slots.len(), n);
+                scatter(plan, &mut xk)?;
+                // A slot row is what its source row received through
+                // group g: it owes out[j,:] −= Dₖ[r, CMₖ[j]]·slot for
+                // j ∈ Z_g, and otherwise counts as the plain row, so it is
+                // folded into it.
+                let (plain_rows, slot_rows) = xk.as_mut_slice().split_at_mut(plain * n);
+                for (slot, &(g, src)) in slot_rows.chunks_exact(n.max(1)).zip(&plan.slots) {
+                    let d_row = d.row(src);
+                    for &(j, sc) in plan.zero_of(g) {
+                        let coef = d_row[sc];
+                        for (ov, &xv) in out.row_mut(j).iter_mut().zip(slot) {
+                            *ov -= coef * xv;
+                        }
+                    }
+                    for (pv, &xv) in plain_rows[src * n..(src + 1) * n].iter_mut().zip(slot) {
+                        *pv += xv;
                     }
                 }
-                for (pv, &xv) in plain_rows[src * n..(src + 1) * n].iter_mut().zip(slot) {
-                    *pv += xv;
-                }
+                xk.resize_rows(plain);
+                // Dₖᵀ (Iₖᵀ X).
+                d.transpose_matmul_into(&xk, &mut local)?;
+                ws.give_matrix(xk);
             }
-            xk.resize_rows(plain);
-            // Dₖᵀ (Iₖᵀ X), then Mₖ (...): out[t,:] += local[CMₖ[t],:].
-            let mut local = ws.take_matrix(d.cols(), n);
-            d.transpose_matmul_into(&xk, &mut local)?;
+            // Mₖ (...): out[t,:] += local[CMₖ[t],:].
             for &(t, sc) in &plan.mapped {
                 for (ov, &lv) in out.row_mut(t).iter_mut().zip(local.row(sc)) {
                     *ov += lv;
                 }
             }
-            scattered += plan.matched_rows;
-            corrected += plan.correction_cells * n;
-            ws.give_matrix(xk);
             ws.give_matrix(local);
         }
         crate::metrics::LMM_GATHER_ROWS.add(scattered as u64);
@@ -567,7 +669,7 @@ mod tests {
     use amalur_integration::{
         DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
     };
-    use proptest::prelude::{prop_assert, proptest, ProptestConfig};
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use rand::SeedableRng;
 
     /// Operand widths the batching and allocation tests sweep.
@@ -839,6 +941,130 @@ mod tests {
                 assert!(out.approx_eq(&want, tol), "colstable, {bend:?}, n {n}");
             }
         }
+    }
+
+    /// `Tᵀ·X` as it was computed before an identity source read `X` in
+    /// place, kept as the oracle of that path: every source scatters `X`
+    /// through `eff` into zeroed stacked rows, folds its slots and
+    /// multiplies by `Dₖᵀ`.
+    fn lmm_transpose_scattered(ft: &FactorizedTable, x: &DenseMatrix) -> DenseMatrix {
+        let n = x.cols();
+        let mut out = DenseMatrix::zeros(ft.target_shape().1, n);
+        for (_, d, plan) in ft.sources() {
+            let plain = d.rows();
+            let mut xk = DenseMatrix::zeros(plain + plan.slots.len(), n);
+            x.scatter_rows_add_into(&plan.eff, &mut xk).unwrap();
+            for (s, &(g, src)) in plan.slots.iter().enumerate() {
+                let slot = xk.row(plain + s).to_vec();
+                for &(j, sc) in plan.zero_of(g) {
+                    let coef = d.get(src, sc);
+                    for (ov, &xv) in out.row_mut(j).iter_mut().zip(&slot) {
+                        *ov -= coef * xv;
+                    }
+                }
+                for (pv, &xv) in xk.row_mut(src).iter_mut().zip(&slot) {
+                    *pv += xv;
+                }
+            }
+            xk.resize_rows(plain);
+            let local = d.transpose_matmul(&xk).unwrap();
+            for &(t, sc) in &plan.mapped {
+                for (ov, &lv) in out.row_mut(t).iter_mut().zip(local.row(sc)) {
+                    *ov += lv;
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A generated star whose base source is the identity, with signed
+    /// zeros planted in every source.
+    fn generated_star(seed: u64, base_cols: usize) -> FactorizedTable {
+        let spec = amalur_gen::ScenarioSpec {
+            topology: amalur_gen::Topology::Star { satellites: 2 },
+            base_rows: 300 + (seed % 5) as usize,
+            base_cols,
+            dim_rows: 7,
+            dim_cols: 3,
+            shared_cols: 1,
+            coverage: 1.0,
+            seed,
+            ..amalur_gen::ScenarioSpec::default()
+        };
+        let (metadata, mut data) = amalur_gen::generate(&spec).unwrap();
+        for d in &mut data {
+            for (i, v) in d.as_mut_slice().iter_mut().enumerate() {
+                match i % 11 {
+                    3 => *v = -0.0,
+                    7 => *v = 0.0,
+                    _ => {}
+                }
+            }
+        }
+        FactorizedTable::new(metadata, data).unwrap()
+    }
+
+    /// An identity source multiplies `Dₖᵀ·X` straight from `X`: bit for
+    /// bit the scatter path, with `−0`, `+0` and whole zero rows in `X`,
+    /// at widths on the vector path, the thin kernel and the packed one,
+    /// and on every other kind of base, which keeps the scatter.
+    #[test]
+    fn identity_transpose_lmm_is_bit_identical_to_the_scatter_path() {
+        let mut tables = vec![generated_star(3, 4), generated_star(4, 9)];
+        tables.extend(
+            [
+                Base::Identity,
+                Base::NoMatchRow,
+                Base::OneSlot,
+                Base::FanOutRead,
+                Base::UnreadRow,
+            ]
+            .map(star_with_base),
+        );
+        let mut identities = 0;
+        for ft in &tables {
+            identities += usize::from(ft.sources().next().unwrap().2.identity);
+            let rows = ft.target_shape().0;
+            let mut ws = Workspace::new();
+            for n in [1, 4, 9] {
+                let mut x = x_for(rows, n, 70 + n as u64);
+                for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                    match i % 5 {
+                        1 => *v = -0.0,
+                        3 if i % 2 == 0 => *v = 0.0,
+                        _ => {}
+                    }
+                }
+                for v in x.row_mut(rows / 2) {
+                    *v = -0.0;
+                }
+                let mut out = DenseMatrix::filled(ft.target_shape().1, n, f64::NAN);
+                ft.lmm_transpose_into(&x, &mut out, &mut ws).unwrap();
+                assert_eq!(bits(&out), bits(&lmm_transpose_scattered(ft, &x)), "n {n}");
+            }
+        }
+        assert_eq!(identities, 3, "two generated stars and one hand-built");
+    }
+
+    /// The factorized class sums against `Tᵀ·A` for the one-hot `A` they
+    /// replace, into a dirty output.
+    fn class_sums_and_product(ft: &FactorizedTable, class: &[usize], k: usize) -> [Vec<u64>; 2] {
+        let (rows, cols) = ft.target_shape();
+        let mut ws = Workspace::new();
+        let mut onehot = DenseMatrix::zeros(rows, k);
+        for (i, &c) in class.iter().enumerate() {
+            onehot.set(i, c, 1.0);
+        }
+        let mut product = DenseMatrix::filled(cols, k, f64::NAN);
+        ft.lmm_transpose_into(&onehot, &mut product, &mut ws)
+            .unwrap();
+        let mut sums = DenseMatrix::filled(cols, k, 123.0);
+        ft.class_sums_into(class, &mut sums, &mut ws).unwrap();
+        [bits(&sums), bits(&product)]
     }
 
     #[test]
@@ -1237,6 +1463,54 @@ mod tests {
         fn prop_multi_group_operators_match_oracles(seed in 0u64..u64::MAX, n in 1usize..6) {
             let ft = random_multi_group(&mut rand::rngs::StdRng::seed_from_u64(seed));
             assert_operators_match_oracles(&ft, n, seed);
+        }
+
+        /// Factorized class sums against the one-hot product on every
+        /// topology the generator knows, the multi-group table and the
+        /// hand-built bases, bit for bit: `k` on both sides of every
+        /// kernel boundary, signed zeros in the sources.
+        #[test]
+        fn prop_factorized_class_sums_are_bit_identical_to_one_hot_product(
+            seed in 0u64..u64::MAX,
+            topology in 0usize..4,
+            shared_cols in 1usize..3,
+            coverage in 0.4f64..1.0,
+            k in 1usize..13,
+        ) {
+            use amalur_gen::{ScenarioSpec, Topology};
+            use rand::Rng;
+            let spec = ScenarioSpec {
+                topology: match topology {
+                    0 => Topology::Star { satellites: 2 },
+                    1 => Topology::Snowflake { arms: 2, depth: 1 },
+                    2 => Topology::Chain { hops: 2 },
+                    _ => Topology::ManyToMany,
+                },
+                base_rows: 24 + (seed % 300) as usize,
+                base_cols: 4,
+                dim_rows: 3 + (seed % 7) as usize,
+                dim_cols: 3,
+                shared_cols,
+                coverage,
+                seed,
+                ..ScenarioSpec::default()
+            };
+            let (metadata, mut data) = amalur_gen::generate(&spec).unwrap();
+            for d in &mut data {
+                for v in d.as_mut_slice().iter_mut().step_by(5) {
+                    *v = -0.0;
+                }
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for ft in [
+                FactorizedTable::new(metadata, data).unwrap(),
+                multi_group_table(seed % 8),
+                star_with_base([Base::Identity, Base::OneSlot, Base::UnreadRow][(seed % 3) as usize]),
+            ] {
+                let class: Vec<usize> = (0..ft.target_shape().0).map(|_| rng.gen_range(0..k)).collect();
+                let [got, want] = class_sums_and_product(&ft, &class, k);
+                prop_assert_eq!(got, want);
+            }
         }
 
         /// Generated scenarios from all four topologies, with shared

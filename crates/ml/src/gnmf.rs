@@ -67,7 +67,10 @@ impl Gnmf {
     /// Runs the multiplicative updates on `x`.
     ///
     /// # Errors
-    /// [`MlError::InvalidConfig`] for rank 0 or rank > min(n, d).
+    /// [`MlError::InvalidConfig`] for rank 0 or rank > min(n, d);
+    /// [`MlError::NonFiniteInput`] when `‖T‖²` is not finite (a NaN or
+    /// ±∞ cell); [`MlError::Diverged`] at the first iteration whose loss
+    /// is not finite. On any error the model keeps its previous fit.
     pub fn fit<L: LinOps>(&mut self, x: &L) -> Result<()> {
         let mut ws = Workspace::new();
         self.fit_with_workspace(x, &mut ws)
@@ -88,10 +91,13 @@ impl Gnmf {
                 n.min(d)
             )));
         }
+        let t_norm_sq: f64 = x.row_norms_sq().iter().sum();
+        if !t_norm_sq.is_finite() {
+            return Err(MlError::NonFiniteInput("GNMF rows"));
+        }
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
         let mut w = DenseMatrix::random_uniform(n, r, 0.1, 1.0, &mut rng);
         let mut h = DenseMatrix::random_uniform(r, d, 0.1, 1.0, &mut rng);
-        let t_norm_sq: f64 = x.row_norms_sq().iter().sum();
         // Reusable buffers for every shape the update loop produces.
         let mut dr = ws.take_matrix(d, r); // Tᵀ·W
         let mut wt_t = ws.take_matrix(r, d); // (Tᵀ·W)ᵀ
@@ -101,7 +107,7 @@ impl Gnmf {
         let mut t_ht = ws.take_matrix(n, r);
         let mut hht = ws.take_matrix(r, r);
         let mut denom_w = ws.take_matrix(n, r);
-        self.loss_history.clear();
+        let mut loss_history = Vec::with_capacity(self.config.iters);
         // Fallible body runs in a closure so the checked-out buffers are
         // returned to the pool on every exit path (workspace contract).
         let outcome = (|| -> Result<()> {
@@ -117,7 +123,7 @@ impl Gnmf {
             x.t_mul_into(&w, &mut dr, ws)?; // d × r
             dr.transpose_into(&mut wt_t)?; // r × d
             w.gram_into(&mut wtw)?; // r × r
-            for _ in 0..self.config.iters {
+            for iter in 0..self.config.iters {
                 // H update: H ∘ (WᵀT) / (WᵀW H)
                 wtw.matmul_into(&h, &mut denom_h)?;
                 update_inplace(&mut h, &wt_t, &denom_h);
@@ -146,8 +152,12 @@ impl Gnmf {
                     .zip(hht.as_slice())
                     .map(|(&a, &b)| a * b)
                     .sum();
-                let loss = (t_norm_sq - 2.0 * cross + quad).max(0.0);
-                self.loss_history.push(loss);
+                let loss = t_norm_sq - 2.0 * cross + quad;
+                // `max` would turn a NaN loss into a perfect fit.
+                if !loss.is_finite() {
+                    return Err(MlError::Diverged { epoch: iter });
+                }
+                loss_history.push(loss.max(0.0));
             }
             Ok(())
         })();
@@ -162,6 +172,7 @@ impl Gnmf {
         outcome?;
         self.w = Some(w);
         self.h = Some(h);
+        self.loss_history = loss_history;
         Ok(())
     }
 
@@ -409,5 +420,39 @@ mod tests {
             model.reconstruct().unwrap_err(),
             MlError::NotFitted
         ));
+    }
+
+    /// One `∞` cell made `‖T‖²` infinite and every loss `∞ − ∞ = NaN`,
+    /// which `max(0.0)` reported as a perfect fit. Now it is a typed
+    /// error, and the model keeps the fit it had.
+    #[test]
+    fn non_finite_table_is_an_error_that_keeps_the_previous_fit() {
+        let config = GnmfConfig {
+            rank: 2,
+            iters: 3,
+            seed: 1,
+        };
+        let mut model = Gnmf::new(config);
+        let good = low_rank(5, 2, 6);
+        model.fit(&good).unwrap();
+        let (w, h, history) = (
+            model.w().cloned(),
+            model.h().cloned(),
+            model.loss_history().to_vec(),
+        );
+        assert_eq!(history.len(), 3);
+        for poison in [f64::INFINITY, f64::NAN] {
+            let mut bad = good.clone();
+            bad.set(2, 1, poison);
+            assert_eq!(model.fit(&bad), Err(MlError::NonFiniteInput("GNMF rows")));
+            assert_eq!(model.w().cloned(), w);
+            assert_eq!(model.h().cloned(), h);
+            assert_eq!(model.loss_history(), &history[..]);
+        }
+        // Finite cells whose squares overflow would make it `∞ − ∞` too.
+        let mut huge = good.clone();
+        huge.map_inplace(|v| v * 1e154);
+        assert_eq!(model.fit(&huge), Err(MlError::NonFiniteInput("GNMF rows")));
+        assert_eq!(model.loss_history(), &history[..]);
     }
 }

@@ -7,12 +7,18 @@
 //! operators, so clustering never materializes the target table.
 //!
 //! The centroid update takes the per-class column sums from
-//! [`LinOps::class_sums_into`]: on a factorized table that is `Tᵀ·A`
-//! with the one-hot assignment matrix `A`, on a dense one a single pass
-//! that adds each row into its cluster's sum instead of multiplying it
-//! by `k − 1` zeros — the same bits on finite tables. No one-hot matrix
-//! is built per iteration; the seeding product (`Tᵀ` against the `k`
-//! chosen rows) runs once per fit.
+//! [`LinOps::class_sums_into`]: `Tᵀ·A` for the one-hot assignment matrix
+//! `A`, computed on either backend without building `A` — the same bits
+//! as the product on finite tables. The seeding takes class sums too,
+//! with chosen row `c` alone in class `c` and every other row in a spare
+//! class `k` that is dropped: on finite tables that is the bits of `Tᵀ`
+//! against the one-hot columns of the `k` chosen rows, both being the
+//! chosen row with `−0` turned into `+0`.
+//!
+//! A fit answers a table with a NaN or ±∞ cell — or whose squared row
+//! norms overflow — with [`MlError::NonFiniteInput`], and a distance
+//! sum that overflows with [`MlError::Diverged`]; neither leaves a mark
+//! on the model.
 
 use crate::{MlError, Result};
 use amalur_factorize::LinOps;
@@ -70,7 +76,10 @@ impl KMeans {
     /// Empty clusters keep their previous centroid.
     ///
     /// # Errors
-    /// [`MlError::InvalidConfig`] for `k == 0` or `k > n_rows`.
+    /// [`MlError::InvalidConfig`] for `k == 0` or `k > n_rows`;
+    /// [`MlError::NonFiniteInput`] when a row's squared norm is not
+    /// finite (a NaN or ±∞ cell); [`MlError::Diverged`] when the inertia
+    /// overflows. On any error the model keeps its previous fit.
     pub fn fit<L: LinOps>(&mut self, x: &L) -> Result<Vec<usize>> {
         let mut ws = Workspace::new();
         self.fit_with_workspace(x, &mut ws)
@@ -94,13 +103,20 @@ impl KMeans {
                 "k = {k} must be in 1..={n}"
             )));
         }
-        // Initialize centroids from k distinct rows. Row extraction is
-        // eᵢᵀ·T, i.e. (Tᵀ·eᵢ)ᵀ — one t_mul with a n×k one-hot matrix
-        // fetches all k, staying backend-agnostic.
+        let row_norms = x.row_norms_sq();
+        if row_norms.iter().any(|v| !v.is_finite()) {
+            return Err(MlError::NonFiniteInput("k-means rows"));
+        }
+        // Initialize centroids from k distinct rows: class sums with
+        // chosen row `c` alone in class `c` and the rest in the spare
+        // class `k` fetch all k at once, staying backend-agnostic.
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
         let mut indices: Vec<usize> = (0..n).collect();
         indices.shuffle(&mut rng);
-        let chosen = &indices[..k];
+        let mut assignments = vec![k; n];
+        for (c, &row) in indices[..k].iter().enumerate() {
+            assignments[row] = c;
+        }
         // Reusable buffers: the d×k class sums, their k×d transpose, the
         // n×k cross terms and the double-buffered centroids.
         let mut dk = ws.take_matrix(d, k);
@@ -108,21 +124,23 @@ impl KMeans {
         let mut centroids_t = ws.take_matrix(d, k);
         let mut new_centroids = ws.take_matrix(k, d);
         let mut centroids = DenseMatrix::zeros(k, d);
-        let row_norms = x.row_norms_sq();
-        let mut assignments = vec![0usize; n];
         let mut centroid_norms = vec![0.0f64; k];
         let mut counts = vec![0usize; k];
+        let (mut inertia, mut iterations) = (f64::INFINITY, 0);
         // Fallible body runs in a closure so the checked-out buffers are
         // returned to the pool on every exit path (workspace contract).
         let outcome = (|| -> Result<()> {
-            let mut onehot = ws.take_matrix(n, k);
-            for (c, &row) in chosen.iter().enumerate() {
-                onehot.set(row, c, 1.0);
+            let mut seeds = ws.take_matrix(d, k + 1);
+            let seeded = x.class_sums_into(&assignments, &mut seeds, ws);
+            for c in 0..k {
+                for j in 0..d {
+                    centroids.set(c, j, seeds.get(j, c));
+                }
             }
-            let seeded = x.t_mul_into(&onehot, &mut dk, ws);
-            ws.give_matrix(onehot);
+            ws.give_matrix(seeds);
             seeded?;
-            dk.transpose_into(&mut centroids)?;
+            // What a fit of zero iterations answers.
+            assignments.fill(0);
             for iter in 0..self.config.max_iters {
                 // Cross terms: T · centroidsᵀ  (n × k).
                 centroids.transpose_into(&mut centroids_t)?;
@@ -130,7 +148,7 @@ impl KMeans {
                 for (norm, c) in centroid_norms.iter_mut().zip(0..k) {
                     *norm = centroids.row(c).iter().map(|v| v * v).sum();
                 }
-                let mut inertia = 0.0;
+                inertia = 0.0;
                 for i in 0..n {
                     let mut best = 0usize;
                     let mut best_d = f64::INFINITY;
@@ -145,8 +163,10 @@ impl KMeans {
                     assignments[i] = best;
                     inertia += best_d.max(0.0);
                 }
-                self.inertia = inertia;
-                self.iterations = iter + 1;
+                iterations = iter + 1;
+                if !inertia.is_finite() {
+                    return Err(MlError::Diverged { epoch: iter });
+                }
                 // Update: μ_c = Σ_{i∈c} T_i / |c| from the class sums.
                 counts.iter_mut().for_each(|c| *c = 0);
                 for &c in &assignments {
@@ -185,6 +205,8 @@ impl KMeans {
         ws.give_matrix(new_centroids);
         outcome?;
         self.centroids = Some(centroids);
+        self.inertia = inertia;
+        self.iterations = iterations;
         Ok(assignments)
     }
 
@@ -410,5 +432,39 @@ mod tests {
         assert_eq!(km.iterations(), 6);
         assert_eq!(km.inertia().to_bits(), 4_646_630_728_644_831_190);
         assert_eq!(centroid_fold, 18_354_857_180_118_354_060);
+    }
+
+    /// A NaN cell used to come back `Ok` with an infinite inertia and
+    /// NaN centroids. Now it is a typed error, and the model keeps the
+    /// fit it had; so does a table whose distances overflow.
+    #[test]
+    fn non_finite_table_is_an_error_that_keeps_the_previous_fit() {
+        let (good, _) = blobs(3, 8);
+        let good = good.slice(0..5, 0..2).unwrap();
+        let mut km = KMeans::new(KMeansConfig {
+            k: 2,
+            ..KMeansConfig::default()
+        });
+        km.fit(&good).unwrap();
+        let kept = (km.centroids().cloned(), km.inertia(), km.iterations());
+        for poison in [f64::NAN, f64::INFINITY, 1e200] {
+            let mut bad = good.clone();
+            bad.set(1, 1, poison);
+            assert_eq!(km.fit(&bad), Err(MlError::NonFiniteInput("k-means rows")));
+            assert_eq!(
+                (km.centroids().cloned(), km.inertia(), km.iterations()),
+                kept
+            );
+        }
+        // Norms that fit, distances that do not: whichever row seeds the
+        // one centroid, the other lies `∞` away.
+        let opposite = DenseMatrix::from_rows(&[vec![9e153; 2], vec![-9e153; 2]]).unwrap();
+        let mut one = KMeans::new(KMeansConfig {
+            k: 1,
+            ..KMeansConfig::default()
+        });
+        assert_eq!(one.fit(&opposite), Err(MlError::Diverged { epoch: 0 }));
+        assert!(one.centroids().is_none());
+        assert_eq!((one.inertia(), one.iterations()), (f64::INFINITY, 0));
     }
 }

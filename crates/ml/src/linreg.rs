@@ -129,7 +129,10 @@ impl LinearRegression {
     /// (factorized) Gram matrix.
     ///
     /// # Errors
-    /// Shape mismatch or a singular normal-equations system.
+    /// Shape mismatch, a singular normal-equations system,
+    /// [`MlError::NonFiniteInput`] when `XᵀX` or `Xᵀy` is not finite (a
+    /// NaN or ±∞ cell of `x`), or [`MlError::Diverged`] (epoch 0) when
+    /// the solve overflows. On any error the model keeps its previous fit.
     pub fn fit_normal_equations<L: LinOps>(&mut self, x: &L, y: &DenseMatrix) -> Result<()> {
         validate_labels(x, y)?;
         let mut gram = x.gram_matrix();
@@ -140,7 +143,13 @@ impl LinearRegression {
             }
         }
         let xty = x.t_mul(y)?;
+        if gram.has_non_finite() || xty.has_non_finite() {
+            return Err(MlError::NonFiniteInput("normal-equation features"));
+        }
         let theta = gram.solve(&xty)?;
+        if theta.has_non_finite() {
+            return Err(MlError::Diverged { epoch: 0 });
+        }
         self.theta = Some(theta);
         self.loss_history.clear();
         Ok(())
@@ -323,5 +332,25 @@ mod tests {
         model.fit(&x, &y).unwrap();
         let pred = model.predict(&x).unwrap();
         assert!(crate::metrics::mse(&pred.into_vec(), y.as_slice()) < 1e-6);
+    }
+
+    /// A NaN cell made the gram and `Xᵀy` NaN, and the solve returned
+    /// `Ok` with NaN coefficients. Now it is a typed error, and the model
+    /// keeps the coefficients it had.
+    #[test]
+    fn normal_equations_reject_a_non_finite_table() {
+        let (x, y) = toy_data(5, 2);
+        let mut model = LinearRegression::new(LinRegConfig::default());
+        model.fit_normal_equations(&x, &y).unwrap();
+        let theta = model.coefficients().cloned();
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut bad = x.clone();
+            bad.set(3, 0, poison);
+            assert_eq!(
+                model.fit_normal_equations(&bad, &y),
+                Err(MlError::NonFiniteInput("normal-equation features"))
+            );
+            assert_eq!(model.coefficients().cloned(), theta);
+        }
     }
 }

@@ -425,4 +425,42 @@ mod tests {
             kmeans_fits_equal_reference(&Arc::new(ft.clone()), "shared factorized");
         }
     }
+
+    /// The seeding alone (`max_iters = 0`) and one Lloyd step after it,
+    /// on tables whose chosen rows hold `−0`, `+0` and subnormal cells:
+    /// class sums with a spare class keep the one-hot product's bits,
+    /// which turn the chosen row's `−0` into `+0`.
+    #[test]
+    fn kmeans_seeding_equals_one_hot_product_with_signed_zeros() {
+        let mut t = star(70, 8).materialize();
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            match i % 4 {
+                0 => *v = -0.0,
+                1 => *v = 0.0,
+                2 if i % 3 == 0 => *v = -f64::MIN_POSITIVE / 16.0,
+                _ => {}
+            }
+        }
+        let ws = &mut Workspace::new();
+        let mut negative_zeros = 0;
+        for (k, max_iters) in [(1, 0), (3, 0), (8, 0), (9, 1), (12, 0)] {
+            let config = KMeansConfig {
+                k,
+                max_iters,
+                tolerance: 0.0,
+                seed: 40 + k as u64,
+            };
+            let want = kmeans(&config, &t, ws).unwrap();
+            let mut model = KMeans::new(config);
+            let assignments = model.fit_with_workspace(&t, ws).unwrap();
+            assert_eq!(assignments, want.assignments, "k = {k}");
+            let got = model.centroids().unwrap().as_slice();
+            assert_eq!(bits(got), bits(want.centroids.as_slice()), "k = {k}");
+            negative_zeros += got
+                .iter()
+                .filter(|v| v.to_bits() == (-0.0f64).to_bits())
+                .count();
+        }
+        assert_eq!(negative_zeros, 0, "a seeded centroid keeps no −0");
+    }
 }

@@ -375,19 +375,25 @@ fn run_worker(idx: usize, kernel_threads: usize, max_batch_cols: usize, inner: &
     set_thread_budget(kernel_threads);
     let (arena, metrics) = (&inner.arena, &inner.metrics);
     // Batch widths vary with timing, so before a worker serves a dataset
-    // it sizes its shard for a full-width batch on it, rather than on
-    // some later, wider batch: everything active now, and datasets
-    // registered later when their first batch arrives.
-    let mut warmed: Vec<String> = Vec::new();
-    let mut warm = |dataset: &str, table: &FactorizedTable, ws: &mut Workspace| {
-        if !warmed.iter().any(|d| d == dataset) {
-            execute_predict_batch(table, max_batch_cols, &[], ws, metrics);
-            warmed.push(dataset.to_owned());
+    // version it sizes its shard for a full-width batch on it, rather
+    // than on some later, wider batch: everything active now, and
+    // datasets registered or republished later when their first batch
+    // arrives. One entry per dataset, holding the version last warmed.
+    let mut warmed: Vec<(String, u64)> = Vec::new();
+    let mut warm = |dataset: &str, version: u64, table: &FactorizedTable, ws: &mut Workspace| {
+        let entry = warmed.iter_mut().find(|(d, _)| d == dataset);
+        if entry.as_ref().is_some_and(|(_, v)| *v == version) {
+            return;
+        }
+        execute_predict_batch(table, max_batch_cols, &[], ws, metrics);
+        match entry {
+            Some((_, v)) => *v = version,
+            None => warmed.push((dataset.to_owned(), version)),
         }
     };
     for name in inner.registry.names() {
         if let Ok(active) = inner.registry.fetch(&name) {
-            warm(&name, &active.data, &mut arena.lease(idx));
+            warm(&name, active.version, &active.data, &mut arena.lease(idx));
         }
     }
     while let Some(work) = inner.next_work(max_batch_cols) {
@@ -422,7 +428,7 @@ fn run_worker(idx: usize, kernel_threads: usize, max_batch_cols: usize, inner: &
                     .fill_pct
                     .record((cols * 100 / max_batch_cols) as u64);
                 let _exec = span(metrics.clock(), &metrics.worker_exec_us);
-                warm(&first.dataset, &first.table, &mut ws);
+                warm(&first.dataset, first.version, &first.table, &mut ws);
                 execute_predict_batch(&first.table, cols, &jobs, &mut ws, metrics);
             }
         }

@@ -592,6 +592,50 @@ fn dataset_registered_after_start_is_warmed_on_first_touch() {
     server.shutdown();
 }
 
+/// A republished dataset is a new version to warm, even under a name the
+/// worker has served before: the first batch on a bigger version sizes
+/// the shard for a full-width batch, so a wider one later allocates
+/// nothing.
+#[test]
+fn republished_dataset_is_rewarmed_on_first_touch() {
+    let registry = registry_with("ds", 17);
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServerConfig {
+            workers: 1,
+            max_batch_cols: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let handle = server.handle();
+    let c_t = registry.fetch("ds").unwrap().data.target_shape().1;
+    handle.predict(request("ds", c_t, &[1, 2, 3, 4])).unwrap();
+    let spec = TwoSourceSpec {
+        rows_s1: 480,
+        cols_s1: 3,
+        rows_s2: 30,
+        cols_s2: 8,
+        seed: 18,
+        ..TwoSourceSpec::default()
+    };
+    let (md, data) = generate_two_source(&spec).unwrap();
+    let bigger = FactorizedTable::new(md, data).unwrap();
+    assert_eq!(bigger.target_shape(), (480, c_t));
+    registry.publish("ds", bigger).unwrap();
+
+    let before = handle.fresh_workspace_allocations();
+    let reply = handle.predict(request("ds", c_t, &[1])).unwrap();
+    assert_eq!(reply.predictions.shape(), (480, 1));
+    let warm = handle.fresh_workspace_allocations();
+    assert!(warm > before, "the bigger version needs bigger buffers");
+    for tags in [&[1, 2, 3, 4][..], &[5, 6], &[7, 8, 9], &[1]] {
+        handle.predict(request("ds", c_t, tags)).unwrap();
+    }
+    assert_eq!(handle.fresh_workspace_allocations(), warm);
+    server.shutdown();
+}
+
 #[test]
 fn unknown_dataset_and_bad_shapes_fail_at_admission() {
     let registry = registry_with("ds", 19);
