@@ -2,21 +2,23 @@
 //!
 //! Writes `BENCH_kernels.json` (in the current directory — run from the
 //! workspace root) with median ns/op for the kernels every experiment
-//! in the reproduction bottoms out in: dense matmul (packed kernel vs.
-//! a naive triple loop), Gram, the table × model products of the training
+//! in the reproduction bottoms out in: dense 512³ products (the packed
+//! kernel's `Aᵀ·B` vs. a naive triple loop, and the column-stable
+//! panels' `A·B`), Gram, the table × model products of the training
 //! loops (`A·B` / `Aᵀ·B` on a 50 000 × 60 table against 4, 8 and 9
-//! columns — thin, widest thin, narrowest packed), one least-squares and
+//! columns — `A·B` on the panels throughout, `Aᵀ·B` thin, widest thin,
+//! narrowest packed), one least-squares and
 //! one logistic GD epoch on that table as two products and as the fused
 //! block pass, one K-means update (`k = 8`) as the one-hot product and as
-//! class sums, the predict path's column-stable LMM on the serving shape
-//! (20 000 × 43, at 1, 16 and 32 columns) and the column-stable panel
-//! kernel on the 50 000 × 60 table at 16 columns, the narrow-source
+//! class sums, the predict path's LMM on the serving shape
+//! (20 000 × 43, at 1, 16 and 32 columns) and the panels' `A·B` on the
+//! 50 000 × 60 table at 16 columns, the narrow-source
 //! products (`A·v` and `Aᵀ·r` on 50 000 × 2, 4 and 8, the gram of
 //! 50 000 × 4 and its products with 4 and 8 columns, and `Tᵀ·r` on the
 //! benchmark's 50 000 × 60 train star) —
 //! all of these also as
-//! ratios to the `n = 9` product of the same run
-//! (`per_canary_matmul_50000x60x9`) — a linear model's
+//! ratios to the `n = 9` packed `Aᵀ·B` of the same run
+//! (`per_canary_transpose_matmul_50000x60x9`) — a linear model's
 //! residual + gradient over
 //! a 20 000 × 32 silo as two products and as the fused one-pass kernel
 //! (same operands), the LMM rewrite across strategies (on
@@ -59,7 +61,7 @@ fn measure<O>(reps: usize, mut f: impl FnMut() -> O) -> f64 {
 }
 
 /// Naive triple-loop reference GEMM (the baseline the packed kernel is
-/// required to beat by ≥ 2× at 512³).
+/// required to beat by ≥ 2× on a 512³ `Aᵀ·B`).
 fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (m, k) = a.shape();
     let n = b.cols();
@@ -145,26 +147,35 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xBE7C);
 
     // --- dense kernels at 512×512×512 -----------------------------------
+    // The packed kernel runs `Aᵀ·B` (and `A·Bᵀ`), so it is timed — and
+    // gated against the naive loop on the same product — through
+    // `transpose_matmul`; the panels' `A·B` of the same operands is its
+    // own case.
     let size = 512;
     let a = DenseMatrix::random_uniform(size, size, -1.0, 1.0, &mut rng);
     let b = DenseMatrix::random_uniform(size, size, -1.0, 1.0, &mut rng);
-    let matmul_packed_ns = measure(5, || a.matmul(&b).expect("square shapes"));
-    let matmul_naive_ns = measure(3, || matmul_naive(&a, &b));
+    let at = a.transpose();
+    let matmul_packed_ns = measure(5, || a.transpose_matmul(&b).expect("square shapes"));
+    let matmul_naive_ns = measure(3, || matmul_naive(&at, &b));
+    let matmul_panels_ns = measure(5, || a.matmul(&b).expect("square shapes"));
     let gram_ns = measure(5, || a.gram());
     let speedup = matmul_naive_ns / matmul_packed_ns;
     let gflops = 2.0 * (size as f64).powi(3) / matmul_packed_ns;
     println!(
-        "matmul {size}³: packed {:.2} ms ({gflops:.2} GFLOP/s), naive {:.2} ms — {speedup:.1}×",
+        "{size}³ Aᵀ·B: packed {:.2} ms ({gflops:.2} GFLOP/s), naive {:.2} ms — {speedup:.1}×; \
+         A·B on the panels {:.2} ms",
         matmul_packed_ns / 1e6,
         matmul_naive_ns / 1e6,
+        matmul_panels_ns / 1e6,
     );
 
-    // --- table × model: thin right operands on a 50 000 × 60 table --------
+    // --- table × model: narrow right operands on a 50 000 × 60 table ------
     // What every training loop multiplies by: 4 columns (GNMF rank), 8
-    // (K-means; the widest thin product) and 9 (the narrowest packed one,
-    // so the selection constant is on record from both sides).
+    // (K-means) and 9. `A·B` runs the panels at every width; `Aᵀ·B` runs
+    // thin at 4 and 8 and packed at 9, so the selection constant is on
+    // record from both sides.
     let table = DenseMatrix::random_uniform(50_000, 60, 0.0, 1.0, &mut rng);
-    let thin_ns: Vec<(usize, f64, f64)> = [4usize, 8, 9]
+    let table_ns: Vec<(usize, f64, f64)> = [4usize, 8, 9]
         .into_iter()
         .map(|n| {
             let model = DenseMatrix::random_uniform(60, n, 0.0, 1.0, &mut rng);
@@ -192,12 +203,12 @@ fn main() {
     // operands (outputs bit-identical): the two products with the link
     // between them against the fused block pass, and the one-hot product
     // against the class sums. Each is also reported as a ratio to the
-    // untouched n = 9 packed `A·B` timed above in this run — the box's
-    // noise gauge, so a loud hour shows in the ratio's denominator.
-    let canary_ns = thin_ns
+    // n = 9 packed `Aᵀ·B` timed above in this run — the box's noise
+    // gauge, so a loud hour shows in the ratio's denominator.
+    let canary_ns = table_ns
         .iter()
         .find(|&&(n, _, _)| n == 9)
-        .map_or(f64::NAN, |&(_, ab, _)| ab);
+        .map_or(f64::NAN, |&(_, _, atb)| atb);
     let theta = DenseMatrix::random_uniform(60, 1, -0.1, 0.1, &mut rng);
     let y_ls = DenseMatrix::random_uniform(50_000, 1, 0.0, 1.0, &mut rng);
     let y_bin = y_ls.map(|v| f64::from(v > 0.5));
@@ -303,7 +314,7 @@ fn main() {
     // What a coalesced serving batch runs: the factorized LMM on the
     // benchmark's serve shape (20 000 × 3 base, 4 000 × 40 lookup under
     // fan-out) at one column, a 16-request burst and a full 32-column
-    // batch, and the bare panel kernel on the training table.
+    // batch, and the panels' `A·B` on the training table.
     let (md, data) = generate_two_source(&TwoSourceSpec {
         rows_s1: 20_000,
         cols_s1: 3,
@@ -319,23 +330,19 @@ fn main() {
         let x = DenseMatrix::random_uniform(serve_cols, n, -1.0, 1.0, &mut rng);
         let mut out = DenseMatrix::zeros(serve_rows, n);
         let ns = measure(31, || {
-            serve_table
-                .lmm_colstable_into(&x, &mut out, &mut ws)
-                .expect("shapes")
+            serve_table.lmm_into(&x, &mut out, &mut ws).expect("shapes")
         });
-        canary_cases.push((format!("lmm_colstable_{serve_rows}x{serve_cols}_x{n}"), ns));
+        canary_cases.push((format!("lmm_{serve_rows}x{serve_cols}_x{n}"), ns));
     }
     let model = DenseMatrix::random_uniform(60, 16, 0.0, 1.0, &mut rng);
     let mut scores = DenseMatrix::zeros(50_000, 16);
-    let colstable_ns = measure(15, || {
-        table
-            .matmul_colstable_into(&model, &mut scores)
-            .expect("shapes")
+    let panels_ns = measure(15, || {
+        table.matmul_into(&model, &mut scores).expect("shapes")
     });
-    canary_cases.push(("matmul_colstable_50000x60x16".into(), colstable_ns));
+    canary_cases.push(("matmul_50000x60x16".into(), panels_ns));
     for (case, ns) in &canary_cases {
         println!(
-            "{case}: {:.2} ms ({:.3} of the n = 9 product)",
+            "{case}: {:.2} ms ({:.3} of the n = 9 Aᵀ·B)",
             ns / 1e6,
             ns / canary_ns
         );
@@ -480,8 +487,9 @@ fn main() {
     json.push_str("  \"benchmarks\": {\n");
     json_entry(&mut json, "matmul_512_packed", matmul_packed_ns);
     json_entry(&mut json, "matmul_512_naive", matmul_naive_ns);
+    json_entry(&mut json, "matmul_512_panels", matmul_panels_ns);
     json_entry(&mut json, "gram_512", gram_ns);
-    for (n, ab, atb) in thin_ns {
+    for (n, ab, atb) in table_ns {
         json_entry(&mut json, &format!("matmul_50000x60x{n}"), ab);
         json_entry(&mut json, &format!("transpose_matmul_50000x60x{n}"), atb);
     }
@@ -511,8 +519,8 @@ fn main() {
     ));
     json.push_str("  },\n");
     // The epoch, Lloyd and predict-path cases over the n = 9 packed
-    // product of the same run.
-    json.push_str("  \"per_canary_matmul_50000x60x9\": {\n");
+    // `Aᵀ·B` of the same run.
+    json.push_str("  \"per_canary_transpose_matmul_50000x60x9\": {\n");
     let ratios: Vec<String> = canary_cases
         .iter()
         .map(|(case, ns)| format!("    \"{case}\": {:.4}", ns / canary_ns))
@@ -536,7 +544,7 @@ fn main() {
 
     assert!(
         speedup >= 2.0,
-        "acceptance: packed kernel must be ≥ 2× the naive triple loop (got {speedup:.2}×)"
+        "acceptance: packed Aᵀ·B must be ≥ 2× the naive triple loop (got {speedup:.2}×)"
     );
     assert_eq!(
         steady_state_allocs, 0,

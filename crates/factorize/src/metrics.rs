@@ -8,15 +8,13 @@
 use crate::Strategy;
 use amalur_obs::{Counter, MetricsRegistry};
 
-/// `lmm` / `lmm_into` invocations (the forward operator `T·X`).
+/// `lmm` / `lmm_into` invocations (the forward operator `T·X`, training
+/// and serving alike).
 pub(crate) static LMM_CALLS: Counter = Counter::new();
 
 /// `lmm_transpose` / `lmm_transpose_into` invocations (the gradient
 /// operator `Tᵀ·X`; `rmm` also lands here via its rewrite).
 pub(crate) static LMM_TRANSPOSE_CALLS: Counter = Counter::new();
-
-/// `lmm_colstable_into` invocations (the serving batching contract).
-pub(crate) static LMM_COLSTABLE_CALLS: Counter = Counter::new();
 
 /// Target rows moved through a source's stacked-row selection `eff` by
 /// the compressed operators: gathered by `T·X`, scattered by `Tᵀ·X` —
@@ -55,7 +53,6 @@ pub(crate) fn record_strategy(strategy: Strategy) {
 pub fn mount_metrics(reg: &MetricsRegistry) {
     reg.mount_counter("factorize.lmm.calls", &LMM_CALLS);
     reg.mount_counter("factorize.lmm_transpose.calls", &LMM_TRANSPOSE_CALLS);
-    reg.mount_counter("factorize.lmm_colstable.calls", &LMM_COLSTABLE_CALLS);
     reg.mount_counter("factorize.lmm.gather_rows", &LMM_GATHER_ROWS);
     reg.mount_counter("factorize.lmm.correction_cells", &LMM_CORRECTION_CELLS);
     reg.mount_counter("factorize.gram.scatter_rows", &GRAM_SCATTER_ROWS);

@@ -48,11 +48,10 @@
 //! `eff[i] = i` for every target row, `Dₖ` exactly `r_T` rows, no slots
 //! — the base table of a star), the gather is a plain copy of the
 //! `r_T × n` product, so `T·X` multiplies `Dₖ·(MₖᵀX)` straight into
-//! `out` instead: no `local` buffer, no copy, the same bits. Both
-//! `lmm_into` and `lmm_colstable_into` take it. Any other first source —
-//! a `NO_MATCH` row, a fan-out read, an unread source row, a slot — and
-//! every later source keep the gather; `factorize.lmm.gather_rows`
-//! counts every matched row either way.
+//! `out` instead: no `local` buffer, no copy, the same bits. Any other
+//! first source — a `NO_MATCH` row, a fan-out read, an unread source
+//! row, a slot — and every later source keep the gather;
+//! `factorize.lmm.gather_rows` counts every matched row either way.
 //!
 //! `Tᵀ·X` has the mirror image. Its scatter `Îₖᵀ X` sums, into zeroed
 //! stacked rows, the target rows that read each one; through an
@@ -73,15 +72,13 @@
 //!
 //! **Column stability.** The gather and the slot correction treat the
 //! columns of `X` independently, and a slot subtracts its `j ∈ Z_g`
-//! terms in ascending `j` whatever the width. The only width-sensitive
-//! step is the `Dₖ` GEMM, which [`FactorizedTable::lmm_colstable_into`]
-//! routes through `matmul_colstable_into`: column `j` of the result then
-//! depends on column `j` of `X` alone, bit for bit. The serving layer
-//! sends every predict through that entry point, so a request of any
-//! width gets the same bytes alone or coalesced — one path, not two
-//! kernels pinned equal. `lmm_into` keeps the width-adaptive packed GEMM
-//! for training, whose wide products need it; the two are selected by
-//! caller, never by operand.
+//! terms in ascending `j` whatever the width. The `Dₖ` GEMM is
+//! `DenseMatrix::matmul_into`, whose column `j` is column `j`'s own
+//! `dot`s whatever the width. So column `j` of every `T·X` depends on
+//! column `j` of `X` alone, bit for bit, by construction. There is one
+//! entry point, [`FactorizedTable::lmm_into`]: training runs it, and the
+//! serving layer sends every predict through it, so a request of any
+//! width gets the same bytes alone or coalesced.
 
 use crate::table::{FactorizedTable, SourcePlan};
 use crate::{FactorizeError, Result};
@@ -132,7 +129,7 @@ impl FactorizedTable {
     /// Morpheus rule is requested for overlapping sources.
     pub fn lmm(&self, x: &DenseMatrix, strategy: Strategy) -> Result<DenseMatrix> {
         let mut out = DenseMatrix::zeros(self.target_shape().0, x.cols());
-        self.lmm_core_into(x, &mut out, &mut Workspace::new(), strategy, false)?;
+        self.lmm_core_into(x, &mut out, &mut Workspace::new(), strategy)?;
         Ok(out)
     }
 
@@ -140,6 +137,11 @@ impl FactorizedTable {
     /// (`r_T × n`, fully overwritten), drawing all per-source
     /// intermediates from `ws` — the allocation-free hot-loop entry
     /// point (see the `amalur-matrix` crate docs for the conventions).
+    ///
+    /// **Column-stable**: column `j` of the result is a function of
+    /// column `j` of `x` alone, bit for bit, however many other columns
+    /// share the call (module docs, "Column stability"). Training and
+    /// the serving layer's batches run this one entry point.
     ///
     /// # Errors
     /// Shape errors as in [`Self::lmm`].
@@ -149,22 +151,11 @@ impl FactorizedTable {
         out: &mut DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<()> {
-        self.lmm_core_into(x, out, ws, Strategy::Compressed, false)
+        self.lmm_core_into(x, out, ws, Strategy::Compressed)
     }
 
-    /// Compressed-strategy `T · X` with a **column-stable** summation
-    /// order: column `j` of the result is a function of column `j` of
-    /// `x` alone, bit for bit, regardless of how many other columns
-    /// share the call (and equals `lmm_into(col_j, …)`). This is the
-    /// batching contract of the serving layer, which sends every
-    /// predict — alone or coalesced — through this one entry point.
-    ///
-    /// The scatter, slot-correction and gather phases of the compressed
-    /// rewrite are per-column independent (module docs); the only
-    /// width-sensitive step is the inner `Dₖ · (MₖᵀX)` product, which
-    /// here goes through [`DenseMatrix::matmul_colstable_into`] instead
-    /// of the width-adaptive kernel (into `out` itself for a base source
-    /// whose `Îₖ` is the identity — module docs).
+    /// An alias of [`Self::lmm_into`], which is column-stable by
+    /// construction; kept for callers that use this name.
     ///
     /// # Errors
     /// Shape errors as in [`Self::lmm`].
@@ -174,7 +165,7 @@ impl FactorizedTable {
         out: &mut DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<()> {
-        self.lmm_core_into(x, out, ws, Strategy::Compressed, true)
+        self.lmm_into(x, out, ws)
     }
 
     /// Compressed-strategy `Tᵀ · X` written into the caller-owned `out`
@@ -320,29 +311,17 @@ impl FactorizedTable {
     // --- One validated core per operator (compressed strategy inline) ----
 
     /// The one place `T · X` is validated, counted and executed.
-    /// `colstable` (compressed strategy only) pins the `Dₖ` GEMM's
-    /// summation order per column and selects the `lmm_colstable` names.
     fn lmm_core_into(
         &self,
         x: &DenseMatrix,
         out: &mut DenseMatrix,
         ws: &mut Workspace,
         strategy: Strategy,
-        colstable: bool,
     ) -> Result<()> {
         let (rows, cols) = self.target_shape();
-        let (op, op_into, calls) = if colstable {
-            (
-                "lmm_colstable",
-                "lmm_colstable_into",
-                &crate::metrics::LMM_COLSTABLE_CALLS,
-            )
-        } else {
-            ("lmm", "lmm_into", &crate::metrics::LMM_CALLS)
-        };
-        check_shape(op, (cols, x.cols()), x.shape())?;
-        check_shape(op_into, (rows, x.cols()), out.shape())?;
-        calls.inc();
+        check_shape("lmm", (cols, x.cols()), x.shape())?;
+        check_shape("lmm_into", (rows, x.cols()), out.shape())?;
+        crate::metrics::LMM_CALLS.inc();
         crate::metrics::record_strategy(strategy);
         match strategy {
             Strategy::Compressed => {}
@@ -353,15 +332,6 @@ impl FactorizedTable {
             }
         }
         let n = x.cols();
-        // Dₖ (Mₖᵀ X) — the only phase whose summation order depends on
-        // the operand width; `colstable` pins it per column.
-        let product = |d: &DenseMatrix, xk: &DenseMatrix, dst: &mut DenseMatrix| {
-            if colstable {
-                d.matmul_colstable_into(xk, dst)
-            } else {
-                d.matmul_into(xk, dst)
-            }
-        };
         let (mut gathered, mut corrected) = (0, 0);
         if self.num_sources() == 0 {
             out.as_mut_slice().fill(0.0);
@@ -376,7 +346,7 @@ impl FactorizedTable {
                 // The first source assigns, and its `Îₖ` is the identity:
                 // the product goes straight into `out`, the exact copy
                 // the gather would have made.
-                product(d, &xk, out)?;
+                d.matmul_into(&xk, out)?;
                 ws.give_matrix(xk);
                 continue;
             }
@@ -384,7 +354,7 @@ impl FactorizedTable {
             let plain = d.rows();
             let mut local = ws.take_matrix(plain + plan.slots.len(), n);
             local.resize_rows(plain);
-            product(d, &xk, &mut local)?;
+            d.matmul_into(&xk, &mut local)?;
             local.resize_rows(plain + plan.slots.len());
             // Slot (g, r) = local[r] − Σ_{j ∈ Z_g} Dₖ[r, CMₖ[j]]·X[j,:].
             let (plain_rows, slot_rows) = local.as_mut_slice().split_at_mut(plain * n);
@@ -806,19 +776,26 @@ mod tests {
         // batched factorized predict equals, bit for bit, the result of
         // serving that column alone through `lmm_into` — on the running
         // example, on a table whose last source has four groups and
-        // slots read by many target rows, and on a star whose base is
-        // multiplied in place.
-        for ft in [
+        // slots read by many target rows, on a star whose base is
+        // multiplied in place, and on every bent base that is gathered.
+        let bent = [
+            Base::NoMatchRow,
+            Base::OneSlot,
+            Base::FanOutRead,
+            Base::UnreadRow,
+        ];
+        let tables = [
             running_example(),
             multi_group_table(5),
             star_with_base(Base::Identity),
-        ] {
+        ];
+        for ft in tables.into_iter().chain(bent.map(star_with_base)) {
             let (rows, cols) = ft.target_shape();
             let mut ws = Workspace::new();
             for n in WIDTHS {
                 let x = x_for(cols, n, 31 + n as u64);
                 let mut batched = DenseMatrix::zeros(rows, n);
-                ft.lmm_colstable_into(&x, &mut batched, &mut ws).unwrap();
+                ft.lmm_into(&x, &mut batched, &mut ws).unwrap();
                 for j in 0..n {
                     let col = DenseMatrix::column_vector(&x.col(j));
                     let mut single = DenseMatrix::zeros(rows, 1);
@@ -912,7 +889,7 @@ mod tests {
     /// The base's product goes into `out` in place only when its `Îₖ` is
     /// the identity; a `NO_MATCH` row, one slot, a fan-out read (fewer
     /// source rows than target rows) or an unread source row each keep
-    /// the gather. Every case, both entry points, is `materialize()·X`.
+    /// the gather. Every case is `materialize()·X`.
     #[test]
     fn colstable_and_lmm_into_take_the_base_in_place_only_on_an_identity() {
         for bend in [
@@ -935,10 +912,7 @@ mod tests {
                 let want = t.matmul(&x).unwrap();
                 let mut out = DenseMatrix::filled(rows, n, f64::NAN);
                 ft.lmm_into(&x, &mut out, &mut ws).unwrap();
-                assert!(out.approx_eq(&want, tol), "lmm_into, {bend:?}, n {n}");
-                let mut out = DenseMatrix::filled(rows, n, f64::NAN);
-                ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
-                assert!(out.approx_eq(&want, tol), "colstable, {bend:?}, n {n}");
+                assert!(out.approx_eq(&want, tol), "{bend:?}, n {n}");
             }
         }
     }
@@ -1072,7 +1046,7 @@ mod tests {
         for ft in [running_example(), star_with_base(Base::Identity)] {
             let (rows, cols) = ft.target_shape();
             let mut out = DenseMatrix::zeros(rows, 0);
-            ft.lmm_colstable_into(
+            ft.lmm_into(
                 &DenseMatrix::zeros(cols, 0),
                 &mut out,
                 &mut Workspace::new(),
@@ -1094,10 +1068,10 @@ mod tests {
             for n in WIDTHS {
                 let x = x_for(cols, n, 29);
                 let mut out = DenseMatrix::zeros(rows, n);
-                ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
+                ft.lmm_into(&x, &mut out, &mut ws).unwrap();
                 let warm = ws.fresh_allocations();
                 for _ in 0..10 {
-                    ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
+                    ft.lmm_into(&x, &mut out, &mut ws).unwrap();
                 }
                 assert_eq!(ws.fresh_allocations(), warm, "width {n}");
             }
@@ -1197,8 +1171,9 @@ mod tests {
             ("lmm", ft.lmm(&bad_x, Strategy::Sparse).map(drop)),
             ("lmm", ft.lmm_into(&bad_x, out, ws)),
             ("lmm_into", ft.lmm_into(&x, bad_out, ws)),
-            ("lmm_colstable", ft.lmm_colstable_into(&bad_x, out, ws)),
-            ("lmm_colstable_into", ft.lmm_colstable_into(&x, bad_out, ws)),
+            // The alias is `lmm_into` and names it.
+            ("lmm", ft.lmm_colstable_into(&bad_x, out, ws)),
+            ("lmm_into", ft.lmm_colstable_into(&x, bad_out, ws)),
             (
                 "lmm_transpose",
                 ft.lmm_transpose(&bad_y, Strategy::Compressed).map(drop),

@@ -52,12 +52,6 @@ fn counters_report_source_level_work() {
             let mut lmm = || ft.lmm_into(&x, &mut out, &mut ws).unwrap();
             assert_eq!(delta("lmm.gather_rows", &mut lmm), 2000);
             assert_eq!(delta("lmm.correction_cells", &mut lmm), slot_cells * n);
-            let mut colstable = || ft.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
-            assert_eq!(delta("lmm.gather_rows", &mut colstable), 2000);
-            assert_eq!(
-                delta("lmm.correction_cells", &mut colstable),
-                slot_cells * n
-            );
             let mut lmm_t = || ft.lmm_transpose_into(&y, &mut out_t, &mut ws).unwrap();
             assert_eq!(delta("lmm.gather_rows", &mut lmm_t), 2000);
             assert_eq!(delta("lmm.correction_cells", &mut lmm_t), slot_cells * n);
@@ -81,8 +75,6 @@ fn counters_report_source_level_work() {
     let mut out = DenseMatrix::zeros(rows, 3);
     let mut lmm = || inner.lmm_into(&x, &mut out, &mut ws).unwrap();
     assert_eq!(delta("lmm.gather_rows", &mut lmm), 400);
-    let mut colstable = || inner.lmm_colstable_into(&x, &mut out, &mut ws).unwrap();
-    assert_eq!(delta("lmm.gather_rows", &mut colstable), 400);
 
     // On generated scenarios the correction never exceeds what a
     // per-target-cell correction would pay, and equals the cost model's

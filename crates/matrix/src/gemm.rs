@@ -7,14 +7,14 @@
 //!
 //! # Kernel architecture
 //!
-//! [`gemm_driver`] picks one of three kernels from the width `n` of the
+//! Each product picks its kernel from its layout, the width `n` of the
 //! right operand and the FLOP count, nothing else:
 //!
-//! | right operand | kernel |
-//! |---|---|
-//! | `n ≤ NR` (one register panel) | **thin**: register tiles straight off the operands |
-//! | `n > NR`, ≥ [`PACK_FLOP_THRESHOLD`] flops | **packed**: BLIS-style, operands packed first |
-//! | `n > NR`, fewer flops | **axpy**: cache-blocked `i-k-j` loops, the reference path |
+//! | product | `n = 1` | `n ≥ 2` |
+//! |---|---|---|
+//! | `A·B` | one [`dot`] per row | **column-stable panels** |
+//! | `Aᵀ·B` | one [`axpy`] per row | [`gemm_driver`]: **thin** for `n ≤ NR` or under [`PACK_FLOP_THRESHOLD`] flops, else **packed** |
+//! | `A·Bᵀ` | one [`dot`] per cell | one [`dot`] per cell for `n ≤ NR` or under the threshold, else the driver (**packed**) |
 //!
 //! ## The packed kernel
 //!
@@ -29,75 +29,87 @@
 //!   each packed `B` panel hot across all row blocks.
 //!
 //! Packing is *strided*: element `(i, j)` of a logical operand lives at
-//! `buf[i · rs + j · cs]`, which lets the same kernel compute `A·B`
-//! (`rs = k, cs = 1`), `Aᵀ·B` (`rs = 1, cs = m`) and `A·Bᵀ`
-//! (`rs = 1, cs = k`) without ever materializing a transpose.
+//! `buf[i · rs + j · cs]`, which lets the same kernel compute `Aᵀ·B`
+//! (`rs = 1, cs = m`) and `A·Bᵀ` (`rs = 1, cs = k`) without ever
+//! materializing a transpose.
 //!
 //! ## The thin kernel
 //!
-//! Every training loop in this workspace multiplies the table by the
-//! *model* — one column for the GLMs, `k` centroids, rank `r` — so the
-//! right operand is a handful of columns wide while the left one is the
-//! whole table. Packing copies the tall operand so that `⌈n / NR⌉`
-//! column panels can reuse the copy; with `n ≤ NR` there is one panel,
-//! nothing is reused, and the copy (a strided write of every cell of
-//! `A`) is pure overhead. One panel is therefore the boundary: measured
-//! on a 50 000 × 60 table, thin is two to three times faster than
-//! packing at `n < 8` and no slower at `n = 8`; at `n = 16` it wins
-//! `A·B` and loses `Aᵀ·B`, at 24 it loses both.
+//! Every gradient in this workspace multiplies the table's transpose by
+//! a handful of columns — one residual for the GLMs, `k` one-hot
+//! classes, rank `r` — so the right operand is narrow while the left one
+//! is the whole table. Packing copies the tall operand so that
+//! `⌈n / NR⌉` column panels can reuse the copy; with `n ≤ NR` there is
+//! one panel, nothing is reused, and the copy (a strided write of every
+//! cell of `A`) is pure overhead. One panel is therefore the boundary:
+//! measured on a 50 000 × 60 table, thin is two to three times faster
+//! than packing at `n < 8`, no slower at `n = 8`, and slower at `n = 16`.
+//! Below [`PACK_FLOP_THRESHOLD`] a product is too small to repay the
+//! copy at any width, so it runs thin too, eight columns at a time.
 //!
 //! [`thin_gemm`] runs the register tiles on the operands where they lie:
-//! two logical rows of `A` — for `A·B` two buffer rows, each contiguous
-//! along the depth; for `Aᵀ·B` two adjacent columns, side by side in
-//! every buffer row — against `W` columns of the row-major `B`, with `W`
-//! covering `n` greedily by const-generic panels of 8, 4, 2, 1. Two rows
-//! is the measured shape: 16 accumulator lanes plus the `B` panel fill
-//! the 16 SSE registers of the default x86-64 target, four rows spill.
-//! Depth is walked in the same `KC` blocks, each tile's accumulators
-//! start from zero, sum `A[i, l]·B[l, j]` in ascending `l` and are added
-//! to `out` in block order — **the packed kernel's arithmetic, operation
-//! for operation** (packing only moves cells, and its zero padding lands
-//! in accumulator lanes that are never written back). A thin product is
-//! bit-identical to [`packed_gemm`] on the same operands, NaN and ±∞
-//! cells included; the differential tests below hold it to that. It
-//! allocates nothing and touches no thread-local.
-//!
-//! The thin kernel took over three things: products with `n < NR` above
-//! the FLOP threshold, which used to drop to the axpy loops; a private
-//! small-problem loop inside `transpose_matmul_into`, which is now its
-//! `n == 1` fast path and a call to the driver; and the packed kernel at
-//! `n = NR`, whose bits it keeps. `A·Bᵀ` never reaches it: there both
+//! two logical rows of `Aᵀ` — two adjacent columns of `A`, side by side
+//! in every buffer row — against `W` columns of the row-major `B`, with
+//! `W` covering `n` greedily by const-generic panels of 8 (as often as
+//! they fit), 4, 2, 1. Two rows is the measured shape: 16 accumulator
+//! lanes plus the `B` panel fill the 16 SSE registers of the default
+//! x86-64 target, four rows spill. Depth is walked in the same `KC`
+//! blocks, each tile's accumulators start from zero, sum
+//! `A[l, i]·B[l, j]` in ascending `l` and are added to `out` in block
+//! order — **the packed kernel's arithmetic, operation for operation**
+//! (packing only moves cells, and its zero padding lands in accumulator
+//! lanes that are never written back). A thin product is bit-identical
+//! to [`packed_gemm`] on the same operands, NaN and ±∞ cells included;
+//! the differential tests below hold it to that. It allocates nothing
+//! and touches no thread-local. `A·Bᵀ` never reaches it: there both
 //! operands are contiguous along the depth, so for `n ≤ NR`
 //! `matmul_transpose_into` takes one [`dot`] per output cell, which is
 //! already unpacked.
 //!
 //! ## Column-stable panels
 //!
-//! Serving coalesces requests into the columns of one right operand and
-//! promises every requester the bytes it would get alone, so
-//! [`DenseMatrix::matmul_colstable_into`] must compute column `j` exactly
-//! as the `n == 1` path computes it: one [`dot`] of row `i` of `A` with
-//! column `j` of `B`. `dot` fixes the order of its operations per cell —
-//! four lane sums, lane `l mod 4` over the whole chunks of four in
-//! ascending `l`, then a tail sum over the last `k mod 4` terms, each
-//! starting from `+0` and adding `A[i, l]·B[l, j]`, then
-//! `s0 + s1 + s2 + s3 + tail` from the left — but that order says nothing
-//! about which *cells* run side by side. The panel kernel runs one output
-//! row `W` columns at a time (`W` covering `n` greedily by const-generic
-//! panels of 8, 4, 2, 1, as in the thin kernel) with `4 × W` lane
-//! accumulators and `W` tails: step `l` multiplies `A[i, l]` by the `W`
-//! adjacent cells of row `l` of the row-major `B`, where they lie, and
-//! adds each product into its own column's lane. The SIMD runs across
-//! columns instead of along the depth, so every cell sees `dot`'s
-//! operations in `dot`'s order and no operation combines two columns:
-//! the result is the per-cell `dot` bit for bit at every width (the
-//! differential test below holds it to the old per-cell loop), and the
-//! width-1 product is the `dot` fast path itself. No transposed copy of
-//! `B`, no scratch, no packing. One caveat, shared with the thin kernel:
-//! where two NaNs of different payload meet (a NaN input beside an
-//! `∞ − ∞` or `0·∞` in the same cell), which payload survives is the
-//! compiler's choice of operand order, so such a cell is a NaN either
-//! way but not always the same NaN.
+//! [`DenseMatrix::matmul_into`] computes column `j` of every `A·B`
+//! exactly as the `n == 1` path computes it: one [`dot`] of row `i` of
+//! `A` with column `j` of `B`. Serving relies on that — it coalesces
+//! requests into the columns of one right operand and promises every
+//! requester the bytes it would get alone — and so does everything else
+//! built on `A·B`, since the factorized `T·X` inherits it (one LMM, not
+//! two). `dot` fixes the order of its operations per cell — four lane
+//! sums, lane `l mod 4` over the whole chunks of four in ascending `l`,
+//! then a tail sum over the last `k mod 4` terms, each starting from
+//! `+0` and adding `A[i, l]·B[l, j]`, then `s0 + s1 + s2 + s3 + tail`
+//! from the left — but that order says nothing about which *cells* run
+//! side by side. The panel kernel runs one output row `W` columns at a
+//! time (`W` covering `n` greedily by const-generic panels of 8, 4, 2,
+//! 1, as in the thin kernel) with `4 × W` lane accumulators and `W`
+//! tails: step `l` multiplies `A[i, l]` by the `W` adjacent cells of row
+//! `l` of the row-major `B`, where they lie, and adds each product into
+//! its own column's lane. The SIMD runs across columns instead of along
+//! the depth, so every cell sees `dot`'s operations in `dot`'s order and
+//! no operation combines two columns: the result is the per-cell `dot`
+//! bit for bit at every width (the differential test below holds it to
+//! the old per-cell loop), and the width-1 product is the `dot` fast
+//! path itself. No transposed copy of `B`, no scratch, no packing. One
+//! caveat, shared with the thin kernel: where two NaNs of different
+//! payload meet (a NaN input beside an `∞ − ∞` or `0·∞` in the same
+//! cell), which payload survives is the compiler's choice of operand
+//! order, so such a cell is a NaN either way but not always the same NaN.
+//!
+//! One kernel serves every `A·B` because it is also the fastest on
+//! most shapes the system runs. A thin tile keeps `2 × W` accumulators,
+//! so at `n = 4` it has 8 dependent chains against the panels' 16, and
+//! packing copies a tall operand that nobody reuses at `k ≤ KC`.
+//! Measured against the thin / packed driver they replaced (one kernel
+//! thread, medians of 41 alternated on a 2-vCPU x86-64 box):
+//! 50 000 × 60 · 60 × `n` at `n` = 4 / 8 / 16 went 2.55–2.57 /
+//! 3.62–3.68 / 8.09–8.29 → 2.09–2.10 / 2.99–3.02 / 6.16–6.17 ms,
+//! 2 000 × 200 · 200 × 16 1.01 → 0.78–0.81 ms, the 20 000 × 3 serve base
+//! at 16 columns 0.36 → 0.15 ms, and GNMF's 4 × 4 · 4 × 60 ties. They
+//! lose in two places. A depth of 2–4 at `n ≤ 4` takes 1.2–1.3× the
+//! thin tiles' time ("Narrow operands"), a fraction of a millisecond
+//! per product on a star's base. A square 512³ `A·B`, deep *and* wide,
+//! takes about twice the packed kernel's time (`BENCH_kernels.json`,
+//! `matmul_512_panels`), and no workload multiplies one.
 //!
 //! ## Narrow operands
 //!
@@ -107,24 +119,21 @@
 //! more than their arithmetic: [`dot`] and [`axpy`] take a runtime
 //! length, so every row pays a loop set-up and a remainder test, and the
 //! `n == 1` `Aᵀ·x` path loads and stores its whole output once per row, a
-//! store-forwarding chain through memory; the thin kernel's `A·B` walks
-//! a depth of four with two strided row iterators per tile. So for a
-//! depth or width `k ≤ NR` each of these loops has a const-generic
-//! instance, picked by one `match` on `k` (`narrow!`):
+//! store-forwarding chain through memory. So for a depth or width
+//! `k ≤ NR` each of these loops has a const-generic instance, picked by
+//! one `match` on `k` (`narrow!`):
 //!
 //! * `A·v` — `dot_k::<K>` per row, which is [`dot`]'s expression tree at
 //!   a constant length: lane `l mod 4` over the whole chunks of four,
 //!   then the tail, then `s0 + s1 + s2 + s3 + tail`, each loop unrolled;
+//! * `A·B` at depth `K` — the panels' own per-row body, walked over
+//!   `A`'s rows as `[f64; K]` arrays, so that every panel's depth loop
+//!   has a constant trip count: one arithmetic body, two instances;
 //! * `Aᵀ·x` — the [`axpy`] of every row with a non-zero coefficient,
 //!   ascending, into a `[f64; K]` that stays in registers across the rows;
 //! * the gram — per row, ascending, the [`axpy`] of each non-zero cell
 //!   `i` into row `i` of the upper triangle, the whole triangle in a
-//!   `[[f64; C]; C]`, then the usual mirror;
-//! * the thin `A·B` at depth `K` — per output row, `W` accumulators from
-//!   zero summed over the depth in ascending order and added to the
-//!   zeroed output, a thin tile's arithmetic over its one `KC` block,
-//!   with `B` copied once into a zero-padded `[[f64; W]; K]` (`W` = 4 or
-//!   8) so that no loop has a runtime trip count.
+//!   `[[f64; C]; C]`, then the usual mirror.
 //!
 //! An instance applies the operations of the loop it replaces to the
 //! same operands in the same order — a constant trip count moves the
@@ -132,14 +141,16 @@
 //! bit by construction, with no knob and no threshold to tune; the
 //! differential tests below hold each one to the loop it replaced at
 //! every `k` from 1 to `NR + 1`, NaN, ±∞, −0 and subnormal cells
-//! included (the thin instance against the packed kernel, like the thin
-//! kernel itself). `dot`, `axpy` and the fused pass keep their source,
-//! and `k > NR` keeps the per-row loops and the thin tiles. Measured on
+//! included. `dot`, `axpy` and the fused pass keep their source, and
+//! `k > NR` keeps the per-row loops and the generic panels. Measured on
 //! 50 000 rows (one kernel thread, medians alternated with the loops
 //! they replace on a 2-vCPU x86-64 box): `A·v` at `k` = 2 / 4 / 8 went
 //! 0.07 / 0.16 / 0.25 → 0.03 / 0.08 / 0.16 ms, `Aᵀ·x` 0.23 / 0.21 /
 //! 0.29 → 0.05 / 0.06 / 0.15 ms, the gram at `k = 4` 1.38 → 0.20 ms, and
-//! `A·B` by a 4 × 4 operand 0.99 → 0.39 ms.
+//! the generic panels at depth 4 and `n` = 2 / 4 / 8 0.21–0.23 /
+//! 0.27–0.29 / 0.40–0.41 → 0.16 / 0.20–0.21 / 0.30–0.31 ms, which is
+//! 1.2–1.3× the thin tiles the panels replaced at `n ≤ 4` (0.14 / 0.16)
+//! and level with them at 8 (0.29).
 //!
 //! ## Threads and scratch
 //!
@@ -209,13 +220,13 @@
 //! [`DenseMatrix::class_sums_into`] adds each row into its class's
 //! accumulator instead — one pass, a contiguous `d`-wide add per row.
 //! It keeps the product's bits by summing in the order of the kernel
-//! the product would run, asked of the driver's own selection
-//! (`GemmPath::of`): where the product runs thin or packed, `KC`-row
-//! partials start from zero and are added to the total in block order;
-//! where it runs the `n == 1` axpy path (`k = 1`) or `axpy_gemm`, one
-//! running sum. The dropped terms are `x·0 = ±0`, and adding `±0` to an
-//! accumulator that started at `+0` changes nothing — such an
-//! accumulator can never hold `−0`, since `+0 + −0 = +0` and `x + −x =
+//! the product would run: both of the driver's kernels, thin and packed,
+//! start `KC`-row partials from zero and add them to the total in block
+//! order, so for `k ≥ 2` the class sums do the same; `k = 1`, the
+//! `n == 1` axpy path, is one running sum. The dropped terms are
+//! `x·0 = ±0`, and adding `±0` to an accumulator that started at `+0`
+//! changes nothing — such an accumulator can never hold `−0`, since
+//! `+0 + −0 = +0` and `x + −x =
 //! +0`. That holds for finite `x` only: a ±∞ or NaN cell makes `x·0` a
 //! NaN, so the product spreads it to all `k` sums of its column, while
 //! the class sums keep it in its own class — the one documented
@@ -240,7 +251,8 @@ const KC: usize = 256;
 const NC: usize = 512;
 
 /// Minimum FLOP count (2·m·n·k) before the packed path is considered;
-/// below this the plain blocked loops win because packing is O(m·k + k·n).
+/// below this the thin kernel runs at any width, because packing is
+/// O(m·k + k·n).
 const PACK_FLOP_THRESHOLD: usize = 65_536;
 
 /// Rows per link call of [`DenseMatrix::gradient_pass_blocks_into`]:
@@ -308,6 +320,18 @@ impl DenseMatrix {
     /// (`m × n`, fully overwritten). Never allocates for the output;
     /// see [`crate::Workspace`] for obtaining reusable buffers.
     ///
+    /// **Column-stable**: column `j` of the result is produced by exactly
+    /// the same floating-point operations as the product with column `j`
+    /// alone — one [`dot`] of a row of `self` with that column — no
+    /// matter how many other columns share the call. Width 1 is that
+    /// `dot`; wider products run register panels whose SIMD crosses the
+    /// columns instead of the depth, so no cell's arithmetic can see
+    /// another column (module docs, "Column-stable panels", which also
+    /// give the one NaN-payload caveat). Request batching in
+    /// `amalur-serve` relies on this: predictions coalesced column-wise
+    /// into one product are bit-identical to the same predictions served
+    /// one at a time. No scratch, no packing; row chunks parallelize.
+    ///
     /// # Errors
     /// Dimension mismatch of the operands or of `out`.
     pub fn matmul_into(&self, rhs: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
@@ -321,99 +345,34 @@ impl DenseMatrix {
         let (m, k) = self.shape();
         let n = rhs.cols();
         check_out_shape("matmul_into", out, m, n)?;
+        let (a, b, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
         // Matrix–vector fast path: one dot product per row — of which
         // `row_iter` yields none for an `m × 0` matrix, whose product is
         // `m` zeros all the same.
         if n == 1 {
-            let (a, v, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
             if k == 0 {
                 o.fill(0.0);
             } else if k <= NR {
-                narrow!(k, matvec_narrow(a, v, o));
+                narrow!(k, matvec_narrow(a, b, o));
             } else {
                 for (o, row) in o.iter_mut().zip(self.row_iter()) {
-                    *o = dot(row, v);
+                    *o = dot(row, b);
                 }
             }
             return Ok(());
-        }
-        let a = Operand {
-            buf: self.as_slice(),
-            layout: Layout { rs: k, cs: 1 },
-        };
-        let b = Operand {
-            buf: rhs.as_slice(),
-            layout: Layout { rs: n, cs: 1 },
-        };
-        gemm_driver(a, b, out.as_mut_slice(), m, k, n);
-        Ok(())
-    }
-
-    /// Matrix product `self * rhs` with a **column-stable** summation
-    /// order: column `j` of the result is produced by exactly the same
-    /// floating-point operations as `self.matmul_into(col_j, …)` — the
-    /// matrix–vector `dot` fast path — no matter how many other columns
-    /// share the call. Request batching in `amalur-serve` relies on
-    /// this: predictions coalesced column-wise into one GEMM are
-    /// bit-identical to the same predictions served one at a time.
-    ///
-    /// It is column-stable by construction: every output cell is `dot`'s
-    /// own sequence of operations, with the SIMD running across the
-    /// columns of a register panel rather than along the depth, so no
-    /// cell's arithmetic can see another column (module docs,
-    /// "Column-stable panels", which also gives the one NaN-payload
-    /// caveat). Width 1 is the `dot` fast path itself.
-    /// No scratch, no packing; row chunks parallelize. Use the plain
-    /// [`DenseMatrix::matmul_into`] when cross-batch bit-stability is
-    /// not required.
-    ///
-    /// # Errors
-    /// Dimension mismatch of the operands or of `out`.
-    pub fn matmul_colstable_into(&self, rhs: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        if self.cols() != rhs.rows() {
-            return Err(MatrixError::DimensionMismatch {
-                op: "matmul_colstable",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let (m, k) = self.shape();
-        let n = rhs.cols();
-        check_out_shape("matmul_colstable_into", out, m, n)?;
-        crate::metrics::GEMM_COLSTABLE_DISPATCHES.inc();
-        if n == 1 {
-            return self.matmul_into(rhs, out);
         }
         if n == 0 {
             return Ok(());
         }
+        crate::metrics::GEMM_COLSTABLE_DISPATCHES.inc();
         if k == 0 {
             // `dot` of two empty slices: `0 + 0 + 0 + 0 + 0`.
-            out.as_mut_slice().fill(0.0);
+            o.fill(0.0);
             return Ok(());
         }
-        let (a, b) = (self.as_slice(), rhs.as_slice());
         let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-        par_row_chunks(out.as_mut_slice(), n, flops, |i0, chunk| {
-            let rows = a[i0 * k..].chunks_exact(k);
-            for (arow, orow) in rows.zip(chunk.chunks_exact_mut(n)) {
-                let mut j0 = 0;
-                while n - j0 >= 8 {
-                    colstable_panel::<8>(arow, b, n, j0, orow);
-                    j0 += 8;
-                }
-                if n - j0 >= 4 {
-                    colstable_panel::<4>(arow, b, n, j0, orow);
-                    j0 += 4;
-                }
-                if n - j0 >= 2 {
-                    colstable_panel::<2>(arow, b, n, j0, orow);
-                    j0 += 2;
-                }
-                if n - j0 >= 1 {
-                    colstable_panel::<1>(arow, b, n, j0, orow);
-                }
-            }
+        par_row_chunks(o, n, flops, |i0, chunk| {
+            panel_rows(&a[i0 * k..], b, chunk, k, n);
         });
         Ok(())
     }
@@ -620,8 +579,7 @@ impl DenseMatrix {
             }
         };
         let mut total = ws.take(k * d);
-        let flops = 2usize.saturating_mul(d).saturating_mul(k).saturating_mul(m);
-        if k > 1 && GemmPath::of(k, flops) != GemmPath::Axpy {
+        if k > 1 {
             // Thin or packed: `KC`-row partials from zero, added in
             // block order.
             let mut part = ws.take(k * d);
@@ -634,7 +592,7 @@ impl DenseMatrix {
             }
             ws.give(part);
         } else {
-            // The `n == 1` axpy path or `axpy_gemm`: one running sum.
+            // The `n == 1` axpy path: one running sum.
             add_rows(0..m, &mut total);
         }
         let o = out.as_mut_slice();
@@ -781,37 +739,33 @@ struct Operand<'a> {
     layout: Layout,
 }
 
-/// One of the three kernels behind [`gemm_driver`]: `out += A·B` over
+/// One of the two kernels behind [`gemm_driver`]: `out += A·B` over
 /// `rows` output rows starting at logical row `row0`, `out` pre-zeroed.
 type Kernel = fn(Operand<'_>, Operand<'_>, &mut [f64], usize, usize, usize, usize);
 
 /// The kernel [`gemm_driver`] runs, chosen from `n` and the FLOP count
-/// alone. [`DenseMatrix::class_sums_into`] asks the same question to sum
-/// in the order of the product it replaces.
+/// alone: thin for one register panel or a product too small to repay
+/// packing, packed otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GemmPath {
     Thin,
     Packed,
-    Axpy,
 }
 
 impl GemmPath {
     fn of(n: usize, flops: usize) -> Self {
-        if n <= NR {
+        if n <= NR || flops < PACK_FLOP_THRESHOLD {
             GemmPath::Thin
-        } else if flops >= PACK_FLOP_THRESHOLD {
-            GemmPath::Packed
         } else {
-            GemmPath::Axpy
+            GemmPath::Packed
         }
     }
 }
 
-/// Computes `out = A·B` (`out` fully overwritten), choosing the kernel
-/// from `n` and the FLOP count alone — thin for `n ≤ NR`, else packed
-/// above [`PACK_FLOP_THRESHOLD`], else the blocked axpy loops (see the
-/// module docs) — and splitting output rows across threads when the
-/// problem is large enough.
+/// Computes `out = Aᵀ·B` or `A·Bᵀ` (`out` fully overwritten), choosing
+/// the kernel from `n` and the FLOP count alone (see the module docs)
+/// and splitting output rows across threads when the problem is large
+/// enough.
 fn gemm_driver(a: Operand<'_>, b: Operand<'_>, out: &mut [f64], m: usize, k: usize, n: usize) {
     if n == 0 || m == 0 {
         return;
@@ -824,7 +778,6 @@ fn gemm_driver(a: Operand<'_>, b: Operand<'_>, out: &mut [f64], m: usize, k: usi
     let (kernel, dispatches): (Kernel, _) = match GemmPath::of(n, flops) {
         GemmPath::Thin => (thin_gemm, &crate::metrics::GEMM_THIN_DISPATCHES),
         GemmPath::Packed => (packed_gemm, &crate::metrics::GEMM_PACKED_DISPATCHES),
-        GemmPath::Axpy => (axpy_gemm, &crate::metrics::GEMM_FALLBACK_DISPATCHES),
     };
     dispatches.inc();
     par_row_chunks(out, n, flops, |row0, chunk| {
@@ -833,11 +786,11 @@ fn gemm_driver(a: Operand<'_>, b: Operand<'_>, out: &mut [f64], m: usize, k: usi
     });
 }
 
-/// Thin kernel (`n ≤ NR`, `B` row-major): register tiles straight off
-/// the operands, nothing packed (see the module docs). Two logical rows
-/// of `A` per tile — an odd last row is paired with itself and its
-/// second accumulator row dropped — against the `8 / 4 / 2 / 1`-wide
-/// panels that cover `n` greedily.
+/// Thin kernel (`B` row-major): register tiles straight off the
+/// operands, nothing packed (see the module docs). Two logical rows of
+/// `A` per tile — an odd last row is paired with itself and its second
+/// accumulator row dropped — against the `8 / 4 / 2 / 1`-wide panels
+/// that cover `n` greedily.
 fn thin_gemm(
     a: Operand<'_>,
     b: Operand<'_>,
@@ -848,18 +801,9 @@ fn thin_gemm(
     n: usize,
 ) {
     assert!(
-        n <= NR && b.layout.rs == n && b.layout.cs == 1,
-        "thin kernel: B must be one row-major register panel"
+        b.layout.rs == n && b.layout.cs == 1,
+        "thin kernel: B must be row-major"
     );
-    if a.layout.cs == 1 && (1..=NR).contains(&k) {
-        let a_rows = &a.buf[row0 * k..(row0 + rows) * k];
-        if n <= 4 {
-            narrow!(k, thin_narrow_depth::<4>(a_rows, b.buf, out, n));
-        } else {
-            narrow!(k, thin_narrow_depth::<NR>(a_rows, b.buf, out, n));
-        }
-        return;
-    }
     let step = a.layout.cs;
     for kb in (0..k).step_by(KC) {
         let kmax = (kb + KC).min(k);
@@ -870,7 +814,7 @@ fn thin_gemm(
             let x1 = &a.buf[a.layout.at(row0 + i + tile_rows - 1, kb)..];
             let orows = &mut out[i * n..(i + tile_rows) * n];
             let mut j0 = 0;
-            if n - j0 >= 8 {
+            while n - j0 >= 8 {
                 thin_tile::<8>(x0, x1, step, b_block, n, j0, orows);
                 j0 += 8;
             }
@@ -920,33 +864,47 @@ fn thin_tile<const W: usize>(
     }
 }
 
-/// The thin `A·B` at a depth `K ≤ NR`, one output row at a time:
-/// `acc[c] = Σ_l A[i, l]·B[l, c]` from zero in ascending `l`, then
-/// `out += acc` — a [`thin_tile`]'s arithmetic over its one depth block,
-/// so the same bits. `B` (`K × n`, `n ≤ W`) is first copied into `W`-wide
-/// rows padded with zeros, which keeps every loop at a constant trip
-/// count; the padded lanes are computed and dropped.
-fn thin_narrow_depth<const K: usize, const W: usize>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    n: usize,
-) {
-    let mut panel = [[0.0f64; W]; K];
-    for (prow, brow) in panel.iter_mut().zip(b.chunks_exact(n)) {
-        prow[..n].copy_from_slice(brow);
+/// `out = A·B` by the column-stable panels, for the rows of `out`: `a`
+/// starts at their first row of the row-major `A` (`k ≥ 1` columns),
+/// `b` is the row-major `B` (`n` columns). A depth `k ≤ NR` runs the
+/// same rows at the constant depth (module docs, "Narrow operands").
+fn panel_rows(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
+    if k <= NR {
+        narrow!(k, panel_rows_k(a, b, out, n));
+    } else {
+        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            panel_row(arow, b, n, orow);
+        }
     }
+}
+
+/// [`panel_rows`] at the constant depth `K`.
+fn panel_rows_k<const K: usize>(a: &[f64], b: &[f64], out: &mut [f64], n: usize) {
     let (rows, _) = a.as_chunks::<K>();
     for (arow, orow) in rows.iter().zip(out.chunks_exact_mut(n)) {
-        let mut acc = [0.0f64; W];
-        for (&al, prow) in arow.iter().zip(&panel) {
-            for (s, &bl) in acc.iter_mut().zip(prow) {
-                *s += al * bl;
-            }
-        }
-        for (o, &v) in orow.iter_mut().zip(&acc) {
-            *o += v;
-        }
+        panel_row(arow, b, n, orow);
+    }
+}
+
+/// One output row of the column-stable product: panels of 8, 4, 2 and
+/// 1 columns covering `n` greedily.
+#[inline(always)]
+fn panel_row(arow: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
+    let mut j0 = 0;
+    while n - j0 >= 8 {
+        colstable_panel::<8>(arow, b, n, j0, out);
+        j0 += 8;
+    }
+    if n - j0 >= 4 {
+        colstable_panel::<4>(arow, b, n, j0, out);
+        j0 += 4;
+    }
+    if n - j0 >= 2 {
+        colstable_panel::<2>(arow, b, n, j0, out);
+        j0 += 2;
+    }
+    if n - j0 >= 1 {
+        colstable_panel::<1>(arow, b, n, j0, out);
     }
 }
 
@@ -959,60 +917,24 @@ fn thin_narrow_depth<const K: usize, const W: usize>(
 fn colstable_panel<const W: usize>(arow: &[f64], b: &[f64], n: usize, j0: usize, out: &mut [f64]) {
     let mut lanes = [[0.0f64; W]; 4];
     let mut tail = [0.0f64; W];
-    let a4 = arow.chunks_exact(4);
-    let a_rest = a4.remainder();
-    let b4 = b.chunks_exact(4 * n);
-    let b_rest = b4.remainder();
-    for (a, brows) in a4.zip(b4) {
+    let (a4, a_rest) = arow.as_chunks::<4>();
+    let brow = |l: usize| &b[l * n + j0..][..W];
+    for (i, a) in a4.iter().enumerate() {
         for (lane, (acc, &al)) in lanes.iter_mut().zip(a).enumerate() {
-            let bl = &brows[lane * n + j0..lane * n + j0 + W];
+            let bl = brow(4 * i + lane);
             for c in 0..W {
                 acc[c] += al * bl[c];
             }
         }
     }
-    for (&al, brow) in a_rest.iter().zip(b_rest.chunks_exact(n)) {
-        let bl = &brow[j0..j0 + W];
+    for (t, &al) in a_rest.iter().enumerate() {
+        let bl = brow(4 * a4.len() + t);
         for c in 0..W {
             tail[c] += al * bl[c];
         }
     }
     for (c, o) in out[j0..j0 + W].iter_mut().enumerate() {
         *o = lanes[0][c] + lanes[1][c] + lanes[2][c] + lanes[3][c] + tail[c];
-    }
-}
-
-/// Reference path for small problems: cache-blocked `i-k-j` loops,
-/// accumulating `B` rows into `C` rows (no packing).
-fn axpy_gemm(
-    a: Operand<'_>,
-    b: Operand<'_>,
-    out: &mut [f64],
-    row0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    let b_contiguous = b.layout.cs == 1;
-    for kb in (0..k).step_by(KC) {
-        let kmax = (kb + KC).min(k);
-        for i in 0..rows {
-            let crow = &mut out[i * n..(i + 1) * n];
-            for l in kb..kmax {
-                let aval = a.buf[a.layout.at(row0 + i, l)];
-                if aval == 0.0 {
-                    continue;
-                }
-                if b_contiguous {
-                    let brow = &b.buf[b.layout.at(l, 0)..b.layout.at(l, 0) + n];
-                    axpy(aval, brow, crow);
-                } else {
-                    for (j, cv) in crow.iter_mut().enumerate() {
-                        *cv += aval * b.buf[b.layout.at(l, j)];
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1364,23 +1286,23 @@ mod tests {
             let a = DenseMatrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
             let b = DenseMatrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
             let mut out = DenseMatrix::filled(m, n, 77.0); // dirty buffer
-            a.matmul_colstable_into(&b, &mut out).unwrap();
+            a.matmul_into(&b, &mut out).unwrap();
             assert!(out.approx_eq(&matmul_naive(&a, &b), 1e-10));
         }
         let a = DenseMatrix::zeros(3, 2);
         let b = DenseMatrix::zeros(4, 2);
         let mut out = DenseMatrix::zeros(3, 2);
-        assert!(a.matmul_colstable_into(&b, &mut out).is_err());
+        assert!(a.matmul_into(&b, &mut out).is_err());
         let b = DenseMatrix::zeros(2, 5);
-        assert!(a.matmul_colstable_into(&b, &mut out).is_err());
+        assert!(a.matmul_into(&b, &mut out).is_err());
         // Degenerate shapes: an empty product, and depth 0 into a dirty
         // buffer, which must come back zeroed.
         let mut empty = DenseMatrix::zeros(3, 0);
-        a.matmul_colstable_into(&DenseMatrix::zeros(2, 0), &mut empty)
+        a.matmul_into(&DenseMatrix::zeros(2, 0), &mut empty)
             .unwrap();
         let mut zeroed = DenseMatrix::filled(3, 4, 5.0);
         DenseMatrix::zeros(3, 0)
-            .matmul_colstable_into(&DenseMatrix::zeros(0, 4), &mut zeroed)
+            .matmul_into(&DenseMatrix::zeros(0, 4), &mut zeroed)
             .unwrap();
         assert_eq!(zeroed.as_slice(), &[0.0; 12]);
     }
@@ -1389,14 +1311,13 @@ mod tests {
     fn matmul_colstable_columns_bit_identical_to_matvec() {
         // The serving-batch contract: column j of a batched product is
         // bit-for-bit the n == 1 fast-path result for that column alone,
-        // at any batch width (including widths that would normally take
-        // the packed kernel).
+        // at any batch width.
         let mut rng = rand::thread_rng();
         let a = DenseMatrix::random_uniform(70, 50, -1.0, 1.0, &mut rng);
         for n in [2usize, 8, 17, 32] {
             let b = DenseMatrix::random_uniform(50, n, -1.0, 1.0, &mut rng);
             let mut batched = DenseMatrix::zeros(70, n);
-            a.matmul_colstable_into(&b, &mut batched).unwrap();
+            a.matmul_into(&b, &mut batched).unwrap();
             for j in 0..n {
                 let col = DenseMatrix::column_vector(&b.col(j));
                 let single = a.matmul(&col).unwrap();
@@ -1590,37 +1511,26 @@ mod tests {
         assert_eq!(out.as_slice(), &[0.0; 4]);
     }
 
-    /// The operand views the public entry points hand to the driver:
-    /// `A·B` with `a` stored `m × k`, or `Aᵀ·B` with `a` stored `k × m`.
-    fn driver_operands<'a>(
-        a: &'a DenseMatrix,
-        b: &'a DenseMatrix,
-        transposed: bool,
-    ) -> (Operand<'a>, Operand<'a>) {
+    /// The operand views `transpose_matmul_into` hands to the driver:
+    /// `Aᵀ·B` with `a` stored `k × m`.
+    fn driver_operands<'a>(a: &'a DenseMatrix, b: &'a DenseMatrix) -> (Operand<'a>, Operand<'a>) {
         let operand = |m: &'a DenseMatrix, rs, cs| Operand {
             buf: m.as_slice(),
             layout: Layout { rs, cs },
         };
-        let (rs, cs) = if transposed {
-            (1, a.cols())
-        } else {
-            (a.cols(), 1)
-        };
-        (operand(a, rs, cs), operand(b, b.cols(), 1))
+        (operand(a, 1, a.cols()), operand(b, b.cols(), 1))
     }
 
-    /// A logical `m × k` left operand (stored transposed on request) and
-    /// a `k × n` right operand, each with a few exact zeros and `poison`
-    /// NaN / ±∞ cells.
+    /// A logical `m × k` left operand, stored transposed, and a `k × n`
+    /// right operand, each with a few exact zeros and `poison` NaN / ±∞
+    /// cells.
     fn thin_case(
         (m, k, n): (usize, usize, usize),
-        transposed: bool,
         poison: usize,
         rng: &mut rand::rngs::StdRng,
     ) -> (DenseMatrix, DenseMatrix) {
         use rand::Rng;
-        let (rows, cols) = if transposed { (k, m) } else { (m, k) };
-        let mut a = DenseMatrix::random_uniform(rows, cols, -2.0, 2.0, rng);
+        let mut a = DenseMatrix::random_uniform(k, m, -2.0, 2.0, rng);
         let mut b = DenseMatrix::random_uniform(k, n, -2.0, 2.0, rng);
         for mat in [&mut a, &mut b] {
             let cells = mat.as_mut_slice();
@@ -1636,10 +1546,21 @@ mod tests {
         (a, b)
     }
 
-    /// `out = A·B` through the driver on a dirty buffer.
+    /// `out = Aᵀ·B` through the driver on a dirty buffer.
     fn drive(a: Operand<'_>, b: Operand<'_>, (m, k, n): (usize, usize, usize)) -> Vec<f64> {
         let mut out = vec![f64::NAN; m * n];
         gemm_driver(a, b, &mut out, m, k, n);
+        out
+    }
+
+    /// `out = Aᵀ·B` by the thin kernel over two workers' row chunks,
+    /// on a dirty buffer.
+    fn thin_chunked(a: Operand<'_>, b: Operand<'_>, (m, k, n): (usize, usize, usize)) -> Vec<f64> {
+        let mut out = vec![f64::NAN; m * n];
+        crate::par::par_row_chunks_with(&mut out, n, usize::MAX, 2, |row0, chunk| {
+            chunk.fill(0.0);
+            thin_gemm(a, b, chunk, row0, chunk.len() / n, k, n);
+        });
         out
     }
 
@@ -1649,34 +1570,28 @@ mod tests {
         // chunk pairs rows differently from the serial run.
         let mut rng = rand::thread_rng();
         let (m, k) = (37, 300);
-        for transposed in [false, true] {
-            for n in [1, 3, 8] {
-                let (rows, cols) = if transposed { (k, m) } else { (m, k) };
-                let a = DenseMatrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
-                let b = DenseMatrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
-                let (oa, ob) = driver_operands(&a, &b, transposed);
-                let mut serial = vec![0.0; m * n];
-                thin_gemm(oa, ob, &mut serial, 0, m, k, n);
-                let mut chunked = vec![f64::NAN; m * n];
-                crate::par::par_row_chunks_with(&mut chunked, n, usize::MAX, 2, |row0, chunk| {
-                    chunk.fill(0.0);
-                    thin_gemm(oa, ob, chunk, row0, chunk.len() / n, k, n);
-                });
-                assert!(
-                    chunked
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .eq(serial.iter().map(|v| v.to_bits())),
-                    "transposed {transposed}, n {n}"
-                );
-            }
+        for n in [1, 3, 8, 17] {
+            let a = DenseMatrix::random_uniform(k, m, -1.0, 1.0, &mut rng);
+            let b = DenseMatrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
+            let (oa, ob) = driver_operands(&a, &b);
+            let mut serial = vec![0.0; m * n];
+            thin_gemm(oa, ob, &mut serial, 0, m, k, n);
+            let chunked = thin_chunked(oa, ob, (m, k, n));
+            assert!(
+                chunked
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(serial.iter().map(|v| v.to_bits())),
+                "n {n}"
+            );
         }
     }
 
     #[test]
     fn thin_and_packed_match_naive_at_the_panel_boundary() {
-        // n = NR is the widest thin product, NR + 1 the narrowest packed
-        // one (the shape is above the FLOP threshold).
+        // For `Aᵀ·B`, n = NR is the widest thin product and NR + 1 the
+        // narrowest packed one (the shape is above the FLOP threshold);
+        // `A·B` runs the panels on both sides.
         let mut rng = rand::thread_rng();
         let a = DenseMatrix::random_uniform(70, 130, -1.0, 1.0, &mut rng);
         let at = a.transpose();
@@ -1713,13 +1628,13 @@ mod tests {
         (0..m).map(|_| rng.gen_range(0..k)).collect()
     }
 
-    /// Shapes that put the one-hot product on each of its four paths,
-    /// so the property above cannot miss one by chance.
+    /// Shapes that put the one-hot product on each of its paths, so the
+    /// property above cannot miss one by chance.
     const CLASS_SUM_PATHS: [(usize, usize, usize); 5] = [
         (300, 7, 1),  // `n == 1`: the axpy fast path
         (600, 12, 5), // thin, rows across 2·KC
         (600, 12, 9), // packed: 2·12·9·600 flops ≥ PACK_FLOP_THRESHOLD
-        (600, 4, 12), // `axpy_gemm`: n > NR under the threshold
+        (600, 4, 12), // thin: n > NR under the threshold
         (257, 3, 8),  // thin at n = NR, one row past KC
     ];
 
@@ -1737,7 +1652,7 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{m} × {d}, k = {k}");
         }
-        for path in [GemmPath::Thin, GemmPath::Packed, GemmPath::Axpy] {
+        for path in [GemmPath::Thin, GemmPath::Packed] {
             assert!(seen.contains(&(false, path)), "{path:?} not exercised");
         }
         assert!(seen.iter().any(|&(vector, _)| vector));
@@ -1897,13 +1812,15 @@ mod tests {
     }
 
     proptest! {
-        /// The thin kernel against the packed kernel on the same
-        /// operands, bit for bit, for every `n ≤ NR` in both layouts:
-        /// depths on both sides of `KC`, odd row counts, a dirty output,
-        /// exact zeros and NaN / ±∞ cells in either operand. A NaN must
-        /// be a NaN in both (its payload is the compiler's choice of
-        /// operand order); and both must agree with the naive triple
-        /// loop, whose non-finite cells do not depend on summation order.
+        /// The thin kernel against the packed kernel on the same `Aᵀ·B`
+        /// operands, bit for bit, at every width up to `2·NR + 1` (one
+        /// panel, and the widths below the FLOP threshold that thin runs
+        /// panel by panel): depths on both sides of `KC`, odd row counts
+        /// split across two workers, a dirty output, exact zeros and
+        /// NaN / ±∞ cells in either operand. A NaN must be a NaN in both
+        /// (its payload is the compiler's choice of operand order); and
+        /// both must agree with the naive triple loop, whose non-finite
+        /// cells do not depend on summation order.
         #[test]
         fn prop_thin_is_bit_identical_to_packed(
             m in 0usize..70, k in 0usize..600,
@@ -1912,32 +1829,26 @@ mod tests {
         ) {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            for transposed in [false, true] {
-                for n in 1..=NR {
-                    let (a, b) = thin_case((m, k, n), transposed, poison, &mut rng);
-                    let (oa, ob) = driver_operands(&a, &b, transposed);
-                    let thin = drive(oa, ob, (m, k, n));
-                    let mut packed = vec![0.0; m * n];
-                    packed_gemm(oa, ob, &mut packed, 0, m, k, n);
-                    let logical = if transposed { a.transpose() } else { a.clone() };
-                    let naive = matmul_naive(&logical, &b);
-                    for ((t, p), w) in thin.iter().zip(&packed).zip(naive.as_slice()) {
-                        prop_assert!(
-                            t.to_bits() == p.to_bits() || (t.is_nan() && p.is_nan()),
-                            "transposed {}, n {}: thin {:?} vs packed {:?}", transposed, n, t, p
-                        );
-                        let agrees = if w.is_finite() {
-                            (t - w).abs() <= 1e-9
-                        } else if w.is_nan() {
-                            t.is_nan()
-                        } else {
-                            t == w
-                        };
-                        prop_assert!(
-                            agrees,
-                            "transposed {}, n {}: thin {:?} vs naive {:?}", transposed, n, t, w
-                        );
-                    }
+            for n in 1..=2 * NR + 1 {
+                let (a, b) = thin_case((m, k, n), poison, &mut rng);
+                let (oa, ob) = driver_operands(&a, &b);
+                let thin = thin_chunked(oa, ob, (m, k, n));
+                let mut packed = vec![0.0; m * n];
+                packed_gemm(oa, ob, &mut packed, 0, m, k, n);
+                let naive = matmul_naive(&a.transpose(), &b);
+                for ((t, p), w) in thin.iter().zip(&packed).zip(naive.as_slice()) {
+                    prop_assert!(
+                        t.to_bits() == p.to_bits() || (t.is_nan() && p.is_nan()),
+                        "n {}: thin {:?} vs packed {:?}", n, t, p
+                    );
+                    let agrees = if w.is_finite() {
+                        (t - w).abs() <= 1e-9
+                    } else if w.is_nan() {
+                        t.is_nan()
+                    } else {
+                        t == w
+                    };
+                    prop_assert!(agrees, "n {}: thin {:?} vs naive {:?}", n, t, w);
                 }
             }
         }
@@ -1951,31 +1862,31 @@ mod tests {
         ) {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            for transposed in [false, true] {
-                for n in 2..=NR {
-                    let (a, b) = thin_case((m, k, n), transposed, 0, &mut rng);
-                    let (oa, ob) = driver_operands(&a, &b, transposed);
-                    let whole = drive(oa, ob, (m, k, n));
-                    for j in 0..n {
-                        let bj = DenseMatrix::column_vector(&b.col(j));
-                        let (oa, obj) = driver_operands(&a, &bj, transposed);
-                        let alone = drive(oa, obj, (m, k, 1));
-                        for (i, v) in alone.iter().enumerate() {
-                            prop_assert_eq!(whole[i * n + j].to_bits(), v.to_bits());
-                        }
+            for n in 2..=NR {
+                let (a, b) = thin_case((m, k, n), 0, &mut rng);
+                let (oa, ob) = driver_operands(&a, &b);
+                let whole = drive(oa, ob, (m, k, n));
+                for j in 0..n {
+                    let bj = DenseMatrix::column_vector(&b.col(j));
+                    let (oa, obj) = driver_operands(&a, &bj);
+                    let alone = drive(oa, obj, (m, k, 1));
+                    for (i, v) in alone.iter().enumerate() {
+                        prop_assert_eq!(whole[i * n + j].to_bits(), v.to_bits());
                     }
                 }
             }
         }
 
-        /// The register panels against the per-cell loop they replaced,
-        /// bit for bit: every width from 1 to 33 (so every mix of 8-, 4-,
-        /// 2- and 1-wide panels), every depth from 0 to 13 plus one on
-        /// either side of larger multiples of 4, row counts that are a
-        /// multiple of nothing, into a dirty output, with exact and
-        /// signed zeros, subnormals, NaN and ±∞ planted in both operands.
-        /// A NaN must be a NaN in both — its payload is the compiler's
-        /// choice of operand order, as for the thin kernel.
+        /// `matmul_into` against the per-cell loop the register panels
+        /// replaced, bit for bit: every width from 1 to 33 (the `dot`
+        /// path, then every mix of 8-, 4-, 2- and 1-wide panels), every
+        /// depth from 0 to 13 (so both sides of the constant-depth
+        /// instances' `NR`) plus one on either side of larger multiples
+        /// of 4, row counts that are a multiple of nothing, into a dirty
+        /// output, serially and over two workers' row chunks, with exact
+        /// and signed zeros, subnormals, NaN and ±∞ planted in both
+        /// operands. A NaN must be a NaN in both — its payload is the
+        /// compiler's choice of operand order, as for the thin kernel.
         #[test]
         fn prop_colstable_panels_are_bit_identical_to_per_cell_dots(
             m in 0usize..23, deep in 14usize..80,
@@ -1995,14 +1906,24 @@ mod tests {
                         }
                     }
                     let mut out = DenseMatrix::filled(m, n, 123.0);
-                    a.matmul_colstable_into(&b, &mut out).unwrap();
+                    a.matmul_into(&b, &mut out).unwrap();
+                    let mut chunked = vec![123.0; m * n];
+                    if k > 0 && n > 1 {
+                        crate::par::par_row_chunks_with(&mut chunked, n, usize::MAX, 2, |i0, chunk| {
+                            panel_rows(&a.as_slice()[i0 * k..], b.as_slice(), chunk, k, n);
+                        });
+                    } else {
+                        chunked.copy_from_slice(out.as_slice());
+                    }
                     let want = colstable_per_cell(&a, &b);
-                    for (cell, (g, w)) in out.as_slice().iter().zip(&want).enumerate() {
-                        prop_assert!(
-                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                            "{} × {} · {} × {}, cell {}: panel {:?} vs per-cell {:?}",
-                            m, k, k, n, cell, g, w
-                        );
+                    for (cell, ((g, c), w)) in out.as_slice().iter().zip(&chunked).zip(&want).enumerate() {
+                        for got in [g, c] {
+                            prop_assert!(
+                                got.to_bits() == w.to_bits() || (got.is_nan() && w.is_nan()),
+                                "{} × {} · {} × {}, cell {}: panel {:?} vs per-cell {:?}",
+                                m, k, k, n, cell, got, w
+                            );
+                        }
                     }
                 }
             }
@@ -2051,44 +1972,6 @@ mod tests {
                             g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
                             "{} at {} × {}, cell {}: {:?} vs {:?}", what, m, k, cell, g, w
                         );
-                    }
-                }
-            }
-        }
-
-        /// The thin `A·B` at every depth up to `NR + 1` — its narrow
-        /// instances and the first depth past them — against the packed
-        /// kernel, bit for bit, at every width up to `NR` (both panel
-        /// widths of the instances), odd row counts split across two
-        /// workers, into a dirty output, with exact zeros and NaN / ±∞
-        /// cells in either operand. A NaN must be a NaN in both.
-        #[test]
-        fn prop_narrow_depth_thin_is_bit_identical_to_packed(
-            m in 0usize..70,
-            poison in 0usize..3,
-            seed in 0u64..u64::MAX,
-        ) {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            for k in 0..=NR + 1 {
-                for n in 1..=NR {
-                    let (a, b) = thin_case((m, k, n), false, poison, &mut rng);
-                    let (oa, ob) = driver_operands(&a, &b, false);
-                    let thin = drive(oa, ob, (m, k, n));
-                    let mut chunked = vec![f64::NAN; m * n];
-                    crate::par::par_row_chunks_with(&mut chunked, n, usize::MAX, 2, |row0, chunk| {
-                        chunk.fill(0.0);
-                        thin_gemm(oa, ob, chunk, row0, chunk.len() / n, k, n);
-                    });
-                    let mut packed = vec![0.0; m * n];
-                    packed_gemm(oa, ob, &mut packed, 0, m, k, n);
-                    for ((t, c), p) in thin.iter().zip(&chunked).zip(&packed) {
-                        for got in [t, c] {
-                            prop_assert!(
-                                got.to_bits() == p.to_bits() || (got.is_nan() && p.is_nan()),
-                                "{} × {} · {}: thin {:?} vs packed {:?}", m, k, n, got, p
-                            );
-                        }
                     }
                 }
             }
@@ -2178,7 +2061,7 @@ mod tests {
         /// Class sums against the one-hot product they replace, bit for
         /// bit on finite cells (exact and signed zeros included): every
         /// `k` from 1 to 12, so each of the product's paths — the `n == 1`
-        /// axpy loop, thin, packed and `axpy_gemm` — is on the other side,
+        /// axpy loop, thin and packed — is on the other side,
         /// with row counts across `KC` and `2·KC` and shapes on both sides
         /// of `PACK_FLOP_THRESHOLD`, into a dirty output.
         #[test]

@@ -9,17 +9,15 @@
 
 use amalur_obs::{Counter, Gauge, MetricsRegistry};
 
-/// GEMM calls routed to the thin kernel (right operand of at most one
-/// register panel, nothing packed).
+/// `Aᵀ·B` / `A·Bᵀ` calls routed to the thin kernel (one register panel,
+/// or too few flops to repay packing; nothing packed).
 pub(crate) static GEMM_THIN_DISPATCHES: Counter = Counter::new();
 
-/// GEMM calls routed to the packed register-blocked micro-kernel.
+/// `Aᵀ·B` / `A·Bᵀ` calls routed to the packed register-blocked
+/// micro-kernel.
 pub(crate) static GEMM_PACKED_DISPATCHES: Counter = Counter::new();
 
-/// GEMM calls routed to the blocked-axpy fallback (small problems).
-pub(crate) static GEMM_FALLBACK_DISPATCHES: Counter = Counter::new();
-
-/// Column-stable GEMM calls (the serving batching contract path).
+/// `A·B` calls of width `n ≥ 2`, all run by the column-stable panels.
 pub(crate) static GEMM_COLSTABLE_DISPATCHES: Counter = Counter::new();
 
 /// Fused gradient passes ([`crate::DenseMatrix::gradient_pass_into`]
@@ -47,7 +45,6 @@ pub(crate) static WORKSPACE_HIGH_WATER_ELEMS: Gauge = Gauge::new();
 pub fn mount_metrics(reg: &MetricsRegistry) {
     reg.mount_counter("matrix.gemm.thin_dispatches", &GEMM_THIN_DISPATCHES);
     reg.mount_counter("matrix.gemm.packed_dispatches", &GEMM_PACKED_DISPATCHES);
-    reg.mount_counter("matrix.gemm.fallback_dispatches", &GEMM_FALLBACK_DISPATCHES);
     reg.mount_counter(
         "matrix.gemm.colstable_dispatches",
         &GEMM_COLSTABLE_DISPATCHES,
@@ -72,27 +69,31 @@ mod tests {
         let reg = MetricsRegistry::new();
         mount_metrics(&reg);
         let before = reg.snapshot();
-        let thin = DenseMatrix::filled(4, 4, 1.0);
-        thin.matmul(&thin).expect("square matmul");
+        let small = DenseMatrix::filled(4, 4, 1.0);
+        small.matmul(&small).expect("square matmul");
+        let after_panels = reg.snapshot();
         let small_wide = DenseMatrix::filled(4, 12, 1.0);
-        thin.matmul(&small_wide).expect("4×4 · 4×12");
+        small.transpose_matmul(&small_wide).expect("4×4ᵀ · 4×12");
+        let after_thin = reg.snapshot();
         let big = DenseMatrix::filled(192, 192, 1.0);
-        big.matmul(&big).expect("square matmul");
+        big.transpose_matmul(&big).expect("square transpose_matmul");
         let after = reg.snapshot();
         // Other tests multiply concurrently, hence `>=`.
         let grew =
-            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0) >= 1;
+            |from: &amalur_obs::MetricsSnapshot, to: &amalur_obs::MetricsSnapshot, name: &str| {
+                to.counter(name).unwrap_or(0) - from.counter(name).unwrap_or(0) >= 1
+            };
         assert!(
-            grew("matrix.gemm.thin_dispatches"),
-            "n = 4 ≤ NR routes to the thin kernel"
+            grew(&before, &after_panels, "matrix.gemm.colstable_dispatches"),
+            "A·B at n = 4 routes to the column-stable panels"
         );
         assert!(
-            grew("matrix.gemm.packed_dispatches"),
-            "192³ routes to the packed kernel"
+            grew(&after_panels, &after_thin, "matrix.gemm.thin_dispatches"),
+            "Aᵀ·B at n = 12 under the FLOP threshold routes to the thin kernel"
         );
         assert!(
-            grew("matrix.gemm.fallback_dispatches"),
-            "n = 12 under the FLOP threshold routes to the axpy fallback"
+            grew(&after_thin, &after, "matrix.gemm.packed_dispatches"),
+            "Aᵀ·B at 192³ routes to the packed kernel"
         );
     }
 

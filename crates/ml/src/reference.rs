@@ -413,8 +413,9 @@ mod tests {
 
     /// K-means keeps the one-hot loop's bits on every backend: every
     /// `k` puts the dense product on another path (`n == 1`, thin at 3
-    /// and 8, packed at 9 on the tall table, `axpy_gemm` at 9 and 12 on
-    /// the short one), with and without early convergence.
+    /// and 8, packed at 9 on the tall table, thin under the packing
+    /// threshold at 9 and 12 on the short one), with and without early
+    /// convergence.
     #[test]
     fn kmeans_fits_equal_one_hot_reference() {
         for (rows, seed) in [(70, 6), (603, 7)] {

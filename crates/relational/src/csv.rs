@@ -6,7 +6,7 @@
 //! the narrowest column type over all rows (`Int64 → Float64 → Bool →
 //! Utf8`, with empty cells as NULL).
 
-use crate::{Column, Field, RelationalError, Result, Schema, Table};
+use crate::{Column, Field, RelationalError, Result, Schema, Table, Value};
 use std::borrow::Cow;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -62,14 +62,25 @@ pub fn read_csv(path: impl AsRef<Path>) -> Result<Table> {
     read_csv_str(&name, &text)
 }
 
-/// Serializes a table to CSV text.
+/// Serializes a table to CSV text that [`read_csv_str`] reads back to
+/// the same cells and column types: a float cell is written in Rust's
+/// round-trip form (`{:?}`), which always keeps a `.0` or an exponent,
+/// so `1.0` rereads as `Float64` rather than `Int64` and `-0.0` keeps
+/// its sign.
 pub fn to_csv_string(table: &Table) -> String {
     let mut out = String::new();
     let names = table.schema().names();
     out.push_str(&escape_row(&names));
     out.push('\n');
     for i in 0..table.num_rows() {
-        let cells: Vec<String> = table.row(i).iter().map(ToString::to_string).collect();
+        let cells: Vec<String> = table
+            .row(i)
+            .iter()
+            .map(|v| match v {
+                Value::Float(x) => format!("{x:?}"),
+                other => other.to_string(),
+            })
+            .collect();
         let refs: Vec<&str> = cells.iter().map(String::as_str).collect();
         out.push_str(&escape_row(&refs));
         out.push('\n');
@@ -90,7 +101,9 @@ fn escape_row(cells: &[&str]) -> String {
     cells
         .iter()
         .map(|c| {
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
+            // An unquoted CR is a line ending to the reader, so a cell
+            // holding one is quoted like one holding a newline.
+            if c.contains([',', '"', '\n', '\r']) {
                 format!("\"{}\"", c.replace('"', "\"\""))
             } else {
                 (*c).to_owned()
@@ -240,7 +253,7 @@ fn parse_column<'a>(cells: impl Iterator<Item = &'a str> + Clone) -> Column {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataType, Value};
+    use crate::DataType;
 
     #[test]
     fn parse_simple_csv() {
@@ -337,6 +350,23 @@ mod tests {
         let t2 = read_csv_str("t", &back).unwrap();
         assert_eq!(t.num_rows(), t2.num_rows());
         assert_eq!(t.value(1, "name").unwrap(), t2.value(1, "name").unwrap());
+    }
+
+    #[test]
+    fn roundtrip_keeps_carriage_returns_and_float_columns() {
+        let text = "note,x,y\n\"a\rb\",1.0,-0.0\nc,2.0,1e300\n";
+        let t = read_csv_str("t", text).unwrap();
+        assert_eq!(t.value(0, "note").unwrap(), "a\rb".into());
+        let back = read_csv_str("t", &to_csv_string(&t)).unwrap();
+        assert_eq!(back.schema(), t.schema());
+        assert_eq!(back.schema().field("x").unwrap().dtype, DataType::Float64);
+        for row in 0..2 {
+            assert_eq!(back.row(row), t.row(row));
+        }
+        let Value::Float(neg) = back.value(0, "y").unwrap() else {
+            panic!("y is a float column");
+        };
+        assert!(neg == 0.0 && neg.is_sign_negative());
     }
 
     #[test]

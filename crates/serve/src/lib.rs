@@ -25,10 +25,10 @@
 //!    held back to wait for companions: a request that finds a worker
 //!    idle runs at once, and batches form only out of the backlog that
 //!    builds while every worker is busy. Every predict — alone or
-//!    coalesced, one column or many — runs the same column-stable
-//!    kernel (`FactorizedTable::lmm_colstable_into`), in which column
-//!    `j` of the product depends on column `j` of the operand alone,
-//!    bit for bit. There is no second predict path for a request to
+//!    coalesced, one column or many — runs the one factorized LMM
+//!    (`FactorizedTable::lmm_into`, the same call training makes), in
+//!    which column `j` of the product depends on column `j` of the
+//!    operand alone, bit for bit. There is no second predict path for a request to
 //!    take, so coalescing is purely a throughput decision — it cannot
 //!    change a client's answer, whatever the request's width.
 //! 3. **Workers**: a fixed pool, each thread leasing its own shard of a

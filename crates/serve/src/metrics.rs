@@ -128,7 +128,7 @@ mod tests {
             "serve.batch.coalesced_predicts",
             "serve.worker.busy_us",
             "matrix.gemm.packed_dispatches",
-            "factorize.lmm_colstable.calls",
+            "factorize.lmm.calls",
         ] {
             assert!(snap.counter(name).is_some(), "{name} missing");
         }

@@ -469,10 +469,10 @@ fn execute_train(job: TrainJob, ws: &mut Workspace, metrics: &ServerMetrics) {
 const REPLY_BLOCK_ROWS: usize = 64;
 
 /// Runs one (dataset, version) batch of `total_cols` operand columns — a
-/// lone request is a batch of one — through the single column-stable
-/// GEMM and hands each requester its own columns. Column `j` of that
-/// product depends on column `j` of the operand alone, so a request's
-/// bytes cannot depend on its companions. Scratch (the coalesced
+/// lone request is a batch of one — through the one factorized LMM,
+/// `FactorizedTable::lmm_into`, and hands each requester its own
+/// columns. Column `j` of that product depends on column `j` of the
+/// operand alone, so a request's bytes cannot depend on its companions. Scratch (the coalesced
 /// rhs/out) comes from the worker's arena shard, so steady-state batches
 /// allocate nothing fresh; only the response matrices handed to clients
 /// are freshly allocated, without a zero fill.
@@ -513,7 +513,7 @@ fn execute_predict_batch(
     // Shapes were validated at admission, so a failure here is
     // exceptional; every requester learns about it, typed.
     let mut replies = table
-        .lmm_colstable_into(&rhs, &mut out, ws)
+        .lmm_into(&rhs, &mut out, ws)
         .map(|()| cut_replies(out.as_slice(), total_cols, jobs).into_iter());
     for job in jobs {
         let reply = match &mut replies {
