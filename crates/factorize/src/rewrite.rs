@@ -43,13 +43,17 @@
 //! # The base source in place
 //!
 //! The first source's gather *assigns* `out` — `out[i] = local[eff[i]]`,
-//! a zero row for `NO_MATCH` — and later sources add to it. When that
+//! a zero row for an uncovered target row — and later sources add to it.
+//! An uncovered row reads the sentinel row appended after the slots
+//! (`+0` when the source assigns, `−0` when it adds, so `out[i] + −0` is
+//! `out[i]` bit for bit, `−0` and NaN included): no gather or scatter
+//! tests for a missing match per row. When that
 //! source's `Îₖ` is the identity (recorded once in `SourcePlan::new`:
 //! `eff[i] = i` for every target row, `Dₖ` exactly `r_T` rows, no slots
 //! — the base table of a star), the gather is a plain copy of the
 //! `r_T × n` product, so `T·X` multiplies `Dₖ·(MₖᵀX)` straight into
 //! `out` instead: no `local` buffer, no copy, the same bits. Any other
-//! first source — a `NO_MATCH` row, a fan-out read, an unread source
+//! first source — an uncovered row, a fan-out read, an unread source
 //! row, a slot — and every later source keep the gather;
 //! `factorize.lmm.gather_rows` counts every matched row either way.
 //!
@@ -82,7 +86,7 @@
 
 use crate::table::{FactorizedTable, SourcePlan};
 use crate::{FactorizeError, Result};
-use amalur_matrix::{par_row_chunks, DenseMatrix, Workspace, NO_MATCH};
+use amalur_matrix::{par_row_chunks, DenseMatrix, Workspace};
 
 /// Execution strategy for the factorized operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -250,7 +254,7 @@ impl FactorizedTable {
                 // S = Î_intoᵀ Î_from Â_from, then Sᵀ·Â_into.
                 let mut s = DenseMatrix::zeros(into.rows(), from.cols());
                 for (&ef, &ei) in fp.eff.iter().zip(&ip.eff) {
-                    if ef == NO_MATCH || ei == NO_MATCH {
+                    if ef == fp.unmatched() || ei == ip.unmatched() {
                         continue;
                     }
                     scattered_rows += 1;
@@ -352,12 +356,17 @@ impl FactorizedTable {
             }
             // Into the plain rows of the stacked result.
             let plain = d.rows();
-            let mut local = ws.take_matrix(plain + plan.slots.len(), n);
+            let stacked_rows = plain + plan.slots.len() + 1;
+            let mut local = ws.take_matrix(stacked_rows, n);
             local.resize_rows(plain);
             d.matmul_into(&xk, &mut local)?;
-            local.resize_rows(plain + plan.slots.len());
+            local.resize_rows(stacked_rows);
+            let (plain_rows, rest) = local.as_mut_slice().split_at_mut(plain * n);
+            let (slot_rows, sentinel) = rest.split_at_mut(plan.slots.len() * n);
+            // The row an uncovered target row reads: a zero row for the
+            // source that assigns, the additive identity for the rest.
+            sentinel.fill(if k == 0 { 0.0 } else { -0.0 });
             // Slot (g, r) = local[r] − Σ_{j ∈ Z_g} Dₖ[r, CMₖ[j]]·X[j,:].
-            let (plain_rows, slot_rows) = local.as_mut_slice().split_at_mut(plain * n);
             for (slot, &(g, src)) in slot_rows.chunks_exact_mut(n.max(1)).zip(&plan.slots) {
                 slot.copy_from_slice(&plain_rows[src * n..(src + 1) * n]);
                 let d_row = d.row(src);
@@ -375,30 +384,30 @@ impl FactorizedTable {
             let work = out.rows().saturating_mul(n) * 2;
             par_row_chunks(out.as_mut_slice(), n, work, |i0, chunk| {
                 let eff = &eff[i0..];
-                if n == 1 {
-                    for (o, &e) in chunk.iter_mut().zip(eff) {
-                        let v = if e == NO_MATCH {
-                            0.0
-                        } else {
-                            stacked[e as usize]
-                        };
-                        *o = if k == 0 { v } else { *o + v };
-                    }
-                    return;
-                }
-                for (dst, &e) in chunk.chunks_exact_mut(n.max(1)).zip(eff) {
-                    if e == NO_MATCH {
-                        if k == 0 {
-                            dst.fill(0.0);
+                // One loop per (width, assign-or-add): a select on `k`
+                // inside the loop measured slower at width 1.
+                match (n, k) {
+                    (1, 0) => {
+                        for (o, &e) in chunk.iter_mut().zip(eff) {
+                            *o = stacked[e as usize];
                         }
-                        continue;
                     }
-                    let src = &stacked[e as usize * n..(e as usize + 1) * n];
-                    if k == 0 {
-                        dst.copy_from_slice(src);
-                    } else {
-                        for (dv, &sv) in dst.iter_mut().zip(src) {
-                            *dv += sv;
+                    (1, _) => {
+                        for (o, &e) in chunk.iter_mut().zip(eff) {
+                            *o += stacked[e as usize];
+                        }
+                    }
+                    (_, 0) => {
+                        for (dst, &e) in chunk.chunks_exact_mut(n.max(1)).zip(eff) {
+                            dst.copy_from_slice(&stacked[e as usize * n..][..n]);
+                        }
+                    }
+                    _ => {
+                        for (dst, &e) in chunk.chunks_exact_mut(n.max(1)).zip(eff) {
+                            let src = &stacked[e as usize * n..][..n];
+                            for (dv, &sv) in dst.iter_mut().zip(src) {
+                                *dv += sv;
+                            }
                         }
                     }
                 }
@@ -436,7 +445,10 @@ impl FactorizedTable {
             x.cols(),
             out,
             ws,
-            |plan, xk| Ok(x.scatter_rows_add_into(&plan.eff, xk)?),
+            |plan, xk| {
+                scatter_stacked(x, &plan.eff, xk);
+                Ok(())
+            },
             |d, local, _| Ok(d.transpose_matmul_into(x, local)?),
         )
     }
@@ -481,9 +493,7 @@ impl FactorizedTable {
                 let cells = xk.as_mut_slice();
                 cells.fill(0.0);
                 for (&e, &c) in plan.eff.iter().zip(class) {
-                    if e != NO_MATCH {
-                        cells[e as usize * k + c] += 1.0;
-                    }
+                    cells[e as usize * k + c] += 1.0;
                 }
                 Ok(())
             },
@@ -518,9 +528,11 @@ impl FactorizedTable {
                 // of the product can tell apart (module docs).
                 in_place(d, &mut local, ws)?;
             } else {
-                // Îₖᵀ X: scatter target rows into stacked rows.
+                // Îₖᵀ X: scatter target rows into stacked rows; the
+                // sentinel row after the slots collects the uncovered
+                // target rows and is dropped unread.
                 let plain = d.rows();
-                let mut xk = ws.take_matrix(plain + plan.slots.len(), n);
+                let mut xk = ws.take_matrix(plain + plan.slots.len() + 1, n);
                 scatter(plan, &mut xk)?;
                 // A slot row is what its source row received through
                 // group g: it owes out[j,:] −= Dₖ[r, CMₖ[j]]·slot for
@@ -632,6 +644,26 @@ impl FactorizedTable {
     }
 }
 
+/// `Îₖᵀ X` into the stacked rows of `xk` (fully overwritten): target row
+/// `i` of `x` is added into stacked row `eff[i]`, in ascending `i`. An
+/// uncovered row lands in the sentinel row, which no caller reads.
+fn scatter_stacked(x: &DenseMatrix, eff: &[u32], xk: &mut DenseMatrix) {
+    let n = x.cols();
+    let cells = xk.as_mut_slice();
+    cells.fill(0.0);
+    if n == 1 {
+        for (&v, &e) in x.as_slice().iter().zip(eff) {
+            cells[e as usize] += v;
+        }
+        return;
+    }
+    for (row, &e) in x.as_slice().chunks_exact(n.max(1)).zip(eff) {
+        for (dv, &sv) in cells[e as usize * n..][..n].iter_mut().zip(row) {
+            *dv += sv;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,6 +671,7 @@ mod tests {
     use amalur_integration::{
         DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
     };
+    use amalur_matrix::NO_MATCH;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use rand::SeedableRng;
 
@@ -917,31 +950,94 @@ mod tests {
         }
     }
 
-    /// `Tᵀ·X` as it was computed before an identity source read `X` in
-    /// place, kept as the oracle of that path: every source scatters `X`
-    /// through `eff` into zeroed stacked rows, folds its slots and
-    /// multiplies by `Dₖᵀ`.
-    fn lmm_transpose_scattered(ft: &FactorizedTable, x: &DenseMatrix) -> DenseMatrix {
+    /// `eff` coded as the gathers read it before the sentinel row: the
+    /// stacked row, or `NO_MATCH` for an uncovered target row.
+    fn eff_no_match(plan: &SourcePlan) -> Vec<i64> {
+        let unmatched = plan.unmatched();
+        plan.eff
+            .iter()
+            .map(|&e| {
+                if e == unmatched {
+                    NO_MATCH
+                } else {
+                    i64::from(e)
+                }
+            })
+            .collect()
+    }
+
+    /// `T·X` with the gather that tests `NO_MATCH` per target row — the
+    /// oracle of the sentinel row. Every source gathers, the base too.
+    fn lmm_no_match(ft: &FactorizedTable, x: &DenseMatrix) -> DenseMatrix {
         let n = x.cols();
-        let mut out = DenseMatrix::zeros(ft.target_shape().1, n);
-        for (_, d, plan) in ft.sources() {
+        let mut out = DenseMatrix::zeros(ft.target_shape().0, n);
+        for (k, (s, d, plan)) in ft.sources().enumerate() {
+            let xk = x
+                .scatter_rows_add(s.mapping.compressed(), s.mapping.source_cols())
+                .unwrap();
+            let mut local = d.matmul(&xk).unwrap();
             let plain = d.rows();
-            let mut xk = DenseMatrix::zeros(plain + plan.slots.len(), n);
-            x.scatter_rows_add_into(&plan.eff, &mut xk).unwrap();
-            for (s, &(g, src)) in plan.slots.iter().enumerate() {
-                let slot = xk.row(plain + s).to_vec();
+            local.resize_rows(plain + plan.slots.len());
+            for (slot, &(g, src)) in plan.slots.iter().enumerate() {
+                let mut row = local.row(src).to_vec();
                 for &(j, sc) in plan.zero_of(g) {
                     let coef = d.get(src, sc);
-                    for (ov, &xv) in out.row_mut(j).iter_mut().zip(&slot) {
-                        *ov -= coef * xv;
+                    for (v, &xv) in row.iter_mut().zip(x.row(j)) {
+                        *v -= coef * xv;
                     }
                 }
-                for (pv, &xv) in xk.row_mut(src).iter_mut().zip(&slot) {
-                    *pv += xv;
+                local.row_mut(plain + slot).copy_from_slice(&row);
+            }
+            for (i, &e) in eff_no_match(plan).iter().enumerate() {
+                let dst = out.row_mut(i);
+                if e == NO_MATCH {
+                    if k == 0 {
+                        dst.fill(0.0);
+                    }
+                    continue;
+                }
+                let src = local.row(e as usize);
+                if k == 0 {
+                    dst.copy_from_slice(src);
+                } else {
+                    for (dv, &sv) in dst.iter_mut().zip(src) {
+                        *dv += sv;
+                    }
                 }
             }
-            xk.resize_rows(plain);
-            let local = d.transpose_matmul(&xk).unwrap();
+        }
+        out
+    }
+
+    /// `Tᵀ·X` as it was computed before an identity source read `X` in
+    /// place and before the sentinel row, kept as the oracle of both:
+    /// every source scatters `X` through `eff` into zeroed stacked rows,
+    /// skipping `NO_MATCH`, folds its slots and multiplies by `Dₖᵀ`.
+    fn lmm_transpose_scattered(ft: &FactorizedTable, x: &DenseMatrix) -> DenseMatrix {
+        transpose_no_match(ft, x.cols(), |eff, xk| {
+            x.scatter_rows_add_into(eff, xk).unwrap();
+        })
+    }
+
+    /// The class sums with the one-hot scatter that tests `NO_MATCH`; an
+    /// identity source's term is `Dₖ`'s own class sums, as in production.
+    fn class_sums_no_match(ft: &FactorizedTable, class: &[usize], k: usize) -> DenseMatrix {
+        let mut ws = Workspace::new();
+        let mut out = DenseMatrix::zeros(ft.target_shape().1, k);
+        for (_, d, plan) in ft.sources() {
+            let local = if plan.identity {
+                let mut local = DenseMatrix::zeros(d.cols(), k);
+                d.class_sums_into(class, &mut local, &mut ws).unwrap();
+                local
+            } else {
+                transpose_term_no_match(d, plan, k, &mut out, |eff, xk| {
+                    for (&e, &c) in eff.iter().zip(class) {
+                        if e != NO_MATCH {
+                            xk.set(e as usize, c, xk.get(e as usize, c) + 1.0);
+                        }
+                    }
+                })
+            };
             for &(t, sc) in &plan.mapped {
                 for (ov, &lv) in out.row_mut(t).iter_mut().zip(local.row(sc)) {
                     *ov += lv;
@@ -949,6 +1045,227 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The compressed `Tᵀ·X` of an `n`-column operand, every source
+    /// scattered by `scatter(eff coded with NO_MATCH, zeroed xk)`.
+    fn transpose_no_match(
+        ft: &FactorizedTable,
+        n: usize,
+        scatter: impl Fn(&[i64], &mut DenseMatrix),
+    ) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(ft.target_shape().1, n);
+        for (_, d, plan) in ft.sources() {
+            let local = transpose_term_no_match(d, plan, n, &mut out, &scatter);
+            for &(t, sc) in &plan.mapped {
+                for (ov, &lv) in out.row_mut(t).iter_mut().zip(local.row(sc)) {
+                    *ov += lv;
+                }
+            }
+        }
+        out
+    }
+
+    /// One source's `Dₖᵀ (Îₖᵀ X)` before `Mₖ`: the scatter into zeroed
+    /// stacked rows, the slot fold (its masked cells owed to `out`), the
+    /// product.
+    fn transpose_term_no_match(
+        d: &DenseMatrix,
+        plan: &SourcePlan,
+        n: usize,
+        out: &mut DenseMatrix,
+        scatter: impl Fn(&[i64], &mut DenseMatrix),
+    ) -> DenseMatrix {
+        let plain = d.rows();
+        let mut xk = DenseMatrix::zeros(plain + plan.slots.len(), n);
+        scatter(&eff_no_match(plan), &mut xk);
+        for (s, &(g, src)) in plan.slots.iter().enumerate() {
+            let slot = xk.row(plain + s).to_vec();
+            for &(j, sc) in plan.zero_of(g) {
+                let coef = d.get(src, sc);
+                for (ov, &xv) in out.row_mut(j).iter_mut().zip(&slot) {
+                    *ov -= coef * xv;
+                }
+            }
+            for (pv, &xv) in xk.row_mut(src).iter_mut().zip(&slot) {
+                *pv += xv;
+            }
+        }
+        xk.resize_rows(plain);
+        d.transpose_matmul(&xk).unwrap()
+    }
+
+    /// The gram with cross terms that test `NO_MATCH` per target row.
+    fn gram_no_match(ft: &FactorizedTable) -> DenseMatrix {
+        let (rows, cols) = ft.target_shape();
+        let mut g = DenseMatrix::zeros(cols, cols);
+        let parts: Vec<(DenseMatrix, &SourcePlan, Vec<i64>)> = ft
+            .sources()
+            .map(|(_, d, p)| (p.stacked(d), p, eff_no_match(p)))
+            .collect();
+        for (k, (a, plan, ae)) in parts.iter().enumerate() {
+            let mut weighted = a.clone();
+            for (r, &c) in plan.counts.iter().enumerate() {
+                weighted.row_mut(r).iter_mut().for_each(|v| *v *= c);
+            }
+            let diag = a.transpose_matmul(&weighted).unwrap();
+            for (p, &(tp, sp)) in plan.mapped.iter().enumerate() {
+                for &(tq, sq) in &plan.mapped[p..] {
+                    let v = diag.get(sp, sq);
+                    g.set(tp, tq, g.get(tp, tq) + v);
+                    if tp != tq {
+                        g.set(tq, tp, g.get(tq, tp) + v);
+                    }
+                }
+            }
+            for (b, other, be) in &parts[k + 1..] {
+                let cost = |from: &DenseMatrix, into: &DenseMatrix| {
+                    rows * from.cols() + into.rows() * from.cols() * into.cols()
+                };
+                let ((from, fp, fe), (into, ip, ie)) = if cost(a, b) <= cost(b, a) {
+                    ((a, plan, ae), (b, other, be))
+                } else {
+                    ((b, other, be), (a, plan, ae))
+                };
+                let mut s = DenseMatrix::zeros(into.rows(), from.cols());
+                for (&ef, &ei) in fe.iter().zip(ie) {
+                    if ef == NO_MATCH || ei == NO_MATCH {
+                        continue;
+                    }
+                    let dst = s.row_mut(ei as usize);
+                    for (dv, &sv) in dst.iter_mut().zip(from.row(ef as usize)) {
+                        *dv += sv;
+                    }
+                }
+                let cross = s.transpose_matmul(into).unwrap();
+                for &(tp, sp) in &fp.mapped {
+                    for &(tq, sq) in &ip.mapped {
+                        let v = cross.get(sp, sq);
+                        g.set(tp, tq, g.get(tp, tq) + v);
+                        g.set(tq, tp, g.get(tq, tp) + v);
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    /// NR of the matrix crate's register panels.
+    const NR: usize = 8;
+
+    /// The sentinel row against the `NO_MATCH` branches it replaced, bit
+    /// for bit: generated stars and snowflakes with slots at coverage
+    /// 0.5, 0.9 and 1.0, and the multi-group table, at widths 1, 2, NR,
+    /// NR + 1 and 16, with NaN, ±∞, −0 and +0 in the operands and in
+    /// the sources.
+    #[test]
+    fn sentinel_gathers_are_bit_identical_to_the_no_match_oracle() {
+        use amalur_gen::{ScenarioSpec, Topology};
+        use rand::Rng;
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        let plant = |m: &mut DenseMatrix, every: usize| {
+            for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+                if i % every == 1 {
+                    *v = specials[(i / every) % specials.len()];
+                }
+            }
+        };
+        let mut tables = vec![multi_group_table(3), multi_group_table(9)];
+        for (seed, coverage) in [(1, 0.5), (2, 0.9), (3, 1.0), (4, 0.5), (5, 0.9), (6, 1.0)] {
+            let spec = ScenarioSpec {
+                topology: if seed <= 3 {
+                    Topology::Star { satellites: 2 }
+                } else {
+                    Topology::Snowflake { arms: 2, depth: 1 }
+                },
+                base_rows: 120 + seed as usize,
+                base_cols: 4,
+                dim_rows: 9,
+                dim_cols: 3,
+                shared_cols: 1,
+                coverage,
+                seed,
+                ..ScenarioSpec::default()
+            };
+            let (metadata, data) = amalur_gen::generate(&spec).unwrap();
+            tables.push(FactorizedTable::new(metadata, data).unwrap());
+        }
+        let (mut uncovered, mut slotted) = (0, 0);
+        for (t, clean) in tables.iter().enumerate() {
+            for ft in [clean.clone(), {
+                let data = clean
+                    .source_data()
+                    .iter()
+                    .map(|d| {
+                        let mut d = d.clone();
+                        plant(&mut d, 13);
+                        d
+                    })
+                    .collect();
+                FactorizedTable::new(clean.metadata().clone(), data).unwrap()
+            }] {
+                for (_, _, plan) in ft.sources() {
+                    uncovered += plan.eff.iter().filter(|&&e| e == plan.unmatched()).count();
+                    slotted += plan.slots.len();
+                }
+                let (rows, cols) = ft.target_shape();
+                let mut ws = Workspace::new();
+                for n in [1, 2, NR, NR + 1, 16] {
+                    let seed = (t * 100 + n) as u64;
+                    let mut x = x_for(cols, n, seed);
+                    plant(&mut x, 7);
+                    let mut out = DenseMatrix::filled(rows, n, 5.0);
+                    ft.lmm_into(&x, &mut out, &mut ws).unwrap();
+                    assert_eq!(
+                        bits(&out),
+                        bits(&lmm_no_match(&ft, &x)),
+                        "lmm, table {t}, n {n}"
+                    );
+                    let mut y = x_for(rows, n, seed + 1);
+                    plant(&mut y, 7);
+                    let mut out_t = DenseMatrix::filled(cols, n, 5.0);
+                    ft.lmm_transpose_into(&y, &mut out_t, &mut ws).unwrap();
+                    let want = lmm_transpose_scattered(&ft, &y);
+                    assert_eq!(bits(&out_t), bits(&want), "lmm_transpose, table {t}, n {n}");
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let class: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..n)).collect();
+                    let mut sums = DenseMatrix::filled(cols, n, 5.0);
+                    ft.class_sums_into(&class, &mut sums, &mut ws).unwrap();
+                    let want = class_sums_no_match(&ft, &class, n);
+                    assert_eq!(bits(&sums), bits(&want), "class sums, table {t}, n {n}");
+                }
+                assert_eq!(
+                    bits(&ft.gram()),
+                    bits(&gram_no_match(&ft)),
+                    "gram, table {t}"
+                );
+            }
+        }
+        assert!(
+            uncovered > 0 && slotted > 0,
+            "{uncovered} uncovered rows, {slotted} slots"
+        );
+    }
+
+    /// A source whose stacked rows cannot be indexed by `u32` is refused
+    /// with a typed error, before anything is sized by its rows: a
+    /// key-only source of 2³² rows puts its sentinel at index 2³².
+    #[test]
+    fn stacked_rows_past_u32_are_a_typed_error() {
+        let rows = u32::MAX as usize + 1;
+        let metadata = DiMetadata {
+            target_columns: vec!["c".into()],
+            target_rows: 2,
+            sources: vec![SourceMetadata {
+                name: "wide".into(),
+                mapped_columns: Vec::new(),
+                mapping: MappingMatrix::new(vec![NO_MATCH], 0).unwrap(),
+                indicator: IndicatorMatrix::new(vec![0, NO_MATCH], rows).unwrap(),
+                redundancy: RedundancyMatrix::all_ones(2, 1),
+            }],
+        };
+        let got = FactorizedTable::new(metadata, vec![DenseMatrix::zeros(rows, 0)]);
+        assert!(matches!(got, Err(FactorizeError::ShapeMismatch(_))));
     }
 
     fn bits(m: &DenseMatrix) -> Vec<u64> {

@@ -25,10 +25,18 @@ pub struct FactorizedTable {
 /// with the mapped columns of `Z_g` zeroed. Every target row reads
 /// exactly one stacked row (`eff`), so `T = Σₖ Îₖ Âₖ Mₖᵀ` with `Îₖ` a
 /// plain selection and all redundancy folded into the slot rows of `Âₖ`.
+///
+/// A target row the source does not cover reads one more row past the
+/// slots, the *sentinel* ([`Self::unmatched`]). The LMM fills it with
+/// `+0` for the source that assigns `out` and with `−0` for a source
+/// that adds (`x + −0 = x` for every `x`, `−0` included); the transposed
+/// side scatters into it and never reads it. So the hot gathers and
+/// scatters take no branch per row.
 #[derive(Debug, Clone)]
 pub(crate) struct SourcePlan {
-    /// Stacked row that target row `i` reads, or `NO_MATCH`.
-    pub(crate) eff: Vec<i64>,
+    /// Stacked row that target row `i` reads; [`Self::unmatched`] for a
+    /// row the source does not cover.
+    pub(crate) eff: Vec<u32>,
     /// `(group, source row)` of each slot, sorted (see
     /// `RedundancyMatrix::slots`); slot `s` is stacked row `r_Sk + s`.
     pub(crate) slots: Vec<(usize, usize)>,
@@ -54,26 +62,43 @@ pub(crate) struct SourcePlan {
 }
 
 impl SourcePlan {
-    fn new(s: &SourceMetadata) -> Self {
+    /// # Errors
+    /// [`FactorizeError::ShapeMismatch`] when the stacked rows and the
+    /// sentinel do not fit a `u32` row index.
+    fn new(s: &SourceMetadata) -> Result<Self> {
         let cm = s.mapping.compressed();
         let plain = s.indicator.source_rows();
         let slots = s.redundancy.slots(&s.indicator);
-        let mut eff = s.indicator.compressed().to_vec();
-        let mut counts = vec![0.0; plain + slots.len()];
+        // The sentinel is the stacked row after the last slot.
+        let unmatched = u32::try_from(plain + slots.len()).map_err(|_| {
+            FactorizeError::ShapeMismatch(format!(
+                "source {}: {} stacked rows exceed 32-bit row indices",
+                s.name,
+                plain + slots.len() + 1
+            ))
+        })?;
+        let mut counts = vec![0.0; unmatched as usize];
         let mut matched_rows = 0;
-        for (i, e) in eff.iter_mut().enumerate() {
-            if *e == NO_MATCH {
-                continue;
-            }
-            // `slots` holds every matched (group ≥ 1, row) pair; group 0
-            // reads the plain row.
-            let g = s.redundancy.group_of(i);
-            if let Ok(slot) = slots.binary_search(&(g, *e as usize)) {
-                *e = (plain + slot) as i64;
-            }
-            counts[*e as usize] += 1.0;
-            matched_rows += 1;
-        }
+        let eff: Vec<u32> = s
+            .indicator
+            .compressed()
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| {
+                if e == NO_MATCH {
+                    return unmatched;
+                }
+                // `slots` holds every matched (group ≥ 1, row) pair; group
+                // 0 reads the plain row.
+                let g = s.redundancy.group_of(i);
+                let row = slots
+                    .binary_search(&(g, e as usize))
+                    .map_or(e as usize, |slot| plain + slot);
+                counts[row] += 1.0;
+                matched_rows += 1;
+                row as u32
+            })
+            .collect();
         let mut group_zero = Vec::with_capacity(s.redundancy.group_count());
         let mut zero_pairs = Vec::new();
         for g in 0..s.redundancy.group_count() {
@@ -99,8 +124,8 @@ impl SourcePlan {
             .collect();
         let identity = slots.is_empty()
             && plain == eff.len()
-            && eff.iter().enumerate().all(|(i, &e)| e == i as i64);
-        Self {
+            && eff.iter().enumerate().all(|(i, &e)| e as usize == i);
+        Ok(Self {
             eff,
             slots,
             mapped,
@@ -110,7 +135,14 @@ impl SourcePlan {
             matched_rows,
             correction_cells,
             identity,
-        }
+        })
+    }
+
+    /// The sentinel stacked row an uncovered target row reads, one past
+    /// the slots.
+    pub(crate) fn unmatched(&self) -> u32 {
+        // `new` checked that it fits.
+        self.counts.len() as u32
     }
 
     /// `(target col, source col)` pairs a slot of `group` masks.
@@ -139,7 +171,9 @@ impl FactorizedTable {
     /// metadata's declared shape (`r_Sk × c_Sk`).
     ///
     /// # Errors
-    /// [`FactorizeError::ShapeMismatch`] on any disagreement.
+    /// [`FactorizeError::ShapeMismatch`] on any disagreement, or when a
+    /// source's stacked rows (plain rows, slots and the sentinel) do not
+    /// fit a `u32` row index.
     pub fn new(metadata: DiMetadata, data: Vec<DenseMatrix>) -> Result<Self> {
         metadata.validate()?;
         if metadata.sources.len() != data.len() {
@@ -167,7 +201,11 @@ impl FactorizedTable {
                 )));
             }
         }
-        let plans = metadata.sources.iter().map(SourcePlan::new).collect();
+        let plans = metadata
+            .sources
+            .iter()
+            .map(SourcePlan::new)
+            .collect::<Result<_>>()?;
         Ok(Self {
             metadata,
             data,
@@ -244,7 +282,7 @@ impl FactorizedTable {
             let a = plan.stacked(d);
             let out_rows = out.as_mut_slice().chunks_exact_mut(cols.max(1));
             for (out_row, &e) in out_rows.zip(&plan.eff) {
-                if e == NO_MATCH {
+                if e == plan.unmatched() {
                     continue;
                 }
                 let a_row = a.row(e as usize);
@@ -385,7 +423,7 @@ impl FactorizedTable {
                 })
                 .collect();
             for (o, &e) in out.iter_mut().zip(&plan.eff) {
-                if e != NO_MATCH {
+                if e != plan.unmatched() {
                     *o += norms[e as usize];
                 }
             }

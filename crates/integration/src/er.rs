@@ -11,6 +11,16 @@
 //!    two occurrence lists in row order — exactly what a greedy 1:1
 //!    resolution keeps of the `k_l · k_r` equal-score candidates. Every
 //!    occurrence, paired or surplus, stays out of the fuzzy phase.
+//!
+//!    Each table's key column is rendered once, into one buffer (the
+//!    cell's `Display`, NULL empty), and its non-empty keys are ordered by
+//!    (a fixed 64-bit FNV-1a hash of the rendered key, the key, the row).
+//!    Equal keys are then one run with its rows ascending, so one merge
+//!    join over both orders, finding runs by a linear scan, emits the
+//!    zipped pairs. The hash only makes the order cheap to compare: two
+//!    keys meet only when the strings themselves are equal, so a hash
+//!    collision costs a string comparison, never a wrong match. A star
+//!    orders its base's keys once for all of its satellites.
 //! 2. **Blocking**: the remaining rows are compared only within blocks
 //!    that share the lower-cased first character of the key, avoiding
 //!    the quadratic all-pairs comparison.
@@ -71,8 +81,9 @@
 
 use crate::jw::{similarity_at_least, KeyArena, Scratch, Verdict};
 use crate::{metrics, IntegrationError, Result};
-use amalur_relational::Table;
+use amalur_relational::{Column, Table};
 use std::cmp::Ordering;
+use std::fmt::Write as _;
 
 /// A scored row correspondence `(left row, right row)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,23 +126,100 @@ pub fn match_rows(
     right_key: &str,
     config: &ErConfig,
 ) -> Result<Vec<RowMatch>> {
-    let lkeys = render_keys(left, left_key)?;
-    let rkeys = render_keys(right, right_key)?;
+    let lkeys = Keys::new(left, left_key)?;
+    let rkeys = Keys::new(right, right_key)?;
     Ok(match_keys(&lkeys, &rkeys, config))
 }
 
-/// Renders column `key` of `table` row by row (NULL renders empty).
-pub(crate) fn render_keys(table: &Table, key: &str) -> Result<Vec<String>> {
-    let col = table
-        .column_by_name(key)
-        .map_err(|_| IntegrationError::UnknownColumn(key.to_owned()))?;
-    Ok((0..table.num_rows())
-        .map(|i| col.get(i).to_string())
-        .collect())
+/// One table's key column, rendered once: every row's key back to back
+/// in one buffer (NULL renders empty), and the non-empty keys in the
+/// exact phase's order.
+pub(crate) struct Keys {
+    text: String,
+    /// Row `i`'s key is `text[ends[i - 1]..ends[i]]` (from 0 for row 0).
+    ends: Vec<usize>,
+    /// `(fnv1a(key), row)` of every non-empty key, ordered by hash, then
+    /// key, then row: equal keys form one run with its rows ascending.
+    order: Vec<(u64, usize)>,
 }
 
-/// [`match_rows`] over already rendered keys, one per row.
-pub(crate) fn match_keys(lkeys: &[String], rkeys: &[String], config: &ErConfig) -> Vec<RowMatch> {
+impl Keys {
+    /// Renders column `key` of `table` and orders its non-empty keys.
+    pub(crate) fn new(table: &Table, key: &str) -> Result<Self> {
+        let col = table
+            .column_by_name(key)
+            .map_err(|_| IntegrationError::UnknownColumn(key.to_owned()))?;
+        let mut keys = Keys {
+            text: String::new(),
+            ends: Vec::with_capacity(col.len()),
+            order: Vec::new(),
+        };
+        match col {
+            Column::Int64(v) => keys.render(v),
+            Column::Float64(v) => keys.render(v),
+            Column::Bool(v) => keys.render(v),
+            Column::Utf8(v) => keys.render(v),
+        }
+        let mut order: Vec<(u64, usize)> = (0..keys.len())
+            .filter_map(|i| {
+                let k = keys.get(i);
+                (!k.is_empty()).then(|| (fnv1a(k), i))
+            })
+            .collect();
+        order.sort_unstable_by(|&(h, i), &(g, j)| {
+            h.cmp(&g)
+                .then_with(|| keys.get(i).cmp(keys.get(j)))
+                .then(i.cmp(&j))
+        });
+        keys.order = order;
+        Ok(keys)
+    }
+
+    /// Appends each cell's `Display` (what `Value`'s renders), NULL as
+    /// nothing, without building a `Value`.
+    fn render<T: std::fmt::Display>(&mut self, cells: &[Option<T>]) {
+        for cell in cells {
+            if let Some(x) = cell {
+                // Writing into a `String` cannot fail.
+                let _ = write!(self.text, "{x}");
+            }
+            self.ends.push(self.text.len());
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Row `i`'s rendered key.
+    pub(crate) fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    /// The end of the run of equal keys that starts at `order[p]`.
+    fn run_end(&self, p: usize) -> usize {
+        let (h, i) = self.order[p];
+        let key = self.get(i);
+        p + 1
+            + self.order[p + 1..]
+                .iter()
+                .take_while(|&&(g, j)| g == h && self.get(j) == key)
+                .count()
+    }
+}
+
+/// The 64-bit FNV-1a hash of `s`'s bytes: fixed, so the exact phase's
+/// key order is the same on every run and platform.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// [`match_rows`] over already rendered keys.
+pub(crate) fn match_keys(lkeys: &Keys, rkeys: &Keys, config: &ErConfig) -> Vec<RowMatch> {
     // Rows out of play: first every occurrence of an exactly matched key,
     // then also the rows the greedy resolution consumes.
     let mut left_taken = vec![false; lkeys.len()];
@@ -160,49 +248,44 @@ pub(crate) fn match_keys(lkeys: &[String], rkeys: &[String], config: &ErConfig) 
             out.push(c);
         }
     }
-    out.sort_unstable_by_key(|m| (m.left, m.right));
-    out
+    // Each left row is matched at most once, so the (left, right) order
+    // is a placement by left row, not a sort.
+    let mut by_left = vec![None; lkeys.len()];
+    for m in out {
+        by_left[m.left] = Some(m);
+    }
+    by_left.into_iter().flatten().collect()
 }
 
-/// Row indices of the non-empty keys, ordered by key and, within one
-/// key, by row (NULL renders empty and matches nothing).
-fn rows_by_key(keys: &[String]) -> Vec<usize> {
-    let mut rows: Vec<usize> = (0..keys.len()).filter(|&i| !keys[i].is_empty()).collect();
-    rows.sort_by(|&x, &y| keys[x].cmp(&keys[y])); // stable: row order within a key
-    rows
-}
-
-/// The exact phase: a merge join over both sides' [`rows_by_key`]. Each
-/// shared key emits the zip of its two occurrence lists and flags all of
-/// its occurrences.
+/// The exact phase: one merge join over both sides' key orders. Both
+/// orders compare (hash, key) first, so a key shared by the two sides
+/// meets itself once; its two runs, rows ascending, are zipped and all
+/// of their occurrences flagged.
 fn exact_matches(
-    lkeys: &[String],
-    rkeys: &[String],
+    lkeys: &Keys,
+    rkeys: &Keys,
     left_taken: &mut [bool],
     right_taken: &mut [bool],
 ) -> Vec<RowMatch> {
-    let lrows = rows_by_key(lkeys);
-    let rrows = rows_by_key(rkeys);
+    let (lorder, rorder) = (&lkeys.order, &rkeys.order);
     let mut out = Vec::new();
     let (mut p, mut q) = (0, 0);
-    while p < lrows.len() && q < rrows.len() {
-        let key = &lkeys[lrows[p]];
-        match key.cmp(&rkeys[rrows[q]]) {
+    while p < lorder.len() && q < rorder.len() {
+        let ((h, i), (g, j)) = (lorder[p], rorder[q]);
+        match h.cmp(&g).then_with(|| lkeys.get(i).cmp(rkeys.get(j))) {
             Ordering::Less => p += 1,
             Ordering::Greater => q += 1,
             Ordering::Equal => {
-                let lrun = lrows[p..].partition_point(|&i| lkeys[i] == *key);
-                let rrun = rrows[q..].partition_point(|&j| rkeys[j] == *key);
-                let (ls, rs) = (&lrows[p..p + lrun], &rrows[q..q + rrun]);
-                out.extend(ls.iter().zip(rs).map(|(&left, &right)| RowMatch {
+                let (ls, rs) = (&lorder[p..lkeys.run_end(p)], &rorder[q..rkeys.run_end(q)]);
+                out.extend(ls.iter().zip(rs).map(|(&(_, left), &(_, right))| RowMatch {
                     left,
                     right,
                     score: 1.0,
                 }));
-                ls.iter().for_each(|&i| left_taken[i] = true);
-                rs.iter().for_each(|&j| right_taken[j] = true);
-                p += lrun;
-                q += rrun;
+                ls.iter().for_each(|&(_, i)| left_taken[i] = true);
+                rs.iter().for_each(|&(_, j)| right_taken[j] = true);
+                p += ls.len();
+                q += rs.len();
             }
         }
     }
@@ -212,8 +295,8 @@ fn exact_matches(
 /// The fuzzy phase: every pair of rows not matched exactly whose keys
 /// share a block and score at least `threshold`.
 fn fuzzy_candidates(
-    lkeys: &[String],
-    rkeys: &[String],
+    lkeys: &Keys,
+    rkeys: &Keys,
     left_taken: &[bool],
     right_taken: &[bool],
     threshold: f64,
@@ -221,26 +304,25 @@ fn fuzzy_candidates(
     let block_of = |s: &str| s.chars().next().map(|c| c.to_ascii_lowercase());
     // Right rows in (block, row) order, so a block is one contiguous run
     // of decoded keys.
-    let mut blocked: Vec<(char, usize)> = rkeys
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| !right_taken[j])
-        .filter_map(|(j, k)| block_of(k).map(|b| (b, j)))
+    let mut blocked: Vec<(char, usize)> = (0..rkeys.len())
+        .filter(|&j| !right_taken[j])
+        .filter_map(|j| block_of(rkeys.get(j)).map(|b| (b, j)))
         .collect();
     blocked.sort_unstable();
     let mut right = KeyArena::default();
     for &(_, j) in &blocked {
-        right.push(&rkeys[j]);
+        right.push(rkeys.get(j));
     }
 
     let mut candidates = Vec::new();
     let mut probe = KeyArena::default();
     let mut scratch = Scratch::default();
     let (mut block_pairs, mut pruned, mut scored) = (0usize, 0u64, 0u64);
-    for (i, k) in lkeys.iter().enumerate() {
-        if left_taken[i] {
+    for (i, &taken) in left_taken.iter().enumerate() {
+        if taken {
             continue;
         }
+        let k = lkeys.get(i);
         let Some(b) = block_of(k) else { continue };
         let start = blocked.partition_point(|&(c, _)| c < b);
         let len = blocked[start..].partition_point(|&(c, _)| c == b);
@@ -274,7 +356,7 @@ fn fuzzy_candidates(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference::{self, jaro_winkler};
     use amalur_relational::{DataType, TableBuilder, Value};
@@ -559,6 +641,88 @@ mod tests {
                 Value::Str(key)
             })
             .collect()
+    }
+
+    /// The key types a column can hold, with the cells the exact phase
+    /// must tell apart or equate by their rendering: `-0.0` renders "-0"
+    /// and `0` "0", `7` and `7.0` both render "7", NaN renders "NaN",
+    /// and a string may spell any of them. NULL renders empty.
+    pub(crate) const KEY_TYPES: [DataType; 4] = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Bool,
+        DataType::Utf8,
+    ];
+
+    pub(crate) fn random_typed_keys(rng: &mut StdRng, dtype: DataType, rows: usize) -> Vec<Value> {
+        let pool: Vec<Value> = match dtype {
+            DataType::Int64 => vec![0.into(), 7.into(), (-3).into(), 12.into(), Value::Null],
+            DataType::Float64 => vec![
+                0.0.into(),
+                (-0.0).into(),
+                7.0.into(),
+                f64::NAN.into(),
+                2.5.into(),
+                (-3.0).into(),
+                f64::INFINITY.into(),
+                Value::Null,
+            ],
+            DataType::Bool => vec![true.into(), false.into(), Value::Null],
+            DataType::Utf8 => ["7", "0", "-0", "NaN", "true", "7.0", "", "inf", "jane"]
+                .into_iter()
+                .map(Value::from)
+                .chain([Value::Null])
+                .collect(),
+        };
+        (0..rows)
+            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+        /// The exact phase's rendered-string semantics on every pair of
+        /// key types, duplicates on both sides, exact and fuzzy.
+        #[test]
+        fn typed_key_match_rows_equals_reference(
+            seed in 0u64..u64::MAX,
+            ltype in 0usize..4,
+            rtype in 0usize..4,
+            threshold in 0.5f64..1.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (lt, rt) = (KEY_TYPES[ltype], KEY_TYPES[rtype]);
+            let l = keyed("l", lt, random_typed_keys(&mut rng, lt, seed as usize % 40));
+            let r = keyed("r", rt, random_typed_keys(&mut rng, rt, (seed >> 8) as usize % 40));
+            for exact_only in [false, true] {
+                let config = ErConfig { threshold, exact_only };
+                let got = match_rows(&l, &r, "k", "k", &config).unwrap();
+                let expected = reference::match_rows(&l, &r, "k", "k", &config).unwrap();
+                prop_assert_eq!(bits(&got), bits(&expected));
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_nan_and_integral_floats_match_by_rendering() {
+        let l = keyed(
+            "l",
+            DataType::Float64,
+            vec![(-0.0).into(), 0.0.into(), f64::NAN.into(), 7.0.into()],
+        );
+        let r = keyed("r", DataType::Int64, vec![7.into(), 0.into(), 0.into()]);
+        let s = keyed("s", DataType::Utf8, vec!["NaN".into(), "-0".into()]);
+        let exact = ErConfig {
+            exact_only: true,
+            ..ErConfig::default()
+        };
+        let pairs = |a: &Table, b: &Table| -> Vec<(usize, usize)> {
+            let got = match_rows(a, b, "k", "k", &exact).unwrap();
+            got.iter().map(|m| (m.left, m.right)).collect()
+        };
+        // "-0" is not "0"; "0" zips with the first "0"; "7" equals "7".
+        assert_eq!(pairs(&l, &r), vec![(1, 1), (3, 0)]);
+        assert_eq!(pairs(&l, &s), vec![(0, 1), (2, 0)]);
     }
 
     proptest! {

@@ -18,7 +18,7 @@
 //! column wins, later duplicates are masked by redundancy matrices —
 //! the same base-table precedence as §III-C.
 
-use crate::er::{match_keys, render_keys};
+use crate::er::{match_keys, Keys};
 use crate::matching::{match_profiled, ProfiledTable};
 use crate::metadata::{
     DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
@@ -61,10 +61,11 @@ pub fn integrate_star(
     }
 
     // --- ER per satellite: base row → satellite row -----------------------
-    let base_keys = render_keys(base, key)?;
+    // The base's keys are rendered and ordered once for every satellite.
+    let base_keys = Keys::new(base, key)?;
     let mut sat_of_base: Vec<Vec<i64>> = Vec::with_capacity(satellites.len());
     for s in satellites {
-        let matches = match_keys(&base_keys, &render_keys(s, &opts.key.1)?, &opts.er);
+        let matches = match_keys(&base_keys, &Keys::new(s, &opts.key.1)?, &opts.er);
         let mut map = vec![NO_MATCH; base.num_rows()];
         for m in &matches {
             map[m.left] = m.right as i64;
@@ -371,6 +372,59 @@ mod tests {
         .unwrap()
         .build();
         assert!(integrate_star(&b, &[&empty_sat], StarKind::Inner, &opts()).is_err());
+    }
+
+    /// A table keyed by `pid` of type `dtype`, its keys from the ER
+    /// tests' typed pool, with one feature column `feat`.
+    fn typed_silo(
+        name: &str,
+        feat: &str,
+        dtype: DataType,
+        rows: usize,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Table {
+        let keys = crate::er::tests::random_typed_keys(rng, dtype, rows);
+        let mut b = TableBuilder::new(name, &[("pid", dtype), (feat, DataType::Float64)]).unwrap();
+        for (i, key) in keys.into_iter().enumerate() {
+            b = b.row(vec![key, (i as f64).into()]).unwrap();
+        }
+        b.build()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Every satellite's indicator vector is the one the reference
+        /// matcher's pairs build, on typed keys of any mix, exact or fuzzy.
+        #[test]
+        fn star_indicators_equal_reference_matches(
+            seed in 0u64..u64::MAX,
+            satellites in 1usize..4,
+            exact in 0usize..2,
+        ) {
+            use crate::er::tests::KEY_TYPES;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let silo = |name: &str, feat: &str, rng: &mut rand::rngs::StdRng| {
+                let dtype = KEY_TYPES[rng.gen_range(0..KEY_TYPES.len())];
+                let rows = rng.gen_range(1..30);
+                typed_silo(name, feat, dtype, rows, rng)
+            };
+            let b = silo("base", "f0", &mut rng);
+            let sats: Vec<Table> = (1..=satellites)
+                .map(|k| silo(&format!("s{k}"), &format!("f{k}"), &mut rng))
+                .collect();
+            let mut opts = opts();
+            opts.er.exact_only = exact == 1;
+            let refs: Vec<&Table> = sats.iter().collect();
+            let r = integrate_star(&b, &refs, StarKind::Left, &opts).unwrap();
+            for (s, src) in sats.iter().zip(&r.metadata.sources[1..]) {
+                let mut want = vec![NO_MATCH; b.num_rows()];
+                for m in crate::reference::match_rows(&b, s, "pid", "pid", &opts.er).unwrap() {
+                    want[m.left] = m.right as i64;
+                }
+                proptest::prop_assert_eq!(src.indicator.compressed(), &want[..]);
+            }
+        }
     }
 
     #[test]

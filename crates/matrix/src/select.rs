@@ -81,23 +81,22 @@ impl DenseMatrix {
         }
         let cols = self.cols();
         let out_rows = out.rows();
+        // Every index is checked before the first write, so an error
+        // leaves `out` as it was.
+        if let Some(&dst) = idx.iter().find(|&&d| d >= 0 && d as usize >= out_rows) {
+            return Err(MatrixError::IndexOutOfBounds {
+                index: (dst as usize, 0),
+                shape: (out_rows, cols),
+            });
+        }
         out.as_mut_slice().fill(0.0);
         // Column fast path: one indexed add per row.
         if cols == 1 {
-            let src = self.as_slice();
             let dst_col = out.as_mut_slice();
-            for (&v, &dst) in src.iter().zip(idx) {
-                if dst < 0 {
-                    continue;
+            for (&v, &dst) in self.as_slice().iter().zip(idx) {
+                if dst >= 0 {
+                    dst_col[dst as usize] += v;
                 }
-                let dst = dst as usize;
-                if dst >= out_rows {
-                    return Err(MatrixError::IndexOutOfBounds {
-                        index: (dst, 0),
-                        shape: (out_rows, cols),
-                    });
-                }
-                dst_col[dst] += v;
             }
             return Ok(());
         }
@@ -106,12 +105,6 @@ impl DenseMatrix {
                 continue;
             }
             let dst = dst as usize;
-            if dst >= out_rows {
-                return Err(MatrixError::IndexOutOfBounds {
-                    index: (dst, 0),
-                    shape: (out_rows, cols),
-                });
-            }
             let src_row = &self.as_slice()[i * cols..(i + 1) * cols];
             let dst_row = &mut out.as_mut_slice()[dst * cols..(dst + 1) * cols];
             for (d, &s) in dst_row.iter_mut().zip(src_row) {
@@ -254,6 +247,19 @@ mod tests {
         assert_eq!(out.row(2), &[3.0, 3.0]);
         let mut wrong_cols = DenseMatrix::zeros(3, 1);
         assert!(m.scatter_rows_add_into(&[2, 2], &mut wrong_cols).is_err());
+    }
+
+    #[test]
+    fn scatter_rows_add_into_leaves_out_unchanged_on_a_bad_index() {
+        // The bad index sits on the last row, after rows that would
+        // already have been accumulated; one- and two-column operands.
+        for cols in [1, 2] {
+            let m = DenseMatrix::filled(3, cols, 1.5);
+            let mut out = DenseMatrix::filled(2, cols, -7.25);
+            let err = m.scatter_rows_add_into(&[0, 1, 2], &mut out);
+            assert!(matches!(err, Err(MatrixError::IndexOutOfBounds { .. })));
+            assert_eq!(out, DenseMatrix::filled(2, cols, -7.25), "cols {cols}");
+        }
     }
 
     #[test]
