@@ -158,6 +158,28 @@ impl FactorizedTable {
         self.lmm_core_into(x, out, ws, Strategy::Compressed)
     }
 
+    /// The lengths of the two scratch buffers [`Self::lmm_into`] checks
+    /// out of its workspace for an `n`-column operand: `MₖᵀX` of the
+    /// source with the most columns, and the stacked rows (plain rows,
+    /// slots and the sentinel) of the tallest source that gathers. Each
+    /// call takes exactly these two, once, and reshapes them per source,
+    /// so after `Workspace::reserve` of this list every call of width at
+    /// most `n` is a pool hit.
+    pub fn lmm_scratch(&self, n: usize) -> [usize; 2] {
+        self.lmm_scratch_rows().map(|rows| rows * n)
+    }
+
+    fn lmm_scratch_rows(&self) -> [usize; 2] {
+        let mut rows = [0, 0];
+        for (k, (s, _, plan)) in self.sources().enumerate() {
+            rows[0] = rows[0].max(s.mapping.source_cols());
+            if !(k == 0 && plan.identity) {
+                rows[1] = rows[1].max(plan.stacked_rows());
+            }
+        }
+        rows
+    }
+
     /// An alias of [`Self::lmm_into`], which is column-stable by
     /// construction; kept for callers that use this name.
     ///
@@ -340,27 +362,30 @@ impl FactorizedTable {
         if self.num_sources() == 0 {
             out.as_mut_slice().fill(0.0);
         }
+        // The scratch of `lmm_scratch(n)`, reshaped per source. Every
+        // stacked cell a gather reads is written first (plain rows by the
+        // product, then slots and sentinel), so it needs no zero fill.
+        let [xk_rows, stacked_rows_max] = self.lmm_scratch_rows();
+        let mut xk = ws.take_matrix(xk_rows, n);
+        let mut local = ws.take_matrix_stale(stacked_rows_max, n);
         for (k, (s, d, plan)) in self.sources().enumerate() {
             gathered += plan.matched_rows;
             corrected += plan.correction_cells * n;
             // Mₖᵀ X: scatter X's target-column rows into source-column rows.
-            let mut xk = ws.take_matrix(s.mapping.source_cols(), n);
+            xk.resize_rows(s.mapping.source_cols());
             x.scatter_rows_add_into(s.mapping.compressed(), &mut xk)?;
             if k == 0 && plan.identity {
                 // The first source assigns, and its `Îₖ` is the identity:
                 // the product goes straight into `out`, the exact copy
                 // the gather would have made.
                 d.matmul_into(&xk, out)?;
-                ws.give_matrix(xk);
                 continue;
             }
             // Into the plain rows of the stacked result.
             let plain = d.rows();
-            let stacked_rows = plain + plan.slots.len() + 1;
-            let mut local = ws.take_matrix(stacked_rows, n);
             local.resize_rows(plain);
             d.matmul_into(&xk, &mut local)?;
-            local.resize_rows(stacked_rows);
+            local.resize_rows(plan.stacked_rows());
             let (plain_rows, rest) = local.as_mut_slice().split_at_mut(plain * n);
             let (slot_rows, sentinel) = rest.split_at_mut(plan.slots.len() * n);
             // The row an uncovered target row reads: a zero row for the
@@ -412,9 +437,9 @@ impl FactorizedTable {
                     }
                 }
             });
-            ws.give_matrix(xk);
-            ws.give_matrix(local);
         }
+        ws.give_matrix(xk);
+        ws.give_matrix(local);
         crate::metrics::LMM_GATHER_ROWS.add(gathered as u64);
         crate::metrics::LMM_CORRECTION_CELLS.add(corrected as u64);
         Ok(())
@@ -532,7 +557,7 @@ impl FactorizedTable {
                 // sentinel row after the slots collects the uncovered
                 // target rows and is dropped unread.
                 let plain = d.rows();
-                let mut xk = ws.take_matrix(plain + plan.slots.len() + 1, n);
+                let mut xk = ws.take_matrix(plan.stacked_rows(), n);
                 scatter(plan, &mut xk)?;
                 // A slot row is what its source row received through
                 // group g: it owes out[j,:] −= Dₖ[r, CMₖ[j]]·slot for
@@ -1392,6 +1417,156 @@ mod tests {
                 }
                 assert_eq!(ws.fresh_allocations(), warm, "width {n}");
             }
+        }
+    }
+
+    /// A base that is the identity and a second source that no target
+    /// row reads.
+    fn uncovered_source_table() -> FactorizedTable {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA7);
+        let indicator0 = IndicatorMatrix::new((0..6).collect(), 6).unwrap();
+        let mapping0 = MappingMatrix::new(vec![0, 1, NO_MATCH, NO_MATCH], 2).unwrap();
+        let indicator1 = IndicatorMatrix::new(vec![NO_MATCH; 6], 3).unwrap();
+        let mapping1 = MappingMatrix::new(vec![NO_MATCH, NO_MATCH, 0, 1], 2).unwrap();
+        let redundancy1 =
+            RedundancyMatrix::against_earlier(&[(&indicator0, &mapping0)], &indicator1, &mapping1)
+                .unwrap();
+        let source = |name: &str, mapping, indicator, redundancy| SourceMetadata {
+            name: name.into(),
+            mapped_columns: vec!["a".into(), "b".into()],
+            mapping,
+            indicator,
+            redundancy,
+        };
+        let metadata = DiMetadata {
+            target_columns: (0..4).map(|i| format!("c{i}")).collect(),
+            target_rows: 6,
+            sources: vec![
+                source(
+                    "base",
+                    mapping0,
+                    indicator0,
+                    RedundancyMatrix::all_ones(6, 4),
+                ),
+                source("unread", mapping1, indicator1, redundancy1),
+            ],
+        };
+        let data = vec![
+            DenseMatrix::random_uniform(6, 2, -1.0, 1.0, &mut rng),
+            DenseMatrix::random_uniform(3, 2, -1.0, 1.0, &mut rng),
+        ];
+        FactorizedTable::new(metadata, data).unwrap()
+    }
+
+    /// Tables whose LMM scratch differs in kind: an identity base taken
+    /// in place, gathered first sources (an uncovered row, a slot, a
+    /// fan-out read), a multi-group source with shared slots, generated
+    /// stars and snowflakes with partial coverage, a source no target row
+    /// reads, and no source at all.
+    fn scratch_tables() -> Vec<FactorizedTable> {
+        let mut tables = vec![
+            generated_star(3, 4),
+            star_with_base(Base::NoMatchRow),
+            star_with_base(Base::OneSlot),
+            star_with_base(Base::FanOutRead),
+            multi_group_table(7),
+            uncovered_source_table(),
+        ];
+        for (seed, topology) in [
+            (1, amalur_gen::Topology::Star { satellites: 2 }),
+            (4, amalur_gen::Topology::Snowflake { arms: 2, depth: 1 }),
+        ] {
+            let spec = amalur_gen::ScenarioSpec {
+                topology,
+                base_rows: 90,
+                base_cols: 4,
+                dim_rows: 9,
+                dim_cols: 3,
+                shared_cols: 1,
+                coverage: 0.5,
+                seed,
+                ..amalur_gen::ScenarioSpec::default()
+            };
+            let (metadata, data) = amalur_gen::generate(&spec).unwrap();
+            tables.push(FactorizedTable::new(metadata, data).unwrap());
+        }
+        let metadata = DiMetadata {
+            target_columns: vec!["a".into(), "b".into()],
+            target_rows: 3,
+            sources: Vec::new(),
+        };
+        tables.push(FactorizedTable::new(metadata, Vec::new()).unwrap());
+        tables
+    }
+
+    /// `lmm_into` overwrites every cell of `out` and of the scratch it
+    /// takes without a zero fill: into a NaN `out`, through a pool whose
+    /// buffers are full of NaN, it gives the bits of a run on a zeroed
+    /// `out` and fresh, zeroed scratch.
+    #[test]
+    fn lmm_into_ignores_stale_scratch() {
+        for (t, ft) in scratch_tables().iter().enumerate() {
+            let (rows, cols) = ft.target_shape();
+            let mut stale = Workspace::new();
+            let bufs = ft.lmm_scratch(16).map(|len| stale.take(len));
+            for mut buf in bufs {
+                buf.fill(f64::NAN);
+                stale.give(buf);
+            }
+            for n in [1, 2, NR, NR + 1, 16] {
+                let x = x_for(cols, n, (t * 100 + n) as u64);
+                let mut want = DenseMatrix::zeros(rows, n);
+                ft.lmm_into(&x, &mut want, &mut Workspace::new()).unwrap();
+                let mut got = DenseMatrix::filled(rows, n, f64::NAN);
+                ft.lmm_into(&x, &mut got, &mut stale).unwrap();
+                assert_eq!(bits(&got), bits(&want), "table {t}, n {n}");
+            }
+        }
+    }
+
+    /// `lmm_scratch(w)` is every buffer `lmm_into` takes at width `w`:
+    /// reserved once, it serves every narrower call from the pool.
+    #[test]
+    fn lmm_scratch_reservation_is_exact() {
+        for (t, ft) in scratch_tables().iter().enumerate() {
+            let (rows, cols) = ft.target_shape();
+            for w in [1, NR, 16] {
+                let mut ws = Workspace::new();
+                ws.reserve(&ft.lmm_scratch(w));
+                let reserved = ws.fresh_allocations();
+                for n in 1..=w {
+                    let mut out = DenseMatrix::zeros(rows, n);
+                    ft.lmm_into(&x_for(cols, n, n as u64), &mut out, &mut ws)
+                        .unwrap();
+                }
+                assert_eq!(ws.fresh_allocations(), reserved, "table {t}, width {w}");
+            }
+        }
+    }
+
+    /// What a call checks out it gives back in full, so once the first
+    /// calls have sized the pool the high-water mark stops moving.
+    #[test]
+    fn workspace_high_water_is_flat_once_warm() {
+        for (t, ft) in scratch_tables().iter().enumerate() {
+            let (rows, cols) = ft.target_shape();
+            let n = 3;
+            let x = x_for(cols, n, 5);
+            let y = x_for(rows, n, 6);
+            let class: Vec<usize> = (0..rows).map(|i| i % n).collect();
+            let (mut out, mut out_t) = (DenseMatrix::zeros(rows, n), DenseMatrix::zeros(cols, n));
+            let mut ws = Workspace::new();
+            let mut round = |ws: &mut Workspace| {
+                ft.lmm_into(&x, &mut out, ws).unwrap();
+                ft.lmm_transpose_into(&y, &mut out_t, ws).unwrap();
+                ft.class_sums_into(&class, &mut out_t, ws).unwrap();
+            };
+            round(&mut ws);
+            let high_water = ws.high_water_elems();
+            for _ in 0..50 {
+                round(&mut ws);
+            }
+            assert_eq!(ws.high_water_elems(), high_water, "table {t}");
         }
     }
 

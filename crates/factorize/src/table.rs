@@ -145,6 +145,12 @@ impl SourcePlan {
         self.counts.len() as u32
     }
 
+    /// Rows of the stacked buffer a gather or scatter works in: the
+    /// plain rows, the slots and the sentinel.
+    pub(crate) fn stacked_rows(&self) -> usize {
+        self.unmatched() as usize + 1
+    }
+
     /// `(target col, source col)` pairs a slot of `group` masks.
     pub(crate) fn zero_of(&self, group: usize) -> &[(usize, usize)] {
         let (start, end) = self.group_zero[group];

@@ -12,9 +12,18 @@
 //!   requested length, reusing the smallest pooled buffer whose
 //!   capacity fits; only a pool miss allocates (and increments
 //!   [`Workspace::fresh_allocations`], which tests use to assert
-//!   steady-state behaviour).
+//!   steady-state behaviour). A zero length takes nothing from the pool
+//!   and allocates nothing.
+//! * [`Workspace::take_stale`] is the same take without the zero fill:
+//!   a pooled buffer keeps its old cells and only the part past its old
+//!   length is zeroed. It is for outputs whose callee overwrites every
+//!   cell before reading any.
 //! * [`Workspace::give`] returns a buffer to the pool; shape is
 //!   irrelevant, only capacity is tracked.
+//! * [`Workspace::reserve`] leaves buffers of given lengths in the pool
+//!   without writing a cell, so a loop whose widest iteration is known
+//!   up front can be warmed before it runs: an untouched capacity costs
+//!   no page faults until a take really uses it.
 //! * `*_into` kernels never allocate for their *output* (the caller
 //!   owns it); they may check scratch out of a workspace they are
 //!   handed, and always return it before they come back.
@@ -45,23 +54,27 @@ impl Workspace {
     /// Reuses the best-fitting pooled buffer; allocates only when no
     /// pooled buffer has sufficient capacity.
     pub fn take(&mut self, len: usize) -> Vec<f64> {
-        self.outstanding_elems += len;
-        if self.outstanding_elems > self.high_water_elems {
-            self.high_water_elems = self.outstanding_elems;
-            crate::metrics::WORKSPACE_HIGH_WATER_ELEMS.set_max(self.high_water_elems as u64);
+        self.checkout(len, true)
+    }
+
+    /// Checks out a buffer of length `len` whose cells are unspecified:
+    /// a pooled buffer keeps what its last user left in it, and only the
+    /// cells past its old length are zeroed. For callers that overwrite
+    /// every cell before they read one.
+    pub fn take_stale(&mut self, len: usize) -> Vec<f64> {
+        self.checkout(len, false)
+    }
+
+    fn checkout(&mut self, len: usize, zeroed: bool) -> Vec<f64> {
+        if len == 0 {
+            return Vec::new();
         }
-        // Best fit: smallest capacity that still holds `len`.
-        let mut best: Option<(usize, usize)> = None; // (index, capacity)
-        for (i, buf) in self.pool.iter().enumerate() {
-            let cap = buf.capacity();
-            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
-                best = Some((i, cap));
-            }
-        }
-        match best {
-            Some((i, _)) => {
+        let buf = match self.best_fit(self.pool.len(), len) {
+            Some(i) => {
                 let mut buf = self.pool.swap_remove(i);
-                buf.clear();
+                if zeroed {
+                    buf.clear();
+                }
                 buf.resize(len, 0.0);
                 buf
             }
@@ -69,13 +82,63 @@ impl Workspace {
                 self.fresh_allocations += 1;
                 vec![0.0; len]
             }
+        };
+        // Capacity, not length: `give` sees only the buffer, whose
+        // length its user may have changed, but not its capacity.
+        self.outstanding_elems += buf.capacity();
+        if self.outstanding_elems > self.high_water_elems {
+            self.high_water_elems = self.outstanding_elems;
+            crate::metrics::WORKSPACE_HIGH_WATER_ELEMS.set_max(self.high_water_elems as u64);
+        }
+        buf
+    }
+
+    /// Index of the smallest pooled buffer among the first `live` that
+    /// holds `len` cells.
+    fn best_fit(&self, live: usize, len: usize) -> Option<usize> {
+        let mut best: Option<(usize, usize)> = None; // (index, capacity)
+        for (i, buf) in self.pool[..live].iter().enumerate() {
+            let cap = buf.capacity();
+            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
+                best = Some((i, cap));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// Makes the pool able to serve takes of `lens`, all checked out at
+    /// once, without a fresh allocation: each length in order claims the
+    /// best-fitting pooled buffer not yet claimed, and a length that
+    /// finds none adds an empty buffer of that capacity (a fresh
+    /// allocation). No cell is written, nothing stays checked out, and
+    /// the outstanding and high-water accounting do not move.
+    ///
+    /// Takes that are out at the same time, each no longer than its own
+    /// entry of `lens`, then all hit, in any order: best fit never hands a
+    /// take a larger buffer than one that would do, so the buffers
+    /// claimed here still cover the takes to come.
+    pub fn reserve(&mut self, lens: &[usize]) {
+        // Claimed buffers are swapped behind `live`, out of later searches.
+        let mut live = self.pool.len();
+        for &len in lens.iter().filter(|&&len| len > 0) {
+            match self.best_fit(live, len) {
+                Some(i) => {
+                    live -= 1;
+                    self.pool.swap(i, live);
+                }
+                None => {
+                    self.fresh_allocations += 1;
+                    self.pool.push(Vec::with_capacity(len));
+                }
+            }
         }
     }
 
     /// Returns a buffer to the pool.
     pub fn give(&mut self, buf: Vec<f64>) {
-        // Saturating: callers may shrink a buffer before returning it.
-        self.outstanding_elems = self.outstanding_elems.saturating_sub(buf.len());
+        // What `checkout` added, unless the user grew the buffer past its
+        // capacity; saturating for that case and for a foreign buffer.
+        self.outstanding_elems = self.outstanding_elems.saturating_sub(buf.capacity());
         if buf.capacity() > 0 {
             self.pool.push(buf);
         }
@@ -86,6 +149,13 @@ impl Workspace {
         // `take` returns exactly rows*cols elements; the fallback is a
         // defensive fresh allocation, never reached in practice.
         DenseMatrix::from_vec(rows, cols, self.take(rows * cols))
+            .unwrap_or_else(|_| DenseMatrix::zeros(rows, cols))
+    }
+
+    /// Checks out a `rows × cols` matrix whose cells are unspecified
+    /// (see [`Self::take_stale`]).
+    pub fn take_matrix_stale(&mut self, rows: usize, cols: usize) -> DenseMatrix {
+        DenseMatrix::from_vec(rows, cols, self.take_stale(rows * cols))
             .unwrap_or_else(|_| DenseMatrix::zeros(rows, cols))
     }
 
@@ -106,8 +176,8 @@ impl Workspace {
         self.pool.len()
     }
 
-    /// Largest number of `f64` elements simultaneously checked out of
-    /// this workspace so far — the scratch footprint high-water mark.
+    /// Largest capacity, in `f64` elements, simultaneously checked out
+    /// of this workspace so far — the scratch footprint high-water mark.
     /// Also folded (via `set_max`) into the process-wide
     /// `matrix.workspace.high_water_elems` gauge.
     pub fn high_water_elems(&self) -> usize {
@@ -228,6 +298,71 @@ mod tests {
         ws.give(buf);
         let again = ws.take(4);
         assert_eq!(again, vec![0.0; 4]); // stale contents cleared
+    }
+
+    #[test]
+    fn take_stale_keeps_old_cells_and_zeroes_only_the_tail() {
+        let mut ws = Workspace::new();
+        let mut buf = ws.take(8);
+        buf.fill(f64::NAN);
+        buf.truncate(3);
+        ws.give(buf);
+        let stale = ws.take_stale(6);
+        assert_eq!(ws.fresh_allocations(), 1);
+        assert!(stale[..3].iter().all(|v| v.is_nan()));
+        assert_eq!(stale[3..], [0.0; 3]);
+        ws.give(stale);
+        assert!(ws.take_stale(2).iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn zero_length_takes_touch_nothing() {
+        let mut ws = Workspace::new();
+        assert!(ws.take(0).is_empty());
+        assert!(ws.take_stale(0).is_empty());
+        ws.reserve(&[0, 0]);
+        assert_eq!((ws.fresh_allocations(), ws.pooled()), (0, 0));
+        assert_eq!(ws.high_water_elems(), 0);
+    }
+
+    #[test]
+    fn reserve_covers_every_narrower_take_without_accounting() {
+        let mut ws = Workspace::new();
+        let junk = ws.take(50);
+        ws.give(junk);
+        ws.reserve(&[40, 100, 7]);
+        // The 50-cell buffer serves the 40; 100 and 7 are new.
+        assert_eq!(ws.fresh_allocations(), 3);
+        assert_eq!(ws.pooled(), 3);
+        assert_eq!(
+            ws.high_water_elems(),
+            50,
+            "a reservation checks nothing out"
+        );
+        ws.reserve(&[40, 100, 7]);
+        assert_eq!(ws.fresh_allocations(), 3, "a second reservation is free");
+        for (a, b, c) in [(40, 100, 7), (7, 40, 100), (1, 2, 3), (100, 7, 40)] {
+            let bufs = [ws.take(a), ws.take_stale(b), ws.take(c)];
+            assert_eq!(bufs.each_ref().map(Vec::len), [a, b, c]);
+            bufs.into_iter().for_each(|buf| ws.give(buf));
+        }
+        assert_eq!(ws.fresh_allocations(), 3);
+    }
+
+    #[test]
+    fn give_subtracts_what_take_added() {
+        // A buffer given back shorter than it was taken (the stacked
+        // rows of the factorized operators) must not leave its tail
+        // counted as checked out.
+        let mut ws = Workspace::new();
+        for _ in 0..20 {
+            let mut buf = ws.take(30);
+            buf.truncate(10);
+            let other = ws.take_stale(5);
+            ws.give(buf);
+            ws.give(other);
+        }
+        assert_eq!(ws.high_water_elems(), 35);
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //!    [`Counter`], [`Gauge`] or [`Histogram`] touches only pre-sized
 //!    atomics, so instrumentation may legally run inside `_into`
 //!    kernels and the zero-fresh-allocation serving steady state
-//!    (`tests/zero_alloc.rs` pins this; `amalur-audit` enforces it
-//!    statically via the `[no_alloc] record_fns` contract). All
+//!    (`recording_metrics_does_not_break_the_steady_state` in the root
+//!    `tests/zero_alloc.rs` pins it for training, and
+//!    `steady_state_serving_is_workspace_allocation_free` in
+//!    `crates/serve/tests/serving.rs` for a recording server;
+//!    `amalur-audit` enforces it statically via the `[no_alloc]
+//!    record_fns` contract). All
 //!    allocation happens at *registration* time, which hot paths never
 //!    do — they hold handles.
 //! 2. **Seeded paths stay deterministic.** Span timing is generic over

@@ -32,10 +32,12 @@
 //!    take, so coalescing is purely a throughput decision — it cannot
 //!    change a client's answer, whatever the request's width.
 //! 3. **Workers**: a fixed pool, each thread leasing its own shard of a
-//!    [`amalur_matrix::WorkspaceArena`] and sizing it for a full-width
-//!    batch on each dataset before serving it, so steady-state serving
-//!    performs **zero fresh workspace allocations** at any batch width
-//!    (observable via [`ServerHandle::fresh_workspace_allocations`]).
+//!    [`amalur_matrix::WorkspaceArena`] and reserving in it, before it
+//!    serves a dataset version, every buffer a full-width batch on it
+//!    takes — capacity only, no product computed and no cell written —
+//!    so steady-state serving performs **zero fresh workspace
+//!    allocations** at any batch width (observable via
+//!    [`ServerHandle::fresh_workspace_allocations`]).
 //!    The requesters' replies are cut out of the batch product in one
 //!    blocked pass over it, not one strided walk per requester.
 //!    Each worker

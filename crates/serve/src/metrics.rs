@@ -4,7 +4,8 @@
 //! Handles are resolved once at server start; recording through them is
 //! a relaxed atomic add and allocates nothing, which keeps instrumented
 //! workers inside the steady-state zero-allocation contract
-//! (`tests/zero_alloc.rs` pins this with recording active). The only
+//! (`steady_state_serving_is_workspace_allocation_free` in
+//! `crates/serve/tests/serving.rs` pins it on a recording server). The only
 //! lazily registered names are the per-dataset request counters, and
 //! those are resolved on the *client* thread at admission — never on a
 //! worker.
@@ -51,6 +52,9 @@ pub(crate) struct ServerMetrics {
     /// Per-job execution span on a worker (µs), recorded via
     /// [`amalur_obs::SpanGuard`].
     pub worker_exec_us: MetricHandle<Histogram>,
+    /// Shard reservations for a full-width batch: one per worker and
+    /// dataset version, at start or on a version's first batch.
+    pub worker_warmups: MetricHandle<Counter>,
 }
 
 impl ServerMetrics {
@@ -75,6 +79,7 @@ impl ServerMetrics {
             rejected_requests: registry.counter("serve.requests.rejected"),
             worker_busy_us: registry.counter("serve.worker.busy_us"),
             worker_exec_us: registry.histogram("serve.worker.exec_us"),
+            worker_warmups: registry.counter("serve.worker.warmups"),
             registry,
         }
     }
@@ -127,6 +132,7 @@ mod tests {
             "serve.requests.rejected",
             "serve.batch.coalesced_predicts",
             "serve.worker.busy_us",
+            "serve.worker.warmups",
             "matrix.gemm.packed_dispatches",
             "factorize.lmm.calls",
         ] {

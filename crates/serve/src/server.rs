@@ -22,7 +22,7 @@ use crate::metrics::ServerMetrics;
 use crate::pending::{Batchable, Job, Pending, Work};
 use crate::request::{PredictRequest, PredictResponse, Ticket, TrainRequest, TrainResponse};
 use amalur_catalog::DatasetRegistry;
-use amalur_factorize::FactorizedTable;
+use amalur_factorize::{FactorizeError, FactorizedTable};
 use amalur_matrix::{set_thread_budget, DenseMatrix, Workspace, WorkspaceArena};
 use amalur_ml::{LinearRegression, MlError};
 use amalur_obs::{span, MetricsRegistry, MetricsSnapshot};
@@ -375,17 +375,20 @@ fn run_worker(idx: usize, kernel_threads: usize, max_batch_cols: usize, inner: &
     set_thread_budget(kernel_threads);
     let (arena, metrics) = (&inner.arena, &inner.metrics);
     // Batch widths vary with timing, so before a worker serves a dataset
-    // version it sizes its shard for a full-width batch on it, rather
-    // than on some later, wider batch: everything active now, and
-    // datasets registered or republished later when their first batch
-    // arrives. One entry per dataset, holding the version last warmed.
+    // version it reserves in its shard every buffer a full-width batch
+    // on it takes, rather than allocating on some later, wider batch:
+    // everything active now, and datasets registered or republished
+    // later when their first batch arrives. The reservation computes
+    // nothing and writes no cell. One entry per dataset, holding the
+    // version last warmed.
     let mut warmed: Vec<(String, u64)> = Vec::new();
     let mut warm = |dataset: &str, version: u64, table: &FactorizedTable, ws: &mut Workspace| {
         let entry = warmed.iter_mut().find(|(d, _)| d == dataset);
         if entry.as_ref().is_some_and(|(_, v)| *v == version) {
             return;
         }
-        execute_predict_batch(table, max_batch_cols, &[], ws, metrics);
+        ws.reserve(&batch_buffers(table, max_batch_cols));
+        metrics.worker_warmups.inc();
         match entry {
             Some((_, v)) => *v = version,
             None => warmed.push((dataset.to_owned(), version)),
@@ -468,14 +471,28 @@ fn execute_train(job: TrainJob, ws: &mut Workspace, metrics: &ServerMetrics) {
 /// is 16 KB, so it stays in L1 while every requester takes its columns.
 const REPLY_BLOCK_ROWS: usize = 64;
 
+/// The lengths of the buffers a `cols`-wide batch on `table` checks out
+/// of its worker's shard, all at once: the operand (`c_T × cols`) and
+/// the product (`r_T × cols`) of [`execute_predict_batch`], then the
+/// scratch of `lmm_into` ([`FactorizedTable::lmm_scratch`]). The warm-up
+/// reserves this list for `max_batch_cols`, which makes every narrower
+/// batch a pool hit.
+fn batch_buffers(table: &FactorizedTable, cols: usize) -> [usize; 4] {
+    let (r_t, c_t) = table.target_shape();
+    let [xk, stacked] = table.lmm_scratch(cols);
+    [c_t * cols, r_t * cols, xk, stacked]
+}
+
 /// Runs one (dataset, version) batch of `total_cols` operand columns — a
 /// lone request is a batch of one — through the one factorized LMM,
 /// `FactorizedTable::lmm_into`, and hands each requester its own
 /// columns. Column `j` of that product depends on column `j` of the
-/// operand alone, so a request's bytes cannot depend on its companions. Scratch (the coalesced
-/// rhs/out) comes from the worker's arena shard, so steady-state batches
-/// allocate nothing fresh; only the response matrices handed to clients
-/// are freshly allocated, without a zero fill.
+/// operand alone, so a request's bytes cannot depend on its companions.
+/// Scratch (the coalesced rhs/out, [`batch_buffers`]) comes from the
+/// worker's arena shard, so steady-state batches allocate nothing fresh;
+/// only the response matrices handed to clients are freshly allocated,
+/// without a zero fill. The product's buffer is not zero-filled either:
+/// `lmm_into` overwrites every cell of it.
 ///
 /// The replies are cut from the row-major product in **one blocked
 /// pass**: for each block of [`REPLY_BLOCK_ROWS`] rows, every requester
@@ -484,10 +501,6 @@ const REPLY_BLOCK_ROWS: usize = 64;
 /// read while it is in L1. A request that is its whole batch takes the
 /// product in one contiguous copy. Every reply is built before the
 /// first goes out.
-///
-/// With no `jobs` the product runs on a zero operand and answers nobody:
-/// that is the warm-up, which leaves every buffer a `total_cols`-wide
-/// batch on `table` takes — here and inside the kernel — in the shard.
 fn execute_predict_batch(
     table: &FactorizedTable,
     total_cols: usize,
@@ -496,12 +509,12 @@ fn execute_predict_batch(
     metrics: &ServerMetrics,
 ) {
     let (r_t, c_t) = table.target_shape();
-    let mut rhs = ws.take_matrix(c_t, total_cols);
+    let [rhs_len, out_len, ..] = batch_buffers(table, total_cols);
+    let mut rhs = ws.take(rhs_len);
     let mut offset = 0;
     for job in jobs {
         let k = job.features.cols();
         for (dst, src) in rhs
-            .as_mut_slice()
             .chunks_exact_mut(total_cols)
             .zip(job.features.as_slice().chunks_exact(k))
         {
@@ -509,12 +522,22 @@ fn execute_predict_batch(
         }
         offset += k;
     }
-    let mut out = ws.take_matrix(r_t, total_cols);
     // Shapes were validated at admission, so a failure here is
     // exceptional; every requester learns about it, typed.
-    let mut replies = table
-        .lmm_into(&rhs, &mut out, ws)
-        .map(|()| cut_replies(out.as_slice(), total_cols, jobs).into_iter());
+    let mut replies = DenseMatrix::from_vec(c_t, total_cols, rhs)
+        .and_then(|rhs| {
+            let out = DenseMatrix::from_vec(r_t, total_cols, ws.take_stale(out_len))?;
+            Ok((rhs, out))
+        })
+        .map_err(FactorizeError::from)
+        .and_then(|(rhs, mut out)| {
+            let product = table.lmm_into(&rhs, &mut out, ws);
+            let replies = product.map(|()| cut_replies(out.as_slice(), total_cols, jobs));
+            ws.give_matrix(rhs);
+            ws.give_matrix(out);
+            replies
+        })
+        .map(Vec::into_iter);
     for job in jobs {
         let reply = match &mut replies {
             Ok(cells) => {
@@ -536,18 +559,14 @@ fn execute_predict_batch(
             .record(metrics.now_us().saturating_sub(job.admitted_us));
         let _ = job.reply.send(reply);
     }
-    ws.give_matrix(rhs);
-    ws.give_matrix(out);
 }
 
 /// The blocked reply pass of [`execute_predict_batch`]: each job's
 /// columns of the row-major batch product `out` (`total_cols` wide, in
 /// job order), as the row-major cells of its reply.
 fn cut_replies(out: &[f64], total_cols: usize, jobs: &[PredictJob]) -> Vec<Vec<f64>> {
-    match jobs {
-        [] => return Vec::new(),
-        [_] => return vec![out.to_vec()],
-        _ => {}
+    if let [_] = jobs {
+        return vec![out.to_vec()];
     }
     let rows = out.len() / total_cols;
     let mut replies: Vec<Vec<f64>> = jobs
@@ -570,4 +589,126 @@ fn cut_replies(out: &[f64], total_cols: usize, jobs: &[PredictJob]) -> Vec<Vec<f
         }
     }
     replies
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amalur_data::{generate_two_source, TwoSourceSpec};
+    use crossbeam::channel::Receiver;
+
+    /// A fully covered pair, and one with uncovered rows and slots.
+    fn tables() -> Vec<Arc<FactorizedTable>> {
+        [(1.0, false, 3), (0.7, true, 4)]
+            .into_iter()
+            .map(|(row_coverage, target_redundancy, seed)| {
+                let spec = TwoSourceSpec {
+                    rows_s1: 150,
+                    cols_s1: 4,
+                    rows_s2: 40,
+                    cols_s2: 7,
+                    shared_cols: 1,
+                    target_redundancy,
+                    row_coverage,
+                    source_redundancy: false,
+                    seed,
+                };
+                let (md, data) = generate_two_source(&spec).unwrap();
+                Arc::new(FactorizedTable::new(md, data).unwrap())
+            })
+            .collect()
+    }
+
+    /// One job per entry of `widths` on `table`, with distinct features.
+    fn jobs(
+        table: &Arc<FactorizedTable>,
+        widths: &[usize],
+    ) -> Vec<(PredictJob, Receiver<Result<PredictResponse>>)> {
+        let c_t = table.target_shape().1;
+        let mut tag = 0.0;
+        widths
+            .iter()
+            .map(|&k| {
+                let cells = (0..c_t * k)
+                    .map(|i| {
+                        tag += 1.0;
+                        (i as f64 * 0.37 + tag * 1.13).sin()
+                    })
+                    .collect();
+                let (reply, rx) = channel::bounded(1);
+                let job = PredictJob {
+                    dataset: "ds".into(),
+                    version: 1,
+                    table: Arc::clone(table),
+                    features: DenseMatrix::from_vec(c_t, k, cells).unwrap(),
+                    reply,
+                    admitted_us: 0,
+                };
+                (job, rx)
+            })
+            .collect()
+    }
+
+    /// The reply bits of one batch of `widths` through `ws`.
+    fn run(table: &Arc<FactorizedTable>, widths: &[usize], ws: &mut Workspace) -> Vec<Vec<u64>> {
+        let (jobs, replies): (Vec<_>, Vec<_>) = jobs(table, widths).into_iter().unzip();
+        let cols = widths.iter().sum();
+        execute_predict_batch(table, cols, &jobs, ws, &ServerMetrics::new());
+        replies
+            .iter()
+            .map(|rx| {
+                let reply = rx.recv().unwrap().unwrap();
+                reply
+                    .predictions
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
+    const BATCHES: [&[usize]; 7] = [&[1], &[2], &[8], &[9], &[16], &[3, 1, 5], &[1; 16]];
+
+    /// A batch overwrites every cell of the buffers it takes unzeroed:
+    /// served through a shard whose buffers are full of NaN, every reply
+    /// has the bits of the requester's own `lmm_into` on fresh scratch.
+    #[test]
+    fn served_replies_ignore_stale_buffers() {
+        for table in tables() {
+            let mut stale = Workspace::new();
+            let bufs = batch_buffers(&table, 16).map(|len| stale.take(len));
+            for mut buf in bufs {
+                buf.fill(f64::NAN);
+                stale.give(buf);
+            }
+            for widths in BATCHES {
+                let got = run(&table, widths, &mut stale);
+                for ((job, _), got) in jobs(&table, widths).iter().zip(got) {
+                    let mut want = DenseMatrix::zeros(table.target_shape().0, job.features.cols());
+                    table
+                        .lmm_into(&job.features, &mut want, &mut Workspace::new())
+                        .unwrap();
+                    let want: Vec<u64> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "batch {widths:?}");
+                }
+            }
+        }
+    }
+
+    /// `batch_buffers` is every buffer a batch takes: reserved for the
+    /// widest batch, it serves every batch up to that width from the
+    /// pool.
+    #[test]
+    fn a_warmed_shard_serves_every_narrower_batch_from_the_pool() {
+        for table in tables() {
+            let mut ws = Workspace::new();
+            ws.reserve(&batch_buffers(&table, 16));
+            let reserved = ws.fresh_allocations();
+            for widths in BATCHES {
+                run(&table, widths, &mut ws);
+            }
+            assert_eq!(ws.fresh_allocations(), reserved);
+        }
+    }
 }

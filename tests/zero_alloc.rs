@@ -42,12 +42,14 @@ fn labels(ft: &FactorizedTable, binary: bool) -> DenseMatrix {
     DenseMatrix::column_vector(&y)
 }
 
-/// Runs `fit` twice through one workspace and asserts the second run —
-/// identical shapes, warm pool — performs zero fresh allocations.
+/// Runs `fit` three times through one workspace and asserts the later
+/// runs — identical shapes, warm pool — perform zero fresh allocations
+/// and leave the scratch high-water mark where the first run put it.
 fn assert_steady_state(mut fit: impl FnMut(&mut Workspace)) {
     let mut ws = Workspace::new();
     fit(&mut ws);
     let warm = ws.fresh_allocations();
+    let high_water = ws.high_water_elems();
     assert!(warm > 0, "warm-up run must populate the pool");
     fit(&mut ws);
     fit(&mut ws);
@@ -55,6 +57,11 @@ fn assert_steady_state(mut fit: impl FnMut(&mut Workspace)) {
         ws.fresh_allocations(),
         warm,
         "steady-state fits must not allocate beyond the warm-up"
+    );
+    assert_eq!(
+        ws.high_water_elems(),
+        high_water,
+        "steady-state fits must give back what they take"
     );
 }
 
