@@ -21,7 +21,7 @@
 //! | `no-alloc-in-into` | functions ending `_into` never allocate; functions listed in `[no_alloc] functions` never allocate *inside loops* |
 //! | `typed-errors` | no `.unwrap()` / `.expect(` / `panic!` in library code (tests, benches, examples, bins exempt via `[exempt] paths`) |
 //! | `determinism` | no `Instant::now` / `SystemTime` / `HashMap` / `HashSet` under `[determinism] paths` |
-//! | `bounded-channels` | no `unbounded()` under `[bounded_channels] paths` |
+//! | `bounded-channels` | no `unbounded()` and no std `channel()` under `[bounded_channels] paths` |
 //! | `unsafe-forbid` | every crate's `src/lib.rs` carries `#![forbid(unsafe_code)]` |
 //!
 //! # Scanning model

@@ -260,7 +260,10 @@ fn check_determinism(
 }
 
 /// Rule 4: serving and federated wires carry backpressure — an
-/// unbounded channel hides overload until memory runs out.
+/// unbounded channel hides overload until memory runs out. Flags the
+/// word `unbounded` and a call of std's unbounded constructor
+/// (`channel()`, `channel::<T>()`); its bounded one, `sync_channel`, is
+/// another word.
 fn check_bounded_channels(
     rel_path: &str,
     src: &str,
@@ -268,7 +271,16 @@ fn check_bounded_channels(
     tests: &[Region],
     diags: &mut Vec<Diagnostic>,
 ) {
-    for pos in find_all(masked, "unbounded", 0, masked.len()) {
+    let std_calls = find_all(masked, "channel", 0, masked.len())
+        .into_iter()
+        .filter(|&pos| {
+            let rest = masked[pos + "channel".len()..].trim_start();
+            rest.starts_with('(') || rest.starts_with("::<")
+        });
+    for pos in find_all(masked, "unbounded", 0, masked.len())
+        .into_iter()
+        .chain(std_calls)
+    {
         if in_regions(tests, pos) {
             continue;
         }
@@ -278,7 +290,7 @@ fn check_bounded_channels(
             line,
             col,
             rule: RuleId::BoundedChannels,
-            message: "unbounded channel on a backpressure path — use `bounded(capacity)`"
+            message: "unbounded channel on a backpressure path — use `sync_channel(capacity)`"
                 .to_owned(),
         });
     }

@@ -134,12 +134,18 @@ fn determinism_rule_ignores_unlisted_paths() {
 fn bounded_channels_rule_flags_exact_lines() {
     let src = include_str!("fixtures/bounded.rs");
     let diags = amalur_audit::scan_file("crates/serve/src/fixture.rs", src, &config());
-    // The import on line 3 and the call on line 7 both fire; the
-    // `bounded::<u8>` call on line 6 and the comment mention on line 8
+    // The import on line 3, the call on line 7 and std's unbounded
+    // constructor on lines 10 and 11 fire; the `bounded::<u8>` call on
+    // line 6, std's `sync_channel` on line 9 and the comment mentions
     // must not.
     assert_eq!(
         lines_and_rules(&diags),
-        vec![(3, "bounded-channels"), (7, "bounded-channels")]
+        vec![
+            (3, "bounded-channels"),
+            (7, "bounded-channels"),
+            (10, "bounded-channels"),
+            (11, "bounded-channels"),
+        ]
     );
 }
 

@@ -141,7 +141,7 @@ fn main() {
     } else if quick {
         println!(
             "=> Table III shape check skipped conclusions: --quick omits the large-r_S1 \
-             rungs the ≥ 70% criterion depends on (run the full ladder)"
+             rungs the ≥ 70% threshold depends on (run the full ladder)"
         );
     } else {
         println!("=> Table III shape NOT reproduced on this machine (noisy timings?)");

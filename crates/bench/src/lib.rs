@@ -1,5 +1,4 @@
-//! Shared harness pieces for the table/figure report binaries and the
-//! criterion micro-benchmarks.
+//! Shared harness pieces for the table/figure report binaries.
 //!
 //! Each report binary under `src/bin/` names the table or figure of the
 //! paper it regenerates in its own header; the verify skill

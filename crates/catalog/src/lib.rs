@@ -7,7 +7,7 @@
 //! resolution), model metadata (hyper-parameters, metrics, environment)
 //! and the lineage between models and the datasets they were trained on.
 //!
-//! The catalog is thread-safe (`parking_lot::RwLock` — many readers, the
+//! The catalog is thread-safe (`std::sync::RwLock` — many readers, the
 //! optimizer and executors query it concurrently) and persists to JSON.
 
 #![forbid(unsafe_code)]

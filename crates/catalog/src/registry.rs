@@ -19,9 +19,8 @@
 //! as `DatasetRegistry<FactorizedTable>`.
 
 use crate::{CatalogError, Result};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Lifecycle state of a registered dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,13 +64,25 @@ impl<T> DatasetRegistry<T> {
         }
     }
 
+    /// Shared access to the map. No caller code runs under the lock, so a
+    /// writer that panicked cannot have left it half-updated: a poisoned
+    /// lock is entered anyway.
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Entry<T>>> {
+        self.entries.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the map, with [`Self::read`]'s poison policy.
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Entry<T>>> {
+        self.entries.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a new dataset under `name` as version 1.
     ///
     /// # Errors
     /// [`CatalogError::AlreadyExists`] when the name is taken (use
     /// [`Self::publish`] to add a version to an existing dataset).
     pub fn register(&self, name: &str, data: T) -> Result<DatasetVersion<T>> {
-        let mut entries = self.entries.write();
+        let mut entries = self.write();
         if entries.contains_key(name) {
             return Err(CatalogError::AlreadyExists(name.to_owned()));
         }
@@ -93,7 +104,7 @@ impl<T> DatasetRegistry<T> {
     /// # Errors
     /// [`CatalogError::NotFound`] when the name was never registered.
     pub fn publish(&self, name: &str, data: T) -> Result<DatasetVersion<T>> {
-        let mut entries = self.entries.write();
+        let mut entries = self.write();
         let entry = entries
             .get_mut(name)
             .ok_or_else(|| CatalogError::NotFound(name.to_owned()))?;
@@ -113,7 +124,7 @@ impl<T> DatasetRegistry<T> {
     /// [`CatalogError::NotFound`] when the name is unknown **or** the
     /// dataset is retired.
     pub fn fetch(&self, name: &str) -> Result<DatasetVersion<T>> {
-        let entries = self.entries.read();
+        let entries = self.read();
         let entry = entries
             .get(name)
             .filter(|e| e.status == DatasetStatus::Active)
@@ -137,7 +148,7 @@ impl<T> DatasetRegistry<T> {
     /// # Errors
     /// [`CatalogError::NotFound`] for unknown names or versions.
     pub fn fetch_version(&self, name: &str, version: u64) -> Result<DatasetVersion<T>> {
-        let entries = self.entries.read();
+        let entries = self.read();
         let entry = entries
             .get(name)
             .ok_or_else(|| CatalogError::NotFound(name.to_owned()))?;
@@ -157,7 +168,7 @@ impl<T> DatasetRegistry<T> {
     /// # Errors
     /// [`CatalogError::NotFound`] for unknown names.
     pub fn retire(&self, name: &str) -> Result<()> {
-        let mut entries = self.entries.write();
+        let mut entries = self.write();
         let entry = entries
             .get_mut(name)
             .ok_or_else(|| CatalogError::NotFound(name.to_owned()))?;
@@ -170,7 +181,7 @@ impl<T> DatasetRegistry<T> {
     /// # Errors
     /// [`CatalogError::NotFound`] for unknown names.
     pub fn status(&self, name: &str) -> Result<DatasetStatus> {
-        let entries = self.entries.read();
+        let entries = self.read();
         entries
             .get(name)
             .map(|e| e.status)
@@ -182,7 +193,7 @@ impl<T> DatasetRegistry<T> {
     /// # Errors
     /// [`CatalogError::NotFound`] for unknown names.
     pub fn latest_version(&self, name: &str) -> Result<u64> {
-        let entries = self.entries.read();
+        let entries = self.read();
         entries
             .get(name)
             .map(|e| e.versions.len() as u64)
@@ -191,12 +202,12 @@ impl<T> DatasetRegistry<T> {
 
     /// Sorted names of all datasets, active and retired.
     pub fn names(&self) -> Vec<String> {
-        self.entries.read().keys().cloned().collect()
+        self.read().keys().cloned().collect()
     }
 
     /// Number of registered datasets.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.read().len()
     }
 
     /// Whether the registry is empty.

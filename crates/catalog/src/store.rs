@@ -2,11 +2,11 @@
 
 use crate::entries::{DiEntry, ModelEntry, SourceEntry};
 use crate::{CatalogError, Result};
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The serializable catalog state.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -29,6 +29,18 @@ impl MetadataCatalog {
         Self::default()
     }
 
+    /// Shared access to the state. No caller code runs under the lock, so
+    /// a writer that panicked cannot have left it half-updated: a poisoned
+    /// lock is entered anyway.
+    fn read(&self) -> RwLockReadGuard<'_, State> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the state, with [`Self::read`]'s poison policy.
+    fn write(&self) -> RwLockWriteGuard<'_, State> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     // --- sources -----------------------------------------------------------
 
     /// Registers a source; errors if the name is taken.
@@ -36,7 +48,7 @@ impl MetadataCatalog {
     /// # Errors
     /// [`CatalogError::AlreadyExists`].
     pub fn register_source(&self, entry: SourceEntry) -> Result<()> {
-        let mut s = self.state.write();
+        let mut s = self.write();
         if s.sources.contains_key(&entry.name) {
             return Err(CatalogError::AlreadyExists(entry.name));
         }
@@ -49,8 +61,7 @@ impl MetadataCatalog {
     /// # Errors
     /// [`CatalogError::NotFound`].
     pub fn source(&self, name: &str) -> Result<SourceEntry> {
-        self.state
-            .read()
+        self.read()
             .sources
             .get(name)
             .cloned()
@@ -59,7 +70,7 @@ impl MetadataCatalog {
 
     /// All registered source names.
     pub fn source_names(&self) -> Vec<String> {
-        self.state.read().sources.keys().cloned().collect()
+        self.read().sources.keys().cloned().collect()
     }
 
     /// Removes a source.
@@ -67,8 +78,7 @@ impl MetadataCatalog {
     /// # Errors
     /// [`CatalogError::NotFound`].
     pub fn remove_source(&self, name: &str) -> Result<()> {
-        self.state
-            .write()
+        self.write()
             .sources
             .remove(name)
             .map(|_| ())
@@ -82,7 +92,7 @@ impl MetadataCatalog {
     /// # Errors
     /// [`CatalogError::AlreadyExists`].
     pub fn register_integration(&self, entry: DiEntry) -> Result<()> {
-        let mut s = self.state.write();
+        let mut s = self.write();
         if s.integrations.contains_key(&entry.id) {
             return Err(CatalogError::AlreadyExists(entry.id));
         }
@@ -95,8 +105,7 @@ impl MetadataCatalog {
     /// # Errors
     /// [`CatalogError::NotFound`].
     pub fn integration(&self, id: &str) -> Result<DiEntry> {
-        self.state
-            .read()
+        self.read()
             .integrations
             .get(id)
             .cloned()
@@ -105,7 +114,7 @@ impl MetadataCatalog {
 
     /// All integration ids.
     pub fn integration_ids(&self) -> Vec<String> {
-        self.state.read().integrations.keys().cloned().collect()
+        self.read().integrations.keys().cloned().collect()
     }
 
     // --- models --------------------------------------------------------------
@@ -115,7 +124,7 @@ impl MetadataCatalog {
     /// # Errors
     /// [`CatalogError::AlreadyExists`].
     pub fn register_model(&self, entry: ModelEntry) -> Result<()> {
-        let mut s = self.state.write();
+        let mut s = self.write();
         if s.models.contains_key(&entry.name) {
             return Err(CatalogError::AlreadyExists(entry.name));
         }
@@ -128,8 +137,7 @@ impl MetadataCatalog {
     /// # Errors
     /// [`CatalogError::NotFound`].
     pub fn model(&self, name: &str) -> Result<ModelEntry> {
-        self.state
-            .read()
+        self.read()
             .models
             .get(name)
             .cloned()
@@ -138,15 +146,14 @@ impl MetadataCatalog {
 
     /// All model names.
     pub fn model_names(&self) -> Vec<String> {
-        self.state.read().models.keys().cloned().collect()
+        self.read().models.keys().cloned().collect()
     }
 
     /// Lineage query: the models trained on the given dataset or
     /// integration id ("the metadata catalog also keeps track of the
     /// connections between the model and its training datasets").
     pub fn models_trained_on(&self, dataset_id: &str) -> Vec<String> {
-        self.state
-            .read()
+        self.read()
             .models
             .values()
             .filter(|m| m.trained_on.iter().any(|d| d == dataset_id))
@@ -161,7 +168,7 @@ impl MetadataCatalog {
     /// # Errors
     /// [`CatalogError::Serde`].
     pub fn to_json(&self) -> Result<String> {
-        Ok(serde_json::to_string_pretty(&*self.state.read())?)
+        Ok(serde_json::to_string_pretty(&*self.read())?)
     }
 
     /// Loads a catalog from JSON.

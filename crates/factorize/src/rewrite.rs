@@ -362,11 +362,12 @@ impl FactorizedTable {
         if self.num_sources() == 0 {
             out.as_mut_slice().fill(0.0);
         }
-        // The scratch of `lmm_scratch(n)`, reshaped per source. Every
+        // The scratch of `lmm_scratch(n)`, reshaped per source. Neither
+        // needs a zero fill: the scatter overwrites all of `xk`, and every
         // stacked cell a gather reads is written first (plain rows by the
-        // product, then slots and sentinel), so it needs no zero fill.
+        // product, then slots and sentinel).
         let [xk_rows, stacked_rows_max] = self.lmm_scratch_rows();
-        let mut xk = ws.take_matrix(xk_rows, n);
+        let mut xk = ws.take_matrix_stale(xk_rows, n);
         let mut local = ws.take_matrix_stale(stacked_rows_max, n);
         for (k, (s, d, plan)) in self.sources().enumerate() {
             gathered += plan.matched_rows;
@@ -528,8 +529,8 @@ impl FactorizedTable {
 
     /// The compressed `Tᵀ·X` body that [`Self::lmm_transpose_into`] and
     /// [`Self::class_sums_into`] share, for an `n`-column operand: per
-    /// source, `scatter(plan, xk)` writes `Îₖᵀ X` into the `r_Sk + slots`
-    /// stacked rows of `xk`, the slot rows are folded into their plain
+    /// source, `scatter(plan, xk)` writes `Îₖᵀ X` over every cell of the
+    /// stale `r_Sk + slots + 1` stacked rows of `xk`, the slot rows are folded into their plain
     /// rows and owe their masked cells back to `out`, and `Dₖᵀ` multiplies
     /// the plain rows; an identity source skips all of that and
     /// `in_place(Dₖ, local, ws)` computes `Dₖᵀ X` from the operand where
@@ -557,7 +558,7 @@ impl FactorizedTable {
                 // sentinel row after the slots collects the uncovered
                 // target rows and is dropped unread.
                 let plain = d.rows();
-                let mut xk = ws.take_matrix(plan.stacked_rows(), n);
+                let mut xk = ws.take_matrix_stale(plan.stacked_rows(), n);
                 scatter(plan, &mut xk)?;
                 // A slot row is what its source row received through
                 // group g: it owes out[j,:] −= Dₖ[r, CMₖ[j]]·slot for
@@ -1507,12 +1508,7 @@ mod tests {
     fn lmm_into_ignores_stale_scratch() {
         for (t, ft) in scratch_tables().iter().enumerate() {
             let (rows, cols) = ft.target_shape();
-            let mut stale = Workspace::new();
-            let bufs = ft.lmm_scratch(16).map(|len| stale.take(len));
-            for mut buf in bufs {
-                buf.fill(f64::NAN);
-                stale.give(buf);
-            }
+            let mut stale = nan_pool(&ft.lmm_scratch(16));
             for n in [1, 2, NR, NR + 1, 16] {
                 let x = x_for(cols, n, (t * 100 + n) as u64);
                 let mut want = DenseMatrix::zeros(rows, n);
@@ -1520,6 +1516,63 @@ mod tests {
                 let mut got = DenseMatrix::filled(rows, n, f64::NAN);
                 ft.lmm_into(&x, &mut got, &mut stale).unwrap();
                 assert_eq!(bits(&got), bits(&want), "table {t}, n {n}");
+            }
+        }
+    }
+
+    /// A pool holding one NaN-filled buffer per entry of `lens`.
+    fn nan_pool(lens: &[usize]) -> Workspace {
+        let mut ws = Workspace::new();
+        let bufs: Vec<_> = lens.iter().map(|&len| ws.take(len)).collect();
+        for mut buf in bufs {
+            buf.fill(f64::NAN);
+            ws.give(buf);
+        }
+        ws
+    }
+
+    /// A pool whose every take, of either of the two buffers a `Tᵀ·X`
+    /// source has out at once, at width ≤ 16, hits a NaN-filled buffer.
+    fn nan_pool_for_transpose(ft: &FactorizedTable) -> Workspace {
+        let len = ft.lmm_scratch(16).into_iter().max().unwrap_or(0);
+        nan_pool(&[len, len])
+    }
+
+    /// `lmm_transpose_into` overwrites every cell of the stacked scratch
+    /// it takes without a zero fill: into a NaN `out`, through a pool of
+    /// NaN buffers, it gives the bits of a run on zeroed scratch.
+    #[test]
+    fn lmm_transpose_into_ignores_stale_scratch() {
+        for (t, ft) in scratch_tables().iter().enumerate() {
+            let (rows, cols) = ft.target_shape();
+            let mut stale = nan_pool_for_transpose(ft);
+            for n in [1, 2, NR, NR + 1, 16] {
+                let y = x_for(rows, n, (t * 100 + n) as u64);
+                let mut want = DenseMatrix::zeros(cols, n);
+                ft.lmm_transpose_into(&y, &mut want, &mut Workspace::new())
+                    .unwrap();
+                let mut got = DenseMatrix::filled(cols, n, f64::NAN);
+                ft.lmm_transpose_into(&y, &mut got, &mut stale).unwrap();
+                assert_eq!(bits(&got), bits(&want), "table {t}, n {n}");
+            }
+        }
+    }
+
+    /// `class_sums_into` likewise: through a pool of NaN buffers, into a
+    /// NaN `out`, the bits of a run on zeroed scratch.
+    #[test]
+    fn class_sums_into_ignores_stale_scratch() {
+        for (t, ft) in scratch_tables().iter().enumerate() {
+            let (rows, cols) = ft.target_shape();
+            let mut stale = nan_pool_for_transpose(ft);
+            for k in [1, 2, NR, NR + 1, 16] {
+                let class: Vec<usize> = (0..rows).map(|i| (i * 7 + t) % k).collect();
+                let mut want = DenseMatrix::zeros(cols, k);
+                ft.class_sums_into(&class, &mut want, &mut Workspace::new())
+                    .unwrap();
+                let mut got = DenseMatrix::filled(cols, k, f64::NAN);
+                ft.class_sums_into(&class, &mut got, &mut stale).unwrap();
+                assert_eq!(bits(&got), bits(&want), "table {t}, k {k}");
             }
         }
     }

@@ -19,9 +19,10 @@
 //!   same schema (the union scenario); the orchestrator averages local
 //!   models, optionally noised by the Laplace mechanism.
 //!
-//! Parties run as real threads connected to the orchestrator by
-//! `crossbeam` channels — message counts and byte volumes are observable,
-//! which is what the §V-B encryption-overhead study measures.
+//! VFL parties run as real threads, each owning its ends of a bounded
+//! `std::sync::mpsc` channel pair to the orchestrator — message counts
+//! and byte volumes are observable, which is what the §V-B
+//! encryption-overhead study measures.
 //!
 //! # Fault model
 //!

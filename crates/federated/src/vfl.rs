@@ -52,8 +52,8 @@ use crate::{FederatedError, Result};
 use amalur_crypto::sharing::{additive, FixedPoint};
 use amalur_crypto::{Ciphertext, KeyPair};
 use amalur_matrix::DenseMatrix;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::SeedableRng;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 /// Configuration for [`train_vfl`].
@@ -159,7 +159,7 @@ struct PartyRuntime {
     /// Last epoch whose residual was applied (retry dedup).
     last_applied_epoch: Option<usize>,
     inbox: Receiver<ToParty>,
-    outbox: Sender<FromParty>,
+    outbox: SyncSender<FromParty>,
 }
 
 impl PartyRuntime {
@@ -336,63 +336,55 @@ pub fn train_vfl_with_transport<T: Transport>(
     let paillier_bits = keypair.as_ref().map_or(0, |kp| kp.public.modulus_bits());
     let fp = FixedPoint::default();
 
-    let mut to_party: Vec<Sender<ToParty>> = Vec::with_capacity(n_parties);
-    let mut inboxes: Vec<Receiver<ToParty>> = Vec::with_capacity(n_parties);
-    // Every exchange is strict request/reply, so each per-party channel
-    // holds at most one in-flight message; a party-count capacity keeps
-    // the wires bounded (backpressure instead of silent buffering) with
-    // ample headroom.
-    let channel_capacity = n_parties.max(1);
-    let (from_tx, from_rx_template): (Vec<Sender<FromParty>>, Vec<Receiver<FromParty>>) =
-        (0..n_parties).map(|_| bounded(channel_capacity)).unzip();
-    for _ in 0..n_parties {
-        let (tx, rx) = bounded(channel_capacity);
+    // Each party thread owns its inbox and its outbox; the orchestrator
+    // keeps only its own ends, so a party that stops, finished or
+    // failed, hangs up both of its wires, and the orchestrator's next
+    // send or recv to it fails instead of blocking. Every exchange is
+    // strict request/reply, so each channel holds at most one in-flight
+    // message; a party-count capacity keeps the wires bounded
+    // (backpressure instead of silent buffering) with ample headroom.
+    let mut to_party: Vec<SyncSender<ToParty>> = Vec::with_capacity(n_parties);
+    let mut from_rx: Vec<Receiver<FromParty>> = Vec::with_capacity(n_parties);
+    let mut handles = Vec::with_capacity(n_parties);
+    for (k, x) in features.iter().enumerate() {
+        let (tx, inbox) = sync_channel(n_parties);
+        let (outbox, rx) = sync_channel(n_parties);
         to_party.push(tx);
-        inboxes.push(rx);
+        from_rx.push(rx);
+        let runtime = PartyRuntime {
+            features: x.clone(),
+            theta: vec![0.0; x.cols()],
+            learning_rate: config.learning_rate,
+            l2: config.l2,
+            n_parties,
+            privacy: config.privacy,
+            fp,
+            paillier_pk: keypair.as_ref().map(|kp| kp.public.clone()),
+            rng: rand::rngs::StdRng::seed_from_u64(config.seed.wrapping_add(k as u64 + 1)),
+            pending_share_sum: None,
+            last_applied_epoch: None,
+            inbox,
+            outbox,
+        };
+        handles.push(std::thread::spawn(move || runtime.run()));
     }
 
     let mut loss_history = Vec::with_capacity(config.epochs);
     let mut comm = CommStats::default();
     let mut coefficients: Vec<DenseMatrix> = Vec::new();
 
-    std::thread::scope(|scope| -> Result<()> {
-        // Own the senders inside the scope: any early return (e.g.
-        // QuorumLost) drops them, disconnecting the party inboxes so
-        // the scope can join the threads instead of deadlocking.
-        let to_party = to_party;
-        // Spawn parties.
-        let mut handles = Vec::with_capacity(n_parties);
-        for (k, x) in features.iter().enumerate() {
-            let runtime = PartyRuntime {
-                features: x.clone(),
-                theta: vec![0.0; x.cols()],
-                learning_rate: config.learning_rate,
-                l2: config.l2,
-                n_parties,
-                privacy: config.privacy,
-                fp,
-                paillier_pk: keypair.as_ref().map(|kp| kp.public.clone()),
-                rng: rand::rngs::StdRng::seed_from_u64(config.seed.wrapping_add(k as u64 + 1)),
-                pending_share_sum: None,
-                last_applied_epoch: None,
-                inbox: inboxes[k].clone(),
-                outbox: from_tx[k].clone(),
-            };
-            handles.push(scope.spawn(move || runtime.run()));
-        }
-        let from_rx = from_rx_template;
+    let recv = |k: usize| -> Result<FromParty> {
+        from_rx[k]
+            .recv()
+            .map_err(|_| FederatedError::Protocol(format!("party {k} hung up")))
+    };
+    let send = |k: usize, msg: ToParty| -> Result<()> {
+        to_party[k]
+            .send(msg)
+            .map_err(|_| FederatedError::Protocol(format!("party {k} hung up")))
+    };
 
-        let recv = |k: usize| -> Result<FromParty> {
-            from_rx[k]
-                .recv()
-                .map_err(|_| FederatedError::Protocol(format!("party {k} hung up")))
-        };
-        let send = |k: usize, msg: ToParty| -> Result<()> {
-            to_party[k]
-                .send(msg)
-                .map_err(|_| FederatedError::Protocol(format!("party {k} hung up")))
-        };
-
+    let outcome = (|| -> Result<()> {
         for epoch in 0..config.epochs {
             // Phase 1: collect partial predictions, one fault-aware
             // exchange per party. Both phases speak `epoch` to crash
@@ -589,12 +581,21 @@ pub fn train_vfl_with_transport<T: Transport>(
                 _ => return Err(FederatedError::Protocol("expected Theta".into())),
             }
         }
-        for h in handles {
-            h.join()
-                .map_err(|_| FederatedError::Protocol("party panicked".into()))??;
-        }
         Ok(())
-    })?;
+    })();
+
+    // Hang up on every party still running, then join them all. A party's
+    // own error outranks the orchestrator's: it is why the wire went dead.
+    drop((to_party, from_rx));
+    let parties: Vec<Result<()>> = handles
+        .into_iter()
+        .map(|h| {
+            h.join()
+                .unwrap_or_else(|_| Err(FederatedError::Protocol("party panicked".into())))
+        })
+        .collect();
+    parties.into_iter().collect::<Result<()>>()?;
+    outcome?;
 
     Ok(VflResult {
         coefficients,
@@ -853,6 +854,39 @@ mod tests {
                 assert_eq!(needed, 2);
             }
             other => panic!("expected QuorumLost, got {other:?}"),
+        }
+    }
+
+    /// A party that fails ends the run with its own error instead of
+    /// hanging it. A NaN feature cell makes party 0's first partial
+    /// non-finite, which neither fixed-point sharing nor Paillier can
+    /// encode. The run goes on a helper thread, so a regression fails at
+    /// the deadline instead of stalling the suite.
+    #[test]
+    fn non_finite_feature_fails_the_run_not_a_hang() {
+        for privacy in [
+            PrivacyMode::SecretShared,
+            PrivacyMode::Paillier { key_bits: 128 },
+        ] {
+            let (mut features, y, _) = setup(30, 9);
+            features[0].set(4, 1, f64::NAN);
+            let config = VflConfig {
+                epochs: 5,
+                learning_rate: 0.3,
+                privacy,
+                ..VflConfig::default()
+            };
+            let (tx, rx) = sync_channel(1);
+            std::thread::spawn(move || {
+                let _ = tx.send(train_vfl(&features, &y, &config));
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(Err(FederatedError::Crypto(_))) => {}
+                Ok(other) => {
+                    panic!("{privacy:?}: expected the party's Crypto error, got {other:?}")
+                }
+                Err(_) => panic!("{privacy:?}: train_vfl did not return within 10 s"),
+            }
         }
     }
 

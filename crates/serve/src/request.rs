@@ -3,7 +3,7 @@
 use crate::error::{Result, ServeError};
 use amalur_matrix::DenseMatrix;
 use amalur_ml::LinRegConfig;
-use crossbeam::channel::Receiver;
+use std::sync::mpsc::Receiver;
 
 /// A prediction request: `T · X` against a catalog-registered
 /// factorized dataset, where each column of `features` is one scoring

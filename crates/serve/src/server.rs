@@ -26,7 +26,7 @@ use amalur_factorize::{FactorizeError, FactorizedTable};
 use amalur_matrix::{set_thread_budget, DenseMatrix, Workspace, WorkspaceArena};
 use amalur_ml::{LinearRegression, MlError};
 use amalur_obs::{span, MetricsRegistry, MetricsSnapshot};
-use crossbeam::channel::{self, Sender};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
@@ -89,7 +89,7 @@ struct PredictJob {
     version: u64,
     table: Arc<FactorizedTable>,
     features: DenseMatrix,
-    reply: Sender<Result<PredictResponse>>,
+    reply: SyncSender<Result<PredictResponse>>,
     /// Admission timestamp on the server's shared wall clock (µs) —
     /// queue-wait and end-to-end latency both measure from here.
     admitted_us: u64,
@@ -101,7 +101,7 @@ struct TrainJob {
     table: Arc<FactorizedTable>,
     labels: DenseMatrix,
     config: amalur_ml::LinRegConfig,
-    reply: Sender<Result<TrainResponse>>,
+    reply: SyncSender<Result<TrainResponse>>,
     admitted_us: u64,
 }
 
@@ -186,7 +186,7 @@ impl ServerHandle {
                 req.features.shape()
             )));
         }
-        let (reply, rx) = channel::bounded(1);
+        let (reply, rx) = sync_channel(1);
         let dataset_counter = self.inner.metrics.dataset_predicts(&req.dataset);
         self.inner.admit(Job::Predict(PredictJob {
             dataset: req.dataset,
@@ -223,7 +223,7 @@ impl ServerHandle {
                 req.labels.shape()
             )));
         }
-        let (reply, rx) = channel::bounded(1);
+        let (reply, rx) = sync_channel(1);
         self.inner.admit(Job::Train(TrainJob {
             dataset: req.dataset,
             version,
@@ -595,7 +595,7 @@ fn cut_replies(out: &[f64], total_cols: usize, jobs: &[PredictJob]) -> Vec<Vec<f
 mod tests {
     use super::*;
     use amalur_data::{generate_two_source, TwoSourceSpec};
-    use crossbeam::channel::Receiver;
+    use std::sync::mpsc::Receiver;
 
     /// A fully covered pair, and one with uncovered rows and slots.
     fn tables() -> Vec<Arc<FactorizedTable>> {
@@ -635,7 +635,7 @@ mod tests {
                         (i as f64 * 0.37 + tag * 1.13).sin()
                     })
                     .collect();
-                let (reply, rx) = channel::bounded(1);
+                let (reply, rx) = sync_channel(1);
                 let job = PredictJob {
                     dataset: "ds".into(),
                     version: 1,
