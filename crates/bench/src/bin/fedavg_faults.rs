@@ -11,11 +11,13 @@
 //! quorum 2/3) and exits non-zero unless it converges within 1% of the
 //! fault-free loss — the CI fault-injection smoke test.
 
+use amalur_bench::write_report;
 use amalur_federated::hfl::{train_fedavg_with_transport, PartySamples};
 use amalur_federated::{FaultPlan, FaultyTransport, HflConfig};
 use amalur_matrix::DenseMatrix;
-use amalur_obs::MetricsRegistry;
+use amalur_obs::{MetricsRegistry, MetricsSnapshot};
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 
 const SEED: u64 = 0xFED5;
 const ROUNDS: usize = 200;
@@ -49,6 +51,8 @@ fn config() -> HflConfig {
     }
 }
 
+/// One grid cell of `BENCH_federated.json`.
+#[derive(Default, Serialize)]
 struct Cell {
     drop: f64,
     straggler: f64,
@@ -60,10 +64,34 @@ struct Cell {
     rounds_degraded: usize,
     rounds_skipped: usize,
     quorum_lost: bool,
-    /// `amalur-obs/v1` registry dump, populated for the acceptance cell
-    /// only, so the federated bench and the serving bench emit the same
-    /// metrics format.
-    metrics_json: Option<String>,
+}
+
+/// `BENCH_federated.json`.
+#[derive(Serialize)]
+struct Report {
+    schema: &'static str,
+    workload: Workload,
+    baseline: Baseline,
+    grid: Vec<Cell>,
+    /// The acceptance cell's registry, in the serving bench's metrics
+    /// format (`amalur-obs/v1`); `null` when the grid lacks that cell.
+    metrics: Option<MetricsSnapshot>,
+}
+
+#[derive(Serialize)]
+struct Workload {
+    silos: usize,
+    rows_each: usize,
+    features: usize,
+    rounds: usize,
+    quorum: &'static str,
+    seed: u64,
+}
+
+#[derive(Serialize)]
+struct Baseline {
+    final_loss: f64,
+    wire_bytes: usize,
 }
 
 /// First round whose loss is within 1% of the fault-free final loss.
@@ -71,21 +99,27 @@ fn rounds_to(losses: &[f64], target: f64) -> Option<usize> {
     losses.iter().position(|&l| l <= target * 1.01)
 }
 
-fn run_cell(parties: &[PartySamples], drop: f64, straggler: f64, clean_final: f64) -> Cell {
+/// Runs one grid cell; the acceptance cell also returns its metrics.
+fn run_cell(
+    parties: &[PartySamples],
+    drop: f64,
+    straggler: f64,
+    clean_final: f64,
+) -> (Cell, Option<MetricsSnapshot>) {
     let mut t = FaultyTransport::new(FaultPlan::grid(SEED, drop, straggler)).expect("valid grid");
     match train_fedavg_with_transport(parties, &config(), &mut t) {
         Ok(r) => {
             let final_loss = r.loss_history.last().copied().unwrap_or(f64::NAN);
             // The acceptance cell doubles as the metrics-format probe:
             // bridge CommStats + the virtual-time round histogram into
-            // a registry and embed its dump.
-            let metrics_json =
+            // a registry and embed its snapshot.
+            let metrics =
                 ((drop - 0.2).abs() < 1e-9 && (straggler - 0.1).abs() < 1e-9).then(|| {
                     let reg = MetricsRegistry::new();
                     r.to_metrics(&reg);
-                    reg.snapshot().to_json(2)
+                    reg.snapshot()
                 });
-            Cell {
+            let cell = Cell {
                 drop,
                 straggler,
                 converged: final_loss <= clean_final * 1.01,
@@ -96,24 +130,19 @@ fn run_cell(parties: &[PartySamples], drop: f64, straggler: f64, clean_final: f6
                 rounds_degraded: r.comm.rounds_degraded,
                 rounds_skipped: r.comm.rounds_skipped,
                 quorum_lost: false,
-                metrics_json,
-            }
+            };
+            (cell, metrics)
         }
         Err(e) => {
             eprintln!("cell drop={drop} straggler={straggler}: {e}");
-            Cell {
+            let cell = Cell {
                 drop,
                 straggler,
-                converged: false,
-                rounds_to_converge: None,
                 final_loss: f64::NAN,
-                wire_bytes: 0,
-                retries: 0,
-                rounds_degraded: 0,
-                rounds_skipped: 0,
                 quorum_lost: true,
-                metrics_json: None,
-            }
+                ..Cell::default()
+            };
+            (cell, None)
         }
     }
 }
@@ -143,10 +172,10 @@ fn main() {
         g
     };
 
-    let cells: Vec<Cell> = grid
+    let (cells, metrics): (Vec<Cell>, Vec<Option<MetricsSnapshot>>) = grid
         .iter()
         .map(|&(d, s)| run_cell(&parties, d, s, clean_final))
-        .collect();
+        .unzip();
     for c in &cells {
         println!(
             "drop={:.1} straggler={:.1}: loss {:.6} ({}), rounds-to-converge {}, \
@@ -172,47 +201,27 @@ fn main() {
         );
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"amalur-bench-federated/v1\",\n");
-    json.push_str(&format!(
-        "  \"workload\": {{ \"silos\": 3, \"rows_each\": 30, \"features\": 3, \"rounds\": {ROUNDS}, \"quorum\": \"2/3\", \"seed\": {SEED} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"baseline\": {{ \"final_loss\": {clean_final:.9}, \"wire_bytes\": {} }},\n",
-        clean.comm.total_bytes()
-    ));
-    json.push_str("  \"grid\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"drop\": {:.2}, \"straggler\": {:.2}, \"converged\": {}, \
-             \"rounds_to_converge\": {}, \"final_loss\": {:.9}, \"wire_bytes\": {}, \
-             \"retries\": {}, \"rounds_degraded\": {}, \"rounds_skipped\": {}, \
-             \"quorum_lost\": {} }}{}\n",
-            c.drop,
-            c.straggler,
-            c.converged,
-            c.rounds_to_converge
-                .map_or("null".to_owned(), |r| r.to_string()),
-            c.final_loss,
-            c.wire_bytes,
-            c.retries,
-            c.rounds_degraded,
-            c.rounds_skipped,
-            c.quorum_lost,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    match cells.iter().find_map(|c| c.metrics_json.as_ref()) {
-        Some(m) => json.push_str(&format!("  \"metrics\": {m}\n")),
-        None => json.push_str("  \"metrics\": null\n"),
-    }
-    json.push_str("}\n");
-    std::fs::write("BENCH_federated.json", &json).expect("writable working directory");
-    println!("wrote BENCH_federated.json");
+    let report = Report {
+        schema: "amalur-bench-federated/v1",
+        workload: Workload {
+            silos: 3,
+            rows_each: 30,
+            features: 3,
+            rounds: ROUNDS,
+            quorum: "2/3",
+            seed: SEED,
+        },
+        baseline: Baseline {
+            final_loss: clean_final,
+            wire_bytes: clean.comm.total_bytes(),
+        },
+        grid: cells,
+        metrics: metrics.into_iter().flatten().next(),
+    };
+    write_report("BENCH_federated.json", &report);
 
     if quick {
-        let cell = &cells[0];
+        let cell = &report.grid[0];
         assert!(
             cell.converged,
             "acceptance: 20% drop / 10% straggler with quorum 2/3 must converge within 1% \

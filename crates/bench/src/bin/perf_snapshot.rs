@@ -30,18 +30,21 @@
 //! (written to `COST_PROFILE.json` and echoed into the snapshot) so the
 //! factorize-vs-materialize crossover tracks every kernel change. The
 //! kernel-layer dispatch counters and calibration-probe histograms are
-//! embedded as an `amalur-obs/v1` registry dump under `"metrics"`. Run
+//! embedded as an `amalur-obs/v1` registry dump under `"metrics"`. The
+//! calibration's per-probe fit (measured, predicted, relative error) is
+//! printed, and the run fails unless the fitted profile is valid. Run
 //! with `--release`; the perf trajectory is tracked across PRs by
 //! committing the refreshed JSON.
 
-use amalur_bench::footnote3_table;
+use amalur_bench::{footnote3_table, write_report};
 use amalur_cost::{calibrate, CalibrationConfig, COST_PROFILE_FILE};
 use amalur_data::{generate_two_source, TwoSourceSpec};
 use amalur_factorize::{FactorizedTable, Strategy};
 use amalur_matrix::{kernel_blocking, kernel_threads, DenseMatrix, Workspace};
 use amalur_ml::{LinRegConfig, LinearRegression};
-use amalur_obs::MetricsRegistry;
+use amalur_obs::{MetricsRegistry, MetricsSnapshot};
 use rand::SeedableRng;
+use serde::{Serialize, Value};
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
@@ -53,7 +56,7 @@ fn measure<O>(reps: usize, mut f: impl FnMut() -> O) -> f64 {
         .map(|_| {
             let start = Instant::now();
             black_box(f());
-            start.elapsed().as_secs_f64() * 1e9
+            start.elapsed().as_nanos() as f64
         })
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -130,8 +133,27 @@ fn epoch_pair(
     (two_products, fused)
 }
 
-fn json_entry(out: &mut String, name: &str, ns: f64) {
-    out.push_str(&format!("    \"{name}\": {:.1},\n", ns));
+/// `BENCH_kernels.json`.
+#[derive(Serialize)]
+struct Report {
+    schema: &'static str,
+    unit: &'static str,
+    kernel: Value,
+    benchmarks: Value,
+    per_canary_transpose_matmul_50000x60x9: Value,
+    cost_profile: Value,
+    linreg_steady_state_fresh_allocations: usize,
+    metrics: MetricsSnapshot,
+}
+
+/// An insertion-ordered JSON object with one field per `(name, value)`.
+fn object<K: Into<String>, V: Serialize>(fields: impl IntoIterator<Item = (K, V)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.into(), v.to_value()))
+            .collect(),
+    )
 }
 
 fn main() {
@@ -459,6 +481,19 @@ fn main() {
     // Kernel speedups move the factorize-vs-materialize crossover; every
     // snapshot re-fits the hardware profile so the cost model keeps up.
     let report = calibrate(&CalibrationConfig::default());
+    println!(
+        "{:<32} {:>12} {:>12} {:>8}",
+        "probe", "measured ms", "predicted ms", "rel err"
+    );
+    for p in &report.probes {
+        println!(
+            "{:<32} {:>12.3} {:>12.3} {:>7.1}%",
+            p.name,
+            p.measured_ns / 1e6,
+            p.predicted_ns(&report.profile) / 1e6,
+            p.relative_error(&report.profile) * 100.0,
+        );
+    }
     report
         .save(Path::new(COST_PROFILE_FILE))
         .expect("writable working directory");
@@ -477,70 +512,66 @@ fn main() {
 
     // --- emit JSON --------------------------------------------------------
     let (mr, nr, mc, kc, nc) = kernel_blocking();
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"amalur-bench-kernels/v2\",\n");
-    json.push_str("  \"unit\": \"ns_per_op\",\n");
-    json.push_str(&format!(
-        "  \"kernel\": {{ \"MR\": {mr}, \"NR\": {nr}, \"MC\": {mc}, \"KC\": {kc}, \"NC\": {nc}, \"threads\": {} }},\n",
-        kernel_threads()
-    ));
-    json.push_str("  \"benchmarks\": {\n");
-    json_entry(&mut json, "matmul_512_packed", matmul_packed_ns);
-    json_entry(&mut json, "matmul_512_naive", matmul_naive_ns);
-    json_entry(&mut json, "matmul_512_panels", matmul_panels_ns);
-    json_entry(&mut json, "gram_512", gram_ns);
+    let mut benchmarks: Vec<(String, f64)> = vec![
+        ("matmul_512_packed".into(), matmul_packed_ns),
+        ("matmul_512_naive".into(), matmul_naive_ns),
+        ("matmul_512_panels".into(), matmul_panels_ns),
+        ("gram_512".into(), gram_ns),
+    ];
     for (n, ab, atb) in table_ns {
-        json_entry(&mut json, &format!("matmul_50000x60x{n}"), ab);
-        json_entry(&mut json, &format!("transpose_matmul_50000x60x{n}"), atb);
+        benchmarks.push((format!("matmul_50000x60x{n}"), ab));
+        benchmarks.push((format!("transpose_matmul_50000x60x{n}"), atb));
     }
-    for (case, ns) in &canary_cases {
-        json_entry(&mut json, case, *ns);
-    }
-    json_entry(
-        &mut json,
-        "gradient_two_products_20000x32",
-        gradient_two_products_ns,
+    benchmarks.extend(canary_cases.iter().cloned());
+    benchmarks.extend(
+        [
+            ("gradient_two_products_20000x32", gradient_two_products_ns),
+            ("gradient_pass_20000x32", gradient_pass_ns),
+            ("lmm_compressed", lmm_compressed_ns),
+            ("lmm_sparse", lmm_sparse_ns),
+            ("lmm_morpheus", lmm_morpheus_ns),
+            ("lmm_compressed_redundant", lmm_red_ns),
+            ("lmm_transpose_compressed_redundant", lmm_t_red_ns),
+            ("gram_factorized", fact_gram_ns),
+            ("gram_materialized_same_table", mat_gram_ns),
+            ("linreg_gd_epoch_factorized", linreg_epoch_ns),
+            ("matmul_512_speedup_vs_naive", speedup),
+        ]
+        .map(|(case, v)| (case.to_owned(), v)),
     );
-    json_entry(&mut json, "gradient_pass_20000x32", gradient_pass_ns);
-    json_entry(&mut json, "lmm_compressed", lmm_compressed_ns);
-    json_entry(&mut json, "lmm_sparse", lmm_sparse_ns);
-    json_entry(&mut json, "lmm_morpheus", lmm_morpheus_ns);
-    json_entry(&mut json, "lmm_compressed_redundant", lmm_red_ns);
-    json_entry(
-        &mut json,
-        "lmm_transpose_compressed_redundant",
-        lmm_t_red_ns,
+    write_report(
+        "BENCH_kernels.json",
+        &Report {
+            schema: "amalur-bench-kernels/v2",
+            unit: "ns_per_op",
+            kernel: object([
+                ("MR", mr),
+                ("NR", nr),
+                ("MC", mc),
+                ("KC", kc),
+                ("NC", nc),
+                ("threads", kernel_threads()),
+            ]),
+            benchmarks: object(benchmarks),
+            // The epoch, Lloyd and predict-path cases over the n = 9
+            // packed `Aᵀ·B` of the same run.
+            per_canary_transpose_matmul_50000x60x9: object(
+                canary_cases
+                    .into_iter()
+                    .map(|(case, ns)| (case, ns / canary_ns)),
+            ),
+            cost_profile: object([
+                ("flop_cost", hp.flop_cost),
+                ("traffic_cost", hp.traffic_cost),
+                ("correction_cost", hp.correction_cost),
+                ("assembly_cost", hp.assembly_cost),
+                ("dispatch_cost", hp.dispatch_cost),
+                ("rms_rel_err", report.rms_rel_err),
+            ]),
+            linreg_steady_state_fresh_allocations: steady_state_allocs,
+            metrics: registry.snapshot(),
+        },
     );
-    json_entry(&mut json, "gram_factorized", fact_gram_ns);
-    json_entry(&mut json, "gram_materialized_same_table", mat_gram_ns);
-    json_entry(&mut json, "linreg_gd_epoch_factorized", linreg_epoch_ns);
-    json.push_str(&format!(
-        "    \"matmul_512_speedup_vs_naive\": {speedup:.2}\n"
-    ));
-    json.push_str("  },\n");
-    // The epoch, Lloyd and predict-path cases over the n = 9 packed
-    // `Aᵀ·B` of the same run.
-    json.push_str("  \"per_canary_transpose_matmul_50000x60x9\": {\n");
-    let ratios: Vec<String> = canary_cases
-        .iter()
-        .map(|(case, ns)| format!("    \"{case}\": {:.4}", ns / canary_ns))
-        .collect();
-    json.push_str(&ratios.join(",\n"));
-    json.push_str("\n  },\n");
-    json.push_str(&format!(
-        "  \"cost_profile\": {{ \"flop_cost\": {:.6}, \"traffic_cost\": {:.6}, \"correction_cost\": {:.6}, \"assembly_cost\": {:.6}, \"dispatch_cost\": {:.1}, \"rms_rel_err\": {:.4} }},\n",
-        hp.flop_cost, hp.traffic_cost, hp.correction_cost, hp.assembly_cost, hp.dispatch_cost, report.rms_rel_err
-    ));
-    json.push_str(&format!(
-        "  \"linreg_steady_state_fresh_allocations\": {steady_state_allocs},\n"
-    ));
-    json.push_str(&format!(
-        "  \"metrics\": {}\n",
-        registry.snapshot().to_json(2)
-    ));
-    json.push_str("}\n");
-    std::fs::write("BENCH_kernels.json", &json).expect("writable working directory");
-    println!("wrote BENCH_kernels.json");
 
     assert!(
         speedup >= 2.0,
@@ -549,5 +580,9 @@ fn main() {
     assert_eq!(
         steady_state_allocs, 0,
         "acceptance: steady-state linreg epochs must not allocate"
+    );
+    assert!(
+        hp.is_valid(),
+        "acceptance: fitted profile must be valid (finite, non-negative, non-zero)"
     );
 }

@@ -26,6 +26,7 @@
 //! Run with: `cargo run --release -p amalur-bench --bin scenario_sweep`
 //! (`--quick` for the CI smoke; `--seed N` to explore another slice).
 
+use amalur_bench::write_report;
 use amalur_cost::{
     load_or_calibrate, AmalurCostModel, CalibrationConfig, CostFeatures, CostModel,
     MorpheusHeuristic, TrainingWorkload, COST_PROFILE_FILE,
@@ -33,6 +34,7 @@ use amalur_cost::{
 use amalur_factorize::FactorizedTable;
 use amalur_gen::sample::SizeClass;
 use amalur_gen::{check_and_shrink, sample_spec, Corpus, ScenarioSpec, ALL_WORKLOADS};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -54,16 +56,45 @@ struct Bucket {
     morpheus_correct: usize,
 }
 
-struct CostScore {
-    buckets: BTreeMap<String, Bucket>,
+/// `BENCH_coverage.json`.
+#[derive(Serialize)]
+struct Report {
+    schema: &'static str,
+    sweep: Sweep,
+    equivalence: Equivalence,
+    cost_model: CostModelReport,
 }
 
-impl CostScore {
-    fn totals(&self) -> (usize, usize) {
-        let clear: usize = self.buckets.values().map(|b| b.clear_cut).sum();
-        let correct: usize = self.buckets.values().map(|b| b.amalur_correct).sum();
-        (clear, correct)
-    }
+#[derive(Serialize)]
+struct Sweep {
+    seed: u64,
+    quick: bool,
+    workloads: Vec<&'static str>,
+}
+
+#[derive(Serialize)]
+struct Equivalence {
+    scenarios: usize,
+    violations: usize,
+}
+
+#[derive(Serialize)]
+struct CostModelReport {
+    oracle_epochs: usize,
+    near_tie_tolerance: f64,
+    buckets: Vec<BucketReport>,
+}
+
+/// One `topology/skew` bucket; an accuracy is `null` when the bucket
+/// has no clear-cut scenario.
+#[derive(Serialize)]
+struct BucketReport {
+    bucket: String,
+    scenarios: usize,
+    clear_cut: usize,
+    excluded: usize,
+    amalur_accuracy: Option<f64>,
+    morpheus_accuracy: Option<f64>,
 }
 
 fn main() {
@@ -136,9 +167,7 @@ fn main() {
         "\ncost-model coverage (profile: {source}, near-tie tolerance {:.0}%):",
         NEAR_TIE * 100.0
     );
-    let mut score = CostScore {
-        buckets: BTreeMap::new(),
-    };
+    let mut buckets: BTreeMap<String, Bucket> = BTreeMap::new();
     for spec in specs.iter().skip(n_small as usize) {
         let (md, data) = amalur_gen::generate(spec).expect("swept spec generates");
         let ft = FactorizedTable::new(md, data).expect("swept spec factorizes");
@@ -146,7 +175,7 @@ fn main() {
         let predicted_amalur = amalur.decide(&features, &workload);
         let predicted_morpheus = morpheus.decide(&features, &workload);
         let measurement = amalur_cost::measure_strategies(&ft, &workload);
-        let bucket = score.buckets.entry(spec.bucket()).or_default();
+        let bucket = buckets.entry(spec.bucket()).or_default();
         bucket.scenarios += 1;
         if measurement.is_near_tie(NEAR_TIE) {
             bucket.excluded += 1;
@@ -157,39 +186,60 @@ fn main() {
         bucket.amalur_correct += usize::from(predicted_amalur == truth);
         bucket.morpheus_correct += usize::from(predicted_morpheus == truth);
     }
+    let bucket_reports: Vec<BucketReport> = buckets
+        .iter()
+        .map(|(name, b)| {
+            let acc =
+                |correct: usize| (b.clear_cut > 0).then(|| correct as f64 / b.clear_cut as f64);
+            BucketReport {
+                bucket: name.clone(),
+                scenarios: b.scenarios,
+                clear_cut: b.clear_cut,
+                excluded: b.excluded,
+                amalur_accuracy: acc(b.amalur_correct),
+                morpheus_accuracy: acc(b.morpheus_correct),
+            }
+        })
+        .collect();
+    let pct = |acc: Option<f64>| acc.map_or("-".to_owned(), |a| format!("{:.0}%", 100.0 * a));
     println!(
         "{:<22} {:>5} {:>9} {:>9} {:>8} {:>9}",
         "bucket", "n", "clear-cut", "excluded", "amalur", "morpheus"
     );
-    for (name, b) in &score.buckets {
-        let pct = |correct: usize| {
-            if b.clear_cut == 0 {
-                "-".to_owned()
-            } else {
-                format!("{:.0}%", 100.0 * correct as f64 / b.clear_cut as f64)
-            }
-        };
+    for b in &bucket_reports {
         println!(
             "{:<22} {:>5} {:>9} {:>9} {:>8} {:>9}",
-            name,
+            b.bucket,
             b.scenarios,
             b.clear_cut,
             b.excluded,
-            pct(b.amalur_correct),
-            pct(b.morpheus_correct)
+            pct(b.amalur_accuracy),
+            pct(b.morpheus_accuracy)
         );
     }
 
     // --- report --------------------------------------------------------------
+    println!();
     write_report(
-        seed,
-        quick,
-        n_equivalence_checked,
-        &failures,
-        &score,
-        &workload,
+        "BENCH_coverage.json",
+        &Report {
+            schema: "amalur-bench-coverage/v1",
+            sweep: Sweep {
+                seed,
+                quick,
+                workloads: vec!["linreg", "logreg", "kmeans", "gnmf"],
+            },
+            equivalence: Equivalence {
+                scenarios: n_equivalence_checked,
+                violations: failures.len(),
+            },
+            cost_model: CostModelReport {
+                oracle_epochs: workload.epochs,
+                near_tie_tolerance: NEAR_TIE,
+                buckets: bucket_reports,
+            },
+        },
     );
-    println!("\nwrote BENCH_coverage.json");
 
     // --- gates ---------------------------------------------------------------
     if !failures.is_empty() {
@@ -200,7 +250,8 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let (clear, correct) = score.totals();
+    let clear: usize = buckets.values().map(|b| b.clear_cut).sum();
+    let correct: usize = buckets.values().map(|b| b.amalur_correct).sum();
     // Quadrant-regression gate: with a meaningful number of clear-cut
     // measurements, the calibrated model must beat a coin flip across
     // the generated space (table3 enforces the stronger footnote-3
@@ -210,49 +261,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("scenario sweep green: equivalence holds, cost model {correct}/{clear} clear-cut");
-}
-
-fn write_report(
-    seed: u64,
-    quick: bool,
-    checked: usize,
-    failures: &[String],
-    score: &CostScore,
-    workload: &TrainingWorkload,
-) {
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"amalur-bench-coverage/v1\",\n");
-    json.push_str(&format!(
-        "  \"sweep\": {{ \"seed\": {seed}, \"quick\": {quick}, \"workloads\": [\"linreg\", \"logreg\", \"kmeans\", \"gnmf\"] }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"equivalence\": {{ \"scenarios\": {checked}, \"violations\": {} }},\n",
-        failures.len()
-    ));
-    json.push_str(&format!(
-        "  \"cost_model\": {{ \"oracle_epochs\": {}, \"near_tie_tolerance\": {NEAR_TIE}, \"buckets\": [\n",
-        workload.epochs
-    ));
-    let n_buckets = score.buckets.len();
-    for (i, (name, b)) in score.buckets.iter().enumerate() {
-        let acc = |correct: usize| {
-            if b.clear_cut == 0 {
-                "null".to_owned()
-            } else {
-                format!("{:.4}", correct as f64 / b.clear_cut as f64)
-            }
-        };
-        json.push_str(&format!(
-            "    {{ \"bucket\": \"{name}\", \"scenarios\": {}, \"clear_cut\": {}, \"excluded\": {}, \
-             \"amalur_accuracy\": {}, \"morpheus_accuracy\": {} }}{}\n",
-            b.scenarios,
-            b.clear_cut,
-            b.excluded,
-            acc(b.amalur_correct),
-            acc(b.morpheus_correct),
-            if i + 1 < n_buckets { "," } else { "" }
-        ));
-    }
-    json.push_str("  ] }\n}\n");
-    std::fs::write("BENCH_coverage.json", &json).expect("writable working directory");
 }

@@ -31,6 +31,7 @@
 //! (`--quick` for the CI smoke; `--clients N`, `--requests N`,
 //! `--workers N` to reshape the fleet).
 
+use amalur_bench::write_report;
 use amalur_catalog::DatasetRegistry;
 use amalur_data::{generate_two_source, TwoSourceSpec};
 use amalur_factorize::FactorizedTable;
@@ -38,8 +39,10 @@ use amalur_matrix::{DenseMatrix, Workspace};
 use amalur_ml::LinRegConfig;
 use amalur_obs::Histogram;
 use amalur_serve::{
-    HistogramSnapshot, PredictRequest, Server, ServerConfig, ServerHandle, TrainRequest,
+    HistogramSnapshot, MetricsSnapshot, PredictRequest, Server, ServerConfig, ServerHandle,
+    TrainRequest,
 };
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,11 +54,13 @@ const QUICK_P99_CEILING: Duration = Duration::from_millis(500);
 /// path exercised without dominating the predict latency distribution.
 const TRAIN_EVERY: u64 = 25;
 
+/// The fleet's shape, also the report's `config`.
+#[derive(Clone, Copy, Serialize)]
 struct Args {
-    quick: bool,
     clients: usize,
     requests_per_client: usize,
     workers: usize,
+    quick: bool,
 }
 
 fn parse_args() -> Args {
@@ -69,11 +74,11 @@ fn parse_args() -> Args {
     };
     let quick = flag("--quick");
     Args {
-        quick,
         // Full mode: a thousand-client fleet; quick keeps CI snappy.
         clients: opt("--clients").unwrap_or(if quick { 64 } else { 1000 }),
         requests_per_client: opt("--requests").unwrap_or(if quick { 8 } else { 4 }),
         workers: opt("--workers").unwrap_or(2),
+        quick,
     }
 }
 
@@ -257,6 +262,44 @@ fn check_batched_equivalence(
     (ok, coalesced)
 }
 
+/// `BENCH_serving.json`.
+#[derive(Serialize)]
+struct Report {
+    schema: &'static str,
+    config: Args,
+    throughput_req_per_s: f64,
+    elapsed_s: f64,
+    predict_latency_us: Latency,
+    admission: Admission,
+    batching: Batching,
+    trains_done: u64,
+    batched_equivalence_ok: bool,
+    percentile_cross_check_ok: bool,
+    metrics: MetricsSnapshot,
+}
+
+#[derive(Serialize)]
+struct Latency {
+    p50: u64,
+    p95: u64,
+    p99: u64,
+    count: usize,
+}
+
+#[derive(Serialize)]
+struct Admission {
+    accepted: u64,
+    rejected: u64,
+}
+
+#[derive(Serialize)]
+struct Batching {
+    predict_batches: u64,
+    coalesced_predicts: u64,
+    mean_batch_width: f64,
+    equivalence_probe_coalesced: u64,
+}
+
 fn main() {
     let args = parse_args();
     let total_requests = args.clients * args.requests_per_client;
@@ -350,39 +393,35 @@ fn main() {
         if equiv_ok { "ok" } else { "VIOLATED" }
     );
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"amalur-bench-serving/v1\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{ \"clients\": {}, \"requests_per_client\": {}, \"workers\": {}, \"quick\": {} }},\n",
-        args.clients, args.requests_per_client, args.workers, args.quick
-    ));
-    json.push_str(&format!(
-        "  \"throughput_req_per_s\": {throughput:.1},\n  \"elapsed_s\": {:.3},\n",
-        elapsed.as_secs_f64()
-    ));
-    json.push_str(&format!(
-        "  \"predict_latency_us\": {{ \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}, \"count\": {} }},\n",
-        latencies.len()
-    ));
-    json.push_str(&format!(
-        "  \"admission\": {{ \"accepted\": {}, \"rejected\": {} }},\n",
-        stats.accepted, stats.rejected
-    ));
-    json.push_str(&format!(
-        "  \"batching\": {{ \"predict_batches\": {}, \"coalesced_predicts\": {}, \"mean_batch_width\": {mean_batch:.3}, \"equivalence_probe_coalesced\": {equiv_coalesced} }},\n",
-        stats.predict_batches, stats.coalesced_predicts
-    ));
-    json.push_str(&format!(
-        "  \"trains_done\": {},\n  \"batched_equivalence_ok\": {equiv_ok},\n",
-        stats.trains_done
-    ));
-    json.push_str(&format!(
-        "  \"percentile_cross_check_ok\": {},\n",
-        divergences.is_empty()
-    ));
-    json.push_str(&format!("  \"metrics\": {}\n}}\n", metrics.to_json(2)));
-    std::fs::write("BENCH_serving.json", &json).expect("writable working directory");
-    println!("wrote BENCH_serving.json");
+    write_report(
+        "BENCH_serving.json",
+        &Report {
+            schema: "amalur-bench-serving/v1",
+            config: args,
+            throughput_req_per_s: throughput,
+            elapsed_s: elapsed.as_secs_f64(),
+            predict_latency_us: Latency {
+                p50,
+                p95,
+                p99,
+                count: latencies.len(),
+            },
+            admission: Admission {
+                accepted: stats.accepted,
+                rejected: stats.rejected,
+            },
+            batching: Batching {
+                predict_batches: stats.predict_batches,
+                coalesced_predicts: stats.coalesced_predicts,
+                mean_batch_width: mean_batch,
+                equivalence_probe_coalesced: equiv_coalesced,
+            },
+            trains_done: stats.trains_done,
+            batched_equivalence_ok: equiv_ok,
+            percentile_cross_check_ok: divergences.is_empty(),
+            metrics,
+        },
+    );
 
     // The metrics layer lying about latency is a bug at any fleet size,
     // so the cross-check gates full runs too, not just --quick.

@@ -2,7 +2,8 @@
 //!
 //! Each report binary under `src/bin/` names the table or figure of the
 //! paper it regenerates in its own header; the verify skill
-//! (`.claude/skills/verify/SKILL.md`) lists the commands.
+//! (`.claude/skills/verify/SKILL.md`) lists the commands. Every
+//! `BENCH_*.json` a binary writes goes through [`write_report`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,6 +14,20 @@ use amalur_cost::{
 };
 use amalur_data::{generate_two_source, TwoSourceSpec};
 use amalur_factorize::FactorizedTable;
+use serde::Serialize;
+use std::path::Path;
+
+/// Writes `report` to `path` as indented JSON and prints `wrote <path>`.
+/// A non-finite float field is written as `null`.
+///
+/// # Panics
+/// Panics when `path` cannot be written.
+pub fn write_report(path: impl AsRef<Path>, report: &impl Serialize) {
+    let path = path.as_ref();
+    let json = serde_json::to_string_pretty(report).expect("every value tree serializes");
+    std::fs::write(path, json + "\n").expect("writable report path");
+    println!("wrote {}", path.display());
+}
 
 /// Builds the footnote-3 configuration as a factorized table.
 ///
@@ -260,6 +275,31 @@ mod tests {
         let grid = figure5_sweep(500, &[1, 8], &[1, 8], &workload, &amalur);
         assert_eq!(grid.len(), 4);
         assert!(grid.iter().all(|g| g.speedup > 0.0));
+    }
+
+    #[derive(Serialize)]
+    struct NonFinite {
+        nan: f64,
+        inf: f64,
+        finite: f64,
+    }
+
+    #[test]
+    fn report_writes_non_finite_floats_as_null() {
+        let path =
+            std::env::temp_dir().join(format!("amalur-bench-report-{}.json", std::process::id()));
+        let report = NonFinite {
+            nan: f64::NAN,
+            inf: f64::INFINITY,
+            finite: 0.5,
+        };
+        write_report(&path, &report);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let parsed: serde::Value = serde_json::from_str(&text).expect("the report parses");
+        assert_eq!(parsed.get("nan"), Some(&serde::Value::Null));
+        assert_eq!(parsed.get("inf"), Some(&serde::Value::Null));
+        assert_eq!(parsed.get("finite"), Some(&serde::Value::Float(0.5)));
     }
 
     #[test]

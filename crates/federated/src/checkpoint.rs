@@ -84,8 +84,7 @@ impl Checkpoint {
             ("loss_bits".into(), bits(&self.loss_history)),
             ("comm".into(), comm),
         ]);
-        serde_json::to_string_pretty(&ValueWrap(root))
-            .map_err(|e| FederatedError::Checkpoint(e.to_string()))
+        serde_json::to_string_pretty(&root).map_err(|e| FederatedError::Checkpoint(e.to_string()))
     }
 
     /// Parses the v1 JSON format.
@@ -95,9 +94,7 @@ impl Checkpoint {
     /// mismatch.
     pub fn from_json(text: &str) -> Result<Self> {
         let err = |m: String| FederatedError::Checkpoint(m);
-        let root: Value = serde_json::from_str::<ValueWrap>(text)
-            .map(|w| w.0)
-            .map_err(|e| err(e.to_string()))?;
+        let root: Value = serde_json::from_str(text).map_err(|e| err(e.to_string()))?;
         let schema = get_str(&root, "schema")?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(err(format!("unknown checkpoint schema `{schema}`")));
@@ -133,22 +130,6 @@ impl Checkpoint {
                 .map_err(|e| err(format!("rng_draws: {e}")))?,
             quorum_failures: get_usize(&root, "quorum_failures")?,
         })
-    }
-}
-
-/// Adapter: the serde_json shim serializes `Serialize` types; a raw
-/// [`Value`] tree is its own serialization.
-struct ValueWrap(Value);
-
-impl serde::Serialize for ValueWrap {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-impl serde::Deserialize for ValueWrap {
-    fn from_value(v: &Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(ValueWrap(v.clone()))
     }
 }
 

@@ -695,7 +695,9 @@ mod tests {
                 .count(),
             config.rounds as u64
         );
-        assert!(snap.to_json(0).contains("federated.comm.messages"));
+        assert!(serde_json::to_string(&snap)
+            .unwrap()
+            .contains("federated.comm.messages"));
     }
 
     /// Centralized GD on the union with the same update rule.

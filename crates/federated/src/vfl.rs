@@ -275,6 +275,7 @@ fn reply_wire_bytes(msg: &FromParty, paillier_modulus_bits: usize) -> usize {
 /// # Errors
 /// * [`FederatedError::InvalidConfig`] for zero parties/epochs.
 /// * [`FederatedError::Misaligned`] for inconsistent row counts.
+/// * [`FederatedError::Compute`] for a non-finite feature cell or label.
 pub fn train_vfl(
     features: &[DenseMatrix],
     y: &DenseMatrix,
@@ -325,6 +326,21 @@ pub fn train_vfl_with_transport<T: Transport>(
             y.rows(),
             y.cols()
         )));
+    }
+    // Plaintext would train a non-finite cell into a NaN model, and the
+    // protected modes would fail on it in a party thread.
+    let inputs = features
+        .iter()
+        .enumerate()
+        .map(|(k, x)| (format!("party {k} feature"), x));
+    for (what, m) in inputs.chain([("label".to_owned(), y)]) {
+        if let Some(i) = m.as_slice().iter().position(|v| !v.is_finite()) {
+            let (r, c) = (i / m.cols(), i % m.cols());
+            let v = m.as_slice()[i];
+            return Err(FederatedError::Compute(format!(
+                "{what} cell ({r}, {c}) is {v}"
+            )));
+        }
     }
 
     let n_parties = features.len();
@@ -857,11 +873,43 @@ mod tests {
         }
     }
 
+    /// A non-finite feature cell or label is a typed error in every
+    /// privacy mode, raised before any key or party thread exists.
+    #[test]
+    fn non_finite_input_is_a_compute_error_in_every_mode() {
+        for privacy in [
+            PrivacyMode::Plaintext,
+            PrivacyMode::SecretShared,
+            PrivacyMode::Paillier { key_bits: 128 },
+        ] {
+            let config = VflConfig {
+                epochs: 5,
+                privacy,
+                ..VflConfig::default()
+            };
+            let (mut features, y, _) = setup(30, 9);
+            features[1].set(4, 2, f64::NAN);
+            match train_vfl(&features, &y, &config) {
+                Err(FederatedError::Compute(m)) => {
+                    assert!(m.contains("party 1 feature cell (4, 2)"), "{m}")
+                }
+                other => panic!("{privacy:?}: expected Compute, got {other:?}"),
+            }
+            let (features, mut y, _) = setup(30, 9);
+            y.set(7, 0, f64::INFINITY);
+            match train_vfl(&features, &y, &config) {
+                Err(FederatedError::Compute(m)) => assert!(m.contains("label cell (7, 0)"), "{m}"),
+                other => panic!("{privacy:?}: expected Compute, got {other:?}"),
+            }
+        }
+    }
+
     /// A party that fails ends the run with its own error instead of
-    /// hanging it. A NaN feature cell makes party 0's first partial
-    /// non-finite, which neither fixed-point sharing nor Paillier can
-    /// encode. The run goes on a helper thread, so a regression fails at
-    /// the deadline instead of stalling the suite.
+    /// hanging it. A finite but large feature cell passes validation and
+    /// the first epoch (θ = 0), then makes party 0's next partial overflow
+    /// the range fixed-point sharing and Paillier can encode. The run goes
+    /// on a helper thread, so a regression fails at the deadline instead
+    /// of stalling the suite.
     #[test]
     fn non_finite_feature_fails_the_run_not_a_hang() {
         for privacy in [
@@ -869,7 +917,7 @@ mod tests {
             PrivacyMode::Paillier { key_bits: 128 },
         ] {
             let (mut features, y, _) = setup(30, 9);
-            features[0].set(4, 1, f64::NAN);
+            features[0].set(4, 1, 1e9);
             let config = VflConfig {
                 epochs: 5,
                 learning_rate: 0.3,
@@ -881,7 +929,7 @@ mod tests {
                 let _ = tx.send(train_vfl(&features, &y, &config));
             });
             match rx.recv_timeout(std::time::Duration::from_secs(10)) {
-                Ok(Err(FederatedError::Crypto(_))) => {}
+                Ok(Err(FederatedError::Crypto(m))) => assert!(m.contains("range"), "{m}"),
                 Ok(other) => {
                     panic!("{privacy:?}: expected the party's Crypto error, got {other:?}")
                 }

@@ -32,8 +32,10 @@
 //!   either registry-owned (`Arc`) or mounted `'static`s (the kernel
 //!   layer declares `static` counters and mounts them so GEMM dispatch
 //!   needs no registry plumbing). Snapshots are deterministic
-//!   (BTreeMap order) and dump to a stable JSON shape
-//!   (`amalur-obs/v1`) that the bench bins embed in `BENCH_*.json`.
+//!   (BTreeMap order). [`MetricsSnapshot`] implements the vendored
+//!   `serde::Serialize` in a stable shape (`amalur-obs/v1`), so the
+//!   bench bins embed it in their `BENCH_*.json` as a field and
+//!   `serde_json` writes it, names escaped, with the rest of the report.
 //! * [`Counter`] — monotone, sharded across cache-line-padded atomics
 //!   so concurrent workers do not serialize on one line.
 //! * [`Gauge`] — last-value or high-water (`set_max`) semantics, e.g.

@@ -1,6 +1,7 @@
 //! The named metric directory and its deterministic snapshot/dump.
 
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -195,72 +196,41 @@ impl MetricsSnapshot {
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
     }
+}
 
-    /// The stable `amalur-obs/v1` JSON dump, indented by `indent`
-    /// spaces so bench bins can embed it inside their `BENCH_*.json`
-    /// files. Keys appear in name order; histograms carry count, sum,
-    /// mean, p50/p95/p99 estimates and their non-empty buckets as
-    /// `[lower_bound, count]` pairs.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("{pad}  \"schema\": \"amalur-obs/v1\",\n"));
-
-        out.push_str(&format!("{pad}  \"counters\": {{"));
-        push_scalar_map(&mut out, &pad, &self.counters);
-        out.push_str("},\n");
-
-        out.push_str(&format!("{pad}  \"gauges\": {{"));
-        push_scalar_map(&mut out, &pad, &self.gauges);
-        out.push_str("},\n");
-
-        out.push_str(&format!("{pad}  \"histograms\": {{"));
-        let mut first = true;
-        for (name, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let buckets: Vec<String> = h
-                .nonzero_buckets()
-                .iter()
-                .map(|(lo, c)| format!("[{lo}, {c}]"))
-                .collect();
-            out.push_str(&format!(
-                "\n{pad}    \"{name}\": {{ \"count\": {}, \"sum\": {}, \"mean\": {:.3}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [{}] }}",
-                h.count(),
-                h.sum(),
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99),
-                buckets.join(", ")
-            ));
-        }
-        if !first {
-            out.push_str(&format!("\n{pad}  "));
-        }
-        out.push_str("}\n");
-        out.push_str(&format!("{pad}}}"));
-        out
+/// The stable `amalur-obs/v1` dump, which the bench bins embed in their
+/// `BENCH_*.json` files: `schema`, then `counters`, `gauges` and
+/// `histograms`, each keyed by metric name in name order.
+impl Serialize for MetricsSnapshot {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("schema".into(), "amalur-obs/v1".to_value()),
+            ("counters".into(), self.counters.to_value()),
+            ("gauges".into(), self.gauges.to_value()),
+            ("histograms".into(), self.histograms.to_value()),
+        ])
     }
 }
 
-/// Appends `"name": value` pairs for a scalar map, matching the
-/// histogram block's layout.
-fn push_scalar_map(out: &mut String, pad: &str, map: &BTreeMap<String, u64>) {
-    let mut first = true;
-    for (name, v) in map {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n{pad}    \"{name}\": {v}"));
-    }
-    if !first {
-        out.push_str(&format!("\n{pad}  "));
+/// One histogram of the `amalur-obs/v1` dump: count, sum, mean, the
+/// p50/p95/p99 estimates and the non-empty buckets as
+/// `[lower_bound, count]` pairs.
+impl Serialize for HistogramSnapshot {
+    fn to_value(&self) -> Value {
+        let buckets: Vec<Vec<u64>> = self
+            .nonzero_buckets()
+            .into_iter()
+            .map(|(lo, c)| vec![lo, c])
+            .collect();
+        Value::Object(vec![
+            ("count".into(), self.count().to_value()),
+            ("sum".into(), self.sum().to_value()),
+            ("mean".into(), self.mean().to_value()),
+            ("p50".into(), self.quantile(0.50).to_value()),
+            ("p95".into(), self.quantile(0.95).to_value()),
+            ("p99".into(), self.quantile(0.99).to_value()),
+            ("buckets".into(), buckets.to_value()),
+        ])
     }
 }
 
@@ -309,20 +279,65 @@ mod tests {
         reg.counter("b.second").add(2);
         reg.counter("a.first").inc();
         reg.gauge("z.gauge").set(9);
-        reg.histogram("m.hist").record(5);
-        let json = reg.snapshot().to_json(0);
+        let h = reg.histogram("m.hist");
+        for v in [5, 5, 100] {
+            h.record(v);
+        }
+        let json = serde_json::to_string_pretty(&reg.snapshot()).unwrap();
         let a = json.find("a.first").expect("a.first present");
         let b = json.find("b.second").expect("b.second present");
         assert!(a < b, "counters serialize in name order");
         assert!(json.contains("\"schema\": \"amalur-obs/v1\""));
-        assert!(json.contains("\"p99\":"));
-        assert_eq!(reg.snapshot().to_json(0), json, "dump is deterministic");
+        assert_eq!(
+            serde_json::to_string_pretty(&reg.snapshot()).unwrap(),
+            json,
+            "dump is deterministic"
+        );
+
+        let dump: Value = serde_json::from_str(&json).unwrap();
+        let hist = dump
+            .get("histograms")
+            .and_then(|v| v.get("m.hist"))
+            .unwrap();
+        let snap = h.snapshot();
+        let buckets: Vec<Vec<u64>> = snap
+            .nonzero_buckets()
+            .into_iter()
+            .map(|(lo, c)| vec![lo, c])
+            .collect();
+        assert_eq!(hist.get("count"), Some(&Value::Int(3)));
+        assert_eq!(hist.get("sum"), Some(&Value::Int(110)));
+        assert_eq!(hist.get("mean"), Some(&Value::Float(snap.mean())));
+        assert_eq!(hist.get("p99"), Some(&snap.quantile(0.99).to_value()));
+        assert_eq!(hist.get("buckets"), Some(&buckets.to_value()));
     }
 
     #[test]
     fn empty_registry_dumps_empty_maps() {
-        let json = MetricsRegistry::new().snapshot().to_json(2);
+        let json = serde_json::to_string_pretty(&MetricsRegistry::new().snapshot()).unwrap();
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"histograms\": {}"));
+    }
+
+    /// Dynamic name parts come from callers (a published dataset's name
+    /// lands in `serve.dataset.<name>.predicts`), so the dump must escape
+    /// them and still parse, with every metric under its exact name.
+    #[test]
+    fn dump_escapes_metric_names() {
+        let names = ["serve.dataset.a\"b.predicts", "back\\slash", "new\nline"];
+        let reg = MetricsRegistry::new();
+        for (i, name) in names.iter().enumerate() {
+            reg.counter(name).add(i as u64 + 1);
+        }
+        let json = serde_json::to_string_pretty(&reg.snapshot()).unwrap();
+        let dump: Value = serde_json::from_str(&json).expect("the dump parses");
+        let counters = dump.get("counters").expect("counters present");
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(
+                counters.get(name),
+                Some(&Value::Int(i as i64 + 1)),
+                "{name:?}"
+            );
+        }
     }
 }

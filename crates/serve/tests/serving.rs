@@ -830,7 +830,7 @@ fn metrics_snapshot_agrees_with_stats_counters() {
     // Percentiles come out monotone and the dump embeds them.
     assert!(latency.quantile(0.50) <= latency.quantile(0.95));
     assert!(latency.quantile(0.95) <= latency.quantile(0.99));
-    let json = snap.to_json(0);
+    let json = serde_json::to_string_pretty(&snap).unwrap();
     assert!(json.contains("\"schema\": \"amalur-obs/v1\""));
     assert!(json.contains("serve.predict.latency_us"));
     server.shutdown();
