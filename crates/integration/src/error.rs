@@ -16,9 +16,6 @@ pub enum IntegrationError {
     InvalidMetadata(String),
     /// Schema matching / entity resolution produced no usable result.
     NoMatches(String),
-    /// An input table has no rows; integration scenarios are only
-    /// defined over non-empty sources.
-    EmptyTable(String),
     /// Error bubbled up from the relational substrate.
     Relational(String),
     /// Error bubbled up from the matrix substrate.
@@ -32,7 +29,6 @@ impl fmt::Display for IntegrationError {
             IntegrationError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
             IntegrationError::InvalidMetadata(m) => write!(f, "invalid metadata: {m}"),
             IntegrationError::NoMatches(m) => write!(f, "no matches: {m}"),
-            IntegrationError::EmptyTable(t) => write!(f, "empty table: {t} has no rows"),
             IntegrationError::Relational(m) => write!(f, "relational error: {m}"),
             IntegrationError::Matrix(m) => write!(f, "matrix error: {m}"),
         }

@@ -20,6 +20,8 @@
 //!   join, inner join, left join, union) as integration planners that turn
 //!   two source [`Table`]s into source data matrices `Dₖ` plus complete DI
 //!   metadata.
+//! * [`star`] — the same planner over one base table and many satellites
+//!   (the §I drug-risk star), under left or inner alignment.
 //!
 //! [`Table`]: amalur_relational::Table
 
@@ -46,8 +48,7 @@ pub use metadata::{
 };
 pub use metrics::mount_metrics;
 pub use scenario::{
-    integrate_pair, integrate_union, materialize_relationally, IntegrationOptions,
-    IntegrationResult, ScenarioKind,
+    integrate_pair, materialize_relationally, IntegrationOptions, IntegrationResult, ScenarioKind,
 };
 pub use star::{integrate_star, StarKind};
 pub use tgd::{Atom, Tgd};

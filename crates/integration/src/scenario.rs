@@ -1,25 +1,36 @@
 //! The four dataset relationships of Table I as integration planners.
 //!
-//! Given two source tables, a scenario kind and an entity key, these
-//! planners run schema matching and entity resolution, decide the target
+//! Given source tables, a scenario kind and an entity key, the planners
+//! run schema matching and entity resolution, decide the target
 //! (mediated) schema, and emit everything the downstream ML layers need:
 //! the source data matrices `Dₖ`, the complete [`DiMetadata`] (mapping,
-//! indicator and redundancy matrices) and the defining tgds.
+//! indicator and redundancy matrices) and, for a pair, the defining tgds.
 //!
-//! | Scenario | Paper example | Target rows |
-//! |---|---|---|
-//! | [`ScenarioKind::FullOuterJoin`] | Example 1 | left ∪ matched ∪ right-only |
-//! | [`ScenarioKind::InnerJoin`]     | Example 2 | matched only |
-//! | [`ScenarioKind::LeftJoin`]      | Example 3 | all left |
-//! | [`ScenarioKind::Union`]         | Example 4 | left ++ right |
+//! [`integrate_pair`] and [`integrate_star`](crate::integrate_star) are
+//! one planner: source 0 is the base, every later source is aligned to
+//! it, and only the row alignment differs between scenarios.
+//!
+//! | Scenario | Paper example | Target rows | Star |
+//! |---|---|---|---|
+//! | [`ScenarioKind::FullOuterJoin`] | Example 1 | base rows, then each later source's unmatched rows | — |
+//! | [`ScenarioKind::InnerJoin`]     | Example 2 | base rows matched in every later source | [`StarKind::Inner`](crate::StarKind::Inner) |
+//! | [`ScenarioKind::LeftJoin`]      | Example 3 | all base rows | [`StarKind::Left`](crate::StarKind::Left) |
+//! | [`ScenarioKind::Union`]         | Example 4 | base rows ++ every later source's rows | — |
+//!
+//! Column correspondences come from [`IntegrationOptions::column_matches`]
+//! when given, else from schema matching against the base. Per later
+//! source, a correspondence claims its base column first; then a
+//! same-named column claims a target column this source does not feed
+//! yet; any other column becomes a new target column, except under
+//! [`ScenarioKind::Union`], whose target keeps the shared columns only.
 
-use crate::er::{match_rows, ErConfig, RowMatch};
-use crate::matching::{match_schemas, ColumnMatch, MatchingConfig};
+use crate::er::{match_keys, Keys};
+use crate::matching::{match_profiled, ColumnMatch, MatchingConfig, ProfiledTable};
 use crate::metadata::{
     DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
 };
 use crate::tgd::{Atom, Tgd};
-use crate::{IntegrationError, Result};
+use crate::{ErConfig, IntegrationError, Result};
 use amalur_matrix::{DenseMatrix, NO_MATCH};
 use amalur_relational::{hash_join, union_all, JoinType, Table};
 
@@ -61,15 +72,20 @@ impl std::fmt::Display for ScenarioKind {
     }
 }
 
-/// Options for [`integrate_pair`].
+/// Options for [`integrate_pair`] and [`integrate_star`](crate::integrate_star).
 #[derive(Debug, Clone)]
 pub struct IntegrationOptions {
-    /// Entity-key columns `(left, right)` used by entity resolution; the
-    /// key is identification metadata, not a feature, so it is excluded
-    /// from the target schema (like `n` in the running example).
+    /// Entity-key columns `(base, other)` used by entity resolution: the
+    /// first names the key of the left or base table, the second the key
+    /// of the right table or of every satellite. The key is
+    /// identification metadata, not a feature, so it is excluded from
+    /// the target schema (like `n` in the running example).
     pub key: (String, String),
-    /// Explicit column correspondences; when `None`, schema matching
-    /// discovers them.
+    /// Explicit column correspondences `(base column, other column)`,
+    /// applied by both planners to every non-base source; when `None`,
+    /// schema matching discovers them per source. Either way a
+    /// same-named column that no correspondence names still maps onto
+    /// its namesake.
     pub column_matches: Option<Vec<(String, String)>>,
     /// Entity-resolution configuration.
     pub er: ErConfig,
@@ -112,10 +128,6 @@ pub struct IntegrationResult {
     pub source_data: Vec<DenseMatrix>,
     /// The schema mappings defining the scenario.
     pub tgds: Vec<Tgd>,
-    /// Entity-resolution output (left/right row pairs).
-    pub row_matches: Vec<RowMatch>,
-    /// Schema-matching output (left/right column pairs).
-    pub column_matches: Vec<ColumnMatch>,
 }
 
 /// Numeric feature columns of a table, excluding the entity key.
@@ -134,253 +146,244 @@ fn feature_columns<'t>(t: &'t Table, key: &str) -> Vec<&'t str> {
 /// Empty source tables are *not* an error here: a silo that contributed
 /// no rows yet is still a valid integration partner, and the outer-join
 /// kinds flow it through as a (possibly zero-row) target. Only when both
-/// sources carry rows and entity resolution still leaves the target
-/// empty — an inner join over disjoint or all-NULL keys — is the empty
-/// result a matching failure worth surfacing.
+/// sources carry rows and the target is still empty — an inner join over
+/// disjoint or all-NULL keys, a union without shared features — is the
+/// empty result a matching failure worth surfacing.
 ///
 /// # Errors
 /// * [`IntegrationError::UnknownColumn`] for missing key columns.
-/// * [`IntegrationError::NoMatches`] when a union scenario finds no shared
-///   feature columns, or when entity resolution over two *non-empty*
-///   sources leaves the target empty (e.g. an inner join over disjoint
-///   or all-NULL keys).
+/// * [`IntegrationError::NoMatches`] when both sources have rows and the
+///   target has no columns (a union without shared feature columns) or
+///   no rows (an inner join over disjoint or all-NULL keys).
 pub fn integrate_pair(
     left: &Table,
     right: &Table,
     kind: ScenarioKind,
     opts: &IntegrationOptions,
 ) -> Result<IntegrationResult> {
-    let (lkey, rkey) = (&opts.key.0, &opts.key.1);
-    left.schema()
-        .index_of(lkey)
-        .map_err(|_| IntegrationError::UnknownColumn(lkey.clone()))?;
-    right
-        .schema()
-        .index_of(rkey)
-        .map_err(|_| IntegrationError::UnknownColumn(rkey.clone()))?;
-
-    // --- Column correspondences (schema matching) -----------------------
-    let column_matches: Vec<ColumnMatch> = match &opts.column_matches {
-        Some(given) => given
-            .iter()
-            .map(|(l, r)| ColumnMatch {
-                left: l.clone(),
-                right: r.clone(),
-                score: 1.0,
-            })
-            .collect(),
-        None => match_schemas(left, right, &opts.matching),
-    };
-    // Keep only numeric feature correspondences (key columns are handled
-    // by ER, not by the mapping matrices).
-    let left_features = feature_columns(left, lkey);
-    let right_features = feature_columns(right, rkey);
-    let feature_matches: Vec<&ColumnMatch> = column_matches
-        .iter()
-        .filter(|m| {
-            left_features.contains(&m.left.as_str()) && right_features.contains(&m.right.as_str())
-        })
-        .collect();
-
-    // --- Target (mediated) schema ---------------------------------------
-    // Join scenarios: all left features, then unmatched right features.
-    // Union: only the shared features.
-    let right_match_of_left = |l: &str| -> Option<&str> {
-        feature_matches
-            .iter()
-            .find(|m| m.left == l)
-            .map(|m| m.right.as_str())
-    };
-    let left_match_of_right = |r: &str| -> Option<&str> {
-        feature_matches
-            .iter()
-            .find(|m| m.right == r)
-            .map(|m| m.left.as_str())
-    };
-    let target_columns: Vec<String> = match kind {
-        ScenarioKind::Union => left_features
-            .iter()
-            .filter(|l| right_match_of_left(l).is_some())
-            .map(|l| (*l).to_owned())
-            .collect(),
-        _ => {
-            let mut cols: Vec<String> = left_features.iter().map(|l| (*l).to_owned()).collect();
-            cols.extend(
-                right_features
-                    .iter()
-                    .filter(|r| left_match_of_right(r).is_none())
-                    .map(|r| (*r).to_owned()),
-            );
-            cols
-        }
-    };
-    if target_columns.is_empty() {
-        return Err(IntegrationError::NoMatches(format!(
-            "no target columns for {kind} of {} and {}",
-            left.name(),
-            right.name()
-        )));
-    }
-
-    // --- Mapped source columns and mapping matrices ---------------------
-    // Left source: every left feature present in the target.
-    let left_mapped: Vec<String> = left_features
-        .iter()
-        .filter(|l| target_columns.iter().any(|t| t == *l))
-        .map(|l| (*l).to_owned())
-        .collect();
-    // Right source: the right-hand side of each surviving match, plus the
-    // right-only columns present in the target — in right-schema order.
-    let right_mapped: Vec<String> = right_features
-        .iter()
-        .filter(|r| match left_match_of_right(r) {
-            Some(l) => target_columns.iter().any(|t| t == l),
-            None => target_columns.iter().any(|t| t == *r),
-        })
-        .map(|r| (*r).to_owned())
-        .collect();
-
-    let cm1: Vec<i64> = target_columns
-        .iter()
-        .map(|t| {
-            left_mapped
-                .iter()
-                .position(|c| c == t)
-                .map_or(NO_MATCH, |p| p as i64)
-        })
-        .collect();
-    let cm2: Vec<i64> = target_columns
-        .iter()
-        .map(|t| {
-            // A target column maps into the right source either through a
-            // column match (shared column named after the left side) or
-            // directly (right-only column).
-            let right_name = right_match_of_left(t).unwrap_or(t.as_str());
-            right_mapped
-                .iter()
-                .position(|c| c == right_name)
-                .map_or(NO_MATCH, |p| p as i64)
-        })
-        .collect();
-    let mapping1 = MappingMatrix::new(cm1, left_mapped.len())?;
-    let mapping2 = MappingMatrix::new(cm2, right_mapped.len())?;
-
-    // --- Row alignment (entity resolution) ------------------------------
-    let row_matches = if kind == ScenarioKind::Union {
-        Vec::new() // Example 4 presumes disjoint row sets.
-    } else {
-        match_rows(left, right, lkey, rkey, &opts.er)?
-    };
-    let (ci1, ci2) = row_alignment(kind, left.num_rows(), right.num_rows(), &row_matches);
-    let target_rows = ci1.len();
-    if target_rows == 0 && left.num_rows() > 0 && right.num_rows() > 0 {
-        // With rows on both sides, only the inner join can shrink to
-        // nothing: disjoint key sets, or a key column that is entirely
-        // NULL (NULL matches nothing). An empty *source*, by contrast,
-        // legitimately yields an empty target under every kind.
-        return Err(IntegrationError::NoMatches(format!(
-            "{kind} of {} and {} produced no target rows (no entity matches on key ({lkey}, {rkey}))",
-            left.name(),
-            right.name()
-        )));
-    }
-    let indicator1 = IndicatorMatrix::new(ci1, left.num_rows())?;
-    let indicator2 = IndicatorMatrix::new(ci2, right.num_rows())?;
-
-    // --- Redundancy matrices ---------------------------------------------
-    let redundancy1 = RedundancyMatrix::all_ones(target_rows, target_columns.len());
-    let redundancy2 =
-        RedundancyMatrix::against_earlier(&[(&indicator1, &mapping1)], &indicator2, &mapping2)?;
-
-    // --- Source data matrices Dₖ -----------------------------------------
-    let left_refs: Vec<&str> = left_mapped.iter().map(String::as_str).collect();
-    let right_refs: Vec<&str> = right_mapped.iter().map(String::as_str).collect();
-    let d1 = left.to_matrix(&left_refs, opts.null_value)?;
-    let d2 = right.to_matrix(&right_refs, opts.null_value)?;
-
-    let tgds = scenario_tgds(kind, left, right, &target_columns, opts, &column_matches);
-
-    let metadata = DiMetadata {
-        target_columns,
-        target_rows,
-        sources: vec![
-            SourceMetadata {
-                name: left.name().to_owned(),
-                mapped_columns: left_mapped,
-                mapping: mapping1,
-                indicator: indicator1,
-                redundancy: redundancy1,
-            },
-            SourceMetadata {
-                name: right.name().to_owned(),
-                mapped_columns: right_mapped,
-                mapping: mapping2,
-                indicator: indicator2,
-                redundancy: redundancy2,
-            },
-        ],
-    };
-    metadata.validate()?;
-
+    let plan = plan(left, &[right], kind, opts)?;
+    let tgds = scenario_tgds(
+        kind,
+        left,
+        right,
+        &plan.metadata.target_columns,
+        opts,
+        &plan.correspondences[0],
+    );
     Ok(IntegrationResult {
         kind,
-        metadata,
-        source_data: vec![d1, d2],
+        metadata: plan.metadata,
+        source_data: plan.source_data,
         tgds,
-        row_matches,
-        column_matches,
     })
 }
 
-/// Computes `CI₁`/`CI₂` for the scenario. Target row order: left rows in
-/// order, then (for full outer / union) the unmatched right rows in order.
-fn row_alignment(
+/// What [`plan`] derives for its callers.
+pub(crate) struct Plan {
+    pub(crate) metadata: DiMetadata,
+    pub(crate) source_data: Vec<DenseMatrix>,
+    /// Per non-base source, the correspondences against the base it was
+    /// planned with.
+    pub(crate) correspondences: Vec<Vec<ColumnMatch>>,
+}
+
+/// The one planner behind [`integrate_pair`] and
+/// [`integrate_star`](crate::integrate_star): aligns every satellite to
+/// `base` under `kind` and derives the target schema, each source's
+/// mapped columns, `CMₖ`, `CIₖ`, `Rₖ` (all ones for the base, against
+/// every earlier source for the rest) and `Dₖ`. The base's keys are
+/// rendered once and its columns profiled once for all satellites.
+pub(crate) fn plan(
+    base: &Table,
+    satellites: &[&Table],
     kind: ScenarioKind,
-    left_rows: usize,
-    right_rows: usize,
-    matches: &[RowMatch],
-) -> (Vec<i64>, Vec<i64>) {
-    let mut right_of_left: Vec<i64> = vec![NO_MATCH; left_rows];
-    let mut right_matched = vec![false; right_rows];
-    for m in matches {
-        right_of_left[m.left] = m.right as i64;
-        right_matched[m.right] = true;
+    opts: &IntegrationOptions,
+) -> Result<Plan> {
+    let (base_key, sat_key) = (&opts.key.0, &opts.key.1);
+    let tables = || std::iter::once(base).chain(satellites.iter().copied());
+    for (t, key) in tables().zip(std::iter::once(base_key).chain(std::iter::repeat(sat_key))) {
+        t.schema()
+            .index_of(key)
+            .map_err(|_| IntegrationError::UnknownColumn(key.clone()))?;
     }
-    match kind {
-        ScenarioKind::LeftJoin => {
-            let ci1 = (0..left_rows as i64).collect();
-            (ci1, right_of_left)
-        }
-        ScenarioKind::InnerJoin => {
-            let mut ci1 = Vec::new();
-            let mut ci2 = Vec::new();
-            for (l, &r) in right_of_left.iter().enumerate() {
-                if r != NO_MATCH {
-                    ci1.push(l as i64);
-                    ci2.push(r);
+
+    // --- Target schema: base features, then each satellite's claims -----
+    let base_features = feature_columns(base, base_key);
+    let mut target_columns: Vec<String> = base_features.iter().map(|c| (*c).to_owned()).collect();
+    let mut base_profile = None;
+    let mut features = vec![base_features.clone()];
+    // Per source and feature, the target column it feeds.
+    let mut feeds: Vec<Vec<Option<usize>>> = vec![(0..base_features.len()).map(Some).collect()];
+    let mut correspondences = Vec::with_capacity(satellites.len());
+    for s in satellites {
+        let matches: Vec<ColumnMatch> = match &opts.column_matches {
+            Some(given) => given
+                .iter()
+                .map(|(l, r)| ColumnMatch {
+                    left: l.clone(),
+                    right: r.clone(),
+                    score: 1.0,
+                })
+                .collect(),
+            None => match_profiled(
+                base_profile.get_or_insert_with(|| ProfiledTable::new(base, &opts.matching)),
+                &ProfiledTable::new(s, &opts.matching),
+                &opts.matching,
+            ),
+        };
+        let feats = feature_columns(s, sat_key);
+        let mut target_of: Vec<Option<usize>> = vec![None; feats.len()];
+        let mut fed = vec![false; target_columns.len()];
+        for m in &matches {
+            let f = feats.iter().position(|c| *c == m.right);
+            let t = base_features.iter().position(|c| *c == m.left);
+            if let (Some(f), Some(t)) = (f, t) {
+                if target_of[f].is_none() && !fed[t] {
+                    target_of[f] = Some(t);
+                    fed[t] = true;
                 }
             }
-            (ci1, ci2)
         }
-        ScenarioKind::FullOuterJoin => {
-            let mut ci1: Vec<i64> = (0..left_rows as i64).collect();
-            let mut ci2 = right_of_left;
-            for (r, matched) in right_matched.iter().enumerate() {
-                if !matched {
-                    ci1.push(NO_MATCH);
-                    ci2.push(r as i64);
+        for (f, name) in feats.iter().enumerate() {
+            if target_of[f].is_some() {
+                continue;
+            }
+            match target_columns.iter().position(|c| c == name) {
+                Some(t) if !fed[t] => {
+                    target_of[f] = Some(t);
+                    fed[t] = true;
+                }
+                Some(_) => {}
+                None if kind != ScenarioKind::Union => {
+                    target_of[f] = Some(target_columns.len());
+                    target_columns.push((*name).to_owned());
+                    fed.push(true);
+                }
+                None => {}
+            }
+        }
+        features.push(feats);
+        feeds.push(target_of);
+        correspondences.push(matches);
+    }
+    // A union keeps the base columns every other source feeds.
+    let mut position = Vec::with_capacity(target_columns.len());
+    let mut kept = 0;
+    for t in 0..target_columns.len() {
+        let keep = kind != ScenarioKind::Union || feeds[1..].iter().all(|f| f.contains(&Some(t)));
+        position.push(keep.then_some(kept));
+        kept += usize::from(keep);
+    }
+    let target_columns: Vec<String> = target_columns
+        .into_iter()
+        .zip(&position)
+        .filter_map(|(c, p)| p.map(|_| c))
+        .collect();
+
+    // --- Row alignment: entity resolution against the base --------------
+    // Example 4 presumes disjoint row sets, so a union resolves nothing.
+    let base_keys = (kind != ScenarioKind::Union)
+        .then(|| Keys::new(base, base_key))
+        .transpose()?;
+    let mut sat_of_base: Vec<Vec<i64>> = Vec::with_capacity(satellites.len());
+    for s in satellites {
+        let mut map = vec![NO_MATCH; base.num_rows()];
+        if let Some(keys) = &base_keys {
+            for m in match_keys(keys, &Keys::new(s, sat_key)?, &opts.er) {
+                map[m.left] = m.right as i64;
+            }
+        }
+        sat_of_base.push(map);
+    }
+    let base_rows: Vec<usize> = match kind {
+        ScenarioKind::InnerJoin => (0..base.num_rows())
+            .filter(|&i| sat_of_base.iter().all(|m| m[i] != NO_MATCH))
+            .collect(),
+        _ => (0..base.num_rows()).collect(),
+    };
+    let mut cis: Vec<Vec<i64>> = std::iter::once(base_rows.iter().map(|&r| r as i64).collect())
+        .chain(
+            sat_of_base
+                .iter()
+                .map(|m| base_rows.iter().map(|&r| m[r]).collect()),
+        )
+        .collect();
+    if matches!(kind, ScenarioKind::FullOuterJoin | ScenarioKind::Union) {
+        // Then every satellite row no base row matched, satellite by
+        // satellite, each on a target row of its own.
+        for (k, (s, map)) in satellites.iter().zip(&sat_of_base).enumerate() {
+            let mut matched = vec![false; s.num_rows()];
+            for &r in map.iter().filter(|&&r| r != NO_MATCH) {
+                matched[r as usize] = true;
+            }
+            for r in (0..s.num_rows()).filter(|&r| !matched[r]) {
+                for (j, ci) in cis.iter_mut().enumerate() {
+                    ci.push(if j == k + 1 { r as i64 } else { NO_MATCH });
                 }
             }
-            (ci1, ci2)
-        }
-        ScenarioKind::Union => {
-            let mut ci1: Vec<i64> = (0..left_rows as i64).collect();
-            ci1.extend(std::iter::repeat_n(NO_MATCH, right_rows));
-            let mut ci2: Vec<i64> = vec![NO_MATCH; left_rows];
-            ci2.extend(0..right_rows as i64);
-            (ci1, ci2)
         }
     }
+    let target_rows = cis[0].len();
+
+    // With rows in every source, an empty target is a matching failure;
+    // an empty source legitimately yields an empty target.
+    if tables().all(|t| t.num_rows() > 0) {
+        let names = tables().map(Table::name).collect::<Vec<_>>().join(" and ");
+        if target_columns.is_empty() {
+            return Err(IntegrationError::NoMatches(format!(
+                "no target columns for {kind} of {names}"
+            )));
+        }
+        if target_rows == 0 {
+            return Err(IntegrationError::NoMatches(format!(
+                "{kind} of {names} produced no target rows (no entity matches on key ({base_key}, {sat_key}))"
+            )));
+        }
+    }
+
+    // --- Per-source metadata and Dₖ -------------------------------------
+    let mut sources: Vec<SourceMetadata> = Vec::with_capacity(cis.len());
+    let mut source_data = Vec::with_capacity(cis.len());
+    for (((t, feats), target_of), ci) in tables().zip(&features).zip(&feeds).zip(cis) {
+        // Mapped columns in source-schema order.
+        let mut cm = vec![NO_MATCH; target_columns.len()];
+        let mut mapped = Vec::new();
+        for (f, target) in feats.iter().zip(target_of) {
+            if let Some(p) = target.and_then(|t| position[t]) {
+                cm[p] = mapped.len() as i64;
+                mapped.push((*f).to_owned());
+            }
+        }
+        let mapping = MappingMatrix::new(cm, mapped.len())?;
+        let indicator = IndicatorMatrix::new(ci, t.num_rows())?;
+        let redundancy = if sources.is_empty() {
+            RedundancyMatrix::all_ones(target_rows, target_columns.len())
+        } else {
+            let earlier: Vec<(&IndicatorMatrix, &MappingMatrix)> =
+                sources.iter().map(|s| (&s.indicator, &s.mapping)).collect();
+            RedundancyMatrix::against_earlier(&earlier, &indicator, &mapping)?
+        };
+        let refs: Vec<&str> = mapped.iter().map(String::as_str).collect();
+        source_data.push(t.to_matrix(&refs, opts.null_value)?);
+        sources.push(SourceMetadata {
+            name: t.name().to_owned(),
+            mapped_columns: mapped,
+            mapping,
+            indicator,
+            redundancy,
+        });
+    }
+    let metadata = DiMetadata {
+        target_columns,
+        target_rows,
+        sources,
+    };
+    metadata.validate()?;
+    Ok(Plan {
+        metadata,
+        source_data,
+        correspondences,
+    })
 }
 
 /// Generates the Table I tgd set for a scenario, using real column names
@@ -475,92 +478,10 @@ pub fn materialize_relationally(
     }
 }
 
-/// Plans an n-ary union (the HFL scenario with many silos): every table
-/// contributes all of its rows; the target schema is the set of features
-/// (by name) common to all tables.
-///
-/// # Errors
-/// * [`IntegrationError::EmptyTable`] when any table has no rows.
-/// * [`IntegrationError::NoMatches`] when the tables share no numeric
-///   feature columns.
-pub fn integrate_union(tables: &[&Table], key: &str, null_value: f64) -> Result<IntegrationResult> {
-    let first = tables
-        .first()
-        .ok_or_else(|| IntegrationError::NoMatches("union of zero tables".into()))?;
-    for t in tables {
-        if t.num_rows() == 0 {
-            return Err(IntegrationError::EmptyTable(t.name().to_owned()));
-        }
-    }
-    let mut target_columns: Vec<String> = feature_columns(first, key)
-        .into_iter()
-        .map(str::to_owned)
-        .collect();
-    for t in &tables[1..] {
-        let feats = feature_columns(t, key);
-        target_columns.retain(|c| feats.contains(&c.as_str()));
-    }
-    if target_columns.is_empty() {
-        return Err(IntegrationError::NoMatches(
-            "union sources share no numeric feature columns".into(),
-        ));
-    }
-    let target_rows: usize = tables.iter().map(|t| t.num_rows()).sum();
-    let mut sources = Vec::with_capacity(tables.len());
-    let mut source_data = Vec::with_capacity(tables.len());
-    let mut offset = 0usize;
-    for t in tables {
-        let mapped: Vec<String> = t
-            .schema()
-            .names()
-            .iter()
-            .filter(|c| target_columns.iter().any(|tc| tc == **c))
-            .map(|c| (*c).to_owned())
-            .collect();
-        let cm: Vec<i64> = target_columns
-            .iter()
-            .map(|tc| {
-                mapped
-                    .iter()
-                    .position(|c| c == tc)
-                    .map_or(NO_MATCH, |p| p as i64)
-            })
-            .collect();
-        let mut ci: Vec<i64> = vec![NO_MATCH; target_rows];
-        for r in 0..t.num_rows() {
-            ci[offset + r] = r as i64;
-        }
-        offset += t.num_rows();
-        let refs: Vec<&str> = mapped.iter().map(String::as_str).collect();
-        let d = t.to_matrix(&refs, null_value)?;
-        sources.push(SourceMetadata {
-            name: t.name().to_owned(),
-            mapping: MappingMatrix::new(cm, mapped.len())?,
-            indicator: IndicatorMatrix::new(ci, t.num_rows())?,
-            redundancy: RedundancyMatrix::all_ones(target_rows, target_columns.len()),
-            mapped_columns: mapped,
-        });
-        source_data.push(d);
-    }
-    let metadata = DiMetadata {
-        target_columns,
-        target_rows,
-        sources,
-    };
-    metadata.validate()?;
-    Ok(IntegrationResult {
-        kind: ScenarioKind::Union,
-        metadata,
-        source_data,
-        tgds: Vec::new(),
-        row_matches: Vec::new(),
-        column_matches: Vec::new(),
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::matching::match_schemas;
     use amalur_relational::{DataType, TableBuilder};
 
     /// S1(m, n, a, hr) of Figure 2a.
@@ -716,6 +637,72 @@ mod tests {
         assert_eq!(r.metadata.target_columns, vec!["m", "a", "hr", "o"]);
     }
 
+    /// `{id, a, z}`, whose `a` the matcher pairs with the right's `A`.
+    pub(crate) fn name_clash_left() -> Table {
+        let mut b = TableBuilder::new(
+            "L",
+            &[
+                ("id", DataType::Int64),
+                ("a", DataType::Float64),
+                ("z", DataType::Float64),
+            ],
+        )
+        .unwrap();
+        for i in 1..=3 {
+            b = b
+                .row(vec![
+                    i.into(),
+                    (10.0 * i as f64).into(),
+                    (500.0 + i as f64).into(),
+                ])
+                .unwrap();
+        }
+        b.build()
+    }
+
+    /// `{id, a, A}`: `A` holds the left `a`'s values, `a` others.
+    pub(crate) fn name_clash_right() -> Table {
+        let mut b = TableBuilder::new(
+            "R",
+            &[
+                ("id", DataType::Int64),
+                ("a", DataType::Float64),
+                ("A", DataType::Float64),
+            ],
+        )
+        .unwrap();
+        for i in 1..=3 {
+            b = b
+                .row(vec![
+                    i.into(),
+                    (70.0 * i as f64).into(),
+                    (10.0 * i as f64).into(),
+                ])
+                .unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn same_named_column_left_unmatched_is_not_a_second_target_column() {
+        let (l, r) = (name_clash_left(), name_clash_right());
+        let o = IntegrationOptions::with_exact_key("id", "id");
+        let m = match_schemas(&l, &r, &o.matching);
+        assert!(m.iter().any(|m| m.left == "a" && m.right == "A"), "{m:?}");
+        let p = integrate_pair(&l, &r, ScenarioKind::FullOuterJoin, &o).unwrap();
+        assert_eq!(p.metadata.target_columns, vec!["a", "z"]);
+        assert_eq!(p.metadata.sources[1].mapped_columns, vec!["A"]);
+        assert_eq!(p.metadata.sources[1].mapping.compressed(), &[0, NO_MATCH]);
+
+        // An explicit correspondence leaves the namesakes to each other.
+        let mut o = IntegrationOptions::with_exact_key("id", "id");
+        o.column_matches = Some(vec![("z".into(), "A".into())]);
+        let p = integrate_pair(&l, &r, ScenarioKind::LeftJoin, &o).unwrap();
+        assert_eq!(p.metadata.target_columns, vec!["a", "z"]);
+        assert_eq!(p.metadata.sources[1].mapped_columns, vec!["a", "A"]);
+        assert_eq!(p.metadata.sources[1].mapping.compressed(), &[0, 1]);
+    }
+
     #[test]
     fn missing_key_column_errors() {
         let o = IntegrationOptions::with_key("nope", "n");
@@ -737,58 +724,6 @@ mod tests {
         .unwrap();
         assert_eq!(t.num_rows(), 6);
         assert_eq!(t.schema().names(), vec!["m", "a", "hr", "o"]);
-    }
-
-    #[test]
-    fn integrate_union_many() {
-        let t1 = TableBuilder::new(
-            "A",
-            &[
-                ("id", DataType::Int64),
-                ("x", DataType::Float64),
-                ("y", DataType::Float64),
-            ],
-        )
-        .unwrap()
-        .row(vec![1.into(), 1.0.into(), 2.0.into()])
-        .unwrap()
-        .build();
-        let t2 = TableBuilder::new(
-            "B",
-            &[
-                ("id", DataType::Int64),
-                ("x", DataType::Float64),
-                ("y", DataType::Float64),
-                ("z", DataType::Float64),
-            ],
-        )
-        .unwrap()
-        .row(vec![2.into(), 3.0.into(), 4.0.into(), 9.0.into()])
-        .unwrap()
-        .row(vec![3.into(), 5.0.into(), 6.0.into(), 9.0.into()])
-        .unwrap()
-        .build();
-        let r = integrate_union(&[&t1, &t2], "id", 0.0).unwrap();
-        assert_eq!(r.metadata.target_columns, vec!["x", "y"]);
-        assert_eq!(r.metadata.target_rows, 3);
-        assert_eq!(r.metadata.sources.len(), 2);
-        assert_eq!(
-            r.metadata.sources[1].indicator.compressed(),
-            &[NO_MATCH, 0, 1]
-        );
-        assert_eq!(r.source_data[1].shape(), (2, 2));
-    }
-
-    #[test]
-    fn integrate_union_no_shared_columns_errors() {
-        let t1 = TableBuilder::new("A", &[("id", DataType::Int64), ("x", DataType::Float64)])
-            .unwrap()
-            .build();
-        let t2 = TableBuilder::new("B", &[("id", DataType::Int64), ("z", DataType::Float64)])
-            .unwrap()
-            .build();
-        assert!(integrate_union(&[&t1, &t2], "id", 0.0).is_err());
-        assert!(integrate_union(&[], "id", 0.0).is_err());
     }
 
     #[test]

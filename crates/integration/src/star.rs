@@ -3,9 +3,10 @@
 //!
 //! The drug-risk scenario of §I — features spread over clinics,
 //! hospitals, pharmacies and laboratories — is not a two-table join but
-//! a *star*: every silo aligns to the same patient population. This
-//! planner generalizes [`integrate_pair`](crate::integrate_pair) to `n`
-//! sources:
+//! a *star*: every silo aligns to the same patient population. The star
+//! runs the planner of [`integrate_pair`](crate::integrate_pair) with `n`
+//! satellites in place of one right table, so a one-satellite star and
+//! the pair agree on every matrix:
 //!
 //! * **Left star** (supervised training: the base holds the labels):
 //!   target rows = base rows; each satellite contributes columns where
@@ -13,19 +14,14 @@
 //! * **Inner star** (VFL: only fully-shared entities): target rows =
 //!   base rows matched in *every* satellite.
 //!
-//! Column correspondences between satellites and base are discovered per
-//! pair (schema matching); the first contributor of a shared target
-//! column wins, later duplicates are masked by redundancy matrices —
-//! the same base-table precedence as §III-C.
+//! Column correspondences between each satellite and the base come from
+//! [`IntegrationOptions::column_matches`] or schema matching, under the
+//! rule of the [`scenario`](crate::scenario) module; every source that
+//! feeds a target column after an earlier one is masked there by its
+//! redundancy matrix — the same base-table precedence as §III-C.
 
-use crate::er::{match_keys, Keys};
-use crate::matching::{match_profiled, ProfiledTable};
-use crate::metadata::{
-    DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
-};
-use crate::scenario::{IntegrationOptions, IntegrationResult, ScenarioKind};
-use crate::{IntegrationError, Result};
-use amalur_matrix::{DenseMatrix, NO_MATCH};
+use crate::scenario::{plan, IntegrationOptions, IntegrationResult, ScenarioKind};
+use crate::Result;
 use amalur_relational::Table;
 
 /// The star variant: how satellite coverage restricts the target rows.
@@ -39,194 +35,39 @@ pub enum StarKind {
 
 /// Plans a star integration of `base` with `satellites` on the shared
 /// key named in `opts` (the same key column name is used on every
-/// satellite).
+/// satellite). Empty silos flow through as for
+/// [`integrate_pair`](crate::integrate_pair).
 ///
 /// # Errors
-/// * [`IntegrationError::UnknownColumn`] when the key is missing.
-/// * [`IntegrationError::NoMatches`] when an inner star matches nothing.
+/// * [`IntegrationError::UnknownColumn`](crate::IntegrationError::UnknownColumn)
+///   when the key is missing.
+/// * [`IntegrationError::NoMatches`](crate::IntegrationError::NoMatches)
+///   when every silo has rows and the target has no columns, or no rows
+///   (an inner star whose entities appear in no satellite together).
 pub fn integrate_star(
     base: &Table,
     satellites: &[&Table],
     kind: StarKind,
     opts: &IntegrationOptions,
 ) -> Result<IntegrationResult> {
-    let key = &opts.key.0;
-    base.schema()
-        .index_of(key)
-        .map_err(|_| IntegrationError::UnknownColumn(key.clone()))?;
-    for s in satellites {
-        s.schema()
-            .index_of(&opts.key.1)
-            .map_err(|_| IntegrationError::UnknownColumn(opts.key.1.clone()))?;
-    }
-
-    // --- ER per satellite: base row → satellite row -----------------------
-    // The base's keys are rendered and ordered once for every satellite.
-    let base_keys = Keys::new(base, key)?;
-    let mut sat_of_base: Vec<Vec<i64>> = Vec::with_capacity(satellites.len());
-    for s in satellites {
-        let matches = match_keys(&base_keys, &Keys::new(s, &opts.key.1)?, &opts.er);
-        let mut map = vec![NO_MATCH; base.num_rows()];
-        for m in &matches {
-            map[m.left] = m.right as i64;
-        }
-        sat_of_base.push(map);
-    }
-
-    // --- surviving base rows -----------------------------------------------
-    let base_rows: Vec<usize> = match kind {
-        StarKind::Left => (0..base.num_rows()).collect(),
-        StarKind::Inner => (0..base.num_rows())
-            .filter(|&i| sat_of_base.iter().all(|m| m[i] != NO_MATCH))
-            .collect(),
+    let kind = match kind {
+        StarKind::Left => ScenarioKind::LeftJoin,
+        StarKind::Inner => ScenarioKind::InnerJoin,
     };
-    if base_rows.is_empty() {
-        return Err(IntegrationError::NoMatches(
-            "inner star: no entity appears in every silo".into(),
-        ));
-    }
-    let target_rows = base_rows.len();
-
-    // --- target schema -------------------------------------------------------
-    // Base features first, then each satellite's unmatched features.
-    let feature_cols = |t: &Table, k: &str| -> Vec<String> {
-        t.numeric_column_names()
-            .into_iter()
-            .filter(|c| *c != k)
-            .map(str::to_owned)
-            .collect()
-    };
-    let base_features = feature_cols(base, key);
-    let mut target_columns: Vec<String> = base_features.clone();
-    // For each satellite: columns matched to an existing target column
-    // (shared) vs new ones.
-    let mut sat_shared: Vec<Vec<(String, String)>> = Vec::new(); // (sat col, target col)
-    let mut sat_new: Vec<Vec<String>> = Vec::new();
-    let base_profile = ProfiledTable::new(base, &opts.matching);
-    for s in satellites {
-        let sat_profile = ProfiledTable::new(s, &opts.matching);
-        let matches = match_profiled(&base_profile, &sat_profile, &opts.matching);
-        let feats = feature_cols(s, &opts.key.1);
-        let mut shared = Vec::new();
-        let mut fresh = Vec::new();
-        for f in feats {
-            let matched_target = matches
-                .iter()
-                .find(|m| m.right == f && target_columns.contains(&m.left))
-                .map(|m| m.left.clone());
-            match matched_target {
-                Some(t) => shared.push((f, t)),
-                None => {
-                    if target_columns.contains(&f) {
-                        // Same name as an existing target column: shared.
-                        shared.push((f.clone(), f));
-                    } else {
-                        fresh.push(f);
-                    }
-                }
-            }
-        }
-        target_columns.extend(fresh.iter().cloned());
-        sat_shared.push(shared);
-        sat_new.push(fresh);
-    }
-
-    // --- per-source metadata ---------------------------------------------
-    let mut sources: Vec<SourceMetadata> = Vec::with_capacity(1 + satellites.len());
-    let mut source_data: Vec<DenseMatrix> = Vec::with_capacity(1 + satellites.len());
-
-    // Base source.
-    let base_refs: Vec<&str> = base_features.iter().map(String::as_str).collect();
-    let cm_base: Vec<i64> = target_columns
-        .iter()
-        .map(|t| {
-            base_features
-                .iter()
-                .position(|c| c == t)
-                .map_or(NO_MATCH, |p| p as i64)
-        })
-        .collect();
-    let ci_base: Vec<i64> = base_rows.iter().map(|&r| r as i64).collect();
-    let mapping = MappingMatrix::new(cm_base, base_features.len())?;
-    let indicator = IndicatorMatrix::new(ci_base, base.num_rows())?;
-    sources.push(SourceMetadata {
-        name: base.name().to_owned(),
-        mapped_columns: base_features.clone(),
-        redundancy: RedundancyMatrix::all_ones(target_rows, target_columns.len()),
-        mapping,
-        indicator,
-    });
-    source_data.push(base.to_matrix(&base_refs, opts.null_value)?);
-
-    // Satellites, in order; redundancy computed against all earlier.
-    for (idx, s) in satellites.iter().enumerate() {
-        let shared = &sat_shared[idx];
-        let fresh = &sat_new[idx];
-        // Mapped satellite columns in satellite-schema order.
-        let mapped: Vec<String> = s
-            .schema()
-            .names()
-            .iter()
-            .filter(|c| shared.iter().any(|(sc, _)| sc == *c) || fresh.iter().any(|f| f == *c))
-            .map(|c| (*c).to_owned())
-            .collect();
-        let cm: Vec<i64> = target_columns
-            .iter()
-            .map(|t| {
-                // Either a shared column mapped onto target `t`, or a new
-                // column named `t` itself.
-                let sat_name = shared
-                    .iter()
-                    .find(|(_, tc)| tc == t)
-                    .map(|(sc, _)| sc.as_str())
-                    .or_else(|| fresh.iter().find(|f| *f == t).map(String::as_str));
-                sat_name
-                    .and_then(|n| mapped.iter().position(|c| c == n))
-                    .map_or(NO_MATCH, |p| p as i64)
-            })
-            .collect();
-        let ci: Vec<i64> = base_rows.iter().map(|&r| sat_of_base[idx][r]).collect();
-        let mapping = MappingMatrix::new(cm, mapped.len())?;
-        let indicator = IndicatorMatrix::new(ci, s.num_rows())?;
-        let earlier: Vec<(&IndicatorMatrix, &MappingMatrix)> = sources
-            .iter()
-            .map(|src| (&src.indicator, &src.mapping))
-            .collect();
-        let redundancy = RedundancyMatrix::against_earlier(&earlier, &indicator, &mapping)?;
-        let refs: Vec<&str> = mapped.iter().map(String::as_str).collect();
-        source_data.push(s.to_matrix(&refs, opts.null_value)?);
-        sources.push(SourceMetadata {
-            name: s.name().to_owned(),
-            mapped_columns: mapped,
-            mapping,
-            indicator,
-            redundancy,
-        });
-    }
-
-    let metadata = DiMetadata {
-        target_columns,
-        target_rows,
-        sources,
-    };
-    metadata.validate()?;
+    let plan = plan(base, satellites, kind, opts)?;
     Ok(IntegrationResult {
-        kind: match kind {
-            StarKind::Left => ScenarioKind::LeftJoin,
-            StarKind::Inner => ScenarioKind::InnerJoin,
-        },
-        metadata,
-        source_data,
+        kind,
+        metadata: plan.metadata,
+        source_data: plan.source_data,
         tgds: Vec::new(),
-        row_matches: Vec::new(),
-        column_matches: Vec::new(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amalur_matrix::DenseMatrix;
+    use crate::scenario::integrate_pair;
+    use amalur_matrix::{DenseMatrix, NO_MATCH};
     use amalur_relational::{DataType, TableBuilder};
 
     fn base() -> Table {
@@ -425,6 +266,103 @@ mod tests {
                 proptest::prop_assert_eq!(src.indicator.compressed(), &want[..]);
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// A one-satellite star is the pair: the same `DiMetadata` and the
+        /// same bits in every `Dₖ` (or the same error), for left and inner
+        /// alignment, on typed keys, empty silos and shared feature names.
+        #[test]
+        fn pair_equals_one_satellite_star(
+            seed in 0u64..u64::MAX,
+            inner in 0usize..2,
+            exact in 0usize..2,
+        ) {
+            use crate::er::tests::KEY_TYPES;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut silo = |name: &str| {
+                let dtype = KEY_TYPES[rng.gen_range(0..KEY_TYPES.len())];
+                let feat = ["f0", "f1"][rng.gen_range(0..2usize)];
+                let rows = rng.gen_range(0..30);
+                typed_silo(name, feat, dtype, rows, &mut rng)
+            };
+            let (l, r) = (silo("l"), silo("r"));
+            let mut opts = opts();
+            opts.er.exact_only = exact == 1;
+            let (pair_kind, star_kind) = if inner == 1 {
+                (ScenarioKind::InnerJoin, StarKind::Inner)
+            } else {
+                (ScenarioKind::LeftJoin, StarKind::Left)
+            };
+            let pair = integrate_pair(&l, &r, pair_kind, &opts);
+            let star = integrate_star(&l, &[&r], star_kind, &opts);
+            match (pair, star) {
+                (Ok(p), Ok(s)) => {
+                    proptest::prop_assert_eq!(p.kind, s.kind);
+                    proptest::prop_assert_eq!(&p.metadata, &s.metadata);
+                    let bits = |r: &IntegrationResult| -> Vec<((usize, usize), Vec<u64>)> {
+                        r.source_data
+                            .iter()
+                            .map(|d| (d.shape(), d.as_slice().iter().map(|x| x.to_bits()).collect()))
+                            .collect()
+                    };
+                    proptest::prop_assert_eq!(bits(&p), bits(&s));
+                }
+                (p, s) => proptest::prop_assert_eq!(p.err(), s.err()),
+            }
+        }
+    }
+
+    /// Left `{pid, a, b}` and right `{pid, a, c}` with the explicit
+    /// correspondence `b ↔ c`.
+    fn explicit_pair() -> (Table, Table, IntegrationOptions) {
+        let table = |name: &str, cols: [&str; 2]| {
+            TableBuilder::new(
+                name,
+                &[
+                    ("pid", DataType::Int64),
+                    (cols[0], DataType::Float64),
+                    (cols[1], DataType::Float64),
+                ],
+            )
+            .unwrap()
+            .row(vec![1.into(), 2.0.into(), 3.0.into()])
+            .unwrap()
+            .build()
+        };
+        let mut o = opts();
+        o.column_matches = Some(vec![("b".into(), "c".into())]);
+        (table("l", ["a", "b"]), table("r", ["a", "c"]), o)
+    }
+
+    #[test]
+    fn star_honours_explicit_column_matches() {
+        let (l, r, o) = explicit_pair();
+        let s = integrate_star(&l, &[&r], StarKind::Left, &o).unwrap();
+        assert_eq!(s.metadata.target_columns, vec!["a", "b"]);
+        // `c` feeds `b` through the correspondence, `a` its namesake.
+        assert_eq!(s.metadata.sources[1].mapped_columns, vec!["a", "c"]);
+        assert_eq!(s.metadata.sources[1].mapping.compressed(), &[0, 1]);
+        let p = integrate_pair(&l, &r, ScenarioKind::LeftJoin, &o).unwrap();
+        assert_eq!(p.metadata, s.metadata);
+    }
+
+    #[test]
+    fn star_lets_a_discovered_match_win_over_a_name() {
+        // The matcher pairs l.a with r.A (equal values, near-equal
+        // names); r.a, unmatched, must not feed `a` a second time.
+        let (l, r) = (
+            crate::scenario::tests::name_clash_left(),
+            crate::scenario::tests::name_clash_right(),
+        );
+        let o = IntegrationOptions::with_exact_key("id", "id");
+        let s = integrate_star(&l, &[&r], StarKind::Left, &o).unwrap();
+        assert_eq!(s.metadata.target_columns, vec!["a", "z"]);
+        assert_eq!(s.metadata.sources[1].mapped_columns, vec!["A"]);
+        assert_eq!(s.metadata.sources[1].mapping.compressed(), &[0, NO_MATCH]);
+        assert_eq!(s.source_data[1].shape(), (3, 1));
     }
 
     #[test]

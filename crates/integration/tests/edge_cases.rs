@@ -1,12 +1,14 @@
 //! Degenerate-input behavior of the integration planners — never panics.
-//! Empty tables are valid silos for `integrate_pair` (they flow through
-//! as possibly-zero-row scenarios, matching the failure-injection suite),
-//! while genuine matching failures — missing join keys, all-NULL join
-//! columns under an inner join, an empty member in a federated union —
-//! come back as typed [`IntegrationError`]s.
+//! Empty tables are valid silos for `integrate_pair` and `integrate_star`
+//! alike (they flow through as possibly-zero-row scenarios, matching the
+//! failure-injection suite), while genuine matching failures — missing
+//! join keys, all-NULL or disjoint join columns under an inner join, a
+//! union without shared features — come back as typed
+//! [`IntegrationError`]s.
 
 use amalur_integration::{
-    integrate_pair, integrate_union, IntegrationError, IntegrationOptions, ScenarioKind,
+    integrate_pair, integrate_star, IntegrationError, IntegrationOptions, IntegrationResult,
+    ScenarioKind, StarKind,
 };
 use amalur_relational::{DataType, Table, TableBuilder, Value};
 
@@ -41,45 +43,83 @@ fn opts() -> IntegrationOptions {
     IntegrationOptions::with_exact_key("id", "id")
 }
 
-const ALL_KINDS: [ScenarioKind; 4] = [
-    ScenarioKind::FullOuterJoin,
-    ScenarioKind::InnerJoin,
-    ScenarioKind::LeftJoin,
-    ScenarioKind::Union,
+/// One planner over a left (base) and a right (sole satellite) table.
+#[derive(Debug, Clone, Copy)]
+enum Planner {
+    Pair(ScenarioKind),
+    Star(StarKind),
+}
+
+impl Planner {
+    fn run(
+        self,
+        l: &Table,
+        r: &Table,
+        opts: &IntegrationOptions,
+    ) -> Result<IntegrationResult, IntegrationError> {
+        match self {
+            Planner::Pair(kind) => integrate_pair(l, r, kind, opts),
+            Planner::Star(kind) => integrate_star(l, &[r], kind, opts),
+        }
+    }
+}
+
+/// The columns of the table of cases below.
+const PLANNERS: [Planner; 6] = [
+    Planner::Pair(ScenarioKind::FullOuterJoin),
+    Planner::Pair(ScenarioKind::InnerJoin),
+    Planner::Pair(ScenarioKind::LeftJoin),
+    Planner::Pair(ScenarioKind::Union),
+    Planner::Star(StarKind::Left),
+    Planner::Star(StarKind::Inner),
 ];
+
+/// Asserts that every planner integrates `l` and `r` into the given
+/// number of target rows (one entry per [`PLANNERS`] column).
+fn assert_target_rows(l: &Table, r: &Table, rows: [usize; 6]) {
+    for (planner, rows) in PLANNERS.into_iter().zip(rows) {
+        let result = planner
+            .run(l, r, &opts())
+            .unwrap_or_else(|e| panic!("{planner:?}: must integrate, got {e}"));
+        assert_eq!(result.metadata.target_rows, rows, "{planner:?}");
+    }
+}
+
+// The table of cases: target rows per planner, in `PLANNERS` order —
+// pair full outer, inner, left, union; star left, inner.
 
 #[test]
 fn empty_left_table_flows_through_every_kind() {
     // Rows surviving an empty left source: full outer keeps the right
-    // side, inner and left join shrink to a valid zero-row target, and
-    // union stacks the (zero) left rows on the right ones.
-    let expected = [2, 0, 0, 2];
-    for (kind, rows) in ALL_KINDS.into_iter().zip(expected) {
-        let result = integrate_pair(&empty("E"), &small("R", "x"), kind, &opts())
-            .unwrap_or_else(|e| panic!("{kind}: empty left must integrate, got {e}"));
-        assert_eq!(result.metadata.target_rows, rows, "{kind}");
-        assert!(result.row_matches.is_empty(), "{kind}");
-    }
+    // side, inner and left alignment shrink to a valid zero-row target,
+    // and union stacks the (zero) left rows on the right ones.
+    assert_target_rows(&empty("E"), &small("R", "x"), [2, 0, 0, 2, 0, 0]);
 }
 
 #[test]
 fn empty_right_table_flows_through_every_kind() {
-    let expected = [2, 0, 2, 2];
-    for (kind, rows) in ALL_KINDS.into_iter().zip(expected) {
-        let result = integrate_pair(&small("L", "x"), &empty("E"), kind, &opts())
-            .unwrap_or_else(|e| panic!("{kind}: empty right must integrate, got {e}"));
-        assert_eq!(result.metadata.target_rows, rows, "{kind}");
-    }
+    assert_target_rows(&small("L", "x"), &empty("E"), [2, 0, 2, 2, 2, 0]);
 }
 
 #[test]
 fn two_empty_tables_yield_a_zero_row_scenario_not_an_error() {
     // Pinned by the failure-injection suite: silos that have not
     // contributed data yet are still valid integration partners.
-    for kind in ALL_KINDS {
-        let result = integrate_pair(&empty("E1"), &empty("E2"), kind, &opts())
-            .unwrap_or_else(|e| panic!("{kind}: empty silos are valid, got {e}"));
-        assert_eq!(result.metadata.target_rows, 0, "{kind}");
+    assert_target_rows(&empty("E1"), &empty("E2"), [0; 6]);
+}
+
+#[test]
+fn all_null_join_column_outer_kinds_still_integrate() {
+    // NULL matches nothing, so the outer joins degrade gracefully to
+    // disjoint row sets — still a valid scenario, not an error.
+    let (l, r) = (null_keyed("L"), small("R", "y"));
+    for (planner, rows) in [
+        (Planner::Pair(ScenarioKind::FullOuterJoin), 4),
+        (Planner::Pair(ScenarioKind::LeftJoin), 2),
+        (Planner::Star(StarKind::Left), 2),
+    ] {
+        let result = planner.run(&l, &r, &opts()).unwrap();
+        assert_eq!(result.metadata.target_rows, rows, "{planner:?}");
     }
 }
 
@@ -87,46 +127,38 @@ fn two_empty_tables_yield_a_zero_row_scenario_not_an_error() {
 fn missing_join_key_is_unknown_column_on_the_right_side_too() {
     let l = small("L", "x");
     let r = small("R", "y");
-    let bad_left = IntegrationOptions::with_exact_key("nope", "id");
-    assert_eq!(
-        integrate_pair(&l, &r, ScenarioKind::InnerJoin, &bad_left).unwrap_err(),
-        IntegrationError::UnknownColumn("nope".to_owned())
-    );
-    let bad_right = IntegrationOptions::with_exact_key("id", "absent");
-    assert_eq!(
-        integrate_pair(&l, &r, ScenarioKind::InnerJoin, &bad_right).unwrap_err(),
-        IntegrationError::UnknownColumn("absent".to_owned())
-    );
-}
-
-#[test]
-fn all_null_join_column_inner_join_is_no_matches_not_a_zero_row_scenario() {
-    let err = integrate_pair(
-        &null_keyed("L"),
-        &small("R", "y"),
-        ScenarioKind::InnerJoin,
-        &opts(),
-    )
-    .unwrap_err();
-    match err {
-        IntegrationError::NoMatches(msg) => {
-            assert!(msg.contains("no target rows"), "{msg}");
-        }
-        other => panic!("expected NoMatches, got {other:?}"),
+    for planner in PLANNERS {
+        let bad_left = IntegrationOptions::with_exact_key("nope", "id");
+        assert_eq!(
+            planner.run(&l, &r, &bad_left).unwrap_err(),
+            IntegrationError::UnknownColumn("nope".to_owned()),
+            "{planner:?}"
+        );
+        let bad_right = IntegrationOptions::with_exact_key("id", "absent");
+        assert_eq!(
+            planner.run(&l, &r, &bad_right).unwrap_err(),
+            IntegrationError::UnknownColumn("absent".to_owned()),
+            "{planner:?}"
+        );
     }
 }
 
+/// The inner planners over two tables that both have rows.
+const INNER: [Planner; 2] = [
+    Planner::Pair(ScenarioKind::InnerJoin),
+    Planner::Star(StarKind::Inner),
+];
+
 #[test]
-fn all_null_join_column_outer_kinds_still_integrate() {
-    // NULL matches nothing, so the outer joins degrade gracefully to
-    // disjoint row sets — still a valid scenario, not an error.
-    let l = null_keyed("L");
-    let r = small("R", "y");
-    let full = integrate_pair(&l, &r, ScenarioKind::FullOuterJoin, &opts()).unwrap();
-    assert_eq!(full.metadata.target_rows, 4);
-    assert!(full.row_matches.is_empty());
-    let left = integrate_pair(&l, &r, ScenarioKind::LeftJoin, &opts()).unwrap();
-    assert_eq!(left.metadata.target_rows, 2);
+fn all_null_join_column_inner_join_is_no_matches_not_a_zero_row_scenario() {
+    for planner in INNER {
+        match planner.run(&null_keyed("L"), &small("R", "y"), &opts()) {
+            Err(IntegrationError::NoMatches(msg)) => {
+                assert!(msg.contains("no target rows"), "{planner:?}: {msg}");
+            }
+            other => panic!("{planner:?}: expected NoMatches, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -136,23 +168,13 @@ fn disjoint_keys_inner_join_is_no_matches() {
         .row(vec![100.into(), 1.0.into()])
         .unwrap()
         .build();
-    let err = integrate_pair(&l, &small("R", "y"), ScenarioKind::InnerJoin, &opts()).unwrap_err();
-    assert!(matches!(err, IntegrationError::NoMatches(_)), "{err:?}");
-}
-
-#[test]
-fn union_rejects_empty_member_with_typed_error() {
-    let a = small("A", "x");
-    let e = empty("E");
-    assert_eq!(
-        integrate_union(&[&a, &e], "id", 0.0).unwrap_err(),
-        IntegrationError::EmptyTable("E".to_owned())
-    );
-    // Zero tables stays NoMatches (there is no table to name).
-    assert!(matches!(
-        integrate_union(&[], "id", 0.0).unwrap_err(),
-        IntegrationError::NoMatches(_)
-    ));
+    for planner in INNER {
+        let err = planner.run(&l, &small("R", "y"), &opts()).unwrap_err();
+        assert!(
+            matches!(err, IntegrationError::NoMatches(_)),
+            "{planner:?}: {err:?}"
+        );
+    }
 }
 
 #[test]
@@ -160,16 +182,18 @@ fn union_without_shared_features_is_no_matches() {
     let a = small("A", "x");
     let b = small("B", "z");
     // Shared feature set is {x} ∩ {z} = ∅ (the key is not a feature).
-    assert!(matches!(
-        integrate_union(&[&a, &b], "id", 0.0).unwrap_err(),
-        IntegrationError::NoMatches(_)
-    ));
+    let err = integrate_pair(&a, &b, ScenarioKind::Union, &opts()).unwrap_err();
+    assert_eq!(
+        err,
+        IntegrationError::NoMatches("no target columns for union of A and B".to_owned())
+    );
 }
 
 #[test]
 fn errors_render_human_readable_messages() {
     assert_eq!(
-        IntegrationError::EmptyTable("S1".to_owned()).to_string(),
-        "empty table: S1 has no rows"
+        IntegrationError::NoMatches("no target columns for union of A and B".to_owned())
+            .to_string(),
+        "no matches: no target columns for union of A and B"
     );
 }

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example horizontal_fl`
 
 use amalur::federated::{train_fedavg, HflConfig};
-use amalur::integration::integrate_union;
+use amalur::integration::integrate_pair;
 use amalur::prelude::*;
 
 fn main() {
@@ -24,19 +24,25 @@ fn main() {
         phones[0].num_rows()
     );
 
-    // The union scenario through the DI layer: shared feature schema,
-    // disjoint rows — Amalur's metadata confirms there is no redundancy,
-    // i.e. nothing for factorization to exploit (Example IV.1).
-    let refs: Vec<&Table> = phones.iter().collect();
-    let union = integrate_union(&refs, "uid", 0.0).expect("phones share a schema");
+    // The union scenario through the DI layer, each phone against the
+    // first: shared feature schema, disjoint rows — Amalur's metadata
+    // confirms there is no redundancy, i.e. nothing for factorization to
+    // exploit (Example IV.1).
+    let opts = IntegrationOptions::with_exact_key("uid", "uid");
+    let unions: Vec<_> = phones[1..]
+        .iter()
+        .map(|phone| {
+            integrate_pair(&phones[0], phone, ScenarioKind::Union, &opts)
+                .expect("phones share a schema")
+        })
+        .collect();
     println!(
-        "union target: {} rows × {} cols; redundancy-free: {}",
-        union.metadata.target_rows,
-        union.metadata.target_cols(),
-        union
-            .metadata
-            .sources
+        "union target per phone pair: {} rows × {} cols; redundancy-free: {}",
+        unions[0].metadata.target_rows,
+        unions[0].metadata.target_cols(),
+        unions
             .iter()
+            .flat_map(|u| &u.metadata.sources)
             .all(|s| s.redundancy.is_all_ones()),
     );
 

@@ -4,7 +4,7 @@
 //! and the result must coincide with centralized gradient descent.
 
 use amalur::federated::{party_views, train_fedavg, train_vfl, HflConfig, VflConfig};
-use amalur::integration::integrate_union;
+use amalur::integration::integrate_pair;
 use amalur::prelude::*;
 use amalur_data::TwoSourceSpec;
 
@@ -173,16 +173,21 @@ fn paillier_vfl_matches_and_reports_encryption_overhead() {
 
 #[test]
 fn hfl_over_di_union_equals_centralized() {
-    // Build the HFL parties through the DI union planner — the Example 4
-    // path — then check FedAvg (1 local epoch) equals centralized GD.
+    // Check the HFL parties through the DI union planner — the Example 4
+    // path, each phone against the first — then check FedAvg (1 local
+    // epoch) equals centralized GD.
     let phones = amalur::data::workloads::keyboard_silos(4, 50, 33);
-    let refs: Vec<&Table> = phones.iter().collect();
-    let union = integrate_union(&refs, "uid", 0.0).expect("shared schema");
-    assert!(union
-        .metadata
-        .sources
-        .iter()
-        .all(|s| s.redundancy.is_all_ones()));
+    let opts = IntegrationOptions::with_exact_key("uid", "uid");
+    for phone in &phones[1..] {
+        let union =
+            integrate_pair(&phones[0], phone, ScenarioKind::Union, &opts).expect("shared schema");
+        assert_eq!(union.metadata.target_rows, 100);
+        assert!(union
+            .metadata
+            .sources
+            .iter()
+            .all(|s| s.redundancy.is_all_ones()));
+    }
 
     let feature_cols = ["dwell_ms", "flight_ms", "pressure", "x", "y"];
     let parties: Vec<PartySamples> = phones
