@@ -53,7 +53,7 @@ fn main() {
     }
 
     println!("\n(c) redundancy matrix and LMM rewrite");
-    show("R_S2", &md.sources[1].redundancy.to_dense());
+    show("R_S2", &md.sources[1].redundancy().to_dense());
     show("T1 = I1·D1·M1ᵀ", &ft.intermediate(0).expect("in range"));
     show(
         "T2 = I2·D2·M2ᵀ  (note Jane's duplicated m, a)",

@@ -113,7 +113,7 @@ impl DiEntry {
             redundant_cells: metadata
                 .sources
                 .iter()
-                .map(|s| s.redundancy.zero_count())
+                .map(|s| s.redundancy().zero_count())
                 .collect(),
             tgds: tgds.iter().map(ToString::to_string).collect(),
         }

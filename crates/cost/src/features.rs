@@ -80,8 +80,8 @@ impl CostFeatures {
                     mapped_target_cols: s.mapping.mapped_target_cols().len(),
                     matched_target_rows: matched,
                     distinct_source_rows: distinct.len(),
-                    redundant_cells: s.redundancy.zero_count(),
-                    correction_cells: s.redundancy.slot_correction_cells(&s.indicator),
+                    redundant_cells: s.redundancy().zero_count(),
+                    correction_cells: s.redundancy().slot_correction_cells(&s.indicator),
                 }
             })
             .collect();
@@ -194,37 +194,34 @@ impl CostFeatures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amalur_integration::{
-        DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
-    };
+    use amalur_integration::DiMetadata;
 
     /// PK–FK configuration: 6 target rows, S1 6×2 (1:1), S2 2×3 (fan-out 3).
     fn pkfk() -> DiMetadata {
-        let cm1 = MappingMatrix::new(vec![0, 1, NO_MATCH, NO_MATCH, NO_MATCH], 2).unwrap();
-        let cm2 = MappingMatrix::new(vec![NO_MATCH, NO_MATCH, 0, 1, 2], 3).unwrap();
-        let ci1 = IndicatorMatrix::new(vec![0, 1, 2, 3, 4, 5], 6).unwrap();
-        let ci2 = IndicatorMatrix::new(vec![0, 1, 0, 1, 0, 1], 2).unwrap();
-        let r2 = RedundancyMatrix::against_earlier(&[(&ci1, &cm1)], &ci2, &cm2).unwrap();
-        DiMetadata {
-            target_columns: (0..5).map(|i| format!("c{i}")).collect(),
-            target_rows: 6,
-            sources: vec![
-                SourceMetadata {
-                    name: "fact".into(),
-                    mapped_columns: vec!["a".into(), "b".into()],
-                    mapping: cm1,
-                    indicator: ci1,
-                    redundancy: RedundancyMatrix::all_ones(6, 5),
-                },
-                SourceMetadata {
-                    name: "dim".into(),
-                    mapped_columns: vec!["x".into(), "y".into(), "z".into()],
-                    mapping: cm2,
-                    indicator: ci2,
-                    redundancy: r2,
-                },
-            ],
-        }
+        dim_indicator(vec![0, 1, 0, 1, 0, 1])
+    }
+
+    /// [`pkfk`] with `ci` as the dimension's `CIₖ`.
+    fn dim_indicator(ci: Vec<i64>) -> DiMetadata {
+        let names = |cols: &[&str]| cols.iter().map(|&c| c.to_owned()).collect();
+        let mut md = DiMetadata::new((0..5).map(|i| format!("c{i}")).collect(), 6);
+        md.push_source(
+            "fact",
+            names(&["a", "b"]),
+            vec![0, 1, NO_MATCH, NO_MATCH, NO_MATCH],
+            vec![0, 1, 2, 3, 4, 5],
+            6,
+        )
+        .unwrap();
+        md.push_source(
+            "dim",
+            names(&["x", "y", "z"]),
+            vec![NO_MATCH, NO_MATCH, 0, 1, 2],
+            ci,
+            2,
+        )
+        .unwrap();
+        md
     }
 
     #[test]
@@ -255,13 +252,8 @@ mod tests {
 
     #[test]
     fn no_redundancy_when_one_to_one() {
-        let mut md = pkfk();
-        // Make the dim indicator 1:1 over 2 of 6 target rows.
-        md.sources[1] = SourceMetadata {
-            indicator: IndicatorMatrix::new(vec![0, 1, NO_MATCH, NO_MATCH, NO_MATCH, NO_MATCH], 2)
-                .unwrap(),
-            ..md.sources[1].clone()
-        };
+        // The dim indicator is 1:1 over 2 of 6 target rows.
+        let md = dim_indicator(vec![0, 1, NO_MATCH, NO_MATCH, NO_MATCH, NO_MATCH]);
         let f = CostFeatures::from_metadata(&md);
         assert!(!f.has_target_redundancy());
         assert!((f.sources[1].fanout() - 1.0).abs() < 1e-12);
@@ -308,11 +300,7 @@ mod tests {
 
     #[test]
     fn empty_source_fanout_is_zero() {
-        let mut md = pkfk();
-        md.sources[1] = SourceMetadata {
-            indicator: IndicatorMatrix::new(vec![NO_MATCH; 6], 2).unwrap(),
-            ..md.sources[1].clone()
-        };
+        let md = dim_indicator(vec![NO_MATCH; 6]);
         let f = CostFeatures::from_metadata(&md);
         assert_eq!(f.sources[1].fanout(), 0.0);
     }

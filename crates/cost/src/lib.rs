@@ -15,7 +15,7 @@
 //!   by the DI metadata (actual match counts, fan-out, redundant cells),
 //!   covering the harder "Area III" cases. Its per-operation prices come
 //!   from a [`HardwareProfile`];
-//! * [`calibrate`] — the measurement-calibrated profile: micro-probes
+//! * [`calibrate`](mod@calibrate) — the measurement-calibrated profile: micro-probes
 //!   over real factorized tables, least-squares fit, and
 //!   `COST_PROFILE.json` persistence, so the crossover re-fits itself
 //!   whenever the kernels get faster instead of rotting with hardcoded

@@ -127,7 +127,7 @@ impl CostModel for MorpheusHeuristic {
 ///
 /// With [`HardwareProfile::uncalibrated`] the coefficients are the
 /// paper-era magic numbers; `amalur-cost`'s calibration
-/// ([`crate::calibrate`]) replaces them with per-machine measured costs
+/// ([`crate::calibrate`](mod@crate::calibrate)) replaces them with per-machine measured costs
 /// so the crossover tracks the kernels as they get faster.
 #[derive(Debug, Clone, Default)]
 pub struct AmalurCostModel {

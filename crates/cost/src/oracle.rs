@@ -3,7 +3,7 @@
 //! The Table III experiment scores cost models against what is *actually*
 //! faster. This module runs both strategies on a real
 //! [`FactorizedTable`] — gradient-descent epochs, each the table work
-//! `LinearRegression` does per epoch ([`GdEpoch`]) — and times them. The
+//! `LinearRegression` does per epoch (`GdEpoch`) — and times them. The
 //! materialized timing includes materialization itself (the paper's
 //! Fig. 2 pipeline joins first, then trains).
 
@@ -131,7 +131,7 @@ impl Measurement {
 /// warm-up run (a single wall-clock sample flips the "ground truth" near
 /// the crossover on a noisy machine).
 ///
-/// Each epoch is one [`GdEpoch`] — `T·θ`, the residual, `Tᵀ·r`, the
+/// Each epoch is one `GdEpoch` — `T·θ`, the residual, `Tᵀ·r`, the
 /// dominant operations of linear/logistic regression training, fused
 /// into one pass where the trainer fuses them; `θ` and `r` have
 /// `workload.x_cols` columns.

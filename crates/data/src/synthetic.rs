@@ -8,9 +8,7 @@
 //! plus data matrices directly — no relational detour — so the benchmark
 //! ladder can scale to hundreds of thousands of rows.
 
-use amalur_integration::{
-    DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, Result, SourceMetadata,
-};
+use amalur_integration::{DiMetadata, Result};
 use amalur_matrix::{DenseMatrix, NO_MATCH};
 use rand::Rng;
 use rand::SeedableRng;
@@ -157,35 +155,21 @@ pub fn generate_two_source(spec: &TwoSourceSpec) -> Result<(DiMetadata, Vec<Dens
         }
     }
 
-    let mapping1 = MappingMatrix::new(cm1, spec.cols_s1)?;
-    let mapping2 = MappingMatrix::new(cm2, spec.cols_s2)?;
-    let indicator1 = IndicatorMatrix::new(ci1, spec.rows_s1)?;
-    let indicator2 = IndicatorMatrix::new(ci2, spec.rows_s2)?;
-    let redundancy1 = RedundancyMatrix::all_ones(r_t, c_t);
-    let redundancy2 =
-        RedundancyMatrix::against_earlier(&[(&indicator1, &mapping1)], &indicator2, &mapping2)?;
-
-    let metadata = DiMetadata {
-        target_columns: (0..c_t).map(|i| format!("f{i}")).collect(),
-        target_rows: r_t,
-        sources: vec![
-            SourceMetadata {
-                name: "S1".into(),
-                mapped_columns: (0..spec.cols_s1).map(|i| format!("s1_{i}")).collect(),
-                mapping: mapping1,
-                indicator: indicator1,
-                redundancy: redundancy1,
-            },
-            SourceMetadata {
-                name: "S2".into(),
-                mapped_columns: (0..spec.cols_s2).map(|i| format!("s2_{i}")).collect(),
-                mapping: mapping2,
-                indicator: indicator2,
-                redundancy: redundancy2,
-            },
-        ],
-    };
-    metadata.validate()?;
+    let mut metadata = DiMetadata::new((0..c_t).map(|i| format!("f{i}")).collect(), r_t);
+    metadata.push_source(
+        "S1",
+        (0..spec.cols_s1).map(|i| format!("s1_{i}")).collect(),
+        cm1,
+        ci1,
+        spec.rows_s1,
+    )?;
+    metadata.push_source(
+        "S2",
+        (0..spec.cols_s2).map(|i| format!("s2_{i}")).collect(),
+        cm2,
+        ci2,
+        spec.rows_s2,
+    )?;
     Ok((metadata, vec![d1, d2]))
 }
 
@@ -294,7 +278,7 @@ mod tests {
             }
         }
         // Redundancy matrix knocks out the shared cells of matched rows.
-        assert!(md.sources[1].redundancy.zero_count() > 0);
+        assert!(md.sources[1].redundancy().zero_count() > 0);
     }
 
     #[test]

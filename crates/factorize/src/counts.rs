@@ -146,7 +146,7 @@ impl FactorizedTable {
                 s.mapping.source_cols(),
                 matched_rows(s.indicator.compressed()),
                 s.mapping.mapped_target_cols().len(),
-                s.redundancy.slot_correction_cells(&s.indicator),
+                s.redundancy().slot_correction_cells(&s.indicator),
                 x_cols,
             ));
         }

@@ -54,7 +54,8 @@
 //! `r_T × n` product, so `T·X` multiplies `Dₖ·(MₖᵀX)` straight into
 //! `out` instead: no `local` buffer, no copy, the same bits. Any other
 //! first source — an uncovered row, a fan-out read, an unread source
-//! row, a slot — and every later source keep the gather;
+//! row — and every later source keep the gather (a first source has no
+//! slot: its `Rₖ` is all ones);
 //! `factorize.lmm.gather_rows` counts every matched row either way.
 //!
 //! `Tᵀ·X` has the mirror image. Its scatter `Îₖᵀ X` sums, into zeroed
@@ -600,10 +601,10 @@ impl FactorizedTable {
     fn masked_intermediate(&self, k: usize) -> Result<DenseMatrix> {
         let s = &self.metadata().sources[k];
         let tk = self.intermediate(k)?;
-        if s.redundancy.is_all_ones() {
+        if s.redundancy().is_all_ones() {
             return Ok(tk);
         }
-        Ok(tk.hadamard(&s.redundancy.to_dense())?)
+        Ok(tk.hadamard(&s.redundancy().to_dense())?)
     }
 
     fn lmm_sparse(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
@@ -631,12 +632,12 @@ impl FactorizedTable {
     fn ensure_disjoint(&self, op: &str) -> Result<()> {
         let sources = &self.metadata().sources;
         for source in sources.iter().skip(1) {
-            if !source.redundancy.is_all_ones() {
+            if !source.redundancy().is_all_ones() {
                 return Err(FactorizeError::UnsupportedByStrategy(format!(
                     "{op}: Morpheus rule (1) assumes disjoint sources, but source {} \
                      has {} redundant cells (use Strategy::Compressed)",
                     source.name,
-                    source.redundancy.zero_count()
+                    source.redundancy().zero_count()
                 )));
             }
         }
@@ -694,9 +695,7 @@ fn scatter_stacked(x: &DenseMatrix, eff: &[u32], xk: &mut DenseMatrix) {
 mod tests {
     use super::*;
     use crate::table::tests::{figure2d_target, running_example};
-    use amalur_integration::{
-        DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
-    };
+    use amalur_integration::DiMetadata;
     use amalur_matrix::NO_MATCH;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use rand::SeedableRng;
@@ -746,33 +745,28 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let d1 = DenseMatrix::random_uniform(5, 2, -1.0, 1.0, &mut rng);
         let d2 = DenseMatrix::random_uniform(2, 3, -1.0, 1.0, &mut rng);
-        let cm1 = MappingMatrix::new(vec![0, 1, NO_MATCH, NO_MATCH, NO_MATCH], 2).unwrap();
-        let cm2 = MappingMatrix::new(vec![NO_MATCH, NO_MATCH, 0, 1, 2], 3).unwrap();
-        let ci1 = IndicatorMatrix::new(vec![0, 1, 2, 3, 4], 5).unwrap();
-        let ci2 = IndicatorMatrix::new(vec![0, 1, 0, 1, 0], 2).unwrap();
-        let r1 = RedundancyMatrix::all_ones(5, 5);
-        let r2 = RedundancyMatrix::against_earlier(&[(&ci1, &cm1)], &ci2, &cm2).unwrap();
-        assert!(r2.is_all_ones()); // no overlap ⇒ Morpheus assumption holds
-        let metadata = DiMetadata {
-            target_columns: vec!["a".into(), "b".into(), "c".into(), "d".into(), "e".into()],
-            target_rows: 5,
-            sources: vec![
-                SourceMetadata {
-                    name: "fact".into(),
-                    mapped_columns: vec!["a".into(), "b".into()],
-                    mapping: cm1,
-                    indicator: ci1,
-                    redundancy: r1,
-                },
-                SourceMetadata {
-                    name: "dim".into(),
-                    mapped_columns: vec!["c".into(), "d".into(), "e".into()],
-                    mapping: cm2,
-                    indicator: ci2,
-                    redundancy: r2,
-                },
-            ],
-        };
+        let names = |cols: &[&str]| cols.iter().map(|&c| c.to_owned()).collect();
+        let mut metadata = DiMetadata::new(names(&["a", "b", "c", "d", "e"]), 5);
+        metadata
+            .push_source(
+                "fact",
+                names(&["a", "b"]),
+                vec![0, 1, NO_MATCH, NO_MATCH, NO_MATCH],
+                vec![0, 1, 2, 3, 4],
+                5,
+            )
+            .unwrap();
+        metadata
+            .push_source(
+                "dim",
+                names(&["c", "d", "e"]),
+                vec![NO_MATCH, NO_MATCH, 0, 1, 2],
+                vec![0, 1, 0, 1, 0],
+                2,
+            )
+            .unwrap();
+        // No overlap ⇒ Morpheus assumption holds.
+        assert!(metadata.sources[1].redundancy().is_all_ones());
         FactorizedTable::new(metadata, vec![d1, d2]).unwrap()
     }
 
@@ -817,11 +811,7 @@ mod tests {
     #[test]
     fn lmm_into_overwrites_the_output_of_a_table_without_sources() {
         // No source ever assigns, so the kernel must clear `out` itself.
-        let metadata = DiMetadata {
-            target_columns: vec!["a".into(), "b".into()],
-            target_rows: 3,
-            sources: Vec::new(),
-        };
+        let metadata = DiMetadata::new(vec!["a".into(), "b".into()], 3);
         let ft = FactorizedTable::new(metadata, Vec::new()).unwrap();
         let mut out = DenseMatrix::filled(3, 2, 7.0);
         ft.lmm_into(&x_for(2, 2, 1), &mut out, &mut Workspace::new())
@@ -837,12 +827,7 @@ mod tests {
         // example, on a table whose last source has four groups and
         // slots read by many target rows, on a star whose base is
         // multiplied in place, and on every bent base that is gathered.
-        let bent = [
-            Base::NoMatchRow,
-            Base::OneSlot,
-            Base::FanOutRead,
-            Base::UnreadRow,
-        ];
+        let bent = [Base::NoMatchRow, Base::FanOutRead, Base::UnreadRow];
         let tables = [
             running_example(),
             multi_group_table(5),
@@ -877,7 +862,6 @@ mod tests {
     enum Base {
         Identity,
         NoMatchRow,
-        OneSlot,
         FanOutRead,
         UnreadRow,
     }
@@ -885,7 +869,6 @@ mod tests {
     /// An 11-row star: a 3-column base (bent as `bend` says) and a
     /// 4-column lookup read under fan-out, no shared column.
     fn star_with_base(bend: Base) -> FactorizedTable {
-        use amalur_integration::DupBlock;
         let rt = 11;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA5E);
         let base_rows = match bend {
@@ -899,45 +882,25 @@ mod tests {
             Base::FanOutRead => ci0[rt - 1] = 0,
             _ => {}
         }
-        let indicator0 = IndicatorMatrix::new(ci0, base_rows).unwrap();
-        let mapping0 =
-            MappingMatrix::new(vec![0, 1, 2, NO_MATCH, NO_MATCH, NO_MATCH, NO_MATCH], 3).unwrap();
-        let redundancy0 = if bend == Base::OneSlot {
-            let block = DupBlock {
-                rows: vec![4],
-                cols: vec![1],
-            };
-            RedundancyMatrix::from_blocks(rt, 7, vec![block]).unwrap()
-        } else {
-            RedundancyMatrix::all_ones(rt, 7)
-        };
-        let indicator1 =
-            IndicatorMatrix::new((0..rt).map(|i| (i % 4) as i64).collect(), 4).unwrap();
-        let mapping1 =
-            MappingMatrix::new(vec![NO_MATCH, NO_MATCH, NO_MATCH, 0, 1, 2, 3], 4).unwrap();
-        let redundancy1 =
-            RedundancyMatrix::against_earlier(&[(&indicator0, &mapping0)], &indicator1, &mapping1)
-                .unwrap();
-        let metadata = DiMetadata {
-            target_columns: (0..7).map(|i| format!("c{i}")).collect(),
-            target_rows: rt,
-            sources: vec![
-                SourceMetadata {
-                    name: "base".into(),
-                    mapped_columns: (0..3).map(|i| format!("b{i}")).collect(),
-                    mapping: mapping0,
-                    indicator: indicator0,
-                    redundancy: redundancy0,
-                },
-                SourceMetadata {
-                    name: "lookup".into(),
-                    mapped_columns: (0..4).map(|i| format!("l{i}")).collect(),
-                    mapping: mapping1,
-                    indicator: indicator1,
-                    redundancy: redundancy1,
-                },
-            ],
-        };
+        let mut metadata = DiMetadata::new((0..7).map(|i| format!("c{i}")).collect(), rt);
+        metadata
+            .push_source(
+                "base",
+                (0..3).map(|i| format!("b{i}")).collect(),
+                vec![0, 1, 2, NO_MATCH, NO_MATCH, NO_MATCH, NO_MATCH],
+                ci0,
+                base_rows,
+            )
+            .unwrap();
+        metadata
+            .push_source(
+                "lookup",
+                (0..4).map(|i| format!("l{i}")).collect(),
+                vec![NO_MATCH, NO_MATCH, NO_MATCH, 0, 1, 2, 3],
+                (0..rt).map(|i| (i % 4) as i64).collect(),
+                4,
+            )
+            .unwrap();
         let data = vec![
             DenseMatrix::random_uniform(base_rows, 3, -2.0, 2.0, &mut rng),
             DenseMatrix::random_uniform(4, 4, -2.0, 2.0, &mut rng),
@@ -946,7 +909,7 @@ mod tests {
     }
 
     /// The base's product goes into `out` in place only when its `Îₖ` is
-    /// the identity; a `NO_MATCH` row, one slot, a fan-out read (fewer
+    /// the identity; a `NO_MATCH` row, a fan-out read (fewer
     /// source rows than target rows) or an unread source row each keep
     /// the gather. Every case is `materialize()·X`.
     #[test]
@@ -954,14 +917,13 @@ mod tests {
         for bend in [
             Base::Identity,
             Base::NoMatchRow,
-            Base::OneSlot,
             Base::FanOutRead,
             Base::UnreadRow,
         ] {
             let ft = star_with_base(bend);
             let (_, _, base) = ft.sources().next().unwrap();
             assert_eq!(base.identity, bend == Base::Identity, "{bend:?}");
-            assert_eq!(base.slots.len(), usize::from(bend == Base::OneSlot));
+            assert!(base.slots.is_empty(), "{bend:?}");
             let (rows, cols) = ft.target_shape();
             let tol = amalur_gen::equivalence_tolerance(rows, cols, 1);
             let t = ft.materialize();
@@ -1279,17 +1241,10 @@ mod tests {
     #[test]
     fn stacked_rows_past_u32_are_a_typed_error() {
         let rows = u32::MAX as usize + 1;
-        let metadata = DiMetadata {
-            target_columns: vec!["c".into()],
-            target_rows: 2,
-            sources: vec![SourceMetadata {
-                name: "wide".into(),
-                mapped_columns: Vec::new(),
-                mapping: MappingMatrix::new(vec![NO_MATCH], 0).unwrap(),
-                indicator: IndicatorMatrix::new(vec![0, NO_MATCH], rows).unwrap(),
-                redundancy: RedundancyMatrix::all_ones(2, 1),
-            }],
-        };
+        let mut metadata = DiMetadata::new(vec!["c".into()], 2);
+        metadata
+            .push_source("wide", Vec::new(), vec![NO_MATCH], vec![0, NO_MATCH], rows)
+            .unwrap();
         let got = FactorizedTable::new(metadata, vec![DenseMatrix::zeros(rows, 0)]);
         assert!(matches!(got, Err(FactorizeError::ShapeMismatch(_))));
     }
@@ -1336,7 +1291,6 @@ mod tests {
             [
                 Base::Identity,
                 Base::NoMatchRow,
-                Base::OneSlot,
                 Base::FanOutRead,
                 Base::UnreadRow,
             ]
@@ -1425,33 +1379,26 @@ mod tests {
     /// row reads.
     fn uncovered_source_table() -> FactorizedTable {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA7);
-        let indicator0 = IndicatorMatrix::new((0..6).collect(), 6).unwrap();
-        let mapping0 = MappingMatrix::new(vec![0, 1, NO_MATCH, NO_MATCH], 2).unwrap();
-        let indicator1 = IndicatorMatrix::new(vec![NO_MATCH; 6], 3).unwrap();
-        let mapping1 = MappingMatrix::new(vec![NO_MATCH, NO_MATCH, 0, 1], 2).unwrap();
-        let redundancy1 =
-            RedundancyMatrix::against_earlier(&[(&indicator0, &mapping0)], &indicator1, &mapping1)
-                .unwrap();
-        let source = |name: &str, mapping, indicator, redundancy| SourceMetadata {
-            name: name.into(),
-            mapped_columns: vec!["a".into(), "b".into()],
-            mapping,
-            indicator,
-            redundancy,
-        };
-        let metadata = DiMetadata {
-            target_columns: (0..4).map(|i| format!("c{i}")).collect(),
-            target_rows: 6,
-            sources: vec![
-                source(
-                    "base",
-                    mapping0,
-                    indicator0,
-                    RedundancyMatrix::all_ones(6, 4),
-                ),
-                source("unread", mapping1, indicator1, redundancy1),
-            ],
-        };
+        let mut metadata = DiMetadata::new((0..4).map(|i| format!("c{i}")).collect(), 6);
+        let ab = || vec!["a".to_owned(), "b".to_owned()];
+        metadata
+            .push_source(
+                "base",
+                ab(),
+                vec![0, 1, NO_MATCH, NO_MATCH],
+                (0..6).collect(),
+                6,
+            )
+            .unwrap();
+        metadata
+            .push_source(
+                "unread",
+                ab(),
+                vec![NO_MATCH, NO_MATCH, 0, 1],
+                vec![NO_MATCH; 6],
+                3,
+            )
+            .unwrap();
         let data = vec![
             DenseMatrix::random_uniform(6, 2, -1.0, 1.0, &mut rng),
             DenseMatrix::random_uniform(3, 2, -1.0, 1.0, &mut rng),
@@ -1460,15 +1407,14 @@ mod tests {
     }
 
     /// Tables whose LMM scratch differs in kind: an identity base taken
-    /// in place, gathered first sources (an uncovered row, a slot, a
-    /// fan-out read), a multi-group source with shared slots, generated
+    /// in place, gathered first sources (an uncovered row, a fan-out
+    /// read), a multi-group source with shared slots, generated
     /// stars and snowflakes with partial coverage, a source no target row
     /// reads, and no source at all.
     fn scratch_tables() -> Vec<FactorizedTable> {
         let mut tables = vec![
             generated_star(3, 4),
             star_with_base(Base::NoMatchRow),
-            star_with_base(Base::OneSlot),
             star_with_base(Base::FanOutRead),
             multi_group_table(7),
             uncovered_source_table(),
@@ -1491,11 +1437,7 @@ mod tests {
             let (metadata, data) = amalur_gen::generate(&spec).unwrap();
             tables.push(FactorizedTable::new(metadata, data).unwrap());
         }
-        let metadata = DiMetadata {
-            target_columns: vec!["a".into(), "b".into()],
-            target_rows: 3,
-            sources: Vec::new(),
-        };
+        let metadata = DiMetadata::new(vec!["a".into(), "b".into()], 3);
         tables.push(FactorizedTable::new(metadata, Vec::new()).unwrap());
         tables
     }
@@ -1840,34 +1782,25 @@ mod tests {
                 d2.set(r, c, d1.get(l, c));
             }
         }
-        let mapping1 = MappingMatrix::new(cm1, c1).unwrap();
-        let mapping2 = MappingMatrix::new(cm2, c2).unwrap();
-        let indicator1 = IndicatorMatrix::new(ci1, r1).unwrap();
-        let indicator2 = IndicatorMatrix::new(ci2, r2).unwrap();
-        let red1 = RedundancyMatrix::all_ones(rt, ct);
-        let red2 =
-            RedundancyMatrix::against_earlier(&[(&indicator1, &mapping1)], &indicator2, &mapping2)
-                .unwrap();
-        let metadata = DiMetadata {
-            target_columns: (0..ct).map(|i| format!("c{i}")).collect(),
-            target_rows: rt,
-            sources: vec![
-                SourceMetadata {
-                    name: "L".into(),
-                    mapped_columns: (0..c1).map(|i| format!("l{i}")).collect(),
-                    mapping: mapping1,
-                    indicator: indicator1,
-                    redundancy: red1,
-                },
-                SourceMetadata {
-                    name: "R".into(),
-                    mapped_columns: (0..c2).map(|i| format!("r{i}")).collect(),
-                    mapping: mapping2,
-                    indicator: indicator2,
-                    redundancy: red2,
-                },
-            ],
-        };
+        let mut metadata = DiMetadata::new((0..ct).map(|i| format!("c{i}")).collect(), rt);
+        metadata
+            .push_source(
+                "L",
+                (0..c1).map(|i| format!("l{i}")).collect(),
+                cm1,
+                ci1,
+                r1,
+            )
+            .unwrap();
+        metadata
+            .push_source(
+                "R",
+                (0..c2).map(|i| format!("r{i}")).collect(),
+                cm2,
+                ci2,
+                r2,
+            )
+            .unwrap();
         FactorizedTable::new(metadata, vec![d1, d2]).unwrap()
     }
     /// Three sources where the last overlaps *both* earlier ones on
@@ -1885,7 +1818,7 @@ mod tests {
             &[0, 1, NO_MATCH, NO_MATCH, 2, NO_MATCH, 3, 4, 5],
         ];
         let hit = [0.7, 0.6, 0.85];
-        let mut sources: Vec<SourceMetadata> = Vec::new();
+        let mut metadata = DiMetadata::new((0..9).map(|i| format!("c{i}")).collect(), rt);
         let mut data = Vec::new();
         for (k, cm) in maps.iter().enumerate() {
             let src_rows = if k == 2 {
@@ -1903,27 +1836,19 @@ mod tests {
                     }
                 })
                 .collect();
-            let mapping = MappingMatrix::new(cm.to_vec(), src_cols).unwrap();
-            let indicator = IndicatorMatrix::new(ci, src_rows).unwrap();
-            let earlier: Vec<_> = sources.iter().map(|s| (&s.indicator, &s.mapping)).collect();
-            let redundancy =
-                RedundancyMatrix::against_earlier(&earlier, &indicator, &mapping).unwrap();
-            sources.push(SourceMetadata {
-                name: format!("S{}", k + 1),
-                mapped_columns: (0..src_cols).map(|c| format!("s{k}_{c}")).collect(),
-                mapping,
-                indicator,
-                redundancy,
-            });
+            metadata
+                .push_source(
+                    format!("S{}", k + 1),
+                    (0..src_cols).map(|c| format!("s{k}_{c}")).collect(),
+                    cm.to_vec(),
+                    ci,
+                    src_rows,
+                )
+                .unwrap();
             data.push(DenseMatrix::random_uniform(
                 src_rows, src_cols, -2.0, 2.0, rng,
             ));
         }
-        let metadata = DiMetadata {
-            target_columns: (0..9).map(|i| format!("c{i}")).collect(),
-            target_rows: rt,
-            sources,
-        };
         FactorizedTable::new(metadata, data).unwrap()
     }
 
@@ -1934,13 +1859,13 @@ mod tests {
             .map(|s| random_multi_group(&mut rand::rngs::StdRng::seed_from_u64(s)))
             .find(|ft| {
                 let s3 = &ft.metadata().sources[2];
-                let slots = s3.redundancy.slots(&s3.indicator).len();
+                let slots = s3.redundancy().slots(&s3.indicator).len();
                 let corrected = (0..ft.target_shape().0)
                     .filter(|&i| {
-                        s3.redundancy.group_of(i) != 0 && s3.indicator.compressed()[i] != NO_MATCH
+                        s3.redundancy().group_of(i) != 0 && s3.indicator.compressed()[i] != NO_MATCH
                     })
                     .count();
-                s3.redundancy.group_count() == 4 && slots > 0 && corrected >= 2 * slots
+                s3.redundancy().group_count() == 4 && slots > 0 && corrected >= 2 * slots
             })
             .unwrap()
     }
@@ -2025,7 +1950,7 @@ mod tests {
             for ft in [
                 FactorizedTable::new(metadata, data).unwrap(),
                 multi_group_table(seed % 8),
-                star_with_base([Base::Identity, Base::OneSlot, Base::UnreadRow][(seed % 3) as usize]),
+                star_with_base([Base::Identity, Base::FanOutRead, Base::UnreadRow][(seed % 3) as usize]),
             ] {
                 let class: Vec<usize> = (0..ft.target_shape().0).map(|_| rng.gen_range(0..k)).collect();
                 let [got, want] = class_sums_and_product(&ft, &class, k);

@@ -68,7 +68,7 @@ impl SourcePlan {
     fn new(s: &SourceMetadata) -> Result<Self> {
         let cm = s.mapping.compressed();
         let plain = s.indicator.source_rows();
-        let slots = s.redundancy.slots(&s.indicator);
+        let slots = s.redundancy().slots(&s.indicator);
         // The sentinel is the stacked row after the last slot.
         let unmatched = u32::try_from(plain + slots.len()).map_err(|_| {
             FactorizeError::ShapeMismatch(format!(
@@ -90,7 +90,7 @@ impl SourcePlan {
                 }
                 // `slots` holds every matched (group ≥ 1, row) pair; group
                 // 0 reads the plain row.
-                let g = s.redundancy.group_of(i);
+                let g = s.redundancy().group_of(i);
                 let row = slots
                     .binary_search(&(g, e as usize))
                     .map_or(e as usize, |slot| plain + slot);
@@ -99,12 +99,12 @@ impl SourcePlan {
                 row as u32
             })
             .collect();
-        let mut group_zero = Vec::with_capacity(s.redundancy.group_count());
+        let mut group_zero = Vec::with_capacity(s.redundancy().group_count());
         let mut zero_pairs = Vec::new();
-        for g in 0..s.redundancy.group_count() {
+        for g in 0..s.redundancy().group_count() {
             let start = zero_pairs.len();
             zero_pairs.extend(
-                s.redundancy
+                s.redundancy()
                     .group_cols(g)
                     .iter()
                     .filter(|&&j| cm[j] != NO_MATCH)
@@ -322,11 +322,11 @@ impl FactorizedTable {
                 continue;
             }
             let src_col = src_col as usize;
-            let masked: Vec<bool> = (0..s.redundancy.group_count())
-                .map(|g| s.redundancy.group_cols(g).binary_search(&col).is_ok())
+            let masked: Vec<bool> = (0..s.redundancy().group_count())
+                .map(|g| s.redundancy().group_cols(g).binary_search(&col).is_ok())
                 .collect();
             for (i, &src_row) in s.indicator.compressed().iter().enumerate() {
-                if src_row == NO_MATCH || masked[s.redundancy.group_of(i)] {
+                if src_row == NO_MATCH || masked[s.redundancy().group_of(i)] {
                     continue;
                 }
                 out[i] += d.get(src_row as usize, src_col);
@@ -338,14 +338,12 @@ impl FactorizedTable {
     /// Returns a new factorized table without target column `col`
     /// (e.g. splitting the label column off the feature matrix). The
     /// source data matrices are unchanged — the dropped column merely
-    /// becomes unmapped.
+    /// becomes unmapped: every source is pushed again with `col` removed
+    /// from its `CMₖ`, and its `Rₖ` is derived anew.
     ///
     /// # Errors
     /// [`FactorizeError::OperandMismatch`] when `col` is out of range.
     pub fn drop_target_column(&self, col: usize) -> Result<FactorizedTable> {
-        use amalur_integration::{
-            DupBlock, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
-        };
         let (rows, cols) = self.target_shape();
         if col >= cols {
             return Err(FactorizeError::OperandMismatch {
@@ -356,44 +354,19 @@ impl FactorizedTable {
         }
         let mut target_columns = self.metadata.target_columns.clone();
         target_columns.remove(col);
-        let mut sources = Vec::with_capacity(self.metadata.sources.len());
+        let mut metadata = DiMetadata::new(target_columns, rows);
         for s in &self.metadata.sources {
             let mut cm = s.mapping.compressed().to_vec();
             cm.remove(col);
-            let blocks: Vec<DupBlock> = s
-                .redundancy
-                .blocks()
-                .iter()
-                .map(|b| DupBlock {
-                    rows: b.rows.clone(),
-                    cols: b
-                        .cols
-                        .iter()
-                        .filter(|&&c| c != col)
-                        .map(|&c| if c > col { c - 1 } else { c })
-                        .collect(),
-                })
-                .filter(|b| !b.cols.is_empty())
-                .collect();
-            sources.push(SourceMetadata {
-                name: s.name.clone(),
-                mapped_columns: s.mapped_columns.clone(),
-                mapping: MappingMatrix::new(cm, s.mapping.source_cols())?,
-                indicator: IndicatorMatrix::new(
-                    s.indicator.compressed().to_vec(),
-                    s.indicator.source_rows(),
-                )?,
-                redundancy: RedundancyMatrix::from_blocks(rows, cols - 1, blocks)?,
-            });
+            metadata.push_source(
+                s.name.clone(),
+                s.mapped_columns.clone(),
+                cm,
+                s.indicator.compressed().to_vec(),
+                s.indicator.source_rows(),
+            )?;
         }
-        FactorizedTable::new(
-            DiMetadata {
-                target_columns,
-                target_rows: rows,
-                sources,
-            },
-            self.data.clone(),
-        )
+        FactorizedTable::new(metadata, self.data.clone())
     }
 
     /// Splits target column `label_col` off as the label vector `y`,
@@ -456,9 +429,6 @@ impl FactorizedTable {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use amalur_integration::{
-        DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
-    };
 
     /// The running example in factorized form (Figure 4).
     pub(crate) fn running_example() -> FactorizedTable {
@@ -475,32 +445,26 @@ pub(crate) mod tests {
             vec![1.0, 37.0, 92.0],
         ])
         .unwrap();
-        let cm1 = MappingMatrix::new(vec![0, 1, 2, NO_MATCH], 3).unwrap();
-        let cm2 = MappingMatrix::new(vec![0, 1, NO_MATCH, 2], 3).unwrap();
-        let ci1 = IndicatorMatrix::new(vec![0, 1, 2, 3, NO_MATCH, NO_MATCH], 4).unwrap();
-        let ci2 = IndicatorMatrix::new(vec![NO_MATCH, NO_MATCH, NO_MATCH, 2, 0, 1], 3).unwrap();
-        let r1 = RedundancyMatrix::all_ones(6, 4);
-        let r2 = RedundancyMatrix::against_earlier(&[(&ci1, &cm1)], &ci2, &cm2).unwrap();
-        let metadata = DiMetadata {
-            target_columns: vec!["m".into(), "a".into(), "hr".into(), "o".into()],
-            target_rows: 6,
-            sources: vec![
-                SourceMetadata {
-                    name: "S1".into(),
-                    mapped_columns: vec!["m".into(), "a".into(), "hr".into()],
-                    mapping: cm1,
-                    indicator: ci1,
-                    redundancy: r1,
-                },
-                SourceMetadata {
-                    name: "S2".into(),
-                    mapped_columns: vec!["m".into(), "a".into(), "o".into()],
-                    mapping: cm2,
-                    indicator: ci2,
-                    redundancy: r2,
-                },
-            ],
-        };
+        let names = |cols: &[&str]| cols.iter().map(|&c| c.to_owned()).collect();
+        let mut metadata = DiMetadata::new(names(&["m", "a", "hr", "o"]), 6);
+        metadata
+            .push_source(
+                "S1",
+                names(&["m", "a", "hr"]),
+                vec![0, 1, 2, NO_MATCH],
+                vec![0, 1, 2, 3, NO_MATCH, NO_MATCH],
+                4,
+            )
+            .unwrap();
+        metadata
+            .push_source(
+                "S2",
+                names(&["m", "a", "o"]),
+                vec![0, 1, NO_MATCH, 2],
+                vec![NO_MATCH, NO_MATCH, NO_MATCH, 2, 0, 1],
+                3,
+            )
+            .unwrap();
         FactorizedTable::new(metadata, vec![d1, d2]).unwrap()
     }
 
@@ -575,13 +539,13 @@ pub(crate) mod tests {
         let ft = running_example();
         // Dropping column 0 (m) shifts the redundancy zero at (3, 1)=a to (3, 0).
         let dropped = ft.drop_target_column(0).unwrap();
-        let r2 = &dropped.metadata().sources[1].redundancy;
+        let r2 = &dropped.metadata().sources[1].redundancy();
         assert_eq!(r2.get(3, 0), 0.0); // a
         assert_eq!(r2.get(3, 2), 1.0); // o
         assert_eq!(r2.zero_count(), 1);
         // Dropping the redundant 'a' column (idx 1) removes one zero too.
         let dropped2 = ft.drop_target_column(1).unwrap();
-        assert_eq!(dropped2.metadata().sources[1].redundancy.zero_count(), 1);
+        assert_eq!(dropped2.metadata().sources[1].redundancy().zero_count(), 1);
     }
 
     #[test]
@@ -594,6 +558,114 @@ pub(crate) mod tests {
         bad_rows[1] = DenseMatrix::zeros(5, 3); // wrong rows
         assert!(FactorizedTable::new(ft.metadata().clone(), bad_rows).is_err());
         assert!(FactorizedTable::new(ft.metadata().clone(), vec![]).is_err());
+    }
+
+    /// `T` without column `col`, as bits.
+    fn bits_without(t: &DenseMatrix, col: usize) -> Vec<u64> {
+        (0..t.rows())
+            .flat_map(|i| t.row(i).iter().enumerate().filter(move |&(j, _)| j != col))
+            .map(|(_, v)| v.to_bits())
+            .collect()
+    }
+
+    /// For every column `c`: the table without `c` materializes to `T`
+    /// without `c`, and the label `split_label` returns is `T`'s column
+    /// `c` — bit for bit.
+    fn assert_drops_are_bit_exact(ft: &FactorizedTable) {
+        let t = ft.materialize();
+        for col in 0..ft.target_shape().1 {
+            let (features, y) = ft.split_label(col).unwrap();
+            let dropped = ft.drop_target_column(col).unwrap();
+            let got = dropped.materialize();
+            assert_eq!(got.shape(), (t.rows(), t.cols() - 1));
+            let got: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, bits_without(&t, col), "column {col}");
+            assert_eq!(features.metadata(), dropped.metadata(), "column {col}");
+            let want: Vec<u64> = t.col(col).iter().map(|v| v.to_bits()).collect();
+            let y: Vec<u64> = y.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(y, want, "label {col}");
+        }
+    }
+
+    /// A source whose `Rₖ` has two blocks: S3 overlaps S1 on rows 0–2 and
+    /// columns {0, 1}, and S2 on rows 2–4 and column {3}; row 2 lies in
+    /// both. Dropping column 3 empties the second block.
+    #[test]
+    fn drop_target_column_is_bit_exact_on_two_blocks() {
+        let mut metadata = DiMetadata::new((0..5).map(|i| format!("c{i}")).collect(), 6);
+        let names = |k: usize, n: usize| (0..n).map(|c| format!("s{k}_{c}")).collect();
+        let sources: [(&[i64], &[i64], usize); 3] = [
+            (
+                &[0, 1, NO_MATCH, NO_MATCH, NO_MATCH],
+                &[0, 1, 2, NO_MATCH, NO_MATCH, 3],
+                4,
+            ),
+            (
+                &[NO_MATCH, NO_MATCH, 0, 1, NO_MATCH],
+                &[NO_MATCH, NO_MATCH, 0, 1, 2, NO_MATCH],
+                3,
+            ),
+            (&[0, 1, NO_MATCH, 2, 3], &[0, 1, 1, 0, 2, NO_MATCH], 3),
+        ];
+        let mut data = Vec::new();
+        for (k, &(cm, ci, rows)) in sources.iter().enumerate() {
+            let cols = cm.iter().filter(|&&j| j != NO_MATCH).count();
+            metadata
+                .push_source(
+                    format!("S{k}"),
+                    names(k, cols),
+                    cm.to_vec(),
+                    ci.to_vec(),
+                    rows,
+                )
+                .unwrap();
+            let values = (0..rows * cols)
+                .map(|v| (10 * k + v) as f64 - 7.5)
+                .collect();
+            data.push(DenseMatrix::from_vec(rows, cols, values).unwrap());
+        }
+        let r = metadata.sources[2].redundancy();
+        assert_eq!(r.zero_cols(1), &[0, 1]);
+        assert_eq!(r.zero_cols(2), &[0, 1, 3]);
+        assert_eq!(r.zero_cols(4), &[3]);
+        assert_drops_are_bit_exact(&FactorizedTable::new(metadata, data).unwrap());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Generated scenarios of every topology, with shared columns,
+        /// partial coverage and signed zeros in the data.
+        #[test]
+        fn prop_drop_target_column_is_bit_exact(
+            seed in 0u64..u64::MAX,
+            topology in 0usize..4,
+            shared_cols in 0usize..3,
+            coverage in 0usize..2,
+        ) {
+            let spec = amalur_gen::ScenarioSpec {
+                topology: [
+                    amalur_gen::Topology::Star { satellites: 2 },
+                    amalur_gen::Topology::Snowflake { arms: 2, depth: 2 },
+                    amalur_gen::Topology::Chain { hops: 2 },
+                    amalur_gen::Topology::ManyToMany,
+                ][topology],
+                base_rows: 30,
+                base_cols: 4,
+                dim_rows: 6,
+                dim_cols: 3,
+                shared_cols,
+                coverage: [1.0, 0.5][coverage],
+                seed,
+                ..amalur_gen::ScenarioSpec::default()
+            };
+            let (metadata, mut data) = amalur_gen::generate(&spec).unwrap();
+            for d in &mut data {
+                for v in d.as_mut_slice().iter_mut().step_by(7) {
+                    *v = -0.0;
+                }
+            }
+            assert_drops_are_bit_exact(&FactorizedTable::new(metadata, data).unwrap());
+        }
     }
 
     #[test]

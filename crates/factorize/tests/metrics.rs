@@ -37,7 +37,7 @@ fn counters_report_source_level_work() {
     })
     .unwrap();
     let shared = FactorizedTable::new(md, data).unwrap();
-    assert_eq!(shared.metadata().sources[1].redundancy.zero_count(), 1000);
+    assert_eq!(shared.metadata().sources[1].redundancy().zero_count(), 1000);
 
     let mut ws = Workspace::new();
     for (ft, slot_cells) in [(&plain, 0), (&shared, 200)] {
@@ -106,7 +106,7 @@ fn counters_report_source_level_work() {
             .metadata()
             .sources
             .iter()
-            .map(|s| s.redundancy.zero_count())
+            .map(|s| s.redundancy().zero_count())
             .sum();
         let (rows, cols) = ft.target_shape();
         let n = 4;

@@ -39,12 +39,12 @@ pub fn party_views(ft: &FactorizedTable) -> Result<Vec<PartyView>> {
     for (k, s) in md.sources.iter().enumerate() {
         // Masked intermediate, then keep only this source's columns.
         let full = ft.intermediate(k)?;
-        let masked = if s.redundancy.is_all_ones() {
+        let masked = if s.redundancy().is_all_ones() {
             full
         } else {
             let mut m = full;
             for row in 0..m.rows() {
-                for &c in s.redundancy.zero_cols(row) {
+                for &c in s.redundancy().zero_cols(row) {
                     m.set(row, c, 0.0);
                 }
             }
@@ -157,28 +157,19 @@ mod tests {
 
     // --- hand-built edge cases: errors, never panics --------------------
 
-    use amalur_integration::{
-        DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
-    };
+    use amalur_integration::DiMetadata;
     use amalur_matrix::NO_MATCH;
 
     /// Two single-column sources over a hand-specified row alignment.
     fn two_source_table(ci1: Vec<i64>, ci2: Vec<i64>, target_rows: usize) -> FactorizedTable {
-        let source = |name: &str, cm: Vec<i64>, ci: Vec<i64>, rows: usize| SourceMetadata {
-            name: name.into(),
-            mapped_columns: vec![format!("{name}_c0")],
-            mapping: MappingMatrix::new(cm, 1).unwrap(),
-            indicator: IndicatorMatrix::new(ci, rows).unwrap(),
-            redundancy: RedundancyMatrix::all_ones(target_rows, 2),
-        };
-        let md = DiMetadata {
-            target_columns: vec!["a".into(), "b".into()],
-            target_rows,
-            sources: vec![
-                source("s1", vec![0, NO_MATCH], ci1, 3),
-                source("s2", vec![NO_MATCH, 0], ci2, 3),
-            ],
-        };
+        let mut md = DiMetadata::new(vec!["a".into(), "b".into()], target_rows);
+        for (name, cm, ci) in [
+            ("s1", vec![0, NO_MATCH], ci1),
+            ("s2", vec![NO_MATCH, 0], ci2),
+        ] {
+            md.push_source(name, vec![format!("{name}_c0")], cm, ci, 3)
+                .unwrap();
+        }
         let d = |vals: &[f64]| DenseMatrix::from_vec(3, 1, vals.to_vec()).unwrap();
         FactorizedTable::new(md, vec![d(&[1.0, 2.0, 3.0]), d(&[10.0, 20.0, 30.0])]).unwrap()
     }
@@ -202,17 +193,10 @@ mod tests {
 
     #[test]
     fn single_party_view_is_the_whole_target() {
-        let md = DiMetadata {
-            target_columns: vec!["a".into(), "b".into()],
-            target_rows: 3,
-            sources: vec![SourceMetadata {
-                name: "only".into(),
-                mapped_columns: vec!["a".into(), "b".into()],
-                mapping: MappingMatrix::new(vec![0, 1], 2).unwrap(),
-                indicator: IndicatorMatrix::new(vec![0, 1, 2], 3).unwrap(),
-                redundancy: RedundancyMatrix::all_ones(3, 2),
-            }],
-        };
+        let ab = || vec!["a".to_owned(), "b".to_owned()];
+        let mut md = DiMetadata::new(ab(), 3);
+        md.push_source("only", ab(), vec![0, 1], vec![0, 1, 2], 3)
+            .unwrap();
         let data = DenseMatrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let ft = FactorizedTable::new(md, vec![data]).unwrap();
         let views = party_views(&ft).unwrap();
@@ -233,26 +217,11 @@ mod tests {
 
     #[test]
     fn source_mapping_no_columns_is_a_typed_error() {
-        let md = DiMetadata {
-            target_columns: vec!["a".into()],
-            target_rows: 2,
-            sources: vec![
-                SourceMetadata {
-                    name: "full".into(),
-                    mapped_columns: vec!["a".into()],
-                    mapping: MappingMatrix::new(vec![0], 1).unwrap(),
-                    indicator: IndicatorMatrix::new(vec![0, 1], 2).unwrap(),
-                    redundancy: RedundancyMatrix::all_ones(2, 1),
-                },
-                SourceMetadata {
-                    name: "hollow".into(),
-                    mapped_columns: vec![],
-                    mapping: MappingMatrix::new(vec![NO_MATCH], 0).unwrap(),
-                    indicator: IndicatorMatrix::new(vec![0, 1], 2).unwrap(),
-                    redundancy: RedundancyMatrix::all_ones(2, 1),
-                },
-            ],
-        };
+        let mut md = DiMetadata::new(vec!["a".into()], 2);
+        md.push_source("full", vec!["a".into()], vec![0], vec![0, 1], 2)
+            .unwrap();
+        md.push_source("hollow", vec![], vec![NO_MATCH], vec![0, 1], 2)
+            .unwrap();
         let ft = FactorizedTable::new(
             md,
             vec![

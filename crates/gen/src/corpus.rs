@@ -3,7 +3,7 @@
 //! Workflow (documented in ROADMAP.md):
 //!
 //! 1. A sweep or property test observes a factorized-vs-materialized
-//!    divergence and [`shrink`](crate::shrink)s it; the failure message
+//!    divergence and [`shrink`](fn@crate::shrink)s it; the failure message
 //!    contains the minimal spec as one line of JSON.
 //! 2. That JSON is appended — with a note naming the bug — to
 //!    `crates/gen/corpus/regressions.json` and committed together with
@@ -21,30 +21,12 @@ use crate::spec::ScenarioSpec;
 use serde::{get_field, DeError, Deserialize, Serialize, Value};
 
 /// One pinned scenario: the shrunk spec plus why it is here.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CorpusEntry {
     /// What this entry regression-tests (bug reference, one line).
     pub note: String,
     /// The shrunk scenario spec.
     pub spec: ScenarioSpec,
-}
-
-impl Serialize for CorpusEntry {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("note".to_owned(), Value::Str(self.note.clone())),
-            ("spec".to_owned(), self.spec.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CorpusEntry {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            note: get_field(v, "note")?,
-            spec: get_field(v, "spec")?,
-        })
-    }
 }
 
 /// A set of pinned regression scenarios.

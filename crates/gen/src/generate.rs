@@ -16,13 +16,12 @@
 //! * shared columns are *consistent*: each satellite owns a disjoint
 //!   window of base columns and the base copies the satellite's value
 //!   on matched rows, so duplicated cells carry equal values;
-//! * redundancy matrices are derived structurally via
-//!   [`RedundancyMatrix::against_earlier`], never hand-wired.
+//! * redundancy matrices are derived, never supplied: the metadata is
+//!   built by [`DiMetadata::push_source`], the one constructor, which
+//!   computes each `Rₖ` from the sources pushed before it.
 
 use crate::spec::{ScenarioSpec, Topology};
-use amalur_integration::{
-    DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, Result, SourceMetadata,
-};
+use amalur_integration::{DiMetadata, Result};
 use amalur_matrix::{CooMatrix, DenseMatrix, NO_MATCH};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,6 +119,7 @@ fn generate_join(spec: &ScenarioSpec, rng: &mut StdRng) -> Result<(DiMetadata, V
 
     // --- metadata ---------------------------------------------------------
     // Base: identity indicator, identity mapping onto target cols 0..base_cols.
+    let mut metadata = DiMetadata::new((0..c_t).map(|t| format!("f{t}")).collect(), r_t);
     let base_cm: Vec<i64> = (0..c_t)
         .map(|t| {
             if t < spec.base_cols {
@@ -129,19 +129,16 @@ fn generate_join(spec: &ScenarioSpec, rng: &mut StdRng) -> Result<(DiMetadata, V
             }
         })
         .collect();
-    let base_mapping = MappingMatrix::new(base_cm, spec.base_cols)?;
-    let base_indicator = IndicatorMatrix::new((0..r_t as i64).collect(), spec.base_rows)?;
-
-    let mut sources = vec![SourceMetadata {
-        name: "base".to_owned(),
-        mapped_columns: (0..spec.base_cols).map(|c| format!("base_{c}")).collect(),
-        redundancy: RedundancyMatrix::all_ones(r_t, c_t),
-        mapping: base_mapping,
-        indicator: base_indicator,
-    }];
+    metadata.push_source(
+        "base",
+        (0..spec.base_cols).map(|c| format!("base_{c}")).collect(),
+        base_cm,
+        (0..r_t as i64).collect(),
+        spec.base_rows,
+    )?;
 
     let mut fresh_start = spec.base_cols;
-    for (k, sat) in sats.iter().enumerate() {
+    for (k, sat) in sats.into_iter().enumerate() {
         // Source cols: [0, shared_width) shared, the rest fresh.
         let fresh = spec.dim_cols - sat.shared_width;
         let cm: Vec<i64> = (0..c_t)
@@ -155,27 +152,15 @@ fn generate_join(spec: &ScenarioSpec, rng: &mut StdRng) -> Result<(DiMetadata, V
                 }
             })
             .collect();
-        let mapping = MappingMatrix::new(cm, spec.dim_cols)?;
-        let indicator = IndicatorMatrix::new(sat.ci.clone(), spec.dim_rows)?;
-        let earlier: Vec<(&IndicatorMatrix, &MappingMatrix)> =
-            sources.iter().map(|s| (&s.indicator, &s.mapping)).collect();
-        let redundancy = RedundancyMatrix::against_earlier(&earlier, &indicator, &mapping)?;
-        sources.push(SourceMetadata {
-            name: format!("sat{k}"),
-            mapped_columns: (0..spec.dim_cols).map(|c| format!("sat{k}_{c}")).collect(),
-            mapping,
-            indicator,
-            redundancy,
-        });
+        metadata.push_source(
+            format!("sat{k}"),
+            (0..spec.dim_cols).map(|c| format!("sat{k}_{c}")).collect(),
+            cm,
+            sat.ci,
+            spec.dim_rows,
+        )?;
         fresh_start += fresh;
     }
-
-    let metadata = DiMetadata {
-        target_columns: (0..c_t).map(|t| format!("f{t}")).collect(),
-        target_rows: r_t,
-        sources,
-    };
-    metadata.validate()?;
 
     let mut data = vec![base_data];
     data.extend(sat_data);
@@ -229,35 +214,21 @@ fn generate_many_to_many(
             }
         })
         .collect();
-    let mapping_a = MappingMatrix::new(cm_a, spec.base_cols)?;
-    let mapping_b = MappingMatrix::new(cm_b, spec.dim_cols)?;
-    let indicator_a = IndicatorMatrix::new(ci_a, spec.dim_rows)?;
-    let indicator_b = IndicatorMatrix::new(ci_b, spec.dim_rows)?;
-    let redundancy_a = RedundancyMatrix::all_ones(edges, c_t);
-    let redundancy_b =
-        RedundancyMatrix::against_earlier(&[(&indicator_a, &mapping_a)], &indicator_b, &mapping_b)?;
-
-    let metadata = DiMetadata {
-        target_columns: (0..c_t).map(|t| format!("f{t}")).collect(),
-        target_rows: edges,
-        sources: vec![
-            SourceMetadata {
-                name: "left".to_owned(),
-                mapped_columns: (0..spec.base_cols).map(|c| format!("l_{c}")).collect(),
-                mapping: mapping_a,
-                indicator: indicator_a,
-                redundancy: redundancy_a,
-            },
-            SourceMetadata {
-                name: "right".to_owned(),
-                mapped_columns: (0..spec.dim_cols).map(|c| format!("r_{c}")).collect(),
-                mapping: mapping_b,
-                indicator: indicator_b,
-                redundancy: redundancy_b,
-            },
-        ],
-    };
-    metadata.validate()?;
+    let mut metadata = DiMetadata::new((0..c_t).map(|t| format!("f{t}")).collect(), edges);
+    metadata.push_source(
+        "left",
+        (0..spec.base_cols).map(|c| format!("l_{c}")).collect(),
+        cm_a,
+        ci_a,
+        spec.dim_rows,
+    )?;
+    metadata.push_source(
+        "right",
+        (0..spec.dim_cols).map(|c| format!("r_{c}")).collect(),
+        cm_b,
+        ci_b,
+        spec.dim_rows,
+    )?;
     Ok((metadata, vec![d_a, d_b]))
 }
 

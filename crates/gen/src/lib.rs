@@ -17,14 +17,14 @@
 //!   determines a scenario together with its seed.
 //! * [`sample`] — seed-deterministic random walks over the grammar, so
 //!   sweeps and CI smokes can draw "fresh" scenarios reproducibly.
-//! * [`generate`] — turns a spec into a validated
+//! * [`generate`](mod@generate) — turns a spec into a validated
 //!   [`DiMetadata`](amalur_integration::DiMetadata) plus one source
 //!   matrix per table, the exact contract of
 //!   `amalur_data::generate_two_source`.
 //! * [`diff`] — the differential harness: train linreg / logreg /
 //!   k-means / GNMF both factorized and materialized, demand agreement
 //!   within a rounding-model tolerance.
-//! * [`shrink`] — greedy spec-level shrinking to a minimal failing
+//! * [`shrink`](mod@shrink) — greedy spec-level shrinking to a minimal failing
 //!   scenario (the vendored proptest shim has no shrinking; specs are a
 //!   far better shrink domain than byte streams anyway).
 //! * [`corpus`] — the regression corpus: previously shrunk failing

@@ -78,7 +78,7 @@ impl Topology {
 /// | `density` | fill ratio of sparse sources |
 /// | `coverage` | fraction of base rows matched by each satellite (1.0 = left-join full) |
 /// | `seed` | the whole scenario is a pure function of (spec, seed) |
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Source relationship shape.
     pub topology: Topology,
@@ -153,8 +153,8 @@ impl ScenarioSpec {
 
 // --- serialization (regression corpus) -------------------------------------
 //
-// Hand-written against the vendored serde shim: `Topology` is an enum and
-// the shim's derive only covers plain structs.
+// `ScenarioSpec` derives both traits; `Topology` is an enum, which the
+// shim's derive does not cover, so its impls are written out.
 
 impl Serialize for Topology {
     fn to_value(&self) -> Value {
@@ -198,48 +198,6 @@ impl Deserialize for Topology {
     }
 }
 
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("topology".to_owned(), self.topology.to_value()),
-            ("base_rows".to_owned(), Value::Int(self.base_rows as i64)),
-            ("base_cols".to_owned(), Value::Int(self.base_cols as i64)),
-            ("dim_rows".to_owned(), Value::Int(self.dim_rows as i64)),
-            ("dim_cols".to_owned(), Value::Int(self.dim_cols as i64)),
-            ("skew".to_owned(), Value::Float(self.skew)),
-            (
-                "shared_cols".to_owned(),
-                Value::Int(self.shared_cols as i64),
-            ),
-            (
-                "sparse_mask".to_owned(),
-                Value::Int(self.sparse_mask as i64),
-            ),
-            ("density".to_owned(), Value::Float(self.density)),
-            ("coverage".to_owned(), Value::Float(self.coverage)),
-            ("seed".to_owned(), Value::Int(self.seed as i64)),
-        ])
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            topology: get_field(v, "topology")?,
-            base_rows: get_field(v, "base_rows")?,
-            base_cols: get_field(v, "base_cols")?,
-            dim_rows: get_field(v, "dim_rows")?,
-            dim_cols: get_field(v, "dim_cols")?,
-            skew: get_field(v, "skew")?,
-            shared_cols: get_field(v, "shared_cols")?,
-            sparse_mask: get_field(v, "sparse_mask")?,
-            density: get_field(v, "density")?,
-            coverage: get_field(v, "coverage")?,
-            seed: get_field(v, "seed")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,6 +231,40 @@ mod tests {
             let json = serde_json::to_string(&spec).unwrap();
             let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(back, spec);
+        }
+    }
+
+    /// The JSON of one spec per topology, byte for byte: the corpus
+    /// format, pinned.
+    #[test]
+    fn json_is_pinned_for_every_topology() {
+        let golden = [
+            (
+                Topology::Star { satellites: 2 },
+                r#"{"kind":"star","satellites":2}"#,
+            ),
+            (
+                Topology::Snowflake { arms: 2, depth: 3 },
+                r#"{"kind":"snowflake","arms":2,"depth":3}"#,
+            ),
+            (Topology::Chain { hops: 2 }, r#"{"kind":"chain","hops":2}"#),
+            (Topology::ManyToMany, r#"{"kind":"m:n"}"#),
+        ];
+        for (topology, json) in golden {
+            let spec = ScenarioSpec {
+                topology,
+                skew: 0.7,
+                shared_cols: 2,
+                sparse_mask: 0b10,
+                density: 0.25,
+                coverage: 0.8,
+                seed: 99,
+                ..ScenarioSpec::default()
+            };
+            let want = format!(
+                r#"{{"topology":{json},"base_rows":80,"base_cols":3,"dim_rows":20,"dim_cols":6,"skew":0.7,"shared_cols":2,"sparse_mask":2,"density":0.25,"coverage":0.8,"seed":99}}"#
+            );
+            assert_eq!(serde_json::to_string(&spec).unwrap(), want);
         }
     }
 

@@ -89,7 +89,7 @@ fn factorized_path_agrees_with_csr_assembly() {
                 continue;
             }
             for (t, &src_col) in cm.iter().enumerate() {
-                if src_col == NO_MATCH || s.redundancy.get(i, t) == 0.0 {
+                if src_col == NO_MATCH || s.redundancy().get(i, t) == 0.0 {
                     continue;
                 }
                 let v = csr.get(src_row as usize, src_col as usize);

@@ -42,7 +42,7 @@
 //! plain definition (two string decodes, five allocations and an
 //! `O(len · window)` scan per pair) survives as the `#[cfg(test)]` oracle
 //! in `reference.rs`, and differential tests pin the two bit for bit.
-//! Per in-block pair, [`crate::jw`] runs:
+//! Per in-block pair, the `jw` module runs:
 //!
 //! 1. **Decode once.** Each key is decoded to `char`s once per call and
 //!    carries a signature: 128 `u8` bins counting its characters by code

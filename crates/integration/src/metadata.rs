@@ -14,9 +14,21 @@
 //!   cross-product blocks (one per overlapping earlier source), which is
 //!   stored structurally so that `r_T = 5M` rows never require a dense
 //!   `r_T × c_T` materialization.
+//!
+//! # One constructor
+//!
+//! [`DiMetadata::new`] followed by one [`DiMetadata::push_source`] per
+//! source is the only way to build DI metadata. `push_source` validates
+//! `CMₖ` and `CIₖ` against the target shape and *derives* `Rₖ` from the
+//! sources pushed before it; `Rₖ` is never supplied. Definition III.4
+//! fixes `Rₖ` from the `CIₖ`/`CMₖ` of the earlier sources, and an `Rₖ`
+//! that contradicts it silently corrupts `T` — two sources covering one
+//! cell would both be added into it. Since [`SourceMetadata`] has a
+//! private field, no code outside this crate can assemble one by hand,
+//! so every [`DiMetadata`] holds the definition by construction.
 
 use crate::{IntegrationError, Result};
-use amalur_matrix::{selection_matrix, CsrMatrix, DenseMatrix, NO_MATCH};
+use amalur_matrix::{selection_matrix, DenseMatrix, NO_MATCH};
 
 /// Compressed mapping matrix `CMₖ` (Definition III.2) with its expansion
 /// to the full binary `Mₖ` (Definition III.1) on demand.
@@ -37,7 +49,7 @@ impl MappingMatrix {
     /// or a source column is mapped to more than one target column
     /// (the paper's matrices are sub-permutations: "each attribute in the
     /// source table is mapped to only one attribute in T").
-    pub fn new(cm: Vec<i64>, source_cols: usize) -> Result<Self> {
+    pub(crate) fn new(cm: Vec<i64>, source_cols: usize) -> Result<Self> {
         let mut seen = vec![false; source_cols];
         for &j in &cm {
             if j == NO_MATCH {
@@ -93,11 +105,6 @@ impl MappingMatrix {
         selection_matrix(&self.cm, self.source_cols)
             .unwrap_or_else(|_| DenseMatrix::zeros(self.cm.len(), self.source_cols))
     }
-
-    /// Expands to CSR (useful for the sparse ablation path).
-    pub fn to_csr(&self) -> CsrMatrix {
-        CsrMatrix::from_dense(&self.to_dense())
-    }
 }
 
 /// Compressed indicator matrix `CIₖ` (Definition III.3).
@@ -114,7 +121,7 @@ impl IndicatorMatrix {
     /// Builds a compressed indicator matrix, validating indices. Unlike
     /// mapping matrices, a source row *may* feed several target rows
     /// (PK–FK joins duplicate dimension rows), so duplicates are allowed.
-    pub fn new(ci: Vec<i64>, source_rows: usize) -> Result<Self> {
+    pub(crate) fn new(ci: Vec<i64>, source_rows: usize) -> Result<Self> {
         for &j in &ci {
             if j == NO_MATCH {
                 continue;
@@ -146,16 +153,6 @@ impl IndicatorMatrix {
         self.source_rows
     }
 
-    /// Target rows that have a counterpart in this source.
-    pub fn mapped_target_rows(&self) -> Vec<usize> {
-        self.ci
-            .iter()
-            .enumerate()
-            .filter(|(_, &j)| j != NO_MATCH)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Expands to the full binary matrix `Iₖ` of shape `r_T × r_Sk`.
     pub fn to_dense(&self) -> DenseMatrix {
         // Entries were range-checked on construction; the zero matrix is
@@ -163,28 +160,27 @@ impl IndicatorMatrix {
         selection_matrix(&self.ci, self.source_rows)
             .unwrap_or_else(|_| DenseMatrix::zeros(self.ci.len(), self.source_rows))
     }
-
-    /// Expands to CSR.
-    pub fn to_csr(&self) -> CsrMatrix {
-        CsrMatrix::from_dense(&self.to_dense())
-    }
 }
 
 /// One cross-product block of redundant cells: every `(row, col)` pair in
 /// `rows × cols` is a zero of the redundancy matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DupBlock {
-    /// Target row indices covered by both this source and an earlier one.
-    pub rows: Vec<usize>,
+#[derive(Debug)]
+struct DupBlock {
+    /// Target row indices covered by both this source and an earlier one,
+    /// ascending.
+    rows: Vec<usize>,
     /// Target column indices mapped by both this source and that same
-    /// earlier source.
-    pub cols: Vec<usize>,
+    /// earlier source, ascending.
+    cols: Vec<usize>,
 }
 
 /// Redundancy matrix `Rₖ` (Definition III.4), stored structurally.
 ///
-/// `Rₖ[i, j] = 0` iff `(i, j)` lies in at least one [`DupBlock`]; all
-/// other entries are 1. The base table's matrix is all ones (no blocks).
+/// `Rₖ[i, j] = 0` iff some earlier source covers both target row `i` and
+/// target column `j` — the cross product of the rows and the columns the
+/// two sources share, one block per overlapping earlier source; all other
+/// entries are 1. The base table's matrix is all ones (no blocks). Built
+/// only by [`DiMetadata::push_source`].
 ///
 /// # Groups
 ///
@@ -213,7 +209,6 @@ pub struct DupBlock {
 pub struct RedundancyMatrix {
     rows: usize,
     cols: usize,
-    blocks: Vec<DupBlock>,
     /// Zero-column sets of all groups, concatenated; group `g` owns
     /// `group_cols[group_start[g]..group_start[g + 1]]`, sorted.
     group_cols: Vec<usize>,
@@ -226,17 +221,11 @@ pub struct RedundancyMatrix {
 }
 
 impl RedundancyMatrix {
-    /// The all-ones matrix — used for the base table, which is never
-    /// redundant with respect to itself.
-    pub fn all_ones(rows: usize, cols: usize) -> Self {
-        Self::indexed(rows, cols, Vec::new())
-    }
-
-    /// Builds the group index over validated blocks (sorted,
-    /// deduplicated, in range) by partition refinement: every block
-    /// splits each existing group into "rows also in this block" — whose
-    /// zero set gains the block's columns — and the rest. Allocations
-    /// are per *group*, never per row.
+    /// Builds the group index over blocks (sorted, deduplicated, in
+    /// range) by partition refinement: every block splits each existing
+    /// group into "rows also in this block" — whose zero set gains the
+    /// block's columns — and the rest. Allocations are per *group*,
+    /// never per row; the blocks are not kept.
     fn indexed(rows: usize, cols: usize, blocks: Vec<DupBlock>) -> Self {
         let mut sets: Vec<Vec<usize>> = vec![Vec::new()];
         let mut row_group = vec![0u32; if blocks.is_empty() { 0 } else { rows }];
@@ -283,7 +272,6 @@ impl RedundancyMatrix {
         Self {
             rows,
             cols,
-            blocks,
             group_cols,
             group_start,
             row_group,
@@ -291,84 +279,41 @@ impl RedundancyMatrix {
         }
     }
 
-    /// Builds a redundancy matrix from explicit duplicate blocks. Block
-    /// indices are sorted and deduplicated.
+    /// Computes `Rₖ` for a source with `indicator` and `mapping` against
+    /// the `earlier` sources (Definition III.4 with source 0 as base
+    /// table): the cell `(i, j)` of `Tₖ` is redundant iff some earlier
+    /// source `k' < k` also covers target row `i` *and* target column
+    /// `j`. With no earlier source it is the all-ones matrix. The shapes
+    /// agree: [`DiMetadata::push_source`] checked them.
     ///
-    /// # Errors
-    /// [`IntegrationError::InvalidMetadata`] when a block index is out of
-    /// range.
-    pub fn from_blocks(rows: usize, cols: usize, mut blocks: Vec<DupBlock>) -> Result<Self> {
-        for b in &mut blocks {
-            b.rows.sort_unstable();
-            b.rows.dedup();
-            b.cols.sort_unstable();
-            b.cols.dedup();
-        }
-        for b in &blocks {
-            if let Some(&r) = b.rows.iter().find(|&&r| r >= rows) {
-                return Err(IntegrationError::InvalidMetadata(format!(
-                    "redundancy block row {r} out of range ({rows} rows)"
-                )));
-            }
-            if let Some(&c) = b.cols.iter().find(|&&c| c >= cols) {
-                return Err(IntegrationError::InvalidMetadata(format!(
-                    "redundancy block col {c} out of range ({cols} cols)"
-                )));
-            }
-        }
-        Ok(Self::indexed(rows, cols, blocks))
-    }
-
-    /// Computes `Rₖ` for source `k` against all earlier sources
-    /// (Definition III.4 with source 0 as base table): the cell `(i, j)`
-    /// of `Tₖ` is redundant iff some earlier source `k' < k` also covers
-    /// target row `i` *and* target column `j`.
-    pub fn against_earlier(
-        earlier: &[(&IndicatorMatrix, &MappingMatrix)],
-        own_indicator: &IndicatorMatrix,
-        own_mapping: &MappingMatrix,
-    ) -> Result<Self> {
-        let rows = own_indicator.target_rows();
-        let cols = own_mapping.target_cols();
-        let own_rows: Vec<bool> = own_indicator
-            .compressed()
-            .iter()
-            .map(|&j| j != NO_MATCH)
-            .collect();
-        let own_cols: Vec<bool> = own_mapping
-            .compressed()
-            .iter()
-            .map(|&j| j != NO_MATCH)
-            .collect();
+    /// The shared columns come first: an earlier source that shares none
+    /// adds no block, and its `r_T` row scan is skipped.
+    pub(crate) fn against_earlier(
+        earlier: &[SourceMetadata],
+        indicator: &IndicatorMatrix,
+        mapping: &MappingMatrix,
+    ) -> Self {
+        let covered = |&(_, (&a, &b)): &(usize, (&i64, &i64))| a != NO_MATCH && b != NO_MATCH;
         let mut blocks = Vec::new();
-        for (ind, map) in earlier {
-            if ind.target_rows() != rows || map.target_cols() != cols {
-                return Err(IntegrationError::InvalidMetadata(
-                    "metadata of earlier source disagrees on target shape".into(),
-                ));
-            }
-            let shared_rows: Vec<usize> = ind
-                .compressed()
-                .iter()
+        for s in earlier {
+            let cols: Vec<usize> = (s.mapping.compressed().iter().zip(mapping.compressed()))
                 .enumerate()
-                .filter(|&(i, &j)| j != NO_MATCH && own_rows[i])
-                .map(|(i, _)| i)
-                .collect();
-            let shared_cols: Vec<usize> = map
-                .compressed()
-                .iter()
-                .enumerate()
-                .filter(|&(c, &j)| j != NO_MATCH && own_cols[c])
+                .filter(covered)
                 .map(|(c, _)| c)
                 .collect();
-            if !shared_rows.is_empty() && !shared_cols.is_empty() {
-                blocks.push(DupBlock {
-                    rows: shared_rows,
-                    cols: shared_cols,
-                });
+            if cols.is_empty() {
+                continue;
+            }
+            let rows: Vec<usize> = (s.indicator.compressed().iter().zip(indicator.compressed()))
+                .enumerate()
+                .filter(covered)
+                .map(|(i, _)| i)
+                .collect();
+            if !rows.is_empty() {
+                blocks.push(DupBlock { rows, cols });
             }
         }
-        Ok(Self::indexed(rows, cols, blocks))
+        Self::indexed(indicator.target_rows(), mapping.target_cols(), blocks)
     }
 
     /// Matrix shape (`r_T × c_T`).
@@ -378,12 +323,7 @@ impl RedundancyMatrix {
 
     /// `true` when no cell is redundant (all-ones matrix).
     pub fn is_all_ones(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// The duplicate blocks.
-    pub fn blocks(&self) -> &[DupBlock] {
-        &self.blocks
+        self.row_group.is_empty()
     }
 
     /// Number of groups (distinct zero-column sets, the empty group 0
@@ -465,7 +405,8 @@ impl RedundancyMatrix {
     }
 }
 
-/// Complete DI metadata for one source table.
+/// Complete DI metadata for one source table, built only by
+/// [`DiMetadata::push_source`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceMetadata {
     /// Source table name.
@@ -476,12 +417,22 @@ pub struct SourceMetadata {
     pub mapping: MappingMatrix,
     /// Indicator matrix `Iₖ` / `CIₖ`.
     pub indicator: IndicatorMatrix,
-    /// Redundancy matrix `Rₖ`.
-    pub redundancy: RedundancyMatrix,
+    /// Redundancy matrix `Rₖ`, derived from the earlier sources.
+    redundancy: RedundancyMatrix,
+}
+
+impl SourceMetadata {
+    /// Redundancy matrix `Rₖ` (Definition III.4).
+    pub fn redundancy(&self) -> &RedundancyMatrix {
+        &self.redundancy
+    }
 }
 
 /// DI metadata for an integration task: the target schema plus one
 /// [`SourceMetadata`] per source (source 0 is the base table).
+///
+/// Built with [`Self::new`] and one [`Self::push_source`] per source, in
+/// order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiMetadata {
     /// Target (mediated) schema column names — `T(m, a, hr, o)` in the
@@ -494,34 +445,63 @@ pub struct DiMetadata {
 }
 
 impl DiMetadata {
+    /// Metadata of a target with `target_columns` and `target_rows` rows,
+    /// and no source yet.
+    pub fn new(target_columns: Vec<String>, target_rows: usize) -> Self {
+        Self {
+            target_columns,
+            target_rows,
+            sources: Vec::new(),
+        }
+    }
+
+    /// Appends a source: `mapped_columns` names the columns of its `Dₖ`,
+    /// `cm` is its `CMₖ` (one entry per target column) and `ci` its
+    /// `CIₖ` (one entry per target row) over `source_rows` rows. `Rₖ` is
+    /// derived from the sources pushed before it (Definition III.4): all
+    /// ones for the first source.
+    ///
+    /// # Errors
+    /// [`IntegrationError::InvalidMetadata`] when `cm` or `ci` has an
+    /// index out of range, maps a source column twice, or disagrees with
+    /// the target shape; `self` is then unchanged.
+    pub fn push_source(
+        &mut self,
+        name: impl Into<String>,
+        mapped_columns: Vec<String>,
+        cm: Vec<i64>,
+        ci: Vec<i64>,
+        source_rows: usize,
+    ) -> Result<()> {
+        let name = name.into();
+        let mapping = MappingMatrix::new(cm, mapped_columns.len())?;
+        let indicator = IndicatorMatrix::new(ci, source_rows)?;
+        self.check_shape(&name, &mapping, &indicator)?;
+        let redundancy = RedundancyMatrix::against_earlier(&self.sources, &indicator, &mapping);
+        self.sources.push(SourceMetadata {
+            name,
+            mapped_columns,
+            mapping,
+            indicator,
+            redundancy,
+        });
+        Ok(())
+    }
+
     /// Number of target columns `c_T`.
     pub fn target_cols(&self) -> usize {
         self.target_columns.len()
     }
 
-    /// Validates cross-source consistency of the metadata shapes.
+    /// Validates that every source still agrees with the target shape —
+    /// the public fields can be edited after [`Self::push_source`].
     ///
     /// # Errors
     /// [`IntegrationError::InvalidMetadata`] when a source's matrices
     /// disagree with the target shape.
     pub fn validate(&self) -> Result<()> {
         for s in &self.sources {
-            if s.mapping.target_cols() != self.target_cols() {
-                return Err(IntegrationError::InvalidMetadata(format!(
-                    "source {}: mapping has {} target cols, expected {}",
-                    s.name,
-                    s.mapping.target_cols(),
-                    self.target_cols()
-                )));
-            }
-            if s.indicator.target_rows() != self.target_rows {
-                return Err(IntegrationError::InvalidMetadata(format!(
-                    "source {}: indicator has {} target rows, expected {}",
-                    s.name,
-                    s.indicator.target_rows(),
-                    self.target_rows
-                )));
-            }
+            self.check_shape(&s.name, &s.mapping, &s.indicator)?;
             if s.redundancy.shape() != (self.target_rows, self.target_cols()) {
                 return Err(IntegrationError::InvalidMetadata(format!(
                     "source {}: redundancy shape {:?} does not match target {:?}",
@@ -541,33 +521,94 @@ impl DiMetadata {
         }
         Ok(())
     }
+
+    /// `CMₖ` has one entry per target column and `CIₖ` one per target row.
+    fn check_shape(
+        &self,
+        name: &str,
+        mapping: &MappingMatrix,
+        indicator: &IndicatorMatrix,
+    ) -> Result<()> {
+        if mapping.target_cols() != self.target_cols() {
+            return Err(IntegrationError::InvalidMetadata(format!(
+                "source {name}: mapping has {} target cols, expected {}",
+                mapping.target_cols(),
+                self.target_cols()
+            )));
+        }
+        if indicator.target_rows() != self.target_rows {
+            return Err(IntegrationError::InvalidMetadata(format!(
+                "source {name}: indicator has {} target rows, expected {}",
+                indicator.target_rows(),
+                self.target_rows
+            )));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// CM₁/CM₂ and CI₁/CI₂ of Figure 4 (running example).
-    fn figure4_metadata() -> (
-        MappingMatrix,
-        MappingMatrix,
-        IndicatorMatrix,
-        IndicatorMatrix,
-    ) {
-        // Target T(m, a, hr, o); S1 maps (m,a,hr) = cols 0,1,2; S2 maps (m,a,o).
-        let cm1 = MappingMatrix::new(vec![0, 1, 2, NO_MATCH], 3).unwrap();
-        let cm2 = MappingMatrix::new(vec![0, 1, NO_MATCH, 2], 3).unwrap();
-        // Target rows: Jack, Sam, Ruby, Jane, Rose, Castiel (6 rows).
-        // S1 rows 0..4 are Jack, Sam, Ruby, Jane; S2 rows 0..3 are Rose,
-        // Castiel, Jane.
-        let ci1 = IndicatorMatrix::new(vec![0, 1, 2, 3, NO_MATCH, NO_MATCH], 4).unwrap();
-        let ci2 = IndicatorMatrix::new(vec![NO_MATCH, NO_MATCH, NO_MATCH, 2, 0, 1], 3).unwrap();
-        (cm1, cm2, ci1, ci2)
+    /// Target `T(m, a, hr, o)` over 6 rows.
+    fn target() -> DiMetadata {
+        DiMetadata::new(vec!["m".into(), "a".into(), "hr".into(), "o".into()], 6)
+    }
+
+    /// The running example of Figure 4: S1 maps (m, a, hr), S2 maps
+    /// (m, a, o). Target rows are Jack, Sam, Ruby, Jane, Rose, Castiel;
+    /// S1 rows 0..4 are Jack, Sam, Ruby, Jane; S2 rows 0..3 are Rose,
+    /// Castiel, Jane.
+    fn figure4_metadata() -> DiMetadata {
+        let names = |cols: &[&str]| cols.iter().map(|&c| c.to_owned()).collect();
+        let mut md = target();
+        md.push_source(
+            "S1",
+            names(&["m", "a", "hr"]),
+            vec![0, 1, 2, NO_MATCH],
+            vec![0, 1, 2, 3, NO_MATCH, NO_MATCH],
+            4,
+        )
+        .unwrap();
+        md.push_source(
+            "S2",
+            names(&["m", "a", "o"]),
+            vec![0, 1, NO_MATCH, 2],
+            vec![NO_MATCH, NO_MATCH, NO_MATCH, 2, 0, 1],
+            3,
+        )
+        .unwrap();
+        md
+    }
+
+    /// `Rₖ` of the last of `sources` — `(CMₖ, CIₖ, r_Sk)` each — pushed in
+    /// order onto a `rows × cols` target.
+    fn last_redundancy(
+        rows: usize,
+        cols: usize,
+        sources: &[(&[i64], &[i64], usize)],
+    ) -> RedundancyMatrix {
+        let mut md = DiMetadata::new((0..cols).map(|c| format!("c{c}")).collect(), rows);
+        for (k, &(cm, ci, source_rows)) in sources.iter().enumerate() {
+            let mapped = cm.iter().filter(|&&j| j != NO_MATCH).count();
+            let names = (0..mapped).map(|c| format!("s{k}_{c}")).collect();
+            md.push_source(
+                format!("S{k}"),
+                names,
+                cm.to_vec(),
+                ci.to_vec(),
+                source_rows,
+            )
+            .unwrap();
+        }
+        md.sources.pop().unwrap().redundancy
     }
 
     #[test]
     fn mapping_matrix_figure4a() {
-        let (cm1, cm2, _, _) = figure4_metadata();
+        let md = figure4_metadata();
+        let (cm1, cm2) = (&md.sources[0].mapping, &md.sources[1].mapping);
         let m1 = cm1.to_dense();
         // Figure 4a: M1 rows (T.m, T.a, T.hr, T.o) × cols (S1.m, S1.a, S1.hr)
         assert_eq!(m1.row(0), &[1.0, 0.0, 0.0]);
@@ -596,14 +637,13 @@ mod tests {
     fn indicator_matrix_allows_duplicates() {
         // PK–FK join: dimension row 0 feeds two target rows.
         let i = IndicatorMatrix::new(vec![0, 0, 1], 2).unwrap();
-        assert_eq!(i.mapped_target_rows(), vec![0, 1, 2]);
+        assert_eq!(i.to_dense().col(0), vec![1.0, 1.0, 0.0]);
         assert!(IndicatorMatrix::new(vec![5], 2).is_err());
     }
 
     #[test]
     fn indicator_to_dense() {
-        let (_, _, _, ci2) = figure4_metadata();
-        let i2 = ci2.to_dense();
+        let i2 = figure4_metadata().sources[1].indicator.to_dense();
         assert_eq!(i2.shape(), (6, 3));
         assert_eq!(i2.get(3, 2), 1.0); // Jane: target row 3 ← S2 row 2
         assert_eq!(i2.get(4, 0), 1.0); // Rose
@@ -612,8 +652,8 @@ mod tests {
 
     #[test]
     fn redundancy_matrix_figure4c() {
-        let (cm1, cm2, ci1, ci2) = figure4_metadata();
-        let r2 = RedundancyMatrix::against_earlier(&[(&ci1, &cm1)], &ci2, &cm2).unwrap();
+        let md = figure4_metadata();
+        let r2 = md.sources[1].redundancy();
         // Only Jane's row (target row 3) is shared; shared mapped columns
         // are m (0) and a (1). T2's hr column is unmapped, o is S2-only.
         assert_eq!(r2.get(3, 0), 0.0);
@@ -628,51 +668,26 @@ mod tests {
 
     #[test]
     fn base_table_redundancy_is_all_ones() {
-        let r = RedundancyMatrix::all_ones(6, 4);
+        let md = figure4_metadata();
+        let r = md.sources[0].redundancy();
         assert!(r.is_all_ones());
         assert_eq!(r.zero_count(), 0);
         assert_eq!(r.to_dense(), DenseMatrix::ones(6, 4));
     }
 
     #[test]
-    fn redundancy_from_blocks_validates() {
-        assert!(RedundancyMatrix::from_blocks(
-            3,
-            3,
-            vec![DupBlock {
-                rows: vec![5],
-                cols: vec![0]
-            }]
-        )
-        .is_err());
-        assert!(RedundancyMatrix::from_blocks(
-            3,
-            3,
-            vec![DupBlock {
-                rows: vec![0],
-                cols: vec![7]
-            }]
-        )
-        .is_err());
-    }
-
-    #[test]
     fn overlapping_blocks_count_once() {
-        let r = RedundancyMatrix::from_blocks(
+        // S0 covers rows {0,1} × cols {0,1}, S1 rows {1,2} × cols {1,2};
+        // S2 covers every cell, so its blocks are exactly those two.
+        let r = last_redundancy(
             4,
             4,
-            vec![
-                DupBlock {
-                    rows: vec![0, 1],
-                    cols: vec![0, 1],
-                },
-                DupBlock {
-                    rows: vec![1, 2],
-                    cols: vec![1, 2],
-                },
+            &[
+                (&[0, 1, NO_MATCH, NO_MATCH], &[0, 1, NO_MATCH, NO_MATCH], 2),
+                (&[NO_MATCH, 0, 1, NO_MATCH], &[NO_MATCH, 0, 1, NO_MATCH], 2),
+                (&[0, 1, 2, 3], &[0, 1, 2, 3], 4),
             ],
-        )
-        .unwrap();
+        );
         // Cells: {0,1}×{0,1} ∪ {1,2}×{1,2} = {(0,0),(0,1),(1,0),(1,1),(1,2),(2,1),(2,2)}
         assert_eq!(r.zero_count(), 7);
         assert_eq!(r.get(1, 1), 0.0);
@@ -682,88 +697,98 @@ mod tests {
 
     #[test]
     fn groups_are_the_distinct_zero_column_sets() {
-        // Rows 0–3 in block A, rows 2–5 in block B, rows 4–5 also in a
-        // block with A's columns again: rows 4 and 5 end with A ∪ B like
-        // rows 2 and 3, through a different set of blocks.
-        let block = |rows: &[usize], cols: &[usize]| DupBlock {
-            rows: rows.to_vec(),
-            cols: cols.to_vec(),
-        };
-        let r = RedundancyMatrix::from_blocks(
+        // The last source covers target rows 0–4 and 6 and columns
+        // {0, 1, 3}. Earlier, A covers rows 0–3 on columns {0, 1}, B rows
+        // 2–5 on {3}, C rows 4–5 on {0, 1} again: row 4 ends with A ∪ B
+        // like rows 2 and 3, through a different pair of sources.
+        let ci = [0, 0, 1, 1, 1, NO_MATCH, 0];
+        let a_cm = [0, 1, NO_MATCH, NO_MATCH, NO_MATCH];
+        let a_ci = [0, 1, 2, 3, NO_MATCH, NO_MATCH, NO_MATCH];
+        let b_cm = [NO_MATCH, NO_MATCH, NO_MATCH, 0, NO_MATCH];
+        let b_ci = [NO_MATCH, NO_MATCH, 0, 1, 2, 3, NO_MATCH];
+        let c_ci = [NO_MATCH, NO_MATCH, NO_MATCH, NO_MATCH, 0, 1, NO_MATCH];
+        let own_cm = [0, 1, NO_MATCH, 2, NO_MATCH];
+        let r = last_redundancy(
             7,
             5,
-            vec![
-                block(&[0, 1, 2, 3], &[0, 1]),
-                block(&[2, 3, 4, 5], &[3]),
-                block(&[4, 5], &[1, 0]),
+            &[
+                (&a_cm, &a_ci, 4),
+                (&b_cm, &b_ci, 4),
+                (&a_cm, &c_ci, 2),
+                (&own_cm, &ci, 2),
             ],
-        )
-        .unwrap();
-        // ∅, {0,1}, {0,1,3}; the transient {3} of rows 4–5 is dropped.
+        );
+        // ∅, {0,1}, {0,1,3}; the transient {3} of row 4 is dropped.
         assert_eq!(r.group_count(), 3);
         assert_eq!(r.group_cols(0), &[] as &[usize]);
         assert_eq!(r.zero_cols(0), &[0, 1]);
         assert_eq!(r.zero_cols(3), &[0, 1, 3]);
-        assert_eq!(r.group_of(2), r.group_of(5));
+        assert_eq!(r.group_of(2), r.group_of(4));
+        assert_eq!(r.zero_cols(5), &[] as &[usize]);
         assert_eq!(r.zero_cols(6), &[] as &[usize]);
         assert_eq!(r.zero_cols(99), &[] as &[usize]);
-        assert_eq!(r.zero_count(), 2 * 2 + 4 * 3);
-        assert_eq!(r.to_dense().sum(), 35.0 - 16.0);
+        assert_eq!(r.zero_count(), 2 * 2 + 3 * 3);
+        assert_eq!(r.to_dense().sum(), 35.0 - 13.0);
 
         // Slots: distinct (group, source row) pairs over matched rows.
-        let ci = IndicatorMatrix::new(vec![0, 0, 1, 1, 1, NO_MATCH, 0], 2).unwrap();
+        let ci = IndicatorMatrix::new(ci.to_vec(), 2).unwrap();
         let (g1, g2) = (r.group_of(0), r.group_of(2));
         assert_eq!(r.slots(&ci), vec![(g1, 0), (g2, 1)]);
         assert_eq!(r.slot_correction_cells(&ci), 2 + 3);
         assert!(r.slot_correction_cells(&ci) <= r.zero_count());
-        let none = RedundancyMatrix::all_ones(7, 5);
+        let none = last_redundancy(7, 5, &[(&a_cm, &a_ci, 4)]);
         assert_eq!(none.group_count(), 1);
         assert!(none.slots(&ci).is_empty());
     }
 
     #[test]
-    fn against_earlier_shape_mismatch() {
-        let (cm1, cm2, ci1, _) = figure4_metadata();
-        let short_ci = IndicatorMatrix::new(vec![0], 3).unwrap();
-        assert!(RedundancyMatrix::against_earlier(&[(&ci1, &cm1)], &short_ci, &cm2).is_err());
+    fn push_source_rejects_a_shape_mismatch() {
+        let md = figure4_metadata();
+        let names = || vec!["x".to_owned()];
+        let mut pushed = md.clone();
+        // CIₖ shorter than r_T, CMₖ shorter than c_T, a bad index.
+        assert!(pushed
+            .push_source(
+                "short",
+                names(),
+                vec![0, NO_MATCH, NO_MATCH, NO_MATCH],
+                vec![0],
+                3
+            )
+            .is_err());
+        assert!(pushed
+            .push_source("narrow", names(), vec![0], vec![0; 6], 1)
+            .is_err());
+        assert!(pushed
+            .push_source(
+                "bad",
+                names(),
+                vec![0, 0, NO_MATCH, NO_MATCH],
+                vec![0; 6],
+                1
+            )
+            .is_err());
+        // A failed push leaves the metadata as it was.
+        assert_eq!(pushed, md);
     }
 
     #[test]
     fn no_shared_rows_means_all_ones() {
         // Union scenario: disjoint rows.
-        let cm1 = MappingMatrix::new(vec![0, 1], 2).unwrap();
-        let cm2 = MappingMatrix::new(vec![0, 1], 2).unwrap();
-        let ci1 = IndicatorMatrix::new(vec![0, 1, NO_MATCH, NO_MATCH], 2).unwrap();
-        let ci2 = IndicatorMatrix::new(vec![NO_MATCH, NO_MATCH, 0, 1], 2).unwrap();
-        let r2 = RedundancyMatrix::against_earlier(&[(&ci1, &cm1)], &ci2, &cm2).unwrap();
+        let r2 = last_redundancy(
+            4,
+            2,
+            &[
+                (&[0, 1], &[0, 1, NO_MATCH, NO_MATCH], 2),
+                (&[0, 1], &[NO_MATCH, NO_MATCH, 0, 1], 2),
+            ],
+        );
         assert!(r2.is_all_ones());
     }
 
     #[test]
     fn di_metadata_validate() {
-        let (cm1, cm2, ci1, ci2) = figure4_metadata();
-        let r1 = RedundancyMatrix::all_ones(6, 4);
-        let r2 = RedundancyMatrix::against_earlier(&[(&ci1, &cm1)], &ci2, &cm2).unwrap();
-        let md = DiMetadata {
-            target_columns: vec!["m".into(), "a".into(), "hr".into(), "o".into()],
-            target_rows: 6,
-            sources: vec![
-                SourceMetadata {
-                    name: "S1".into(),
-                    mapped_columns: vec!["m".into(), "a".into(), "hr".into()],
-                    mapping: cm1,
-                    indicator: ci1,
-                    redundancy: r1,
-                },
-                SourceMetadata {
-                    name: "S2".into(),
-                    mapped_columns: vec!["m".into(), "a".into(), "o".into()],
-                    mapping: cm2,
-                    indicator: ci2,
-                    redundancy: r2,
-                },
-            ],
-        };
+        let md = figure4_metadata();
         assert!(md.validate().is_ok());
         assert_eq!(md.target_cols(), 4);
 

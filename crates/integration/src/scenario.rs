@@ -26,9 +26,7 @@
 
 use crate::er::{match_keys, Keys};
 use crate::matching::{match_profiled, ColumnMatch, MatchingConfig, ProfiledTable};
-use crate::metadata::{
-    DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata,
-};
+use crate::metadata::DiMetadata;
 use crate::tgd::{Atom, Tgd};
 use crate::{ErConfig, IntegrationError, Result};
 use amalur_matrix::{DenseMatrix, NO_MATCH};
@@ -342,11 +340,11 @@ pub(crate) fn plan(
     }
 
     // --- Per-source metadata and Dₖ -------------------------------------
-    let mut sources: Vec<SourceMetadata> = Vec::with_capacity(cis.len());
+    let mut metadata = DiMetadata::new(target_columns, target_rows);
     let mut source_data = Vec::with_capacity(cis.len());
     for (((t, feats), target_of), ci) in tables().zip(&features).zip(&feeds).zip(cis) {
         // Mapped columns in source-schema order.
-        let mut cm = vec![NO_MATCH; target_columns.len()];
+        let mut cm = vec![NO_MATCH; metadata.target_cols()];
         let mut mapped = Vec::new();
         for (f, target) in feats.iter().zip(target_of) {
             if let Some(p) = target.and_then(|t| position[t]) {
@@ -354,31 +352,11 @@ pub(crate) fn plan(
                 mapped.push((*f).to_owned());
             }
         }
-        let mapping = MappingMatrix::new(cm, mapped.len())?;
-        let indicator = IndicatorMatrix::new(ci, t.num_rows())?;
-        let redundancy = if sources.is_empty() {
-            RedundancyMatrix::all_ones(target_rows, target_columns.len())
-        } else {
-            let earlier: Vec<(&IndicatorMatrix, &MappingMatrix)> =
-                sources.iter().map(|s| (&s.indicator, &s.mapping)).collect();
-            RedundancyMatrix::against_earlier(&earlier, &indicator, &mapping)?
-        };
+        metadata.push_source(t.name(), mapped, cm, ci, t.num_rows())?;
+        let mapped = &metadata.sources[metadata.sources.len() - 1].mapped_columns;
         let refs: Vec<&str> = mapped.iter().map(String::as_str).collect();
         source_data.push(t.to_matrix(&refs, opts.null_value)?);
-        sources.push(SourceMetadata {
-            name: t.name().to_owned(),
-            mapped_columns: mapped,
-            mapping,
-            indicator,
-            redundancy,
-        });
     }
-    let metadata = DiMetadata {
-        target_columns,
-        target_rows,
-        sources,
-    };
-    metadata.validate()?;
     Ok(Plan {
         metadata,
         source_data,
@@ -571,11 +549,11 @@ pub(crate) mod tests {
             &[NO_MATCH, NO_MATCH, NO_MATCH, 2, 0, 1]
         );
         // R₂ zero exactly at Jane's shared (m, a) cells (Figure 4c).
-        assert_eq!(s2m.redundancy.get(3, 0), 0.0);
-        assert_eq!(s2m.redundancy.get(3, 1), 0.0);
-        assert_eq!(s2m.redundancy.get(3, 3), 1.0);
-        assert_eq!(s2m.redundancy.zero_count(), 2);
-        assert!(s1m.redundancy.is_all_ones());
+        assert_eq!(s2m.redundancy().get(3, 0), 0.0);
+        assert_eq!(s2m.redundancy().get(3, 1), 0.0);
+        assert_eq!(s2m.redundancy().get(3, 3), 1.0);
+        assert_eq!(s2m.redundancy().zero_count(), 2);
+        assert!(s1m.redundancy().is_all_ones());
         // D₁ is 4×3 (m,a,hr), D₂ is 3×3 (m,a,o).
         assert_eq!(r.source_data[0].shape(), (4, 3));
         assert_eq!(r.source_data[1].shape(), (3, 3));
@@ -601,7 +579,7 @@ pub(crate) mod tests {
         assert_eq!(r.metadata.sources[0].indicator.compressed(), &[3]);
         assert_eq!(r.metadata.sources[1].indicator.compressed(), &[2]);
         // Jane's shared columns in S2 are still redundant w.r.t. S1.
-        assert_eq!(r.metadata.sources[1].redundancy.zero_count(), 2);
+        assert_eq!(r.metadata.sources[1].redundancy().zero_count(), 2);
         assert_eq!(r.tgds.len(), 1);
         assert!(r.tgds[0].is_full());
     }
@@ -624,7 +602,7 @@ pub(crate) mod tests {
         // Shared numeric features of S1 and S2: m, a.
         assert_eq!(r.metadata.target_columns, vec!["m", "a"]);
         assert_eq!(r.metadata.target_rows, 7);
-        assert!(r.metadata.sources[1].redundancy.is_all_ones());
+        assert!(r.metadata.sources[1].redundancy().is_all_ones());
         assert_eq!(r.tgds.len(), 2);
         assert_eq!(r.tgds[0].body.len(), 1);
     }

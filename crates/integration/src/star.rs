@@ -144,7 +144,7 @@ mod tests {
             &[0, NO_MATCH, 1]
         );
         // Pharmacy's `age` is redundant with the base on its matched rows.
-        assert!(r.metadata.sources[2].redundancy.zero_count() > 0);
+        assert!(r.metadata.sources[2].redundancy().zero_count() > 0);
     }
 
     #[test]
@@ -167,7 +167,7 @@ mod tests {
                     continue;
                 }
                 for (c, &sc) in s.mapping.compressed().iter().enumerate() {
-                    if sc == NO_MATCH || s.redundancy.get(i, c) == 0.0 {
+                    if sc == NO_MATCH || s.redundancy().get(i, c) == 0.0 {
                         continue;
                     }
                     let v = t.get(i, c) + d.get(sr as usize, sc as usize);

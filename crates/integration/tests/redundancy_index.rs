@@ -7,7 +7,7 @@
 
 mod recording;
 
-use amalur_integration::{IndicatorMatrix, MappingMatrix, RedundancyMatrix};
+use amalur_integration::DiMetadata;
 
 const ROWS: usize = 50_000;
 const DIM_ROWS: usize = 500;
@@ -29,15 +29,22 @@ fn a_50000_row_source_builds_its_index_without_per_row_allocations() {
             }
         })
         .collect();
-    let base_map = MappingMatrix::new(base_cm, 4).unwrap();
-    let sat_map = MappingMatrix::new(sat_cm, 30).unwrap();
-    let base_ind = IndicatorMatrix::new((0..ROWS as i64).collect(), ROWS).unwrap();
-    let sat_ind =
-        IndicatorMatrix::new((0..ROWS).map(|i| (i % DIM_ROWS) as i64).collect(), DIM_ROWS).unwrap();
+    let names = |n: usize| (0..n).map(|c| format!("c{c}")).collect();
+    let mut md = DiMetadata::new(names(32), ROWS);
+    md.push_source("base", names(4), base_cm, (0..ROWS as i64).collect(), ROWS)
+        .unwrap();
+    let (sat_names, sat_ci) = (
+        names(30),
+        (0..ROWS).map(|i| (i % DIM_ROWS) as i64).collect(),
+    );
 
-    let (r, requests, largest) = recording::record(|| {
-        RedundancyMatrix::against_earlier(&[(&base_ind, &base_map)], &sat_ind, &sat_map).unwrap()
+    // The satellite's push: its vectors are moved in, so what it
+    // allocates is its validation and the index of its `Rₖ`.
+    let ((), requests, largest) = recording::record(|| {
+        md.push_source("sat", sat_names, sat_cm, sat_ci, DIM_ROWS)
+            .unwrap()
     });
+    let (r, sat_ind) = (md.sources[1].redundancy(), &md.sources[1].indicator);
 
     assert_eq!(r.group_count(), 2);
     assert_eq!(r.zero_count(), ROWS * 2);
@@ -46,8 +53,8 @@ fn a_50000_row_source_builds_its_index_without_per_row_allocations() {
     assert_eq!(r.get(7, 2), 1.0);
     // One slot per dimension row, two cells each: a hundredth of the
     // redundant target cells.
-    assert_eq!(r.slots(&sat_ind).len(), DIM_ROWS);
-    assert_eq!(r.slot_correction_cells(&sat_ind), DIM_ROWS * 2);
+    assert_eq!(r.slots(sat_ind).len(), DIM_ROWS);
+    assert_eq!(r.slot_correction_cells(sat_ind), DIM_ROWS * 2);
     // The shared-row list (8 bytes a row, grown by doubling) is the
     // largest buffer; one `Vec` per row would be 50 000 requests.
     assert!(requests < 100, "{requests} allocations for {ROWS} rows");

@@ -322,7 +322,7 @@ impl DenseMatrix {
     ///
     /// **Column-stable**: column `j` of the result is produced by exactly
     /// the same floating-point operations as the product with column `j`
-    /// alone — one [`dot`] of a row of `self` with that column — no
+    /// alone — one `dot` of a row of `self` with that column — no
     /// matter how many other columns share the call. Width 1 is that
     /// `dot`; wider products run register panels whose SIMD crosses the
     /// columns instead of the depth, so no cell's arithmetic can see

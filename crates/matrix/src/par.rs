@@ -71,7 +71,7 @@ pub(crate) fn available_threads() -> usize {
 ///   boundaries;
 /// * `row_len` — elements per row (chunks never split a row);
 /// * `total_work` — FLOP estimate for the whole call; below
-///   [`PAR_WORK_THRESHOLD`] (or with one core, or fewer rows than
+///   `PAR_WORK_THRESHOLD` = 4 000 000 (or with one core, or fewer rows than
 ///   workers) the closure runs once, serially, on the full buffer.
 ///
 /// The closure receives the index of its chunk's first row and the

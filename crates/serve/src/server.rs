@@ -268,8 +268,8 @@ impl ServerHandle {
     }
 
     /// The server's metrics registry, for mounting additional metrics
-    /// or embedding the `amalur-obs/v1` dump
-    /// ([`MetricsSnapshot::to_json`]) into bench reports.
+    /// or embedding the `amalur-obs/v1` dump (a [`MetricsSnapshot`],
+    /// which serializes to it) into bench reports.
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         self.inner.metrics.registry()
     }

@@ -43,7 +43,7 @@ fn main() {
         unions
             .iter()
             .flat_map(|u| &u.metadata.sources)
-            .all(|s| s.redundancy.is_all_ones()),
+            .all(|s| s.redundancy().is_all_ones()),
     );
 
     // ------------------------------------------------------------------

@@ -83,7 +83,7 @@ fn main() {
     // Figure 4c: redundancy matrix and the LMM rewrite.
     // ------------------------------------------------------------------
     println!("\n== Figure 4c: redundancy matrix and LMM rewrite ==");
-    let r2 = &md.sources[1].redundancy;
+    let r2 = &md.sources[1].redundancy();
     print_matrix("R_S2", &r2.to_dense());
     println!("(zeros mark Jane's m and a cells — S2 repeats what S1 already contributed)");
     let t1 = handle.table.intermediate(0).expect("shape-checked");

@@ -186,7 +186,7 @@ fn hfl_over_di_union_equals_centralized() {
             .metadata
             .sources
             .iter()
-            .all(|s| s.redundancy.is_all_ones()));
+            .all(|s| s.redundancy().is_all_ones()));
     }
 
     let feature_cols = ["dwell_ms", "flight_ms", "pressure", "x", "y"];

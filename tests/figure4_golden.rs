@@ -76,7 +76,7 @@ fn figure4b_indicator_matrices_and_data() {
 #[test]
 fn figure4c_redundancy_matrix() {
     let ft = running_example();
-    let r2 = &ft.metadata().sources[1].redundancy;
+    let r2 = &ft.metadata().sources[1].redundancy();
     // Zeros exactly at Jane's (m, a) cells: row 3, cols 0 and 1.
     let dense = r2.to_dense();
     for i in 0..6 {
@@ -90,7 +90,7 @@ fn figure4c_redundancy_matrix() {
         }
     }
     // The base table's redundancy matrix is all ones.
-    assert!(ft.metadata().sources[0].redundancy.is_all_ones());
+    assert!(ft.metadata().sources[0].redundancy().is_all_ones());
 }
 
 #[test]
