@@ -5,7 +5,7 @@
 //! Run with: `cargo run -p amalur-bench --bin figure4`
 
 use amalur_data::hospital;
-use amalur_factorize::{FactorizedTable, Strategy};
+use amalur_factorize::{reference, FactorizedTable, LinOps};
 use amalur_integration::{integrate_pair, IntegrationOptions, ScenarioKind};
 use amalur_matrix::DenseMatrix;
 
@@ -69,20 +69,15 @@ fn main() {
     ])
     .expect("static operand");
     show("X", &x);
-    show(
-        "T·X via Eq. 2 (factorized)",
-        &ft.lmm(&x, Strategy::Compressed).expect("shapes agree"),
-    );
-    show(
-        "T·X materialized (reference)",
-        &ft.materialize().matmul(&x).expect("shapes agree"),
-    );
-    let equal = ft
-        .lmm(&x, Strategy::Compressed)
-        .expect("shapes agree")
-        .approx_eq(&ft.materialize().matmul(&x).expect("shapes agree"), 1e-9);
+    let literal = reference::equation2_lmm(&ft, &x).expect("shapes agree");
+    show("T·X = T1·X + (T2∘R2)·X  (Eq. 2, literal)", &literal);
+    let fact = ft.mul_right(&x).expect("shapes agree");
+    show("T·X via Eq. 2 (factorized)", &fact);
+    let materialized = ft.materialize().matmul(&x).expect("shapes agree");
+    show("T·X materialized (reference)", &materialized);
+    let equal = fact.approx_eq(&materialized, 1e-9) && literal.approx_eq(&materialized, 1e-9);
     println!(
-        "\nEq. 2 rewrite matches materialized product: {}",
+        "\nEq. 2, literal and factorized, matches the materialized product: {}",
         if equal { "✓" } else { "✗" }
     );
 }

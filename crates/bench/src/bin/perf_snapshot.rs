@@ -39,7 +39,7 @@
 use amalur_bench::{footnote3_table, write_report};
 use amalur_cost::{calibrate, CalibrationConfig, COST_PROFILE_FILE};
 use amalur_data::{generate_two_source, TwoSourceSpec};
-use amalur_factorize::{FactorizedTable, Strategy};
+use amalur_factorize::{reference, FactorizedTable, LinOps};
 use amalur_matrix::{kernel_blocking, kernel_threads, DenseMatrix, Workspace};
 use amalur_ml::{LinRegConfig, LinearRegression};
 use amalur_obs::{MetricsRegistry, MetricsSnapshot};
@@ -407,14 +407,13 @@ fn main() {
     let ft = footnote3_table(20_000, true, false, 7);
     let (rows, cols) = ft.target_shape();
     let x = DenseMatrix::filled(cols, 1, 0.5);
-    let lmm_compressed_ns = measure(7, || ft.lmm(&x, Strategy::Compressed).expect("shapes"));
-    let lmm_sparse_ns = measure(7, || ft.lmm(&x, Strategy::Sparse).expect("shapes"));
+    let lmm_compressed_ns = measure(7, || ft.mul_right(&x).expect("shapes"));
+    let lmm_sparse_ns = measure(7, || reference::equation2_lmm(&ft, &x).expect("shapes"));
     // Morpheus rule (1) needs disjoint sources: the inner-1:1 config.
     let ft_disjoint = footnote3_table(20_000, false, false, 7);
     let x_disjoint = DenseMatrix::filled(ft_disjoint.target_shape().1, 1, 0.5);
     let lmm_morpheus_ns = measure(7, || {
-        ft_disjoint
-            .lmm(&x_disjoint, Strategy::Morpheus)
+        reference::morpheus_lmm(&ft_disjoint, &x_disjoint)
             .expect("disjoint config satisfies rule (1)")
     });
     let fact_gram_ns = measure(3, || ft.gram());
@@ -431,14 +430,8 @@ fn main() {
     let ft_red = FactorizedTable::new(md, data).expect("consistent metadata");
     let x_red = DenseMatrix::filled(ft_red.target_shape().1, 1, 0.5);
     let y_red = DenseMatrix::filled(ft_red.target_shape().0, 1, 0.5);
-    let lmm_red_ns = measure(7, || {
-        ft_red.lmm(&x_red, Strategy::Compressed).expect("shapes")
-    });
-    let lmm_t_red_ns = measure(7, || {
-        ft_red
-            .lmm_transpose(&y_red, Strategy::Compressed)
-            .expect("shapes")
-    });
+    let lmm_red_ns = measure(7, || ft_red.mul_right(&x_red).expect("shapes"));
+    let lmm_t_red_ns = measure(7, || ft_red.t_mul(&y_red).expect("shapes"));
     println!(
         "lmm {rows}×{cols}: compressed {:.2} ms, sparse {:.2} ms, morpheus {:.2} ms",
         lmm_compressed_ns / 1e6,

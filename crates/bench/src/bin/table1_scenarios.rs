@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release -p amalur-bench --bin table1_scenarios`
 
 use amalur_data::hospital;
-use amalur_factorize::{FactorizedTable, Strategy};
+use amalur_factorize::{reference, FactorizedTable, LinOps};
 use amalur_integration::{integrate_pair, IntegrationOptions, ScenarioKind};
 use amalur_matrix::DenseMatrix;
 use std::time::Instant;
@@ -51,17 +51,17 @@ fn main() {
         let assembly_start = Instant::now();
         let t = ft.materialize();
         let assembly = assembly_start.elapsed();
-        let fact_result = ft.lmm(&theta, Strategy::Compressed).expect("shapes");
+        let fact_result = ft.mul_right(&theta).expect("shapes");
+        let literal = reference::equation2_lmm(&ft, &theta).expect("shapes");
         let mat_result = t.matmul(&theta).expect("shapes");
-        let equal = fact_result.approx_eq(&mat_result, 1e-9);
+        let equal =
+            fact_result.approx_eq(&mat_result, 1e-9) && literal.approx_eq(&mat_result, 1e-9);
 
         // Factorized epochs.
         let start = Instant::now();
         for _ in 0..epochs {
-            let _ = ft.lmm(&theta, Strategy::Compressed).expect("shapes");
-            let _ = ft
-                .lmm_transpose(&resid, Strategy::Compressed)
-                .expect("shapes");
+            let _ = ft.mul_right(&theta).expect("shapes");
+            let _ = ft.t_mul(&resid).expect("shapes");
         }
         let fact_epoch = start.elapsed() / epochs as u32;
 

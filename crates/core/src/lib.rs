@@ -37,6 +37,6 @@ pub use system::{
 
 pub use amalur_catalog::MetadataCatalog;
 pub use amalur_cost::{Decision, TrainingWorkload};
-pub use amalur_factorize::{FactorizedTable, LinOps, Strategy};
+pub use amalur_factorize::{FactorizedTable, LinOps};
 pub use amalur_federated::{CommStats, FaultPlan, FederatedError, PrivacyMode};
 pub use amalur_integration::{IntegrationOptions, ScenarioKind};

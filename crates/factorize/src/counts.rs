@@ -1,9 +1,9 @@
-//! Strategy-level operation counters.
+//! Plan-level operation counters.
 //!
 //! The cost-model calibration (in `amalur-cost`) fits per-operation
 //! hardware costs against measured runtimes. The regression *features*
 //! are the abstract operation counts of the physical plans implemented
-//! in [`crate::Strategy::Compressed`] and
+//! by [`FactorizedTable::lmm_into`] and
 //! [`FactorizedTable::materialize`]; this module derives those counts
 //! from the DI metadata so they always agree with what the kernels
 //! actually execute:
@@ -81,7 +81,7 @@ impl OpCounts {
         }
     }
 
-    /// Counts contributed by **one source** to one compressed-strategy
+    /// Counts contributed by **one source** to one compressed
     /// LMM (`T·X` or, symmetrically, `Tᵀ·X`): scatter over the mapped
     /// target columns (resp. matched rows), one `Dₖ` GEMM, gather over
     /// the matched rows (resp. mapped columns), and the redundancy
@@ -131,7 +131,7 @@ impl OpCounts {
 }
 
 impl FactorizedTable {
-    /// Operation counts of one compressed-strategy `T·X` (LMM) where `X`
+    /// Operation counts of one compressed `T·X` (LMM) where `X`
     /// has `x_cols` columns; `Tᵀ·X` costs the same (its scatter runs over
     /// matched rows and its gather over mapped columns).
     ///

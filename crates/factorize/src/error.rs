@@ -19,8 +19,8 @@ pub enum FactorizeError {
         /// Actual operand shape.
         found: (usize, usize),
     },
-    /// A strategy was asked to do something it cannot do correctly
-    /// (e.g. Morpheus' rule on overlapping columns).
+    /// A reference rule was asked for a table it cannot multiply
+    /// correctly (Morpheus' rule on overlapping sources).
     UnsupportedByStrategy(String),
     /// Error bubbled up from the metadata layer.
     Metadata(String),

@@ -10,19 +10,20 @@
 //! ```
 //!
 //! The central type is [`FactorizedTable`]: source data matrices `Dₖ`
-//! plus [`DiMetadata`]. Each linear-algebra operator is provided in three
-//! strategies (see [`Strategy`]):
+//! plus [`DiMetadata`]. Its operators — `T·X`
+//! ([`FactorizedTable::lmm_into`]), `Tᵀ·X`
+//! ([`FactorizedTable::lmm_transpose_into`]), the one-hot class sums,
+//! the Gram matrix, column sums and row norms — each have one body: the
+//! gather/scatter kernels over the compressed vectors `CMₖ`/`CIₖ`, with
+//! a structured redundancy correction that never materializes the
+//! `r_T × c_T` intermediates. This is Amalur's physical-level execution
+//! (§III-D).
 //!
-//! * **Compressed** — gather/scatter kernels over the compressed vectors
-//!   `CMₖ`/`CIₖ`, with a structured redundancy correction that never
-//!   materializes the `r_T × c_T` intermediates. This is Amalur's
-//!   physical-level execution (§III-D).
-//! * **Sparse** — the literal Equation (2): expand `Mₖ`/`Iₖ` to CSR,
-//!   form `Tₖ = IₖDₖMₖᵀ`, Hadamard with `Rₖ`. Used as the readable
-//!   reference implementation and the ablation baseline.
-//! * **Morpheus** — the Equation (1) baseline, correct only when sources
-//!   do not overlap in columns or rows; the tests demonstrate exactly
-//!   where it breaks (the paper's motivation for Eq. 2).
+//! The [`mod@reference`] module keeps the two rules that execution is
+//! measured against: the literal Equation (2) (dense `Tₖ = IₖDₖMₖᵀ`
+//! gathers, Hadamard with `Rₖ`) and the Equation (1) baseline, which is
+//! correct only when sources do not overlap and refuses a table whose
+//! sources do (the paper's motivation for Eq. 2).
 //!
 //! The [`LinOps`] trait abstracts "a design matrix you can train on" so
 //! ML algorithms run unchanged over materialized ([`DenseMatrix`]) or
@@ -36,6 +37,7 @@ mod counts;
 mod error;
 mod linops;
 pub mod metrics;
+pub mod reference;
 mod rewrite;
 mod table;
 
@@ -43,7 +45,6 @@ pub use counts::OpCounts;
 pub use error::{FactorizeError, Result};
 pub use linops::LinOps;
 pub use metrics::mount_metrics;
-pub use rewrite::Strategy;
 pub use table::FactorizedTable;
 
 pub use amalur_integration::DiMetadata;

@@ -32,7 +32,7 @@
 //! a trait object.
 
 use crate::table::FactorizedTable;
-use crate::{FactorizeError, Result, Strategy};
+use crate::{FactorizeError, Result};
 use amalur_matrix::{DenseMatrix, Workspace};
 
 /// A design matrix that supports the operators ML training needs.
@@ -43,23 +43,35 @@ pub trait LinOps {
     /// Number of features (columns of the design matrix).
     fn n_cols(&self) -> usize;
 
-    /// `T · x` where `x` is `n_cols × k` — the prediction operator.
+    /// `T · x` where `x` is `n_cols × k` — the prediction operator — in
+    /// a fresh matrix: [`Self::mul_right_into`] on zeros with a fresh
+    /// `Workspace`.
     ///
     /// # Errors
     /// Shape mismatch.
-    fn mul_right(&self, x: &DenseMatrix) -> Result<DenseMatrix>;
+    fn mul_right(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
+        let mut out = DenseMatrix::zeros(self.n_rows(), x.cols());
+        self.mul_right_into(x, &mut out, &mut Workspace::new())?;
+        Ok(out)
+    }
 
-    /// `Tᵀ · x` where `x` is `n_rows × k` — the gradient operator.
+    /// `Tᵀ · x` where `x` is `n_rows × k` — the gradient operator — in a
+    /// fresh matrix: [`Self::t_mul_into`] on zeros with a fresh
+    /// `Workspace`.
     ///
     /// # Errors
     /// Shape mismatch.
-    fn t_mul(&self, x: &DenseMatrix) -> Result<DenseMatrix>;
+    fn t_mul(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
+        let mut out = DenseMatrix::zeros(self.n_cols(), x.cols());
+        self.t_mul_into(x, &mut out, &mut Workspace::new())?;
+        Ok(out)
+    }
 
-    /// [`Self::mul_right`] written into the caller-owned `out`
-    /// (`n_rows × k`, fully overwritten), drawing any per-source scratch
-    /// from `ws`. The allocation-free variant gradient-descent loops
-    /// call every epoch (see the `amalur-matrix` crate docs for the
-    /// `Workspace`/`_into` conventions).
+    /// `T · x` written into the caller-owned `out` (`n_rows × k`, fully
+    /// overwritten), drawing any per-source scratch from `ws`. The
+    /// allocation-free form gradient-descent loops call every epoch (see
+    /// the `amalur-matrix` crate docs for the `Workspace`/`_into`
+    /// conventions).
     ///
     /// # Errors
     /// Shape mismatch of `x` or `out`.
@@ -70,8 +82,8 @@ pub trait LinOps {
         ws: &mut Workspace,
     ) -> Result<()>;
 
-    /// [`Self::t_mul`] written into the caller-owned `out`
-    /// (`n_cols × k`, fully overwritten), drawing scratch from `ws`.
+    /// `Tᵀ · x` written into the caller-owned `out` (`n_cols × k`, fully
+    /// overwritten), drawing scratch from `ws`.
     ///
     /// # Errors
     /// Shape mismatch of `x` or `out`.
@@ -131,9 +143,6 @@ pub trait LinOps {
     /// operator for closed-form solvers.
     fn gram_matrix(&self) -> DenseMatrix;
 
-    /// Column sums `1ᵀT` — used for centering and K-Means updates.
-    fn column_sums(&self) -> Vec<f64>;
-
     /// Per-row squared norms `‖T[i,:]‖²` — used by K-Means distances and
     /// GNMF loss.
     fn row_norms_sq(&self) -> Vec<f64>;
@@ -146,14 +155,6 @@ impl LinOps for DenseMatrix {
 
     fn n_cols(&self) -> usize {
         self.cols()
-    }
-
-    fn mul_right(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        Ok(self.matmul(x)?)
-    }
-
-    fn t_mul(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        Ok(self.transpose_matmul(x)?)
     }
 
     fn mul_right_into(
@@ -198,10 +199,6 @@ impl LinOps for DenseMatrix {
         self.gram()
     }
 
-    fn column_sums(&self) -> Vec<f64> {
-        self.col_sums()
-    }
-
     fn row_norms_sq(&self) -> Vec<f64> {
         // By index: `row_iter` yields no rows when there are no columns.
         (0..self.rows())
@@ -217,14 +214,6 @@ impl LinOps for FactorizedTable {
 
     fn n_cols(&self) -> usize {
         self.target_shape().1
-    }
-
-    fn mul_right(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        self.lmm(x, Strategy::Compressed)
-    }
-
-    fn t_mul(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        self.lmm_transpose(x, Strategy::Compressed)
     }
 
     fn mul_right_into(
@@ -253,78 +242,8 @@ impl LinOps for FactorizedTable {
         self.gram()
     }
 
-    fn column_sums(&self) -> Vec<f64> {
-        self.col_sums()
-    }
-
     fn row_norms_sq(&self) -> Vec<f64> {
         FactorizedTable::row_norms_sq(self)
-    }
-}
-
-/// Shared-ownership delegation: serving workers train on
-/// `Arc<FactorizedTable>` (one copy of the data, many concurrent
-/// readers) through the same generic training loops.
-impl<L: LinOps> LinOps for std::sync::Arc<L> {
-    fn n_rows(&self) -> usize {
-        (**self).n_rows()
-    }
-
-    fn n_cols(&self) -> usize {
-        (**self).n_cols()
-    }
-
-    fn mul_right(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        (**self).mul_right(x)
-    }
-
-    fn t_mul(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        (**self).t_mul(x)
-    }
-
-    fn mul_right_into(
-        &self,
-        x: &DenseMatrix,
-        out: &mut DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<()> {
-        (**self).mul_right_into(x, out, ws)
-    }
-
-    fn t_mul_into(&self, x: &DenseMatrix, out: &mut DenseMatrix, ws: &mut Workspace) -> Result<()> {
-        (**self).t_mul_into(x, out, ws)
-    }
-
-    fn gradient_pass_into(
-        &self,
-        theta: &DenseMatrix,
-        link: &mut dyn FnMut(usize, &mut [f64]),
-        resid: &mut DenseMatrix,
-        grad: &mut DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<()> {
-        (**self).gradient_pass_into(theta, link, resid, grad, ws)
-    }
-
-    fn class_sums_into(
-        &self,
-        class: &[usize],
-        out: &mut DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<()> {
-        (**self).class_sums_into(class, out, ws)
-    }
-
-    fn gram_matrix(&self) -> DenseMatrix {
-        (**self).gram_matrix()
-    }
-
-    fn column_sums(&self) -> Vec<f64> {
-        (**self).column_sums()
-    }
-
-    fn row_norms_sq(&self) -> Vec<f64> {
-        (**self).row_norms_sq()
     }
 }
 
@@ -359,27 +278,12 @@ mod tests {
         let r = DenseMatrix::ones(6, 1);
         assert!(ft.t_mul(&r).unwrap().approx_eq(&t.t_mul(&r).unwrap(), 1e-9));
         assert!(ft.gram_matrix().approx_eq(&t.gram_matrix(), 1e-9));
-        for (a, b) in ft.column_sums().iter().zip(t.column_sums()) {
+        for (a, b) in ft.col_sums().iter().zip(t.col_sums()) {
             assert!((a - b).abs() < 1e-9);
         }
         for (a, b) in LinOps::row_norms_sq(&ft).iter().zip(t.row_norms_sq()) {
             assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn arc_wrapper_delegates_without_cloning_data() {
-        let ft = std::sync::Arc::new(running_example());
-        let theta = DenseMatrix::from_rows(&[vec![0.1], vec![0.2], vec![-0.3], vec![0.4]]).unwrap();
-        // Same bits through the Arc as through the table directly.
-        let direct = predict(&*ft, &theta);
-        let shared = predict(&ft, &theta);
-        assert_eq!(direct.as_slice(), shared.as_slice());
-        assert_eq!(ft.n_rows(), 6);
-        let mut ws = Workspace::new();
-        let mut out = DenseMatrix::zeros(ft.n_rows(), 1);
-        ft.mul_right_into(&theta, &mut out, &mut ws).unwrap();
-        assert_eq!(out.as_slice(), direct.as_slice());
     }
 
     #[test]

@@ -5,15 +5,13 @@
 //! the counters are `static`s (a record is one relaxed atomic add) and
 //! hosts mount them with [`mount_metrics`].
 
-use crate::Strategy;
 use amalur_obs::{Counter, MetricsRegistry};
 
-/// `lmm` / `lmm_into` invocations (the forward operator `T·X`, training
-/// and serving alike).
+/// `lmm_into` invocations (the forward operator `T·X`, training and
+/// serving alike).
 pub(crate) static LMM_CALLS: Counter = Counter::new();
 
-/// `lmm_transpose` / `lmm_transpose_into` invocations (the gradient
-/// operator `Tᵀ·X`; `rmm` also lands here via its rewrite).
+/// `lmm_transpose_into` invocations (the gradient operator `Tᵀ·X`).
 pub(crate) static LMM_TRANSPOSE_CALLS: Counter = Counter::new();
 
 /// Target rows moved through a source's stacked-row selection `eff` by
@@ -30,24 +28,6 @@ pub(crate) static LMM_CORRECTION_CELLS: Counter = Counter::new();
 /// by the cross terms of the factorized Gram matrix.
 pub(crate) static GRAM_SCATTER_ROWS: Counter = Counter::new();
 
-/// Operators executed with [`Strategy::Compressed`].
-pub(crate) static STRATEGY_COMPRESSED: Counter = Counter::new();
-
-/// Operators executed with [`Strategy::Sparse`].
-pub(crate) static STRATEGY_SPARSE: Counter = Counter::new();
-
-/// Operators executed with [`Strategy::Morpheus`].
-pub(crate) static STRATEGY_MORPHEUS: Counter = Counter::new();
-
-/// Bumps the per-strategy dispatch counter for one operator call.
-pub(crate) fn record_strategy(strategy: Strategy) {
-    match strategy {
-        Strategy::Compressed => STRATEGY_COMPRESSED.inc(),
-        Strategy::Sparse => STRATEGY_SPARSE.inc(),
-        Strategy::Morpheus => STRATEGY_MORPHEUS.inc(),
-    }
-}
-
 /// Mounts the rewrite-layer counters into `reg` under the
 /// `factorize.*` names.
 pub fn mount_metrics(reg: &MetricsRegistry) {
@@ -56,9 +36,6 @@ pub fn mount_metrics(reg: &MetricsRegistry) {
     reg.mount_counter("factorize.lmm.gather_rows", &LMM_GATHER_ROWS);
     reg.mount_counter("factorize.lmm.correction_cells", &LMM_CORRECTION_CELLS);
     reg.mount_counter("factorize.gram.scatter_rows", &GRAM_SCATTER_ROWS);
-    reg.mount_counter("factorize.strategy.compressed", &STRATEGY_COMPRESSED);
-    reg.mount_counter("factorize.strategy.sparse", &STRATEGY_SPARSE);
-    reg.mount_counter("factorize.strategy.morpheus", &STRATEGY_MORPHEUS);
 }
 
 #[cfg(test)]
@@ -69,16 +46,19 @@ mod tests {
     fn mount_exposes_all_counters() {
         let reg = MetricsRegistry::new();
         mount_metrics(&reg);
-        let before = reg
-            .snapshot()
-            .counter("factorize.strategy.sparse")
-            .unwrap_or(0);
-        record_strategy(Strategy::Sparse);
-        let after = reg
-            .snapshot()
-            .counter("factorize.strategy.sparse")
-            .unwrap_or(0);
-        assert_eq!(after - before, 1);
-        assert!(reg.snapshot().counter("factorize.lmm.calls").is_some());
+        let snapshot = reg.snapshot();
+        for name in [
+            "lmm.calls",
+            "lmm_transpose.calls",
+            "lmm.gather_rows",
+            "lmm.correction_cells",
+            "gram.scatter_rows",
+        ] {
+            assert!(
+                snapshot.counter(&format!("factorize.{name}")).is_some(),
+                "{name}"
+            );
+        }
+        assert!(snapshot.counter("factorize.strategy.compressed").is_none());
     }
 }

@@ -1,15 +1,23 @@
-//! The factorized rewrite rules (§IV-A).
+//! The factorized rewrite rules (§IV-A), one body per operator.
 //!
-//! Every operator comes in three strategies. Writing `T̃ₖ = Tₖ ∘ Rₖ`
-//! (the redundancy-masked contribution of source `k`, with
-//! `Tₖ = IₖDₖMₖᵀ`), the identities implemented here are:
+//! Writing `T̃ₖ = Tₖ ∘ Rₖ` (the redundancy-masked contribution of source
+//! `k`, with `Tₖ = IₖDₖMₖᵀ`), the identities implemented here are:
 //!
-//! * **LMM** `T·X    = Σₖ T̃ₖ X` — Equation (2) of the paper.
-//! * **transpose-LMM** `Tᵀ·X = Σₖ T̃ₖᵀ X`.
-//! * **RMM** `X·T    = (Tᵀ Xᵀ)ᵀ`.
-//! * **Gram** `TᵀT`, **column sums** `1ᵀT`, **row sums** `T·1`.
+//! * **LMM** `T·X    = Σₖ T̃ₖ X` — Equation (2) of the paper
+//!   ([`FactorizedTable::lmm_into`]).
+//! * **transpose-LMM** `Tᵀ·X = Σₖ T̃ₖᵀ X`
+//!   ([`FactorizedTable::lmm_transpose_into`]), and the class sums `Tᵀ·A`
+//!   of a one-hot `A` ([`FactorizedTable::class_sums_into`]).
+//! * **Gram** `TᵀT` and **column sums** `1ᵀT`.
 //!
-//! # The compressed strategy works on source rows
+//! Every one of them runs the compressed rewrite described below. The
+//! literal Equation (2) and Morpheus' Equation (1) are kept as plain
+//! functions in [`crate::reference`], the oracles the tests and figures
+//! compare against; the allocating forms of the two products are
+//! [`LinOps::mul_right`](crate::LinOps::mul_right) and
+//! [`LinOps::t_mul`](crate::LinOps::t_mul).
+//!
+//! # The rewrite works on source rows
 //!
 //! `Rₖ` masks a target row by one of a handful of column sets (its
 //! *group*, see `RedundancyMatrix`), so `T̃ₖ[i, ·]` depends only on the
@@ -89,33 +97,11 @@ use crate::table::{FactorizedTable, SourcePlan};
 use crate::{FactorizeError, Result};
 use amalur_matrix::{par_row_chunks, DenseMatrix, Workspace};
 
-/// Execution strategy for the factorized operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// Gather/scatter over compressed metadata with structured redundancy
-    /// correction — Amalur's efficient physical plan.
-    Compressed,
-    /// Literal Equation (2): expand `Mₖ`/`Iₖ`, build `Tₖ`, Hadamard with
-    /// the dense `Rₖ`. Readable, O(`r_T·c_T`) per source.
-    Sparse,
-    /// The Morpheus baseline, Equation (1): assumes sources partition the
-    /// target columns and never overlap. Fast when the assumption holds,
-    /// *wrong* otherwise (this is what the Amalur rewrite fixes).
-    Morpheus,
-}
-
-impl std::fmt::Display for Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Strategy::Compressed => "compressed",
-            Strategy::Sparse => "sparse",
-            Strategy::Morpheus => "morpheus",
-        };
-        f.write_str(s)
-    }
-}
-
-fn check_shape(op: &'static str, expected: (usize, usize), found: (usize, usize)) -> Result<()> {
+pub(crate) fn check_shape(
+    op: &'static str,
+    expected: (usize, usize),
+    found: (usize, usize),
+) -> Result<()> {
     if expected == found {
         return Ok(());
     }
@@ -127,18 +113,7 @@ fn check_shape(op: &'static str, expected: (usize, usize), found: (usize, usize)
 }
 
 impl FactorizedTable {
-    /// Left matrix multiplication `T · X` where `X` is `c_T × n`.
-    ///
-    /// # Errors
-    /// Shape errors, or [`FactorizeError::UnsupportedByStrategy`] when the
-    /// Morpheus rule is requested for overlapping sources.
-    pub fn lmm(&self, x: &DenseMatrix, strategy: Strategy) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(self.target_shape().0, x.cols());
-        self.lmm_core_into(x, &mut out, &mut Workspace::new(), strategy)?;
-        Ok(out)
-    }
-
-    /// Compressed-strategy `T · X` written into the caller-owned `out`
+    /// `T · X` (`X` is `c_T × n`) written into the caller-owned `out`
     /// (`r_T × n`, fully overwritten), drawing all per-source
     /// intermediates from `ws` — the allocation-free hot-loop entry
     /// point (see the `amalur-matrix` crate docs for the conventions).
@@ -149,215 +124,18 @@ impl FactorizedTable {
     /// the serving layer's batches run this one entry point.
     ///
     /// # Errors
-    /// Shape errors as in [`Self::lmm`].
+    /// [`FactorizeError::OperandMismatch`] naming `lmm` for an `x` that
+    /// is not `c_T × n`, or `lmm_into` for an `out` that is not `r_T × n`.
     pub fn lmm_into(
         &self,
         x: &DenseMatrix,
         out: &mut DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<()> {
-        self.lmm_core_into(x, out, ws, Strategy::Compressed)
-    }
-
-    /// The lengths of the two scratch buffers [`Self::lmm_into`] checks
-    /// out of its workspace for an `n`-column operand: `MₖᵀX` of the
-    /// source with the most columns, and the stacked rows (plain rows,
-    /// slots and the sentinel) of the tallest source that gathers. Each
-    /// call takes exactly these two, once, and reshapes them per source,
-    /// so after `Workspace::reserve` of this list every call of width at
-    /// most `n` is a pool hit.
-    pub fn lmm_scratch(&self, n: usize) -> [usize; 2] {
-        self.lmm_scratch_rows().map(|rows| rows * n)
-    }
-
-    fn lmm_scratch_rows(&self) -> [usize; 2] {
-        let mut rows = [0, 0];
-        for (k, (s, _, plan)) in self.sources().enumerate() {
-            rows[0] = rows[0].max(s.mapping.source_cols());
-            if !(k == 0 && plan.identity) {
-                rows[1] = rows[1].max(plan.stacked_rows());
-            }
-        }
-        rows
-    }
-
-    /// An alias of [`Self::lmm_into`], which is column-stable by
-    /// construction; kept for callers that use this name.
-    ///
-    /// # Errors
-    /// Shape errors as in [`Self::lmm`].
-    pub fn lmm_colstable_into(
-        &self,
-        x: &DenseMatrix,
-        out: &mut DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<()> {
-        self.lmm_into(x, out, ws)
-    }
-
-    /// Compressed-strategy `Tᵀ · X` written into the caller-owned `out`
-    /// (`c_T × n`, fully overwritten), drawing all per-source
-    /// intermediates from `ws`.
-    ///
-    /// # Errors
-    /// Shape errors as in [`Self::lmm_transpose`].
-    pub fn lmm_transpose_into(
-        &self,
-        x: &DenseMatrix,
-        out: &mut DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<()> {
-        self.lmm_transpose_core_into(x, out, ws, Strategy::Compressed)
-    }
-
-    /// Transposed multiplication `Tᵀ · X` where `X` is `r_T × n`.
-    ///
-    /// This is the gradient-side operator of every GD-trained model
-    /// (`Xᵀ·residual`).
-    ///
-    /// # Errors
-    /// Shape errors, or strategy errors as in [`Self::lmm`].
-    pub fn lmm_transpose(&self, x: &DenseMatrix, strategy: Strategy) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(self.target_shape().1, x.cols());
-        self.lmm_transpose_core_into(x, &mut out, &mut Workspace::new(), strategy)?;
-        Ok(out)
-    }
-
-    /// Right matrix multiplication `X · T` where `X` is `n × r_T`,
-    /// computed as `(Tᵀ Xᵀ)ᵀ`.
-    ///
-    /// # Errors
-    /// Shape errors, or strategy errors as in [`Self::lmm`].
-    pub fn rmm(&self, x: &DenseMatrix, strategy: Strategy) -> Result<DenseMatrix> {
-        check_shape("rmm", (x.rows(), self.target_shape().0), x.shape())?;
-        Ok(self.lmm_transpose(&x.transpose(), strategy)?.transpose())
-    }
-
-    /// Gram matrix `TᵀT` from source-level products (module docs):
-    /// `Σ_{k,l} Mₖ Âₖᵀ (ÎₖᵀÎₗ) Âₗ Mₗᵀ`. No term is proportional to
-    /// `r_T·c_T²`; the target rows are only walked once per source pair,
-    /// to scatter one partner's rows into the other's.
-    pub fn gram(&self) -> DenseMatrix {
-        let (rows, cols) = self.target_shape();
-        let mut g = DenseMatrix::zeros(cols, cols);
-        let parts: Vec<(DenseMatrix, &SourcePlan)> =
-            self.sources().map(|(_, d, p)| (p.stacked(d), p)).collect();
-        let mut scattered_rows = 0;
-        for (k, (a, plan)) in parts.iter().enumerate() {
-            // Diagonal term Âₖᵀ·diag(c)·Âₖ, c = reads per stacked row.
-            let mut weighted = a.clone();
-            for (r, &c) in plan.counts.iter().enumerate() {
-                weighted.row_mut(r).iter_mut().for_each(|v| *v *= c);
-            }
-            // Shapes agree by construction; a zero block is the
-            // defensive fallback.
-            let diag = a
-                .transpose_matmul(&weighted)
-                .unwrap_or_else(|_| DenseMatrix::zeros(a.cols(), a.cols()));
-            for (p, &(tp, sp)) in plan.mapped.iter().enumerate() {
-                for &(tq, sq) in &plan.mapped[p..] {
-                    // One triangle feeds both cells: exactly symmetric.
-                    let v = diag.get(sp, sq);
-                    g.set(tp, tq, g.get(tp, tq) + v);
-                    if tp != tq {
-                        g.set(tq, tp, g.get(tq, tp) + v);
-                    }
-                }
-            }
-            for (b, other) in &parts[k + 1..] {
-                // Scatter the side that makes `r_T·c + R·c·c'` smaller.
-                let cost = |from: &DenseMatrix, into: &DenseMatrix| {
-                    rows * from.cols() + into.rows() * from.cols() * into.cols()
-                };
-                let ((from, fp), (into, ip)) = if cost(a, b) <= cost(b, a) {
-                    ((a, *plan), (b, *other))
-                } else {
-                    ((b, *other), (a, *plan))
-                };
-                // S = Î_intoᵀ Î_from Â_from, then Sᵀ·Â_into.
-                let mut s = DenseMatrix::zeros(into.rows(), from.cols());
-                for (&ef, &ei) in fp.eff.iter().zip(&ip.eff) {
-                    if ef == fp.unmatched() || ei == ip.unmatched() {
-                        continue;
-                    }
-                    scattered_rows += 1;
-                    let dst = s.row_mut(ei as usize);
-                    for (dv, &sv) in dst.iter_mut().zip(from.row(ef as usize)) {
-                        *dv += sv;
-                    }
-                }
-                let cross = s
-                    .transpose_matmul(into)
-                    .unwrap_or_else(|_| DenseMatrix::zeros(from.cols(), into.cols()));
-                for &(tp, sp) in &fp.mapped {
-                    for &(tq, sq) in &ip.mapped {
-                        let v = cross.get(sp, sq);
-                        g.set(tp, tq, g.get(tp, tq) + v);
-                        g.set(tq, tp, g.get(tq, tp) + v);
-                    }
-                }
-            }
-        }
-        crate::metrics::GRAM_SCATTER_ROWS.add(scattered_rows);
-        g
-    }
-
-    /// Column sums `1ᵀT = Σₖ Mₖ Âₖᵀ c`, `c` the reads per stacked row.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let (_, cols) = self.target_shape();
-        let mut out = vec![0.0; cols];
-        for (_, d, plan) in self.sources() {
-            let a = plan.stacked(d);
-            for (row, &c) in a.row_iter().zip(&plan.counts) {
-                if c == 0.0 {
-                    continue;
-                }
-                for &(t, sc) in &plan.mapped {
-                    out[t] += c * row[sc];
-                }
-            }
-        }
-        out
-    }
-
-    /// Row sums `T·1` without materialization.
-    pub fn row_sums(&self) -> Vec<f64> {
-        // `ones` is built from the target shape, so the LMM cannot
-        // mismatch; an empty vector is the defensive fallback.
-        let ones = DenseMatrix::ones(self.target_shape().1, 1);
-        self.lmm(&ones, Strategy::Compressed)
-            .map(DenseMatrix::into_vec)
-            .unwrap_or_default()
-    }
-
-    /// Sum of all target cells.
-    pub fn total_sum(&self) -> f64 {
-        self.col_sums().iter().sum()
-    }
-
-    // --- One validated core per operator (compressed strategy inline) ----
-
-    /// The one place `T · X` is validated, counted and executed.
-    fn lmm_core_into(
-        &self,
-        x: &DenseMatrix,
-        out: &mut DenseMatrix,
-        ws: &mut Workspace,
-        strategy: Strategy,
-    ) -> Result<()> {
         let (rows, cols) = self.target_shape();
         check_shape("lmm", (cols, x.cols()), x.shape())?;
         check_shape("lmm_into", (rows, x.cols()), out.shape())?;
         crate::metrics::LMM_CALLS.inc();
-        crate::metrics::record_strategy(strategy);
-        match strategy {
-            Strategy::Compressed => {}
-            Strategy::Sparse => return self.lmm_sparse(x, out),
-            Strategy::Morpheus => {
-                self.ensure_disjoint("lmm")?;
-                return self.lmm_morpheus(x, out);
-            }
-        }
         let n = x.cols();
         let (mut gathered, mut corrected) = (0, 0);
         if self.num_sources() == 0 {
@@ -447,27 +225,61 @@ impl FactorizedTable {
         Ok(())
     }
 
-    /// The one place `Tᵀ · X` is validated, counted and executed.
-    fn lmm_transpose_core_into(
+    /// The lengths of the two scratch buffers [`Self::lmm_into`] checks
+    /// out of its workspace for an `n`-column operand: `MₖᵀX` of the
+    /// source with the most columns, and the stacked rows (plain rows,
+    /// slots and the sentinel) of the tallest source that gathers. Each
+    /// call takes exactly these two, once, and reshapes them per source,
+    /// so after `Workspace::reserve` of this list every call of width at
+    /// most `n` is a pool hit.
+    pub fn lmm_scratch(&self, n: usize) -> [usize; 2] {
+        self.lmm_scratch_rows().map(|rows| rows * n)
+    }
+
+    fn lmm_scratch_rows(&self) -> [usize; 2] {
+        let mut rows = [0, 0];
+        for (k, (s, _, plan)) in self.sources().enumerate() {
+            rows[0] = rows[0].max(s.mapping.source_cols());
+            if !(k == 0 && plan.identity) {
+                rows[1] = rows[1].max(plan.stacked_rows());
+            }
+        }
+        rows
+    }
+
+    /// An alias of [`Self::lmm_into`], which is column-stable by
+    /// construction; kept for callers that use this name.
+    ///
+    /// # Errors
+    /// Shape errors as in [`Self::lmm_into`].
+    pub fn lmm_colstable_into(
         &self,
         x: &DenseMatrix,
         out: &mut DenseMatrix,
         ws: &mut Workspace,
-        strategy: Strategy,
+    ) -> Result<()> {
+        self.lmm_into(x, out, ws)
+    }
+
+    /// `Tᵀ · X` (`X` is `r_T × n`) written into the caller-owned `out`
+    /// (`c_T × n`, fully overwritten), drawing all per-source
+    /// intermediates from `ws` — the gradient-side operator of every
+    /// GD-trained model (`Xᵀ·residual`).
+    ///
+    /// # Errors
+    /// [`FactorizeError::OperandMismatch`] naming `lmm_transpose` for an
+    /// `x` that is not `r_T × n`, or `lmm_transpose_into` for an `out`
+    /// that is not `c_T × n`.
+    pub fn lmm_transpose_into(
+        &self,
+        x: &DenseMatrix,
+        out: &mut DenseMatrix,
+        ws: &mut Workspace,
     ) -> Result<()> {
         let (rows, cols) = self.target_shape();
         check_shape("lmm_transpose", (rows, x.cols()), x.shape())?;
         check_shape("lmm_transpose_into", (cols, x.cols()), out.shape())?;
         crate::metrics::LMM_TRANSPOSE_CALLS.inc();
-        crate::metrics::record_strategy(strategy);
-        match strategy {
-            Strategy::Compressed => {}
-            Strategy::Sparse => return self.lmm_t_sparse(x, out),
-            Strategy::Morpheus => {
-                self.ensure_disjoint("lmm_transpose")?;
-                return self.lmm_t_morpheus(x, out);
-            }
-        }
         self.transpose_sources_into(
             x.cols(),
             out,
@@ -478,6 +290,93 @@ impl FactorizedTable {
             },
             |d, local, _| Ok(d.transpose_matmul_into(x, local)?),
         )
+    }
+
+    /// Gram matrix `TᵀT` from source-level products (module docs):
+    /// `Σ_{k,l} Mₖ Âₖᵀ (ÎₖᵀÎₗ) Âₗ Mₗᵀ`. No term is proportional to
+    /// `r_T·c_T²`; the target rows are only walked once per source pair,
+    /// to scatter one partner's rows into the other's.
+    pub fn gram(&self) -> DenseMatrix {
+        let (rows, cols) = self.target_shape();
+        let mut g = DenseMatrix::zeros(cols, cols);
+        let parts: Vec<(DenseMatrix, &SourcePlan)> =
+            self.sources().map(|(_, d, p)| (p.stacked(d), p)).collect();
+        let mut scattered_rows = 0;
+        for (k, (a, plan)) in parts.iter().enumerate() {
+            // Diagonal term Âₖᵀ·diag(c)·Âₖ, c = reads per stacked row.
+            let mut weighted = a.clone();
+            for (r, &c) in plan.counts.iter().enumerate() {
+                weighted.row_mut(r).iter_mut().for_each(|v| *v *= c);
+            }
+            // Shapes agree by construction; a zero block is the
+            // defensive fallback.
+            let diag = a
+                .transpose_matmul(&weighted)
+                .unwrap_or_else(|_| DenseMatrix::zeros(a.cols(), a.cols()));
+            for (p, &(tp, sp)) in plan.mapped.iter().enumerate() {
+                for &(tq, sq) in &plan.mapped[p..] {
+                    // One triangle feeds both cells: exactly symmetric.
+                    let v = diag.get(sp, sq);
+                    g.set(tp, tq, g.get(tp, tq) + v);
+                    if tp != tq {
+                        g.set(tq, tp, g.get(tq, tp) + v);
+                    }
+                }
+            }
+            for (b, other) in &parts[k + 1..] {
+                // Scatter the side that makes `r_T·c + R·c·c'` smaller.
+                let cost = |from: &DenseMatrix, into: &DenseMatrix| {
+                    rows * from.cols() + into.rows() * from.cols() * into.cols()
+                };
+                let ((from, fp), (into, ip)) = if cost(a, b) <= cost(b, a) {
+                    ((a, *plan), (b, *other))
+                } else {
+                    ((b, *other), (a, *plan))
+                };
+                // S = Î_intoᵀ Î_from Â_from, then Sᵀ·Â_into.
+                let mut s = DenseMatrix::zeros(into.rows(), from.cols());
+                for (&ef, &ei) in fp.eff.iter().zip(&ip.eff) {
+                    if ef == fp.unmatched() || ei == ip.unmatched() {
+                        continue;
+                    }
+                    scattered_rows += 1;
+                    let dst = s.row_mut(ei as usize);
+                    for (dv, &sv) in dst.iter_mut().zip(from.row(ef as usize)) {
+                        *dv += sv;
+                    }
+                }
+                let cross = s
+                    .transpose_matmul(into)
+                    .unwrap_or_else(|_| DenseMatrix::zeros(from.cols(), into.cols()));
+                for &(tp, sp) in &fp.mapped {
+                    for &(tq, sq) in &ip.mapped {
+                        let v = cross.get(sp, sq);
+                        g.set(tp, tq, g.get(tp, tq) + v);
+                        g.set(tq, tp, g.get(tq, tp) + v);
+                    }
+                }
+            }
+        }
+        crate::metrics::GRAM_SCATTER_ROWS.add(scattered_rows);
+        g
+    }
+
+    /// Column sums `1ᵀT = Σₖ Mₖ Âₖᵀ c`, `c` the reads per stacked row.
+    pub fn col_sums(&self) -> Vec<f64> {
+        let (_, cols) = self.target_shape();
+        let mut out = vec![0.0; cols];
+        for (_, d, plan) in self.sources() {
+            let a = plan.stacked(d);
+            for (row, &c) in a.row_iter().zip(&plan.counts) {
+                if c == 0.0 {
+                    continue;
+                }
+                for &(t, sc) in &plan.mapped {
+                    out[t] += c * row[sc];
+                }
+            }
+        }
+        out
     }
 
     /// Per-class column sums `Tᵀ·A` (`c_T × k`, `k = out.cols()`, fully
@@ -595,80 +494,6 @@ impl FactorizedTable {
         crate::metrics::LMM_CORRECTION_CELLS.add(corrected as u64);
         Ok(())
     }
-
-    // --- Sparse strategy (literal Equation 2) ------------------------------
-
-    fn masked_intermediate(&self, k: usize) -> Result<DenseMatrix> {
-        let s = &self.metadata().sources[k];
-        let tk = self.intermediate(k)?;
-        if s.redundancy().is_all_ones() {
-            return Ok(tk);
-        }
-        Ok(tk.hadamard(&s.redundancy().to_dense())?)
-    }
-
-    fn lmm_sparse(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        out.as_mut_slice().fill(0.0);
-        for k in 0..self.num_sources() {
-            let masked = self.masked_intermediate(k)?;
-            out.add_assign(&masked.matmul(x)?)?;
-        }
-        Ok(())
-    }
-
-    fn lmm_t_sparse(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        out.as_mut_slice().fill(0.0);
-        for k in 0..self.num_sources() {
-            let masked = self.masked_intermediate(k)?;
-            out.add_assign(&masked.transpose_matmul(x)?)?;
-        }
-        Ok(())
-    }
-
-    // --- Morpheus strategy (Equation 1 baseline) ---------------------------
-
-    /// Errors when any source pair overlaps in target rows or columns —
-    /// the situations rule (1) silently gets wrong.
-    fn ensure_disjoint(&self, op: &str) -> Result<()> {
-        let sources = &self.metadata().sources;
-        for source in sources.iter().skip(1) {
-            if !source.redundancy().is_all_ones() {
-                return Err(FactorizeError::UnsupportedByStrategy(format!(
-                    "{op}: Morpheus rule (1) assumes disjoint sources, but source {} \
-                     has {} redundant cells (use Strategy::Compressed)",
-                    source.name,
-                    source.redundancy().zero_count()
-                )));
-            }
-        }
-        // Columns must also not overlap even when no row overlaps (a union
-        // over shared columns double-counts nothing, so allow it).
-        Ok(())
-    }
-
-    fn lmm_morpheus(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        // Iₖ(Dₖ · X[mapped cols of k, ]) — the partition X[1:c_S1,] etc. of
-        // rule (1) generalized to explicit per-source column lists.
-        out.as_mut_slice().fill(0.0);
-        for (s, d) in self.metadata().sources.iter().zip(self.source_data()) {
-            let xk = x.scatter_rows_add(s.mapping.compressed(), s.mapping.source_cols())?;
-            let local = d.matmul(&xk)?;
-            let lifted = local.gather_rows(s.indicator.compressed())?;
-            out.add_assign(&lifted)?;
-        }
-        Ok(())
-    }
-
-    fn lmm_t_morpheus(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        out.as_mut_slice().fill(0.0);
-        for (s, d) in self.metadata().sources.iter().zip(self.source_data()) {
-            let xk = x.scatter_rows_add(s.indicator.compressed(), s.indicator.source_rows())?;
-            let local = d.transpose_matmul(&xk)?;
-            let lifted = local.gather_rows(s.mapping.compressed())?;
-            out.add_assign(&lifted)?;
-        }
-        Ok(())
-    }
 }
 
 /// `Îₖᵀ X` into the stacked rows of `xk` (fully overwritten): target row
@@ -694,7 +519,9 @@ fn scatter_stacked(x: &DenseMatrix, eff: &[u32], xk: &mut DenseMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{equation2_lmm, equation2_lmm_transpose, morpheus_lmm};
     use crate::table::tests::{figure2d_target, running_example};
+    use crate::LinOps;
     use amalur_integration::DiMetadata;
     use amalur_matrix::NO_MATCH;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
@@ -711,8 +538,8 @@ mod tests {
     #[test]
     fn figure4c_lmm_rewrite() {
         // Figure 4c uses X = [[6,2],[5,2],[2,4],[3,9]]ᵀ-ish; we check the
-        // exact example: T X with the compressed rewrite equals the
-        // materialized product.
+        // exact example: T X with the compressed rewrite and with the
+        // literal Equation (2) equals the materialized product.
         let ft = running_example();
         let x = DenseMatrix::from_rows(&[
             vec![6.0, 5.0],
@@ -722,10 +549,10 @@ mod tests {
         ])
         .unwrap();
         let reference = figure2d_target().matmul(&x).unwrap();
-        let fact = ft.lmm(&x, Strategy::Compressed).unwrap();
+        let fact = ft.mul_right(&x).unwrap();
         assert!(fact.approx_eq(&reference, 1e-9));
-        let sparse = ft.lmm(&x, Strategy::Sparse).unwrap();
-        assert!(sparse.approx_eq(&reference, 1e-9));
+        let literal = equation2_lmm(&ft, &x).unwrap();
+        assert!(literal.approx_eq(&reference, 1e-9));
     }
 
     #[test]
@@ -734,7 +561,7 @@ mod tests {
         // either errors (our guard) — the paper's motivation for rule (2).
         let ft = running_example();
         let x = x_for(4, 2, 7);
-        let err = ft.lmm(&x, Strategy::Morpheus).unwrap_err();
+        let err = morpheus_lmm(&ft, &x).unwrap_err();
         assert!(matches!(err, FactorizeError::UnsupportedByStrategy(_)));
     }
 
@@ -776,15 +603,24 @@ mod tests {
         let t = ft.materialize();
         let x = x_for(5, 3, 1);
         let reference = t.matmul(&x).unwrap();
-        for s in [Strategy::Compressed, Strategy::Sparse, Strategy::Morpheus] {
-            let got = ft.lmm(&x, s).unwrap();
-            assert!(got.approx_eq(&reference, 1e-9), "strategy {s} diverged");
+        let lmms = [
+            ("compressed", ft.mul_right(&x)),
+            ("equation (2)", equation2_lmm(&ft, &x)),
+            ("morpheus", morpheus_lmm(&ft, &x)),
+        ];
+        for (rule, got) in lmms {
+            assert!(got.unwrap().approx_eq(&reference, 1e-9), "{rule} diverged");
         }
         let y = x_for(5, 2, 2);
         let reference_t = t.transpose().matmul(&y).unwrap();
-        for s in [Strategy::Compressed, Strategy::Sparse, Strategy::Morpheus] {
-            let got = ft.lmm_transpose(&y, s).unwrap();
-            assert!(got.approx_eq(&reference_t, 1e-9), "strategy {s} diverged");
+        for (rule, got) in [
+            ("compressed", ft.t_mul(&y)),
+            ("equation (2)", equation2_lmm_transpose(&ft, &y)),
+        ] {
+            assert!(
+                got.unwrap().approx_eq(&reference_t, 1e-9),
+                "{rule} diverged"
+            );
         }
     }
 
@@ -798,10 +634,10 @@ mod tests {
         // Dirty output buffers: `_into` must fully overwrite them.
         let mut out = DenseMatrix::filled(rows, 3, 7.0);
         ft.lmm_into(&x, &mut out, &mut ws).unwrap();
-        assert!(out.approx_eq(&ft.lmm(&x, Strategy::Compressed).unwrap(), 1e-12));
+        assert!(out.approx_eq(&ft.mul_right(&x).unwrap(), 1e-12));
         let mut out_t = DenseMatrix::filled(cols, 2, -3.0);
         ft.lmm_transpose_into(&y, &mut out_t, &mut ws).unwrap();
-        assert!(out_t.approx_eq(&ft.lmm_transpose(&y, Strategy::Compressed).unwrap(), 1e-12));
+        assert!(out_t.approx_eq(&ft.t_mul(&y).unwrap(), 1e-12));
         // Shape validation for the output parameter.
         let mut wrong = DenseMatrix::zeros(rows, 1);
         assert!(ft.lmm_into(&x, &mut wrong, &mut ws).is_err());
@@ -852,7 +688,7 @@ mod tests {
                     }
                 }
                 // And it is still the correct product.
-                assert!(batched.approx_eq(&ft.lmm(&x, Strategy::Sparse).unwrap(), 1e-12));
+                assert!(batched.approx_eq(&equation2_lmm(&ft, &x).unwrap(), 1e-12));
             }
         }
     }
@@ -1592,18 +1428,20 @@ mod tests {
         let ft = running_example();
         let x = x_for(6, 3, 3);
         let reference = figure2d_target().transpose().matmul(&x).unwrap();
-        for s in [Strategy::Compressed, Strategy::Sparse] {
-            assert!(ft.lmm_transpose(&x, s).unwrap().approx_eq(&reference, 1e-9));
-        }
+        assert!(ft.t_mul(&x).unwrap().approx_eq(&reference, 1e-9));
+        assert!(equation2_lmm_transpose(&ft, &x)
+            .unwrap()
+            .approx_eq(&reference, 1e-9));
     }
 
+    /// Right multiplication `X·T` through the transposed product,
+    /// `(Tᵀ·Xᵀ)ᵀ`.
     #[test]
     fn rmm_matches_materialized() {
         let ft = running_example();
-        let x = x_for(2, 6, 4).transpose().transpose(); // 2×6
-        let x = x.slice(0..2, 0..6).unwrap();
+        let x = x_for(2, 6, 4);
         let reference = x.matmul(&figure2d_target()).unwrap();
-        let got = ft.rmm(&x, Strategy::Compressed).unwrap();
+        let got = ft.t_mul(&x.transpose()).unwrap().transpose();
         assert!(got.approx_eq(&reference, 1e-9));
     }
 
@@ -1623,22 +1461,16 @@ mod tests {
         for (a, b) in cs.iter().zip(t.col_sums()) {
             assert!((a - b).abs() < 1e-9);
         }
-        let rs = ft.row_sums();
-        for (a, b) in rs.iter().zip(t.row_sums()) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        assert!((ft.total_sum() - t.sum()).abs() < 1e-9);
     }
 
     #[test]
     fn shape_errors() {
         let ft = running_example();
         let bad = DenseMatrix::zeros(3, 2);
-        assert!(ft.lmm(&bad, Strategy::Compressed).is_err());
-        assert!(ft.lmm_transpose(&bad, Strategy::Compressed).is_err());
-        assert!(ft
-            .rmm(&DenseMatrix::zeros(2, 5), Strategy::Compressed)
-            .is_err());
+        assert!(ft.mul_right(&bad).is_err());
+        assert!(ft.t_mul(&bad).is_err());
+        assert!(equation2_lmm(&ft, &bad).is_err());
+        assert!(equation2_lmm_transpose(&ft, &bad).is_err());
     }
 
     #[test]
@@ -1654,20 +1486,21 @@ mod tests {
         let out_t = &mut DenseMatrix::zeros(cols, 2);
         let bad_out = &mut DenseMatrix::zeros(rows + cols, 3);
         let cases = [
-            ("lmm", ft.lmm(&bad_x, Strategy::Compressed).map(drop)),
-            ("lmm", ft.lmm(&bad_x, Strategy::Sparse).map(drop)),
+            ("lmm", ft.mul_right(&bad_x).map(drop)),
+            ("equation2_lmm", equation2_lmm(&ft, &bad_x).map(drop)),
+            ("morpheus_lmm", morpheus_lmm(&ft, &bad_x).map(drop)),
             ("lmm", ft.lmm_into(&bad_x, out, ws)),
             ("lmm_into", ft.lmm_into(&x, bad_out, ws)),
             // The alias is `lmm_into` and names it.
             ("lmm", ft.lmm_colstable_into(&bad_x, out, ws)),
             ("lmm_into", ft.lmm_colstable_into(&x, bad_out, ws)),
+            ("lmm_transpose", ft.t_mul(&bad_y).map(drop)),
             (
-                "lmm_transpose",
-                ft.lmm_transpose(&bad_y, Strategy::Compressed).map(drop),
+                "equation2_lmm_transpose",
+                equation2_lmm_transpose(&ft, &bad_y).map(drop),
             ),
             ("lmm_transpose", ft.lmm_transpose_into(&bad_y, out_t, ws)),
             ("lmm_transpose_into", ft.lmm_transpose_into(&y, bad_out, ws)),
-            ("rmm", ft.rmm(&bad_y, Strategy::Compressed).map(drop)),
         ];
         for (want, got) in cases {
             match got {
@@ -1705,14 +1538,12 @@ mod tests {
             let t = ft.materialize();
             let x = DenseMatrix::random_uniform(t.cols(), n, -1.0, 1.0, &mut rng);
             let reference = t.matmul(&x).unwrap();
-            for s in [Strategy::Compressed, Strategy::Sparse] {
-                prop_assert!(ft.lmm(&x, s).unwrap().approx_eq(&reference, 1e-9));
-            }
+            prop_assert!(ft.mul_right(&x).unwrap().approx_eq(&reference, 1e-9));
+            prop_assert!(equation2_lmm(&ft, &x).unwrap().approx_eq(&reference, 1e-9));
             let y = DenseMatrix::random_uniform(t.rows(), n, -1.0, 1.0, &mut rng);
             let reference_t = t.transpose().matmul(&y).unwrap();
-            for s in [Strategy::Compressed, Strategy::Sparse] {
-                prop_assert!(ft.lmm_transpose(&y, s).unwrap().approx_eq(&reference_t, 1e-9));
-            }
+            prop_assert!(ft.t_mul(&y).unwrap().approx_eq(&reference_t, 1e-9));
+            prop_assert!(equation2_lmm_transpose(&ft, &y).unwrap().approx_eq(&reference_t, 1e-9));
             prop_assert!(ft.gram().approx_eq(&t.gram(), 1e-8));
         }
     }
@@ -1871,20 +1702,20 @@ mod tests {
     }
 
     /// Every compressed operator against its two oracles — the literal
-    /// Equation (2) (`Strategy::Sparse`) and `materialize()` — within
-    /// the rounding model's tolerance.
+    /// Equation (2) (`reference::equation2_*`) and `materialize()` —
+    /// within the rounding model's tolerance.
     fn assert_operators_match_oracles(ft: &FactorizedTable, n: usize, seed: u64) {
         let (rows, cols) = ft.target_shape();
         let tol = amalur_gen::equivalence_tolerance(rows, cols, 1);
         let t = ft.materialize();
         let x = x_for(cols, n, seed);
-        let got = ft.lmm(&x, Strategy::Compressed).unwrap();
+        let got = ft.mul_right(&x).unwrap();
         assert!(got.approx_eq(&t.matmul(&x).unwrap(), tol));
-        assert!(got.approx_eq(&ft.lmm(&x, Strategy::Sparse).unwrap(), tol));
+        assert!(got.approx_eq(&equation2_lmm(ft, &x).unwrap(), tol));
         let y = x_for(rows, n, seed + 1);
-        let got_t = ft.lmm_transpose(&y, Strategy::Compressed).unwrap();
+        let got_t = ft.t_mul(&y).unwrap();
         assert!(got_t.approx_eq(&t.transpose_matmul(&y).unwrap(), tol));
-        assert!(got_t.approx_eq(&ft.lmm_transpose(&y, Strategy::Sparse).unwrap(), tol));
+        assert!(got_t.approx_eq(&equation2_lmm_transpose(ft, &y).unwrap(), tol));
         let gram = ft.gram();
         assert!(gram.approx_eq(&t.gram(), tol));
         assert_eq!(gram, gram.transpose(), "gram must be exactly symmetric");

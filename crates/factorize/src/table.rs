@@ -409,21 +409,6 @@ impl FactorizedTable {
         }
         out
     }
-
-    /// Tuple ratio `r_T / max r_Sk` and feature ratio `c_T / c_base` —
-    /// the two parameters of Morpheus' decision heuristic (§IV-B).
-    pub fn morpheus_ratios(&self) -> (f64, f64) {
-        let (rt, ct) = self.target_shape();
-        let max_rows = self
-            .data
-            .iter()
-            .map(DenseMatrix::rows)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let base_cols = self.data.first().map_or(1, DenseMatrix::cols).max(1);
-        (rt as f64 / max_rows as f64, ct as f64 / base_cols as f64)
-    }
 }
 
 #[cfg(test)]
@@ -673,8 +658,5 @@ pub(crate) mod tests {
         let ft = running_example();
         assert_eq!(ft.source_cells(), 12 + 9);
         assert_eq!(ft.target_cells(), 24);
-        let (tr, fr) = ft.morpheus_ratios();
-        assert!((tr - 6.0 / 4.0).abs() < 1e-12);
-        assert!((fr - 4.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -5,7 +5,7 @@
 //! a second test running the operators beside this one would move them.
 
 use amalur_data::{generate_two_source, TwoSourceSpec};
-use amalur_factorize::{mount_metrics, FactorizedTable, Strategy};
+use amalur_factorize::{mount_metrics, reference, FactorizedTable};
 use amalur_gen::{ScenarioSpec, Topology};
 use amalur_matrix::{DenseMatrix, Workspace};
 use amalur_obs::MetricsRegistry;
@@ -59,10 +59,12 @@ fn counters_report_source_level_work() {
         // One source pair, every target row covered by both.
         assert_eq!(delta("gram.scatter_rows", &mut || drop(ft.gram())), 1000);
     }
-    // The oracle strategy does none of this work.
+    // The literal Equation (2) does none of this work, and is not
+    // counted as a call.
     let x = DenseMatrix::filled(shared.target_shape().1, 2, 0.5);
-    let mut sparse = || drop(shared.lmm(&x, Strategy::Sparse).unwrap());
-    assert_eq!(delta("lmm.gather_rows", &mut sparse), 0);
+    let mut literal = || drop(reference::equation2_lmm(&shared, &x).unwrap());
+    assert_eq!(delta("lmm.gather_rows", &mut literal), 0);
+    assert_eq!(delta("lmm.calls", &mut literal), 0);
 
     // Inner-join shape (1:1, capped by the 200-row dimension): the base
     // has 800 source rows no target row reads, so it is gathered — and

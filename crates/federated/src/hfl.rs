@@ -208,29 +208,19 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
         config: &'a HflConfig,
         transport: &'a mut T,
     ) -> Result<Self> {
-        let d = validate(parties, config)?;
-        let mechanism = match config.dp {
-            Some((sensitivity, epsilon)) => Some(LaplaceMechanism::new(sensitivity, epsilon)?),
-            None => None,
-        };
-        Ok(Self {
-            parties,
-            config,
-            transport,
-            mechanism,
-            rng: CursorRng::new(config.seed),
-            global: DenseMatrix::zeros(d, 1),
-            d,
+        // Resuming from the round-0 checkpoint: `resume` validates the
+        // inputs before it reads the checkpoint, so the width taken from
+        // unvalidated `parties` is only checked once they are valid.
+        let d = parties.first().map_or(0, |p| p.x.cols());
+        let start = Checkpoint {
             round: 0,
-            quorum_failures: 0,
-            loss_history: Vec::with_capacity(config.rounds),
+            global: vec![0.0; d],
+            loss_history: Vec::new(),
             comm: CommStats::default(),
-            timeline: Vec::new(),
-            vclock: VirtualClock::new(),
-            round_us: Histogram::new(),
-            grads: vec![DenseMatrix::zeros(d, 1); parties.len()],
-            resid: DenseMatrix::zeros(0, 1),
-        })
+            rng_draws: 0,
+            quorum_failures: 0,
+        };
+        Self::resume(parties, config, transport, &start)
     }
 
     /// Rebuilds a run mid-flight from a [`Checkpoint`], restoring the
@@ -268,6 +258,8 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
             Some((sensitivity, epsilon)) => Some(LaplaceMechanism::new(sensitivity, epsilon)?),
             None => None,
         };
+        let mut loss_history = Vec::with_capacity(config.rounds);
+        loss_history.extend_from_slice(&checkpoint.loss_history);
         Ok(Self {
             parties,
             config,
@@ -278,7 +270,7 @@ impl<'a, T: Transport> FedAvgOrchestrator<'a, T> {
             d,
             round: checkpoint.round,
             quorum_failures: checkpoint.quorum_failures,
-            loss_history: checkpoint.loss_history.clone(),
+            loss_history,
             comm: checkpoint.comm,
             timeline: Vec::new(),
             vclock: VirtualClock::new(),

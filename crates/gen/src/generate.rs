@@ -22,7 +22,7 @@
 
 use crate::spec::{ScenarioSpec, Topology};
 use amalur_integration::{DiMetadata, Result};
-use amalur_matrix::{CooMatrix, DenseMatrix, NO_MATCH};
+use amalur_matrix::{DenseMatrix, NO_MATCH};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -298,10 +298,10 @@ fn skewed_index(rng: &mut StdRng, n: usize, skew: f64) -> usize {
 }
 
 /// One source's data matrix. Sources whose bit is set in
-/// `spec.sparse_mask` are built through the sparse path — a [`CooMatrix`]
-/// filled at `spec.density`, converted via `to_csr`, then densified —
-/// so generated scenarios exercise the same COO → CSR plumbing the
-/// sparse kernels use.
+/// `spec.sparse_mask` are sparse: every cell draws a keep coin at
+/// `spec.density` and a value, and holds the value only when the coin
+/// keeps it and it is nonzero, so a kept `±0.0` draw is stored as
+/// `+0.0`.
 fn source_data(
     rows: usize,
     cols: usize,
@@ -314,22 +314,17 @@ fn source_data(
         return DenseMatrix::random_uniform(rows, cols, -1.0, 1.0, rng);
     }
     let density = spec.density.clamp(f64::MIN_POSITIVE, 1.0);
-    let mut coo = CooMatrix::new(rows, cols);
-    for i in 0..rows {
-        for j in 0..cols {
-            // Draw both coins unconditionally: the RNG stream consumed
-            // per cell is constant, so `density` shrinks cleanly.
-            let keep = rng.gen_bool(density);
-            let v = rng.gen_range(-1.0..1.0);
-            if keep {
-                // `i < rows` and `j < cols` by loop bounds, so the push
-                // cannot fail; debug builds still verify the invariant.
-                let pushed = coo.push(i, j, v);
-                debug_assert!(pushed.is_ok());
-            }
+    let mut out = DenseMatrix::zeros(rows, cols);
+    for cell in out.as_mut_slice() {
+        // Draw both coins unconditionally: the RNG stream consumed
+        // per cell is constant, so `density` shrinks cleanly.
+        let keep = rng.gen_bool(density);
+        let v = rng.gen_range(-1.0..1.0);
+        if keep && v != 0.0 {
+            *cell = v;
         }
     }
-    coo.to_csr().to_dense()
+    out
 }
 
 #[cfg(test)]

@@ -74,7 +74,7 @@ impl Topology {
 /// | `dim_rows`, `dim_cols` | shape of every non-base table |
 /// | `skew` | 0 = uniform FK draws; > 0 = power-law fan-out hotspots |
 /// | `shared_cols` | per-satellite shared-column window into the base (a redundancy grid) |
-/// | `sparse_mask` | bit `k` set → source `k` is generated sparse (COO → CSR → dense) |
+/// | `sparse_mask` | bit `k` set → source `k` is generated sparse (zeros outside a `density` draw) |
 /// | `density` | fill ratio of sparse sources |
 /// | `coverage` | fraction of base rows matched by each satellite (1.0 = left-join full) |
 /// | `seed` | the whole scenario is a pure function of (spec, seed) |
@@ -100,8 +100,8 @@ pub struct ScenarioSpec {
     /// for [`Topology::ManyToMany`], where a consistent assignment does
     /// not exist in general.
     pub shared_cols: usize,
-    /// Bitmask of sources generated through the sparse (COO → CSR)
-    /// path; bit `k` addresses source `k` in metadata order.
+    /// Bitmask of sources generated sparse (each cell kept at
+    /// `density`); bit `k` addresses source `k` in metadata order.
     pub sparse_mask: u64,
     /// Non-zero fraction for sparse sources, in `(0, 1]`.
     pub density: f64,

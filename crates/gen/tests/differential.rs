@@ -46,8 +46,8 @@ fn regression_corpus_replays_green() {
 #[test]
 fn generator_spec_plus_seed_is_bit_deterministic() {
     // Determinism property at the harness level: the same sampled spec
-    // regenerates bit-identical metadata and source matrices, including
-    // through the sparse COO→CSR path.
+    // regenerates bit-identical metadata and source matrices, sparse
+    // sources included.
     for spec in sample_specs(SWEEP_SEED ^ 1, 16, SizeClass::Small) {
         let (md_a, data_a) = amalur_gen::generate(&spec).unwrap();
         let (md_b, data_b) = amalur_gen::generate(&spec).unwrap();

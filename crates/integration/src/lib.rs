@@ -43,7 +43,9 @@ pub mod tgd;
 pub use er::{match_rows, ErConfig, RowMatch};
 pub use error::{IntegrationError, Result};
 pub use matching::{match_schemas, ColumnMatch, MatchingConfig};
-pub use metadata::{DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceMetadata};
+pub use metadata::{
+    DiMetadata, IndicatorMatrix, MappingMatrix, RedundancyMatrix, SourceList, SourceMetadata,
+};
 pub use metrics::mount_metrics;
 pub use scenario::{
     integrate_pair, materialize_relationally, IntegrationOptions, IntegrationResult, ScenarioKind,

@@ -25,7 +25,9 @@
 //! that contradicts it silently corrupts `T` — two sources covering one
 //! cell would both be added into it. Since [`SourceMetadata`] has a
 //! private field, no code outside this crate can assemble one by hand,
-//! so every [`DiMetadata`] holds the definition by construction.
+//! and [`DiMetadata::sources`] is a read-only [`SourceList`], no code can
+//! edit, replace or reorder a source once it is pushed — so every
+//! [`DiMetadata`] holds the definition by construction.
 
 use crate::{IntegrationError, Result};
 use amalur_matrix::{selection_matrix, DenseMatrix, NO_MATCH};
@@ -428,6 +430,42 @@ impl SourceMetadata {
     }
 }
 
+/// The sources of a [`DiMetadata`], base table first, read-only: it
+/// derefs to `[SourceMetadata]` for reading, and
+/// [`DiMetadata::push_source`] is its only writer. An edit after the
+/// push could leave a later source's `Rₖ` stale — say, a source given
+/// an earlier one's `CIₖ` would add its cells into `T` a second time —
+/// so no source can be edited, replaced or reordered in place:
+///
+/// ```compile_fail,E0596
+/// # let mut md = amalur_integration::DiMetadata::new(vec!["c".into()], 1);
+/// md.sources[1].indicator = md.sources[0].indicator.clone();
+/// ```
+///
+/// ```compile_fail,E0596
+/// # let mut md = amalur_integration::DiMetadata::new(vec!["c".into()], 1);
+/// md.sources.swap(0, 1);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SourceList(Vec<SourceMetadata>);
+
+impl std::ops::Deref for SourceList {
+    type Target = [SourceMetadata];
+
+    fn deref(&self) -> &[SourceMetadata] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a SourceList {
+    type Item = &'a SourceMetadata;
+    type IntoIter = std::slice::Iter<'a, SourceMetadata>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// DI metadata for an integration task: the target schema plus one
 /// [`SourceMetadata`] per source (source 0 is the base table).
 ///
@@ -441,7 +479,7 @@ pub struct DiMetadata {
     /// Number of target rows `r_T`.
     pub target_rows: usize,
     /// Per-source metadata, base table first.
-    pub sources: Vec<SourceMetadata>,
+    pub sources: SourceList,
 }
 
 impl DiMetadata {
@@ -451,7 +489,7 @@ impl DiMetadata {
         Self {
             target_columns,
             target_rows,
-            sources: Vec::new(),
+            sources: SourceList(Vec::new()),
         }
     }
 
@@ -478,7 +516,7 @@ impl DiMetadata {
         let indicator = IndicatorMatrix::new(ci, source_rows)?;
         self.check_shape(&name, &mapping, &indicator)?;
         let redundancy = RedundancyMatrix::against_earlier(&self.sources, &indicator, &mapping);
-        self.sources.push(SourceMetadata {
+        self.sources.0.push(SourceMetadata {
             name,
             mapped_columns,
             mapping,
@@ -493,31 +531,18 @@ impl DiMetadata {
         self.target_columns.len()
     }
 
-    /// Validates that every source still agrees with the target shape —
-    /// the public fields can be edited after [`Self::push_source`].
+    /// Validates that every source still agrees with the target shape.
+    /// The sources themselves cannot change after
+    /// [`Self::push_source`], but `target_columns` and `target_rows` are
+    /// public fields a caller can still edit, and `sources` can be
+    /// replaced as a whole by another metadata's list.
     ///
     /// # Errors
-    /// [`IntegrationError::InvalidMetadata`] when a source's matrices
-    /// disagree with the target shape.
+    /// [`IntegrationError::InvalidMetadata`] when a source's `CMₖ` or
+    /// `CIₖ` disagrees with the target shape.
     pub fn validate(&self) -> Result<()> {
         for s in &self.sources {
             self.check_shape(&s.name, &s.mapping, &s.indicator)?;
-            if s.redundancy.shape() != (self.target_rows, self.target_cols()) {
-                return Err(IntegrationError::InvalidMetadata(format!(
-                    "source {}: redundancy shape {:?} does not match target {:?}",
-                    s.name,
-                    s.redundancy.shape(),
-                    (self.target_rows, self.target_cols())
-                )));
-            }
-            if s.mapping.source_cols() != s.mapped_columns.len() {
-                return Err(IntegrationError::InvalidMetadata(format!(
-                    "source {}: mapping declares {} source cols but {} column names",
-                    s.name,
-                    s.mapping.source_cols(),
-                    s.mapped_columns.len()
-                )));
-            }
         }
         Ok(())
     }
@@ -602,7 +627,7 @@ mod tests {
             )
             .unwrap();
         }
-        md.sources.pop().unwrap().redundancy
+        md.sources.0.pop().unwrap().redundancy
     }
 
     #[test]
@@ -797,7 +822,7 @@ mod tests {
         assert!(bad.validate().is_err());
 
         let mut bad2 = md;
-        bad2.sources[0].mapped_columns.pop();
+        bad2.target_columns.pop();
         assert!(bad2.validate().is_err());
     }
 }

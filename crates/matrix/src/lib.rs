@@ -1,4 +1,4 @@
-//! Dense and sparse linear algebra substrate for Amalur.
+//! Dense linear algebra substrate for Amalur.
 //!
 //! The paper represents data-integration metadata as matrices and rewrites
 //! ML computations into linear-algebra expressions over source tables
@@ -7,13 +7,13 @@
 //!
 //! * [`DenseMatrix`] — row-major `f64` matrices with blocked, multi-threaded
 //!   matrix multiplication and the usual element-wise operations.
-//! * [`CsrMatrix`] / [`CooMatrix`] — compressed sparse row / coordinate
-//!   matrices, used for the (very sparse) full mapping and indicator
-//!   matrices `Mₖ` and `Iₖ`.
 //! * Gather/scatter kernels ([`DenseMatrix::gather_rows`],
 //!   [`DenseMatrix::scatter_rows_add`], …) that apply the *compressed*
-//!   metadata vectors `CMₖ`/`CIₖ` without ever building the sparse
-//!   matrices — the physical-level implementation suggested in §III-D.
+//!   metadata vectors `CMₖ`/`CIₖ` without ever building the (very
+//!   sparse) mapping and indicator matrices `Mₖ`/`Iₖ` — the
+//!   physical-level implementation suggested in §III-D.
+//!   [`selection_matrix`] expands a compressed vector to its dense
+//!   `Mₖ`/`Iₖ` for tests and figures.
 //! * A [`Workspace`] scratch-buffer pool plus `_into` kernel variants,
 //!   so iterative training loops run allocation-free in steady state.
 //!
@@ -62,7 +62,6 @@ mod ops;
 mod par;
 mod select;
 mod solve;
-mod sparse;
 mod workspace;
 
 pub use dense::DenseMatrix;
@@ -73,7 +72,6 @@ pub use par::{
     par_row_chunks, par_row_chunks_with, set_thread_budget, thread_budget, with_thread_budget,
 };
 pub use select::{selection_matrix, NO_MATCH};
-pub use sparse::{CooMatrix, CsrMatrix};
 pub use workspace::{Workspace, WorkspaceArena, WorkspaceLease};
 
 /// Tolerance used throughout the workspace when comparing floating point

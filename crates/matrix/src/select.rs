@@ -142,40 +142,6 @@ impl DenseMatrix {
         }
         Ok(out)
     }
-
-    /// Accumulates `self`'s column `j` into output column `idx[j]`
-    /// (skipping negatives). Implements `self · S` for the selection matrix
-    /// of [`Self::gather_cols`].
-    pub fn scatter_cols_add(&self, idx: &[i64], out_cols: usize) -> Result<DenseMatrix> {
-        if idx.len() != self.cols() {
-            return Err(MatrixError::DimensionMismatch {
-                op: "scatter_cols_add",
-                lhs: self.shape(),
-                rhs: (1, idx.len()),
-            });
-        }
-        let rows = self.rows();
-        let in_cols = self.cols();
-        for &dst in idx {
-            if dst >= 0 && dst as usize >= out_cols {
-                return Err(MatrixError::IndexOutOfBounds {
-                    index: (0, dst as usize),
-                    shape: (rows, out_cols),
-                });
-            }
-        }
-        let mut out = DenseMatrix::zeros(rows, out_cols);
-        for i in 0..rows {
-            let src_row = &self.as_slice()[i * in_cols..(i + 1) * in_cols];
-            let dst_row = &mut out.as_mut_slice()[i * out_cols..(i + 1) * out_cols];
-            for (j, &dst) in idx.iter().enumerate() {
-                if dst >= 0 {
-                    dst_row[dst as usize] += src_row[j];
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Builds the full binary selection matrix for a compressed vector:
@@ -276,15 +242,6 @@ mod tests {
         assert_eq!(g.row(0), &[2.0, 0.0, 2.0, 1.0]);
         assert_eq!(g.row(2), &[8.0, 0.0, 8.0, 7.0]);
         assert!(sample().gather_cols(&[9]).is_err());
-    }
-
-    #[test]
-    fn scatter_cols_add_basic() {
-        let m = DenseMatrix::from_rows(&[vec![1.0, 2.0, 4.0]]).unwrap();
-        let s = m.scatter_cols_add(&[1, 1, NO_MATCH], 3).unwrap();
-        assert_eq!(s.row(0), &[0.0, 3.0, 0.0]);
-        assert!(m.scatter_cols_add(&[0, 1], 3).is_err());
-        assert!(m.scatter_cols_add(&[0, 1, 7], 3).is_err());
     }
 
     #[test]

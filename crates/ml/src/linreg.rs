@@ -31,10 +31,12 @@ impl Default for LinRegConfig {
 /// Ordinary least squares / ridge regression.
 ///
 /// Trained either iteratively (`fit`) — every epoch is one
-/// `LinOps::gradient_pass_into`: one pass over a dense table, or a
-/// factorized `mul_right` (predictions) and `t_mul` (gradient) when the
-/// data is a `FactorizedTable` — or in closed form
-/// (`fit_normal_equations`) via the factorized Gram matrix.
+/// `LinOps::gradient_pass_into`: one pass over a dense table, or
+/// `mul_right_into` (predictions, `FactorizedTable::lmm_into`) then
+/// `t_mul_into` (gradient, `FactorizedTable::lmm_transpose_into`) when
+/// the data is a `FactorizedTable` — or in closed form
+/// (`fit_normal_equations`) via the factorized Gram matrix and one
+/// allocating `t_mul`.
 #[derive(Debug, Clone)]
 pub struct LinearRegression {
     config: LinRegConfig,

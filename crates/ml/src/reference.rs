@@ -8,7 +8,7 @@
 //! that refilled an `n × k` one-hot matrix every iteration and took
 //! `t_mul_into` of it. The tests below hold the production fits to their
 //! bits — `θ`, every loss, the error, centroids, inertia, assignments
-//! and iteration count — on dense, factorized and shared tables.
+//! and iteration count — on dense and factorized tables.
 
 use crate::linreg::validate_labels;
 use crate::logreg::{log_likelihood, sigmoid};
@@ -230,7 +230,6 @@ mod tests {
     use super::*;
     use crate::{KMeans, LinearRegression, LogisticRegression};
     use amalur_factorize::FactorizedTable;
-    use std::sync::Arc;
 
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
@@ -396,7 +395,6 @@ mod tests {
             for (s, d) in [
                 gd_fits_equal_reference(&t, &y, &binary, "dense"),
                 gd_fits_equal_reference(&ft, &y, &binary, "factorized"),
-                gd_fits_equal_reference(&Arc::new(t.clone()), &y, &binary, "shared dense"),
             ] {
                 stopped += s;
                 diverged += d;
@@ -423,7 +421,6 @@ mod tests {
             let t = ft.materialize();
             kmeans_fits_equal_reference(&t, "dense");
             kmeans_fits_equal_reference(&ft, "factorized");
-            kmeans_fits_equal_reference(&Arc::new(ft.clone()), "shared factorized");
         }
     }
 

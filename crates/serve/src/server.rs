@@ -444,7 +444,7 @@ fn run_worker(idx: usize, kernel_threads: usize, max_batch_cols: usize, inner: &
 fn execute_train(job: TrainJob, ws: &mut Workspace, metrics: &ServerMetrics) {
     let mut model = LinearRegression::new(job.config);
     let result = model
-        .fit_with_workspace(&job.table, &job.labels, ws)
+        .fit_with_workspace(&*job.table, &job.labels, ws)
         .map_err(ServeError::from)
         .and_then(|()| {
             let coefficients = model

@@ -102,10 +102,7 @@ fn main() {
     ])
     .expect("static operand");
     let materialized = t.matmul(&x).expect("shapes agree");
-    let factorized = handle
-        .table
-        .lmm(&x, Strategy::Compressed)
-        .expect("shapes agree");
+    let factorized = handle.table.mul_right(&x).expect("shapes agree");
     print_matrix("T·X (materialized)", &materialized);
     print_matrix("T·X (factorized, Eq. 2)", &factorized);
     assert!(factorized.approx_eq(&materialized, 1e-9));

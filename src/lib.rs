@@ -43,7 +43,7 @@
 //! // Factorized result ≡ materialized result.
 //! let t = handle.table.materialize();
 //! let x = DenseMatrix::ones(4, 1);
-//! let fact = handle.table.lmm(&x, Strategy::Compressed).unwrap();
+//! let fact = handle.table.mul_right(&x).unwrap();
 //! assert!(fact.approx_eq(&t.matmul(&x).unwrap(), 1e-9));
 //! ```
 //!
@@ -51,7 +51,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`matrix`] | dense/sparse linear algebra substrate |
+//! | [`matrix`] | dense linear algebra substrate |
 //! | [`relational`] | tables, joins, CSV — the materialization substrate |
 //! | [`integration`] | tgds, schema matching, ER, the three matrices |
 //! | [`factorize`] | `FactorizedTable` and the rewrite rules |
@@ -87,7 +87,7 @@ pub mod prelude {
         AmalurCostModel, CostFeatures, CostModel, Decision, HardwareProfile, MorpheusHeuristic,
         TrainingWorkload,
     };
-    pub use amalur_factorize::{FactorizedTable, LinOps, Strategy};
+    pub use amalur_factorize::{FactorizedTable, LinOps};
     pub use amalur_federated::{PartySamples, PrivacyMode};
     pub use amalur_integration::{IntegrationOptions, ScenarioKind};
     pub use amalur_matrix::DenseMatrix;

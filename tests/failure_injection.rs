@@ -74,10 +74,7 @@ fn empty_tables_flow_through_without_panicking() {
     assert_eq!(ft.materialize().shape(), (0, 3));
     // Ops on the empty table do not panic.
     let x = DenseMatrix::ones(3, 2);
-    assert_eq!(
-        ft.lmm(&x, Strategy::Compressed).expect("valid").shape(),
-        (0, 2)
-    );
+    assert_eq!(ft.mul_right(&x).expect("valid").shape(), (0, 2));
     assert_eq!(ft.gram().shape(), (3, 3));
 }
 
@@ -129,12 +126,8 @@ fn mismatched_operands_error_at_every_layer() {
     let ft = FactorizedTable::new(md.clone(), data.clone()).expect("consistent");
     let (rows, cols) = ft.target_shape();
     // Wrong operand shapes.
-    assert!(ft
-        .lmm(&DenseMatrix::zeros(cols + 1, 1), Strategy::Compressed)
-        .is_err());
-    assert!(ft
-        .lmm_transpose(&DenseMatrix::zeros(rows + 1, 1), Strategy::Compressed)
-        .is_err());
+    assert!(ft.mul_right(&DenseMatrix::zeros(cols + 1, 1)).is_err());
+    assert!(ft.t_mul(&DenseMatrix::zeros(rows + 1, 1)).is_err());
     // Wrong data shapes at construction.
     let mut bad = data;
     bad[0] = DenseMatrix::zeros(9, 2);

@@ -2,6 +2,7 @@
 //! Figure 2d), reproduced through the public API from the raw Figure 2
 //! tables.
 
+use amalur::factorize::reference::{equation2_lmm, morpheus_lmm};
 use amalur::prelude::*;
 use amalur_integration::integrate_pair;
 use amalur_matrix::NO_MATCH;
@@ -137,15 +138,15 @@ fn figure4c_lmm_rewrite_equals_materialized_product() {
     ])
     .expect("static operand");
     let reference = t.matmul(&x).expect("shapes agree");
-    for strategy in [Strategy::Compressed, Strategy::Sparse] {
-        let fact = ft.lmm(&x, strategy).expect("shapes agree");
-        assert!(
-            fact.approx_eq(&reference, 1e-9),
-            "strategy {strategy} diverged from T·X"
-        );
+    for (rule, got) in [
+        ("compressed", ft.mul_right(&x)),
+        ("equation (2)", equation2_lmm(&ft, &x)),
+    ] {
+        let fact = got.expect("shapes agree");
+        assert!(fact.approx_eq(&reference, 1e-9), "{rule} diverged from T·X");
     }
     // Morpheus' rule (1) refuses: the sources overlap.
-    assert!(ft.lmm(&x, Strategy::Morpheus).is_err());
+    assert!(morpheus_lmm(&ft, &x).is_err());
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! the traditional relational materialization of Figure 2 — and with
 //! itself across rewrite strategies.
 
+use amalur::factorize::reference;
 use amalur::prelude::*;
 use amalur_integration::{integrate_pair, materialize_relationally};
 use rand::SeedableRng;
@@ -64,18 +65,24 @@ fn factorized_ops_agree_across_scenarios() {
 
         let ref_lmm = t.matmul(&x).expect("shapes");
         let ref_tlmm = t.transpose().matmul(&y).expect("shapes");
-        for strategy in [Strategy::Compressed, Strategy::Sparse] {
+        let lmms = [
+            ("compressed", ft.mul_right(&x)),
+            ("equation (2)", reference::equation2_lmm(&ft, &x)),
+        ];
+        for (rule, got) in lmms {
             assert!(
-                ft.lmm(&x, strategy)
-                    .expect("shapes")
-                    .approx_eq(&ref_lmm, 1e-9),
-                "{kind}/{strategy}: LMM mismatch"
+                got.expect("shapes").approx_eq(&ref_lmm, 1e-9),
+                "{kind}/{rule}: LMM mismatch"
             );
+        }
+        let transposes = [
+            ("compressed", ft.t_mul(&y)),
+            ("equation (2)", reference::equation2_lmm_transpose(&ft, &y)),
+        ];
+        for (rule, got) in transposes {
             assert!(
-                ft.lmm_transpose(&y, strategy)
-                    .expect("shapes")
-                    .approx_eq(&ref_tlmm, 1e-9),
-                "{kind}/{strategy}: TᵀX mismatch"
+                got.expect("shapes").approx_eq(&ref_tlmm, 1e-9),
+                "{kind}/{rule}: TᵀX mismatch"
             );
         }
         assert!(
